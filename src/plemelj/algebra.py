@@ -256,8 +256,6 @@ class Multivector:
         return self.alg.vector_part(self.coeffs)
 
     def is_vector(self, tol: float = 1e-12) -> bool:
-        rest = np.delete(self.coeffs, self.alg.vector_slots)
-        rest[0] = self.coeffs[0]
         mask = self.alg.grades != 1
         return bool(np.all(np.abs(self.coeffs[mask]) <= tol))
 

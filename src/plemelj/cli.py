@@ -8,7 +8,8 @@ is recorded in every report; identical config and seed give byte-identical
 output files (runtimes go to stderr only).
 
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
-solve, 4 check failure.
+solve, 4 check failure, 5 no approach cone fits inside the mesh (the
+maximal and limits commands need one).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import hardy, maximal, mobius
 from .linsolve import IllConditionedError
 from .mesh import (
+    NoValidConeError,
     ValidationFailedError,
     make_circle,
     make_deformed_curve,
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ILL_CONDITIONED = 3
 EXIT_CHECK_FAILED = 4
+EXIT_NO_CONE = 5
 
 
 def build_mesh(cfg, N=None):
@@ -114,7 +117,7 @@ def cmd_verify(cfg) -> int:
         t0 = time.time()
         mesh = build_mesh(cfg, N)
         refine = len(sweep) == 1 and mesh.builder is not None and N <= 256
-        reports = hardy.verify_identities(mesh, refine=len(sweep) == 1 and refine)
+        reports = hardy.verify_identities(mesh, refine=refine, cond_limit=cfg["cond_limit"])
         for rep in reports:
             rep.passed = rep.passed and rep.residual <= cap
             all_pass &= rep.passed
@@ -164,6 +167,7 @@ def cmd_szego(cfg) -> int:
     mesh = build_mesh(cfg)
     f = _test_function(mesh, cfg["seed"])
     try:
+        ks = hardy.kerzman_stein_factor(mesh, cfg["cond_limit"])
         p = hardy.szego_project(f, "+", cond_limit=cfg["cond_limit"])
         pp = hardy.szego_project(p, "+", cond_limit=cfg["cond_limit"])
     except IllConditionedError as exc:
@@ -174,7 +178,7 @@ def cmd_szego(cfg) -> int:
         "szego.json",
         {
             "N": mesh.size,
-            "condition_estimate": mesh.cache.get("kerzman_stein_cond"),
+            "condition_estimate": ks.cond,
             "idempotence_residual": l2_norm(pp - p),
             "norm_projection": l2_norm(p),
             "norm_f": l2_norm(f),
@@ -265,7 +269,7 @@ def cmd_converge(cfg) -> int:
     for N in sweep:
         t0 = time.time()
         mesh = build_mesh(cfg, N)
-        for rep in hardy.verify_identities(mesh, refine=False):
+        for rep in hardy.verify_identities(mesh, refine=False, cond_limit=cfg["cond_limit"]):
             columns.setdefault(rep.identity, []).append(rep.residual)
         a = np.asarray(cfg["translation"], dtype=complex)
         if mesh.n == 2:
@@ -341,6 +345,9 @@ def main(argv=None) -> int:
     except IllConditionedError as exc:
         print(f"ill-conditioned solve: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED
+    except NoValidConeError as exc:
+        print(f"no approach cone: {exc}", file=sys.stderr)
+        return EXIT_NO_CONE
 
 
 if __name__ == "__main__":

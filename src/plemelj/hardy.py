@@ -2,8 +2,9 @@
 
 The splitting f = f+ + f- comes from the boundary projections S+/S-; the
 Szego projections P+/P- are recovered from them through the operator
-identity P (I - (C* - C)) = S, i.e. a dense solve against I + A followed
-by one projection application.  The identity route is the only production
+identity P (I - (C* - C)) = S, i.e. a solve against I + A followed by one
+projection application; the LU factors of I + A are computed once per mesh
+and shared by every solve.  The identity route is the only production
 path; an orthogonal-projector construction from a monogenic basis exists
 solely as an independent oracle in the tests.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .algebra import algebra
-from .linsolve import solve_system
+from .linsolve import Factorization, factor
 from .mesh import BoundaryMesh, cone_parameters
 from .operators import (
     BlockOperator,
@@ -23,9 +24,11 @@ from .operators import (
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform_points,
+    PROJECTION_COEFFS,
     l2_norm,
     plemelj_projection,
-    smooth_matrix_norm,
+    smooth_family,
+    weighted_norm,
 )
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "LimitReport",
     "boundary_limit_test",
     "decompose",
+    "kerzman_stein_factor",
     "szego_matrix",
     "szego_project",
     "verify_identities",
@@ -76,26 +80,33 @@ def _kerzman_stein_system(mesh: BoundaryMesh) -> np.ndarray:
     return np.eye(A.matrix.shape[0], dtype=complex) + A.matrix
 
 
+def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization:
+    """LU factors of I + A, computed once per mesh and kept next to A.
+
+    The returned record carries the condition estimate; IllConditionedError
+    is raised whenever it exceeds this call's cond_limit.
+    """
+    key = "lu_I+A"
+    if key not in mesh.cache:
+        mesh.cache[key] = factor(_kerzman_stein_system(mesh), cond_limit)
+    return mesh.cache[key].check(cond_limit)
+
+
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
     """Szego projection via the Kerzman-Stein equation: solve then project."""
     mesh = f.mesh
-    system = _kerzman_stein_system(mesh)
-    x, cond = solve_system(system, f.flat(), nodes=mesh.size, cond_limit=cond_limit)
-    mesh.cache["kerzman_stein_cond"] = cond
+    x = kerzman_stein_factor(mesh, cond_limit).solve(f.flat())
     g = BoundaryFunction(mesh, x.reshape(f.values.shape))
     return plemelj_projection(mesh, sign).apply(g)
 
 
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+", cond_limit: float = 1e8) -> BlockOperator:
-    """Dense matrix of P = S (I + A)^{-1} (for identity verification)."""
+    """Dense matrix of P = S (I + A)^{-1} (for tests and oracles)."""
     key = f"op_P{sign}"
     if key in mesh.cache:
         return mesh.cache[key]
-    system = _kerzman_stein_system(mesh)
     S = plemelj_projection(mesh, sign)
-    inv, cond = solve_system(system, np.eye(system.shape[0], dtype=complex),
-                             nodes=mesh.size, cond_limit=cond_limit)
-    mesh.cache["kerzman_stein_cond"] = cond
+    inv = kerzman_stein_factor(mesh, cond_limit).solve(np.eye(S.matrix.shape[0]))
     op = BlockOperator(mesh, S.matrix @ inv, f"P{sign}")
     mesh.cache[key] = op
     return op
@@ -119,39 +130,66 @@ class IdentityReport:
         }
 
 
-def _identity_residuals(mesh: BoundaryMesh, modes: int) -> dict:
-    C = assemble_singular_cauchy(mesh)
-    Sp = plemelj_projection(mesh, "+")
-    Sm = plemelj_projection(mesh, "-")
-    A = assemble_kerzman_stein(mesh)
-    Pp = szego_matrix(mesh, "+")
-    Pm = szego_matrix(mesh, "-")
-    eye = np.eye(C.matrix.shape[0], dtype=complex)
-    res = {
-        "S+^2 - S+": (Sp.matrix @ Sp.matrix) - Sp.matrix,
-        "S-^2 - S-": (Sm.matrix @ Sm.matrix) - Sm.matrix,
-        "S+S-": Sp.matrix @ Sm.matrix,
-        "S-S+": Sm.matrix @ Sp.matrix,
-        "C^2 - I/4": (C.matrix @ C.matrix) - 0.25 * eye,
-        "S+ + S- - I": Sp.matrix + Sm.matrix - eye,
-        "P+ - S+P+": Pp.matrix - Sp.matrix @ Pp.matrix,
-        "P- - S-P-": Pm.matrix - Sm.matrix @ Pm.matrix,
-        "P+ - S+ - P+(C*-C)": Pp.matrix - Sp.matrix + Pp.matrix @ A.matrix,
+def _apply_poly(coeffs, powers) -> np.ndarray:
+    """sum_k coeffs[k] C^k B, given powers = [B, C B, C^2 B, ...]."""
+    out = np.zeros_like(powers[0])
+    for c, block in zip(coeffs, powers):
+        if c:
+            out += c * block
+    return out
+
+
+def _identity_residuals(mesh: BoundaryMesh, modes: int, cond_limit: float) -> dict:
+    """Smooth-family norms of the identity residuals, from operator-block products.
+
+    A residual R is measured as ||W R Y||_2 on the smooth family Y = W^{-1} Q,
+    so no (N d)^2 product is formed.  S+- = c0 I + c1 C, so each projection
+    identity is a polynomial in C; its coefficients are combined before it
+    is applied to Y (which makes S+ + S- - I exactly zero).  With
+    X = (I + A)^{-1} Y one has P+- Y = S+- X, and the Kerzman-Stein identity
+    applies S+ to D = (I + A)^{-1} (I + A) Y - Y.
+    """
+    C = assemble_singular_cauchy(mesh).matrix
+    A = assemble_kerzman_stein(mesh).matrix
+    Y = smooth_family(mesh, modes)
+    m = Y.shape[1]
+    Z = kerzman_stein_factor(mesh, cond_limit).solve(np.hstack([Y, A @ Y]))
+    X = Z[:, :m]
+    D = X + Z[:, m:] - Y
+    CY, CX, CD = np.hsplit(C @ np.hstack([Y, X, D]), 3)
+    C2Y, C2X = np.hsplit(C @ np.hstack([CY, CX]), 2)
+    on_Y, on_X, on_D = [Y, CY, C2Y], [X, CX, C2X], [D, CD]
+
+    Sp, Sm = PROJECTION_COEFFS["+"], PROJECTION_COEFFS["-"]
+    mul, add, sub = npoly.polymul, npoly.polyadd, npoly.polysub
+    polys = {
+        "S+^2 - S+": (sub(mul(Sp, Sp), Sp), on_Y),
+        "S-^2 - S-": (sub(mul(Sm, Sm), Sm), on_Y),
+        "S+S-": (mul(Sp, Sm), on_Y),
+        "S-S+": (mul(Sm, Sp), on_Y),
+        "C^2 - I/4": ((-0.25, 0.0, 1.0), on_Y),
+        "S+ + S- - I": (sub(add(Sp, Sm), (1.0,)), on_Y),
+        "P+ - S+P+": (sub(Sp, mul(Sp, Sp)), on_X),
+        "P- - S-P-": (sub(Sm, mul(Sm, Sm)), on_X),
+        "P+ - S+ - P+(C*-C)": (Sp, on_D),
     }
-    return {name: smooth_matrix_norm(mat, mesh, modes) for name, mat in res.items()}
+    return {name: weighted_norm(_apply_poly(p, on), mesh) for name, (p, on) in polys.items()}
 
 
-def verify_identities(mesh: BoundaryMesh, refine: bool = True, modes: int = 12, caps=None):
+def verify_identities(
+    mesh: BoundaryMesh, refine: bool = True, modes: int = 12, caps=None, cond_limit: float = 1e8
+):
     """Residuals of the projection-algebra identities at N and (optionally) 2N.
 
-    Residuals are operator norms over the smooth test family.  An identity
+    Residuals are operator norms over the smooth test family; the
+    Kerzman-Stein solve raises IllConditionedError beyond cond_limit.  An identity
     passes when its residual meets the cap and either decreases under
     refinement or already sits at the rounding floor.
     """
-    base = _identity_residuals(mesh, modes)
+    base = _identity_residuals(mesh, modes, cond_limit)
     refined = None
     if refine and mesh.builder is not None:
-        refined = _identity_residuals(mesh.refine(), modes)
+        refined = _identity_residuals(mesh.refine(), modes, cond_limit)
     reports = []
     for name, r in base.items():
         cap = (caps or {}).get(name, 1e-3)

@@ -1,13 +1,13 @@
-"""Dense and iterative linear solves with condition monitoring."""
+"""Dense LU solves with condition monitoring, and restarted GMRES."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-__all__ = ["IllConditionedError", "gmres_restarted", "solve_system"]
-
-ITERATIVE_NODE_THRESHOLD = 3000
+__all__ = ["Factorization", "IllConditionedError", "factor", "gmres_restarted", "solve_system"]
 
 
 class IllConditionedError(RuntimeError):
@@ -16,15 +16,38 @@ class IllConditionedError(RuntimeError):
         self.cond = cond
 
 
-def condition_estimate(matrix: np.ndarray, lu=None) -> float:
-    """1-norm condition estimate via LAPACK gecon."""
-    if lu is None:
-        lu, _ = scipy.linalg.lu_factor(matrix)
+@dataclass(frozen=True)
+class Factorization:
+    """LU factors of a square matrix and its 1-norm condition estimate."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    cond: float
+
+    def check(self, cond_limit: float) -> "Factorization":
+        """Raise IllConditionedError when the estimate exceeds cond_limit."""
+        if self.cond > cond_limit:
+            raise IllConditionedError(self.cond)
+        return self
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lu_solve((self.lu, self.piv), np.asarray(rhs, dtype=complex))
+
+
+def factor(matrix: np.ndarray, cond_limit: float = 1e8) -> Factorization:
+    """LU-factor a dense matrix; its 1-norm condition estimate (LAPACK gecon)
+    must not exceed cond_limit."""
+    lu, piv = scipy.linalg.lu_factor(matrix)
     anorm = np.linalg.norm(matrix, 1)
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
     if info != 0:
         raise RuntimeError(f"zgecon failed with info={info}")
-    return float(1.0 / max(rcond, np.finfo(float).tiny))
+    return Factorization(lu, piv, float(1.0 / max(rcond, np.finfo(float).tiny))).check(cond_limit)
+
+
+def condition_estimate(matrix: np.ndarray) -> float:
+    """1-norm condition estimate via LAPACK gecon."""
+    return factor(matrix, cond_limit=np.inf).cond
 
 
 def gmres_restarted(matvec, b, tol=1e-10, maxiter=500, restart=50, x0=None):
@@ -72,23 +95,11 @@ def gmres_restarted(matvec, b, tol=1e-10, maxiter=500, restart=50, x0=None):
     return x, {"iterations": total, "residual": float(res), "converged": False}
 
 
-def solve_system(matrix: np.ndarray, rhs: np.ndarray, nodes: int = None, cond_limit: float = 1e8):
-    """Solve a dense system; iterative fallback above the node threshold.
+def solve_system(matrix: np.ndarray, rhs: np.ndarray, cond_limit: float = 1e8):
+    """Solve a dense system by LU.
 
-    Returns (x, cond_estimate).  Raises IllConditionedError when the dense
-    path sees a condition estimate beyond cond_limit.
+    Returns (x, cond_estimate).  Raises IllConditionedError when the
+    condition estimate exceeds cond_limit.
     """
-    rhs = np.asarray(rhs, dtype=complex)
-    if nodes is not None and nodes > ITERATIVE_NODE_THRESHOLD:
-        cols = rhs if rhs.ndim > 1 else rhs[:, None]
-        out = np.empty_like(cols)
-        for k in range(cols.shape[1]):
-            out[:, k], info = gmres_restarted(lambda v: matrix @ v, cols[:, k])
-            if not info["converged"]:
-                raise RuntimeError(f"iterative solve stalled: {info}")
-        return (out if rhs.ndim > 1 else out[:, 0]), float("nan")
-    lu, piv = scipy.linalg.lu_factor(matrix)
-    cond = condition_estimate(matrix, lu)
-    if cond > cond_limit:
-        raise IllConditionedError(cond)
-    return scipy.linalg.lu_solve((lu, piv), rhs), cond
+    fac = factor(matrix, cond_limit)
+    return fac.solve(rhs), fac.cond

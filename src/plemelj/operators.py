@@ -25,12 +25,19 @@ import math
 import numpy as np
 
 from .algebra import Multivector, algebra, cauchy_kernel, is_null
-from .mesh import BoundaryMesh, Region, region_membership, validate_domain_manifold
+from .mesh import (
+    BoundaryMesh,
+    Region,
+    ValidationFailedError,
+    region_membership,
+    validate_domain_manifold,
+)
 
 __all__ = [
     "BlockOperator",
     "BoundaryFunction",
     "NearBoundaryError",
+    "PROJECTION_COEFFS",
     "assemble_adjoint_cauchy",
     "assemble_kerzman_stein",
     "assemble_singular_cauchy",
@@ -43,8 +50,10 @@ __all__ = [
     "omega",
     "pairing",
     "plemelj_projection",
+    "smooth_family",
     "smooth_matrix_norm",
     "smooth_test_basis",
+    "weighted_norm",
 ]
 
 
@@ -191,17 +200,13 @@ class BlockOperator:
 
     __rmul__ = __mul__
 
-    def _weights(self):
-        d = self.block_dim
-        return np.repeat(np.sqrt(self.mesh.sigma_abs), d)
-
     def operator_norm(self) -> float:
         """Largest singular value w.r.t. the weighted L^2 inner product."""
-        w = self._weights()
+        w = _node_weights(self.mesh)
         return float(np.linalg.norm((self.matrix * (w[:, None] / w[None, :])), 2))
 
     def singular_values(self) -> np.ndarray:
-        w = self._weights()
+        w = _node_weights(self.mesh)
         return np.linalg.svd(self.matrix * (w[:, None] / w[None, :]), compute_uv=False)
 
     def max_block_norm(self, off_diagonal_only: bool = False) -> float:
@@ -215,6 +220,11 @@ class BlockOperator:
 
 
 # -- smooth test family ----------------------------------------------------------
+
+
+def _node_weights(mesh: BoundaryMesh) -> np.ndarray:
+    """Diagonal of W = sqrt|sigma| per coefficient; W maps coefficients to the weighted L^2 frame."""
+    return np.repeat(np.sqrt(mesh.sigma_abs), algebra(mesh.n).dim)
 
 
 def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
@@ -246,19 +256,24 @@ def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
     raw = np.zeros((N * d, M * d), dtype=complex)
     for c in range(d):
         raw[c::d, c * M : (c + 1) * M] = scal
-    w = np.repeat(np.sqrt(mesh.sigma_abs), d)
-    q, _ = np.linalg.qr(w[:, None] * raw)
+    q, _ = np.linalg.qr(_node_weights(mesh)[:, None] * raw)
     mesh.cache[key] = q
     return q
 
 
+def smooth_family(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
+    """The smooth basis as node coefficients, Y = W^{-1} Q, so ||W R Y||_2 is R's norm on it."""
+    return smooth_test_basis(mesh, modes) / _node_weights(mesh)[:, None]
+
+
+def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
+    """Spectral norm ||W X||_2 of a block of node-coefficient columns X."""
+    return float(np.linalg.norm(_node_weights(mesh)[:, None] * columns, 2))
+
+
 def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh, modes: int = 12) -> float:
     """Operator norm of the weighted matrix restricted to the smooth family."""
-    q = smooth_test_basis(mesh, modes)
-    d = algebra(mesh.n).dim
-    w = np.repeat(np.sqrt(mesh.sigma_abs), d)
-    weighted = (op_matrix * (w[:, None] / w[None, :])) @ q
-    return float(np.linalg.norm(weighted, 2))
+    return weighted_norm(op_matrix @ smooth_family(mesh, modes), mesh)
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -294,6 +309,12 @@ def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
 
 
+def _require_valid(mesh: BoundaryMesh):
+    report = validate_domain_manifold(mesh)
+    if not report.passed:
+        raise ValidationFailedError(report)
+
+
 def assemble_singular_cauchy(mesh: BoundaryMesh, validate: bool = True) -> BlockOperator:
     """Principal-value Cauchy operator C with the constant-calibrated diagonal.
 
@@ -306,11 +327,7 @@ def assemble_singular_cauchy(mesh: BoundaryMesh, validate: bool = True) -> Block
     if key in mesh.cache:
         return mesh.cache[key]
     if validate:
-        report = validate_domain_manifold(mesh)
-        if not report.passed:
-            from .mesh import ValidationFailedError
-
-            raise ValidationFailedError(report)
+        _require_valid(mesh)
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
     LG = alg.left_vector_matrix(G)
@@ -360,11 +377,7 @@ def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOp
     if key in mesh.cache:
         return mesh.cache[key]
     if validate:
-        report = validate_domain_manifold(mesh)
-        if not report.passed:
-            from .mesh import ValidationFailedError
-
-            raise ValidationFailedError(report)
+        _require_valid(mesh)
     alg = algebra(mesh.n)
     N = mesh.size
     G = _pair_kernel(mesh)
@@ -417,17 +430,21 @@ def assemble_adjoint_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     return op
 
 
+# S+- = c0 I + c1 C, as coefficients of the powers of C
+PROJECTION_COEFFS = {"+": (0.5, 1.0), "-": (0.5, -1.0)}
+
+
 def plemelj_projection(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """Boundary projection S+ = I/2 + C or S- = I/2 - C."""
-    if sign not in ("+", "-"):
+    if sign not in PROJECTION_COEFFS:
         raise ValueError("sign must be '+' or '-'")
     key = f"op_S{sign}"
     if key in mesh.cache:
         return mesh.cache[key]
     C = assemble_singular_cauchy(mesh)
     eye = np.eye(C.matrix.shape[0], dtype=complex)
-    s = 1.0 if sign == "+" else -1.0
-    op = BlockOperator(mesh, 0.5 * eye + s * C.matrix, f"S{sign}")
+    c0, c1 = PROJECTION_COEFFS[sign]
+    op = BlockOperator(mesh, c0 * eye + c1 * C.matrix, f"S{sign}")
     mesh.cache[key] = op
     return op
 

@@ -36,6 +36,11 @@ def deformed256():
 
 
 @pytest.fixture(scope="session")
+def sphere42():
+    return make_sphere(42)
+
+
+@pytest.fixture(scope="session")
 def sphere162():
     return make_sphere(162)
 

@@ -42,6 +42,20 @@ def test_verify_sweep(tmp_path):
     assert Ns == {64, 128}
 
 
+def test_verify_honours_config_cond_limit(tmp_path):
+    # the circle's Kerzman-Stein system is I, condition estimate 1 > 0.5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cond_limit": 0.5}))
+    rc, _ = run_cli(tmp_path, "--config", str(cfg_path), "--command", "verify", "--N", "64")
+    assert rc == 3
+
+
+def test_no_valid_cone_exit_code(tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, "--command", "maximal", "--geometry", "circle", "--N", "16")
+    assert rc == 5
+    assert "no approach cone" in capsys.readouterr().err
+
+
 def test_decompose_constant(tmp_path):
     rc, out = run_cli(tmp_path, "--command", "decompose", "--N", "64")
     assert rc == 0

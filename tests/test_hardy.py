@@ -5,13 +5,17 @@ from conftest import band_limited, monogenic_linear
 from plemelj.hardy import (
     boundary_limit_test,
     decompose,
+    kerzman_stein_factor,
     szego_matrix,
     szego_project,
     verify_identities,
 )
+from plemelj.linsolve import IllConditionedError
+from plemelj.mesh import make_circle
 from plemelj.operators import (
     BoundaryFunction,
     assemble_kerzman_stein,
+    assemble_singular_cauchy,
     l2_norm,
     pairing,
     plemelj_projection,
@@ -147,7 +151,47 @@ class TestSzego:
         assert 0.1 * normA < gap < 10 * normA
 
 
+def _dense_residuals(mesh):
+    """Reference: each identity residual as a dense (N d)^2 matrix, then its smooth-family norm."""
+    C = assemble_singular_cauchy(mesh).matrix
+    Sp = plemelj_projection(mesh, "+").matrix
+    Sm = plemelj_projection(mesh, "-").matrix
+    A = assemble_kerzman_stein(mesh).matrix
+    Pp = szego_matrix(mesh, "+").matrix
+    Pm = szego_matrix(mesh, "-").matrix
+    eye = np.eye(C.shape[0])
+    res = {
+        "S+^2 - S+": Sp @ Sp - Sp,
+        "S-^2 - S-": Sm @ Sm - Sm,
+        "S+S-": Sp @ Sm,
+        "S-S+": Sm @ Sp,
+        "C^2 - I/4": C @ C - 0.25 * eye,
+        "S+ + S- - I": Sp + Sm - eye,
+        "P+ - S+P+": Pp - Sp @ Pp,
+        "P- - S-P-": Pm - Sm @ Pm,
+        "P+ - S+ - P+(C*-C)": Pp - Sp + Pp @ A,
+    }
+    return {name: smooth_matrix_norm(mat, mesh) for name, mat in res.items()}
+
+
 class TestVerifyIdentities:
+    @pytest.mark.parametrize("name", ["circle128", "deformed128", "sphere42"])
+    def test_residuals_match_dense_oracle(self, name, request):
+        mesh = request.getfixturevalue(name)
+        got = {r.identity: r.residual for r in verify_identities(mesh, refine=False)}
+        want = _dense_residuals(mesh)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13, (key, got[key], want[key])
+
+    def test_cond_limit_checked_on_every_call(self):
+        mesh = make_circle(32)  # A = 0 on the circle: the system is I, estimate 1
+        assert kerzman_stein_factor(mesh).cond == pytest.approx(1.0)
+        with pytest.raises(IllConditionedError):
+            kerzman_stein_factor(mesh, cond_limit=0.5)
+        with pytest.raises(IllConditionedError):
+            verify_identities(mesh, refine=False, cond_limit=0.5)
+
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)
         for rep in reports:

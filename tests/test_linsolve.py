@@ -55,14 +55,6 @@ def test_gmres_restart_cycles():
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
 
-def test_iterative_dispatch_above_node_threshold():
-    A = _well_conditioned(50, seed=5)
-    b = np.ones(50, dtype=complex)
-    x, cond = solve_system(A, b, nodes=5000)
-    assert np.isnan(cond)
-    assert np.linalg.norm(A @ x - b) < 1e-8
-
-
 def test_zero_rhs():
     A = _well_conditioned(10)
     x, info = gmres_restarted(lambda v: A @ v, np.zeros(10, dtype=complex))
