@@ -37,7 +37,6 @@ from .operators import BoundaryFunction, l2_norm
 
 DEFAULT_CONFIG = {
     "command": "verify",
-    "n": 2,
     "geometry": "circle",
     "N": 128,
     "eps": 0.05,
@@ -309,7 +308,6 @@ def parse_args(argv=None):
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--command", choices=sorted(COMMANDS))
-    p.add_argument("--n", type=int, help="ambient complex dimension (2..5)")
     p.add_argument("--geometry", choices=["circle", "sphere", "deformed"])
     p.add_argument("--N", help="node count, or comma-separated sweep list")
     p.add_argument("--eps", type=float, help="deformation amplitude")
@@ -324,7 +322,7 @@ def load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
-    for name in ("command", "n", "geometry", "eps", "mode", "seed", "out"):
+    for name in ("command", "geometry", "eps", "mode", "seed", "out"):
         val = getattr(args, name)
         if val is not None:
             cfg[name] = val

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra
+from .algebra import algebra, cauchy_kernel
 from .mesh import (
     BoundaryMesh,
     EmptyBallError,
@@ -25,6 +25,7 @@ from .operators import (
     BoundaryFunction,
     _pair_kernel,
     _transform_points,
+    _transform_weights,
     assemble_singular_cauchy,
     l2_norm,
     omega,
@@ -83,9 +84,7 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
 def _cone_sample_cache(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
     key = ("nt_samples", alpha, r, count, seed)
     if key not in mesh.cache:
-        pts = np.concatenate(
-            [_cone_samples(mesh, i, alpha, r, count, seed) for i in range(mesh.size)]
-        )
+        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
         # samples within the barrier-resolution zone of dM are unusable
         near = barrier_clearance(pts, mesh) < barrier_clearance_floor(mesh)
         mesh.cache[key] = (pts, near.reshape(mesh.size, count))
@@ -109,20 +108,40 @@ def nontangential_maximal(
     if alpha is None or r is None:
         alpha, r = cone_parameters(mesh)
     pts, near = _cone_sample_cache(mesh, alpha, r, samples_per_cone, seed)
-    vals = _transform_points(mesh, f.values, pts)
-    norms = algebra(mesh.n).norm(vals).reshape(mesh.size, samples_per_cone)
-    norms = np.where(near, -np.inf, norms)
-    out = norms.max(axis=1)
+    return _cone_sup(mesh, _transform_points(mesh, f.values, pts), near), int(near.sum())
+
+
+def _cone_sup(mesh: BoundaryMesh, vals: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Per-node max of the transform norm over the usable samples of its cone."""
+    norms = algebra(mesh.n).norm(vals).reshape(near.shape)
+    out = np.where(near, -np.inf, norms).max(axis=1)
     out[~np.isfinite(out)] = 0.0  # every sample of a cone skipped
-    return out, int(near.sum())
+    return out
+
+
+def _family_nontangential(mesh: BoundaryMesh, family, alpha, r, samples_per_cone: int, seed=7):
+    """nontangential_maximal of every function of the family, one kernel pass.
+
+    Bit-identical to calling nontangential_maximal per function: the row
+    chunks are those of _transform_points, and the plain einsum loop sums in
+    the same order (optimize=True or a GEMM would not).
+    """
+    pts, near = _cone_sample_cache(mesh, alpha, r, samples_per_cone, seed)
+    pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
+    vals = np.empty((pts.shape[0], len(family), pre.shape[1]), dtype=complex)
+    chunk = max(1, int(4e6 / mesh.size))
+    for s0 in range(0, pts.shape[0], chunk):
+        G = cauchy_kernel(pts[s0 : s0 + chunk, None, :] - mesh.nodes[None, :, :])
+        vals[s0 : s0 + chunk] = np.einsum("mjl,lajf->mfa", G, pre)
+    vals /= omega(mesh.n)
+    return [_cone_sup(mesh, vals[:, k], near) for k in range(len(family))], int(near.sum())
 
 
 def _truncated_sup(mesh: BoundaryMesh, f: BoundaryFunction, radii) -> np.ndarray:
     """sup over the schedule of ||integral over dM minus B(w, eps) of G n f||."""
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
-    nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), f.values)
-    pre = np.einsum("lab,jb->laj", alg.generator_left, nf * mesh.sigma[:, None])
+    pre = _transform_weights(mesh, f.values)
     dist = _pair_distances(mesh)
     out = np.zeros(mesh.size)
     for eps in radii:
@@ -192,10 +211,11 @@ def bound_diagnostics(
         radii = default_radii(mesh)
     alpha, r = cone_parameters(mesh)
     C = assemble_singular_cauchy(mesh)
+    family = band_limited_family(mesh, family_size, seed)
+    nontangential, skipped = _family_nontangential(mesh, family, alpha, r, samples_per_cone)
     reports = []
-    for f in band_limited_family(mesh, family_size, seed):
+    for f, Nf in zip(family, nontangential):
         Mf = maximal_function(mesh, f, radii)
-        Nf, skipped = nontangential_maximal(mesh, f, alpha, r, samples_per_cone)
         Cf = C.apply(f)
         MCf = maximal_function(mesh, Cf, radii)
         trunc = _truncated_sup(mesh, f, radii)

@@ -7,11 +7,13 @@ positive and the normals are the usual outward unit normals; the deformed
 curve family pushes the circle into genuinely complex territory while
 keeping every node and tangent off the null cones.
 
-Region membership (interior cell vs exterior cell vs near-boundary) is
-decided by a null-cone barrier heuristic: a segment from the query point to
-a known seed is scanned for dips of |square(p - z_j)| below the scale the
-mesh can resolve.  The heuristic is conservative and its tolerances are
-configurable.
+Region membership is decided by an index.  For n = 2, square(u) = -zeta eta
+with zeta = u1 + i u2 and eta = u1 - i u2, so a point is Interior when its
+zeta and its eta wind around the zeta- and eta-images of dM, Exterior when
+neither does, and Mixed when one does; there the transform of 1 is the
+idempotent (1 +- i e12)/2.  For real points at n = 3 the Gauss solid-angle
+sum (the transform of 1) rounds to 1 or 0.  Points nearer the null cones
+than the mesh resolves take the side of the nearest node's normal.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import vector_square
+from .algebra import OddDimensionComplexError, cauchy_kernel, vector_square
 
 __all__ = [
     "ApproachPath",
@@ -65,6 +67,7 @@ class Region(enum.Enum):
     INTERIOR = "interior"
     EXTERIOR = "exterior"
     NEAR_BOUNDARY = "near_boundary"
+    MIXED = "mixed"  # zeta winds around dM and eta does not, or the reverse (n = 2)
 
 
 @dataclass
@@ -106,15 +109,12 @@ class BoundaryMesh:
     def total_measure(self) -> float:
         return float(np.sum(self.sigma_abs))
 
-    def barrier_nodes(self, factor: int = 8) -> np.ndarray:
-        """Finely sampled boundary for null-cone proximity queries."""
-        key = ("barrier_nodes", factor)
-        if key not in self.cache:
-            if self.builder is not None:
-                self.cache[key] = self.builder(factor * self.size).nodes
-            else:
-                self.cache[key] = self.nodes
-        return self.cache[key]
+    def barrier_nodes(self) -> np.ndarray:
+        """Boundary sampled 8 times finer, for null-cone proximity queries."""
+        if "barrier_nodes" not in self.cache:
+            fine = self.nodes if self.builder is None else self.builder(8 * self.size).nodes
+            self.cache["barrier_nodes"] = fine
+        return self.cache["barrier_nodes"]
 
     def half_diameter(self) -> float:
         return 0.5 * float(
@@ -369,174 +369,65 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
 # -- region membership ----------------------------------------------------------
 
 
-def _segment_clearances(points: np.ndarray, seed: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Smallest null-cone clearance ratio along each segment point -> seed.
-
-    The ratio at a sample p and node z_j is |square(p - z_j)| scaled by
-    h * (|p - z_j| + h): a genuine crossing of the discrete null-cone
-    barrier dips well below 1, a clear segment stays well above.  Samples
-    within 1.5 h of the start point are excluded (sub-resolution zone).
-    """
-    points = np.atleast_2d(points)
-    seeds = np.broadcast_to(np.asarray(seed, dtype=complex), points.shape)
-    P = points.shape[0]
-    d = seeds - points
-    lengths = np.sqrt(np.sum(np.abs(d) ** 2, axis=1))
-    out = np.full(P, np.inf)
-    active = np.nonzero(lengths > 1.5 * mesh.h)[0]
-    if active.size == 0:
-        return out
-
-    # bilinear and hermitian node moments, for the GEMM form of
-    # square(p - z) = -(p.p) + 2 p.z - (z.z) and |p - z|^2
-    z = mesh.nodes
-    z_bil = np.sum(z * z, axis=1)
-    z_her = np.sum(np.abs(z) ** 2, axis=1)
-    zT = np.ascontiguousarray(z.T)
-    zTc = np.ascontiguousarray(np.conj(z.T))
-
-    def _scan(sel, t_grid):
-        # min clearance ratio over the given parameter grid, per point
-        S = t_grid.shape[1]
-        best = np.full(sel.size, np.inf)
-        arg = np.zeros(sel.size)
-        chunk = max(1, int(2e7 / (S * mesh.size)))
-        for s0 in range(0, sel.size, chunk):
-            rows = slice(s0, s0 + chunk)
-            p = points[sel[rows], None, :] + t_grid[rows][:, :, None] * d[sel[rows], None, :]
-            P_, S_ = p.shape[0], p.shape[1]
-            flat = p.reshape(P_ * S_, mesh.n)
-            p_bil = np.sum(flat * flat, axis=1)
-            p_her = np.sum(np.abs(flat) ** 2, axis=1)
-            sq = flat @ zT
-            sq *= 2.0
-            sq -= p_bil[:, None]
-            sq -= z_bil[None, :]
-            den = np.real(flat @ zTc)
-            den *= -2.0
-            den += p_her[:, None]
-            den += z_her[None, :]
-            np.maximum(den, 0.0, out=den)
-            np.sqrt(den, out=den)
-            den += mesh.h
-            den *= mesh.h
-            ratios = np.min(np.abs(sq) / den, axis=1).reshape(P_, S_)
-            excl = t_grid[rows] * lengths[sel[rows], None] < 1.5 * mesh.h
-            ratios[excl] = np.inf
-            best[rows] = ratios.min(axis=1)
-            arg[rows] = np.take_along_axis(
-                t_grid[rows], np.argmin(ratios, axis=1)[:, None], axis=1
-            )[:, 0]
-        return best, arg
-
-    S1 = 64
-    t1 = np.broadcast_to((np.arange(S1) + 0.5) / S1, (active.size, S1))
-    coarse, t_star = _scan(active, np.ascontiguousarray(t1))
-    out[active] = coarse
-
-    # Refine locally where a crossing may hide between coarse samples:
-    # a dip missed by the coarse grid still leaves adjacent samples within
-    # half a spacing of the crossing, bounding their ratio from above.
-    spacing = 0.5 * lengths.max() / S1
-    trigger = max(2.0, 1.3 * spacing**2 / (mesh.h * (spacing + mesh.h)))
-    need = np.nonzero((coarse >= 0.45) & (coarse < trigger))[0]
-    if need.size:
-        sel = active[need]
-        S2 = int(np.clip(6 * lengths[sel].max() / (S1 * mesh.h), 16, 96))
-        win = (np.arange(S2) + 0.5) / S2 - 0.5
-        t2 = t_star[need][:, None] + win[None, :] * (2.0 / S1)
-        t2 = np.clip(t2, 0.0, 1.0)
-        fine, _ = _scan(sel, t2)
-        out[sel] = np.minimum(out[sel], fine)
-    return out
+def _winding_numbers(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Winding numbers of the complex points w about the closed polygon v."""
+    a = v[None, :] - w[:, None]
+    turn = np.sum(np.angle(np.roll(a, -1, axis=1) / a), axis=1)
+    return np.rint(turn / (2 * np.pi)).astype(int)
 
 
-def _ring_waypoints(mesh: BoundaryMesh):
-    """Real waypoints far outside the boundary plus pairwise-clear hop legs.
-
-    Routed exterior connectivity goes point -> waypoint -> (hops) ->
-    exterior seed; the hop legs stay far from the boundary, so only the
-    first leg of a route needs scanning per query point.
-    """
-    half_diam = 0.5 * float(
-        np.max(np.sqrt(np.sum(np.abs(mesh.nodes[:1, :] - mesh.nodes) ** 2, axis=1)))
-    )
-    center = np.mean(mesh.nodes.real, axis=0)
-    R = 3.0 * half_diam
+def _index_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """Region of points the mesh resolves, by index; see region_membership_many."""
     if mesh.n == 2:
-        ang = np.pi * np.arange(8) / 4
-        W = center[None, :] + R * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        legs = [(k, (k + 1) % 8) for k in range(8)]
-    else:
-        axes = []
-        for k in range(mesh.n):
-            e = np.zeros(mesh.n)
-            e[k] = 1.0
-            axes += [e, -e]
-        W = center[None, :] + R * np.asarray(axes)
-        # cyclic tour in the (e1, e2) plane, poles attached to the first point
-        legs = [(0, 2), (2, 1), (1, 3), (3, 0)] + [(k, 0) for k in range(4, 2 * mesh.n)]
-    return W.astype(complex), legs
-
-
-def _exterior_route_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Best routed clearance from each point to the exterior seed."""
-    key = "ring_clearance"
-    if key not in mesh.cache:
-        W, legs = _ring_waypoints(mesh)
-        hop = _segment_clearances(W[[a for a, _ in legs]], W[[b for _, b in legs]], mesh)
-        # the ring reaches the seed through its closest waypoint only
-        closest = int(np.argmin(np.sum(np.abs(W - mesh.exterior_seed) ** 2, axis=1)))
-        seed_leg = _segment_clearances(W[closest][None, :], mesh.exterior_seed, mesh)
-        mesh.cache[key] = (W, float(min(hop.min(), seed_leg.min())))
-    W, ring_clear = mesh.cache[key]
-    best = np.full(points.shape[0], -np.inf)
-    for w in W:
-        leg = _segment_clearances(points, w, mesh)
-        best = np.maximum(best, np.minimum(leg, ring_clear))
-    return best
+        zeta, eta = (
+            _winding_numbers(points @ c, mesh.nodes @ c) != 0
+            for c in (np.array([1.0, 1.0j]), np.array([1.0, -1.0j]))
+        )
+        return np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
+    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
+    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
+    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
+    return np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
 
 
 def region_membership_many(points: np.ndarray, mesh: BoundaryMesh, tol: float = 1e-12):
     """Vectorized region classification; returns an object array of Region.
 
     NearBoundary means the point sits on the null cone of some node to
-    within the scale-invariant tolerance.  Otherwise segments to the two
-    seeds are scanned for barrier crossings; exterior connectivity also
-    tries routes around the boundary through far waypoints.  When neither
-    side shows a crossing (query within mesh resolution of dM) the side is
-    taken from the sign of the R^{2n} inner product with the nearest
-    node's normal.
+    within the scale-invariant tolerance.  A point whose barrier_clearance
+    reaches barrier_clearance_floor is classified by index (module
+    docstring): for n = 2 by the winding numbers of its zeta and eta, for
+    real points at n = 3 by the rounded Gauss solid-angle sum.  Any other
+    point takes the side given by the sign of the R^{2n} inner product with
+    the nearest node's normal.
+
+    No region exists for complex points at odd n (OddDimensionComplexError)
+    or on a mesh that does not enclose its interior seed, such as the open
+    flat patch (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
+    if mesh.n % 2 and np.any(points.imag):
+        raise OddDimensionComplexError("complex points have no region for odd n")
     diff = points[:, None, :] - mesh.nodes[None, :, :]
     sq = np.abs(vector_square(diff))
     dist2 = np.sum(np.abs(diff) ** 2, axis=-1)
     near = sq.min(axis=1) <= tol * (1.0 + dist2.min(axis=1))
-
-    ci = _segment_clearances(points, mesh.interior_seed, mesh)
-    ce = _segment_clearances(points, mesh.exterior_seed, mesh)
     jmin = np.argmin(dist2, axis=1)
     side = np.real(
         np.sum(diff[np.arange(points.shape[0]), jmin] * np.conj(mesh.normals[jmin]), axis=1)
     )
-    # The direct exterior segment may cross merely because the seed is
-    # occluded by the domain.  Re-route around the boundary when the local
-    # geometry contradicts a would-be interior verdict.
-    contested = np.nonzero(~near & (side > 0) & (ce < 0.5) & ((ci >= 0.5) | (ci > ce)))[0]
-    if contested.size:
-        ce[contested] = np.maximum(
-            ce[contested], _exterior_route_clearance(points[contested], mesh)
-        )
-    local = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
-    compared = np.where(ci > ce, Region.INTERIOR, Region.EXTERIOR)
-    out = np.where(np.minimum(ci, ce) >= 0.5, local, compared)
-    out = np.where(near, Region.NEAR_BOUNDARY, out)
+    out = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
+    resolved = barrier_clearance(points, mesh) >= barrier_clearance_floor(mesh)
+    regs = _index_regions(np.concatenate([points[resolved], mesh.interior_seed[None, :]]), mesh)
+    if regs[-1] is not Region.INTERIOR:
+        raise ValueError("the boundary does not enclose its interior seed")
+    out[resolved] = regs[:-1]
+    out[near] = Region.NEAR_BOUNDARY
     return out
 
 
 def region_membership(u, mesh: BoundaryMesh, tol: float = 1e-12) -> Region:
-    """Classify one point as Interior, Exterior, or NearBoundary."""
+    """Classify one point as Interior, Exterior, Mixed or NearBoundary."""
     return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh, tol)[0]
 
 
@@ -561,17 +452,25 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     f_bil = np.sum(fine * fine, axis=1)
     f_her = np.sum(np.abs(fine) ** 2, axis=1)
     out = np.empty(points.shape[0])
-    chunk = max(1, int(8e6 / fine.shape[0]))
+    chunk = max(1, (1 << 18) // fine.shape[0])  # rows that keep each block cache-sized
     for s0 in range(0, points.shape[0], chunk):
         rows = slice(s0, min(s0 + chunk, points.shape[0]))
         p = points[rows]
         p_bil = np.sum(p * p, axis=1)
         p_her = np.sum(np.abs(p) ** 2, axis=1)
-        sq = np.abs(-p_bil[:, None] + 2.0 * (p @ fine.T) - f_bil[None, :])
-        dist = np.sqrt(
-            np.maximum(p_her[:, None] - 2.0 * np.real(p @ np.conj(fine.T)) + f_her[None, :], 0.0)
-        )
-        out[rows] = np.min(sq / (dist * speed[None, :] + 1e-300), axis=1)
+        # square(p - z) = -(p.p) + 2 p.z - (z.z) and |p - z|^2, in place
+        sq = p @ fine.T
+        sq *= 2.0
+        sq -= p_bil[:, None]
+        sq -= f_bil[None, :]
+        dist = np.real(p @ np.conj(fine.T)) * -2.0
+        dist += p_her[:, None]
+        dist += f_her[None, :]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist *= speed[None, :]
+        dist += 1e-300
+        out[rows] = np.min(np.abs(sq) / dist, axis=1)
     return out
 
 
@@ -610,17 +509,19 @@ class Cone:
         return (dist > 0) & (dist < self.r) & (proj > dist * np.cos(self.alpha))
 
 
-def _interior_axis(mesh: BoundaryMesh, i: int) -> np.ndarray:
+def _interior_axis(mesh: BoundaryMesh, i) -> np.ndarray:
     nrm = mesh.normals[i]
-    return -nrm / np.sqrt(np.sum(np.abs(nrm) ** 2))
+    return -nrm / np.sqrt(np.sum(np.abs(nrm) ** 2, axis=-1, keepdims=True))
 
 
-def _cone_samples(mesh: BoundaryMesh, i: int, alpha: float, r: float, count: int, seed: int):
+def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, seed: int):
     """Deterministic low-discrepancy samples of the truncated cone at node i.
 
     Radii follow the rho = r * u^(1/(2n)) law (uniform for the R^{2n}
     volume element, and bounded away from the apex for moderate counts);
-    directions spread over the alpha-cone around the inward axis.
+    directions spread over the alpha-cone around the inward axis.  With an
+    array of nodes i the samples come node by node, count rows each; every
+    node shares one draw of the Halton sequence.
     """
     from scipy.stats import qmc
 
@@ -628,7 +529,7 @@ def _cone_samples(mesh: BoundaryMesh, i: int, alpha: float, r: float, count: int
     sampler = qmc.Halton(d=n2 + 1, scramble=False, seed=seed)
     sampler.fast_forward(1)  # skip the degenerate all-zero first point
     raw = sampler.random(count)
-    axis = _interior_axis(mesh, i)
+    axis = _interior_axis(mesh, i)[..., None, :]
     rho = r * raw[:, 0] ** (1.0 / n2)
     phi = alpha * raw[:, 1] ** 0.5
     # direction orthogonal to the axis in R^{2n}, from the remaining coords
@@ -641,13 +542,13 @@ def _cone_samples(mesh: BoundaryMesh, i: int, alpha: float, r: float, count: int
     perp = perp_r + 1j * np.concatenate(
         [perp_i, np.zeros((count, mesh.n - perp_i.shape[1]))], axis=1
     )
-    inner = np.real(np.sum(perp * np.conj(axis), axis=1))
-    perp = perp - inner[:, None] * axis
-    norms = np.sqrt(np.sum(np.abs(perp) ** 2, axis=1))
+    inner = np.real(np.sum(perp * np.conj(axis), axis=-1))
+    perp = perp - inner[..., None] * axis
+    norms = np.sqrt(np.sum(np.abs(perp) ** 2, axis=-1))
     norms[norms == 0] = 1.0
-    perp = perp / norms[:, None]
+    perp = perp / norms[..., None]
     dirs = np.cos(phi)[:, None] * axis + np.sin(phi)[:, None] * perp
-    return mesh.nodes[i] + rho[:, None] * dirs
+    return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
 
 
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
@@ -675,11 +576,8 @@ def cone_parameters(
     for alpha in alphas:
         for fac in radius_factors:
             r = fac * half_diam
-            pts = np.concatenate(
-                [_cone_samples(mesh, i, alpha, r, samples_per_cone, seed) for i in range(mesh.size)]
-            )
-            # cheap sharp filter first: every sample must keep a safe
-            # distance from the null-cone union of the boundary
+            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone, seed)
+            # every sample must be resolved: the floor away from the null cones
             if barrier_clearance(pts, mesh).min() < tau:
                 continue
             regs = region_membership_many(pts, mesh)
@@ -706,9 +604,11 @@ def approach_path(
     region: str = "interior",
     depth: int = 8,
     r: float = None,
-    check: bool = True,
 ) -> ApproachPath:
-    """Path w -+ s_k * unit normal with s_k = r 2^-k, k = 0..depth."""
+    """Path w -+ s_k * unit normal with s_k = r 2^-k, k = 0..depth.
+
+    Raises ValueError when a path point classifies otherwise (Mixed too).
+    """
     want = Region.INTERIOR if region == "interior" else Region.EXTERIOR
     if r is None:
         _, r = cone_parameters(mesh)
@@ -717,14 +617,13 @@ def approach_path(
         axis = -axis
     s = r * 0.5 ** np.arange(depth + 1)
     pts = mesh.nodes[node] + s[:, None] * axis
-    if check:
-        regs = region_membership_many(pts, mesh)
-        bad = np.nonzero(regs != want)[0]
-        if bad.size:
-            raise ValueError(
-                f"path sample {int(bad[0])} at s={s[bad[0]]:.3g} classifies "
-                f"{regs[bad[0]].value}, wanted {want.value}"
-            )
+    regs = region_membership_many(pts, mesh)
+    bad = np.nonzero(regs != want)[0]
+    if bad.size:
+        raise ValueError(
+            f"path sample {int(bad[0])} at s={s[bad[0]]:.3g} classifies "
+            f"{regs[bad[0]].value}, wanted {want.value}"
+        )
     return ApproachPath(mesh.nodes[node], axis, s, pts, want)
 
 

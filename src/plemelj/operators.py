@@ -479,13 +479,18 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel, label: str = "T_K") -> B
 # -- off-boundary transforms -------------------------------------------------------
 
 
+def _transform_weights(mesh: BoundaryMesh, values: np.ndarray) -> np.ndarray:
+    """(n, d, N) array P with sum_jl G_l(u - z_j) P[l, :, j] = sum_j G(u - z_j) n_j f_j sigma_j."""
+    alg = algebra(mesh.n)
+    nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), values)
+    return np.einsum("lab,jb->laj", alg.generator_left, nf * mesh.sigma[:, None])
+
+
 def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, vectorized."""
     alg = algebra(mesh.n)
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), values)
-    nfs = nf * mesh.sigma[:, None]
-    pre = np.einsum("lab,jb->laj", alg.generator_left, nfs)  # (n, d, N)
+    pre = _transform_weights(mesh, values)
     out = np.empty((points.shape[0], alg.dim), dtype=complex)
     chunk = max(1, int(4e6 / mesh.size))
     for s0 in range(0, points.shape[0], chunk):
@@ -499,10 +504,11 @@ def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray
 def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> Multivector:
     """Off-boundary Cauchy transform of f at the point w.
 
-    Refuses points classified NearBoundary.  The naive quadrature is
-    spectrally accurate away from dM and degrades like h/dist close to it;
-    use cauchy_transform_points(..., subtract_node=...) for controlled
-    near-boundary evaluation.
+    Refuses points classified NearBoundary.  Mixed points are evaluated:
+    the transform is defined everywhere off the null cones of dM.  The naive
+    quadrature is spectrally accurate away from dM and degrades like h/dist
+    close to it; use cauchy_transform_points(..., subtract_node=...) for
+    controlled near-boundary evaluation.
     """
     w = np.asarray(w, dtype=complex)
     if region_membership(w, mesh) is Region.NEAR_BOUNDARY:

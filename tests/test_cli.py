@@ -130,5 +130,6 @@ def test_config_file_and_round_trip(tmp_path):
 
 
 def test_config_defaults_complete():
-    for field in ("command", "n", "geometry", "N", "eps", "mode", "seed", "out"):
+    for field in ("command", "geometry", "N", "eps", "mode", "seed", "out"):
         assert field in DEFAULT_CONFIG
+    assert "n" not in DEFAULT_CONFIG  # the geometry fixes the dimension

@@ -99,6 +99,16 @@ class TestBoundDiagnostics:
         for r in reps:
             assert np.all(np.isfinite(r.cotlar_ratio))
 
+    def test_family_pass_matches_per_function_transforms(self, circle64):
+        # one kernel evaluation for the whole family, bit for bit
+        from plemelj.maximal import band_limited_family
+
+        reps = bound_diagnostics(circle64, 4, seed=2)
+        for rep, f in zip(reps, band_limited_family(circle64, 4, seed=2)):
+            Nf, skipped = nontangential_maximal(circle64, f)
+            assert np.array_equal(rep.nontangential, Nf)
+            assert rep.skipped_cone_samples == skipped
+
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)

@@ -8,6 +8,7 @@ from plemelj.mesh import (
     ValidationFailedError,
     approach_path,
     barrier_clearance,
+    barrier_clearance_floor,
     cone_parameters,
     load_mesh,
     make_circle,
@@ -161,6 +162,61 @@ class TestRegionMembership:
         assert region_membership(np.zeros(3), sphere162) is Region.INTERIOR
         assert region_membership(np.array([3.0, 0, 0]), sphere162) is Region.EXTERIOR
 
+    @pytest.mark.parametrize("fixture", ["circle128", "deformed128"])
+    def test_mixed_points(self, fixture, request):
+        # zeta = 0 is inside the zeta-curve and eta = 3 outside the eta-curve
+        # (or the reverse): the transform of 1 there is (1 +- i e12)/2
+        from plemelj.operators import BoundaryFunction, cauchy_transform
+
+        m = request.getfixturevalue(fixture)
+        pts = np.array([[1.5, 1.5j], [1.5, -1.5j]])
+        assert list(region_membership_many(pts, m)) == [Region.MIXED, Region.MIXED]
+        # the transform is still evaluated there
+        one = BoundaryFunction.constant(m)
+        assert np.allclose(cauchy_transform(m, one, pts[0]).coeffs, [0.5, 0, 0, 0.5j], atol=1e-8)
+
+    @pytest.mark.parametrize("fixture", ["circle128", "deformed128", "sphere162"])
+    def test_index_matches_transform_of_one(self, fixture, request):
+        from plemelj.operators import BoundaryFunction, cauchy_transform_points
+
+        m = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(5)
+        if m.n == 2:
+            pts = rng.uniform(-1.6, 1.6, (600, 2)) + 1j * rng.normal(scale=0.5, size=(600, 2))
+            pts[:150] = pts[:150].real  # real points too
+        else:
+            ball = rng.normal(size=(300, 3))
+            ball *= rng.uniform(0.0, 0.15, 300)[:, None] / np.linalg.norm(ball, axis=1)[:, None]
+            pts = np.concatenate([ball, rng.uniform(-2.5, 2.5, (300, 3))])
+        pts = pts[barrier_clearance(pts, m) >= barrier_clearance_floor(m)]
+        one = cauchy_transform_points(m, BoundaryFunction.constant(m), pts)
+        if m.n == 2:
+            # rounded transform of 1: 1, 0 or the idempotents (1 +- i e12)/2
+            half = np.round(2 * one) / 2
+            assert np.abs(one - half).max() < 1e-3
+            expected = np.where(
+                np.all(half == [1, 0, 0, 0], axis=1), Region.INTERIOR,
+                np.where(np.all(half == 0, axis=1), Region.EXTERIOR, Region.MIXED),
+            )
+            mixed = expected == Region.MIXED
+            assert np.all(np.abs(half[mixed] - [0.5, 0, 0, 0]) == [0, 0, 0, 0.5])
+        else:
+            scalar = np.round(one[:, 0].real)
+            assert np.abs(one[:, 0] - scalar).max() < 1e-2
+            expected = np.where(scalar == 1, Region.INTERIOR, Region.EXTERIOR)
+        regs = region_membership_many(pts, m)
+        assert set(expected) >= {Region.INTERIOR, Region.EXTERIOR}
+        assert m.n == 3 or Region.MIXED in set(expected)
+        assert np.array_equal(regs, expected)
+
+    def test_undefined_regions_raise(self, sphere162):
+        from plemelj.algebra import OddDimensionComplexError
+
+        with pytest.raises(ValueError, match="interior seed"):
+            region_membership(np.array([3.0, 0.0]), make_flat_patch(64))
+        with pytest.raises(OddDimensionComplexError):
+            region_membership(np.array([0.1j, 0.0, 0.0]), sphere162)
+
 
 class TestCones:
     def test_cone_membership_formula(self):
@@ -190,6 +246,22 @@ class TestCones:
     def test_deformed_cone_parameters(self, deformed128):
         alpha, r = cone_parameters(deformed128)
         assert alpha > 0 and r > 0
+
+    @pytest.mark.parametrize(
+        "fixture, alpha", [("circle64", np.pi / 8), ("circle128", np.pi / 6), ("deformed128", np.pi / 6)]
+    )
+    def test_cone_parameters_pinned(self, fixture, alpha, request):
+        m = request.getfixturevalue(fixture)
+        assert cone_parameters(m) == (alpha, m.half_diameter())
+
+    @pytest.mark.parametrize("fixture", ["circle64", "deformed128", "sphere42"])
+    def test_cone_samples_match_per_node_loop(self, fixture, request):
+        from plemelj.mesh import _cone_samples
+
+        m = request.getfixturevalue(fixture)
+        nodes = np.arange(m.size)
+        loop = np.concatenate([_cone_samples(m, i, np.pi / 6, 0.4, 48, 7) for i in nodes])
+        assert np.array_equal(_cone_samples(m, nodes, np.pi / 6, 0.4, 48, 7), loop)
 
     def test_degenerate_mesh_has_no_valid_cone(self):
         with pytest.raises(NoValidConeError):
