@@ -14,6 +14,7 @@ leading array axes.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -154,6 +155,84 @@ class CliffordAlgebra:
     def blade_name(self, index: int) -> str:
         bits = self.blades[index]
         return "1" if not bits else "e" + "".join(str(b) for b in bits)
+
+    @functools.cached_property
+    def spinor(self) -> "SpinorReduction":
+        """Block-diagonal frame of left multiplication by even elements (built on first use)."""
+        return SpinorReduction(self)
+
+
+class SpinorReduction:
+    """Left multiplication by even elements, split over the irreducible modules of Cl_n^+(C).
+
+    The columns of the unitary T are ordered (block, copy, row): for every
+    even a, T^H L(a) T is block-diagonal with `blocks` distinct size x size
+    blocks (two for even n, one for odd n), each repeated `copies` times
+    identically.  Everything comes from the multiplication tables: the
+    columns are the joint eigenvectors of the commuting involutions L(J_k)
+    and R(J_k), J_k = i e_{2k-1} e_{2k} (times the central L(e_1..e_n) for
+    odd n); the L labels index the rows of a block, the others its copies,
+    and every copy is the image of the first one under a signed-permutation
+    intertwiner R(e_b) or Pi R(e_b), Pi the grade involution, so the copies
+    agree entry for entry.
+    """
+
+    def __init__(self, alg: CliffordAlgebra):
+        n, d = alg.n, alg.dim
+        pairs = [alg.blade_index[0b11 << 2 * k] for k in range(n // 2)]
+        left = [alg.left_matrix(_involution(alg, s)) for s in pairs]
+        copy_ops = [alg.right_matrix(_involution(alg, s)) for s in pairs]
+        if n % 2:
+            copy_ops.append(alg.left_matrix(_involution(alg, d - 1)))
+        vec = {}
+        eye = np.eye(d)
+        for labels in itertools.product((1, -1), repeat=len(left) + len(copy_ops)):
+            P = eye.astype(complex)
+            for sign, M in zip(labels, left + copy_ops):
+                P = P @ (eye + sign * M) / 2
+            col = int(np.argmax(np.sum(np.abs(P) ** 2, axis=0)))
+            vec[labels] = P[:, col] / np.linalg.norm(P[:, col])
+        grade_sign = np.where(alg.grades % 2, -1.0, 1.0)
+        movers = [alg.right_matrix(alg._unit_coeffs(b)) for b in range(d)]
+        movers += [grade_sign[:, None] * M for M in movers]
+
+        h = len(left)
+        rows_of = {}  # block -> L-label patterns (rows), in order
+        for lab in itertools.product((1, -1), repeat=h):
+            rows_of.setdefault(0 if n % 2 else int(np.prod(lab) < 0), []).append(lab)
+        copies = list(itertools.product((1, -1), repeat=len(copy_ops)))
+        cols, ref = [], []
+        for rows in rows_of.values():
+            U0 = np.stack([vec[lab + copies[0]] for lab in rows], axis=1)
+            ref.append(U0)
+            for c in copies:
+                target = vec[rows[0] + c]
+                X = next(M for M in movers if abs(np.vdot(target, M @ U0[:, 0])) > 0.5)
+                cols.append(X @ U0)
+        self.T = np.concatenate(cols, axis=1)
+        self.blocks = len(rows_of)
+        self.size = len(rows)
+        self.copies = len(copies)
+
+        # B_rho(e_b) = U0^H L(e_b) U0; only even blades act alike on every copy
+        even = np.zeros((d, self.blocks, self.size, self.size), dtype=complex)
+        for b in np.flatnonzero(alg.grades % 2 == 0):
+            Lb = alg.left_matrix(alg._unit_coeffs(b))
+            even[b] = [U.conj().T @ Lb @ U for U in ref]
+        self.even = even
+        vs = alg.vector_slots
+        # B_rho(e_l e_m) for grade-1 pairs, the blocks of L(u) L(v)
+        self.vector_pairs = np.einsum("lmb,brpq->lmrpq", alg.structure[vs][:, vs], even)
+
+    def reduce(self, coeffs: np.ndarray) -> np.ndarray:
+        """Blocks B_rho(a) of even elements: (..., dim) -> (..., blocks, size, size)."""
+        return np.einsum("...b,brpq->...rpq", coeffs, self.even)
+
+
+def _involution(alg: CliffordAlgebra, slot: int) -> np.ndarray:
+    """The blade at slot, scaled by 1 or i so that it squares to +1."""
+    c = alg._unit_coeffs(slot)
+    return c if alg.product(c, c)[0].real > 0 else 1j * c
 
 
 def _bits(mask: int):

@@ -3,10 +3,10 @@
 The splitting f = f+ + f- comes from the boundary projections S+/S-; the
 Szego projections P+/P- are recovered from them through the operator
 identity P (I - (C* - C)) = S, i.e. a solve against I + A followed by one
-projection application; the LU factors of I + A are computed once per mesh
-and shared by every solve.  The identity route is the only production
-path; an orthogonal-projector construction from a monogenic basis exists
-solely as an independent oracle in the tests.
+projection application; the LU factors of I + A, one per distinct spinor
+block, are computed once per mesh and shared by every solve.  The identity
+route is the only production path; an orthogonal-projector construction
+from a monogenic basis exists solely as an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .linsolve import Factorization, factor
+from .algebra import algebra
+from .linsolve import BlockFactorization, factor_blocks
 from .mesh import BoundaryMesh, cone_parameters
 from .operators import (
     BlockOperator,
     BoundaryFunction,
+    _from_spinor,
+    _to_spinor,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform_points,
@@ -74,39 +77,35 @@ def decompose(f: BoundaryFunction) -> HardyDecomposition:
     )
 
 
-def _kerzman_stein_system(mesh: BoundaryMesh) -> np.ndarray:
-    """Matrix of I - (C* - C) = I + A."""
-    A = assemble_kerzman_stein(mesh)
-    return np.eye(A.matrix.shape[0], dtype=complex) + A.matrix
+def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> BlockFactorization:
+    """LU factors of the spinor blocks of I - (C* - C) = I + A, computed once
+    per mesh and kept next to A.
 
-
-def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization:
-    """LU factors of I + A, computed once per mesh and kept next to A.
-
-    The returned record carries the condition estimate; IllConditionedError
-    is raised whenever it exceeds this call's cond_limit.
+    The returned record carries the largest 1-norm condition estimate over
+    the blocks; IllConditionedError is raised whenever it exceeds this
+    call's cond_limit.
     """
     key = "lu_I+A"
     if key not in mesh.cache:
-        mesh.cache[key] = factor(_kerzman_stein_system(mesh), cond_limit)
+        system = BlockOperator.identity(mesh).matrix + assemble_kerzman_stein(mesh).matrix
+        mesh.cache[key] = factor_blocks(system, cond_limit)
     return mesh.cache[key].check(cond_limit)
 
 
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
     """Szego projection via the Kerzman-Stein equation: solve then project."""
     mesh = f.mesh
-    x = kerzman_stein_factor(mesh, cond_limit).solve(f.flat())
-    g = BoundaryFunction(mesh, x.reshape(f.values.shape))
-    return plemelj_projection(mesh, sign).apply(g)
+    x = kerzman_stein_factor(mesh, cond_limit).solve(_to_spinor(f.values, mesh))
+    return BoundaryFunction(mesh, _from_spinor(plemelj_projection(mesh, sign).matrix @ x, mesh))
 
 
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+", cond_limit: float = 1e8) -> BlockOperator:
-    """Dense matrix of P = S (I + A)^{-1} (for tests and oracles)."""
+    """P = S (I + A)^{-1} as spinor blocks (for tests and oracles)."""
     key = f"op_P{sign}"
     if key in mesh.cache:
         return mesh.cache[key]
     S = plemelj_projection(mesh, sign)
-    inv = kerzman_stein_factor(mesh, cond_limit).solve(np.eye(S.matrix.shape[0]))
+    inv = kerzman_stein_factor(mesh, cond_limit).solve(BlockOperator.identity(mesh).matrix)
     op = BlockOperator(mesh, S.matrix @ inv, f"P{sign}")
     mesh.cache[key] = op
     return op
@@ -132,7 +131,7 @@ class IdentityReport:
 
 def _apply_poly(coeffs, powers) -> np.ndarray:
     """sum_k coeffs[k] C^k B, given powers = [B, C B, C^2 B, ...]."""
-    out = np.zeros_like(powers[0])
+    out = np.zeros(powers[0].shape, dtype=complex)
     for c, block in zip(coeffs, powers):
         if c:
             out += c * block
@@ -140,40 +139,57 @@ def _apply_poly(coeffs, powers) -> np.ndarray:
 
 
 def _identity_residuals(mesh: BoundaryMesh, modes: int, cond_limit: float) -> dict:
-    """Smooth-family norms of the identity residuals, from operator-block products.
+    """Smooth-family norms of the identity residuals, from spinor-block products.
 
-    A residual R is measured as ||W R Y||_2 on the smooth family Y = W^{-1} Q,
-    so no (N d)^2 product is formed.  S+- = c0 I + c1 C, so each projection
-    identity is a polynomial in C; its coefficients are combined before it
-    is applied to Y (which makes S+ + S- - I exactly zero).  With
-    X = (I + A)^{-1} Y one has P+- Y = S+- X, and the Kerzman-Stein identity
-    applies S+ to D = (I + A)^{-1} (I + A) Y - Y.
+    A residual R is measured as ||W R Y||_2 on the smooth family Y = W^{-1} Q.
+    Q is a scalar family tensored with the blades and W commutes with the
+    spinor frame, so the norm is the largest over the distinct blocks of
+    ||W R_rho Y_s||_2, with Y_s the scalar family tensored with one block's
+    rows.  S+- = c0 I + c1 C, so each projection identity is a polynomial in
+    C; its coefficients are combined before it is applied to Y (which makes
+    S+ + S- - I exactly zero).  With X = (I + A)^{-1} Y one has P+- Y =
+    S+- X, and the Kerzman-Stein identity applies S+ to
+    D = (I + A)^{-1} (I + A) Y - Y.  Rows whose polynomials agree up to sign
+    on the same input share one norm: the nine rows carry three independent
+    residuals and one exact zero.
     """
     C = assemble_singular_cauchy(mesh).matrix
     A = assemble_kerzman_stein(mesh).matrix
-    Y = smooth_family(mesh, modes)
-    m = Y.shape[1]
-    Z = kerzman_stein_factor(mesh, cond_limit).solve(np.hstack([Y, A @ Y]))
-    X = Z[:, :m]
-    D = X + Z[:, m:] - Y
-    CY, CX, CD = np.hsplit(C @ np.hstack([Y, X, D]), 3)
-    C2Y, C2X = np.hsplit(C @ np.hstack([CY, CX]), 2)
-    on_Y, on_X, on_D = [Y, CY, C2Y], [X, CX, C2X], [D, CD]
+    Y = smooth_family(mesh, modes, algebra(mesh.n).spinor.size)
+    Y = np.broadcast_to(Y, C.shape[:1] + Y.shape)
+    m = Y.shape[-1]
+    Z = kerzman_stein_factor(mesh, cond_limit).solve(np.concatenate([Y, A @ Y], axis=-1))
+    X = Z[..., :m]
+    D = X + Z[..., m:] - Y
+    CY, CX, CD = np.split(C @ np.concatenate([Y, X, D], axis=-1), 3, axis=-1)
+    C2Y, C2X = np.split(C @ np.concatenate([CY, CX], axis=-1), 2, axis=-1)
+    powers = {"Y": [Y, CY, C2Y], "X": [X, CX, C2X], "D": [D, CD]}
 
     Sp, Sm = PROJECTION_COEFFS["+"], PROJECTION_COEFFS["-"]
     mul, add, sub = npoly.polymul, npoly.polyadd, npoly.polysub
     polys = {
-        "S+^2 - S+": (sub(mul(Sp, Sp), Sp), on_Y),
-        "S-^2 - S-": (sub(mul(Sm, Sm), Sm), on_Y),
-        "S+S-": (mul(Sp, Sm), on_Y),
-        "S-S+": (mul(Sm, Sp), on_Y),
-        "C^2 - I/4": ((-0.25, 0.0, 1.0), on_Y),
-        "S+ + S- - I": (sub(add(Sp, Sm), (1.0,)), on_Y),
-        "P+ - S+P+": (sub(Sp, mul(Sp, Sp)), on_X),
-        "P- - S-P-": (sub(Sm, mul(Sm, Sm)), on_X),
-        "P+ - S+ - P+(C*-C)": (Sp, on_D),
+        "S+^2 - S+": (sub(mul(Sp, Sp), Sp), "Y"),
+        "S-^2 - S-": (sub(mul(Sm, Sm), Sm), "Y"),
+        "S+S-": (mul(Sp, Sm), "Y"),
+        "S-S+": (mul(Sm, Sp), "Y"),
+        "C^2 - I/4": ((-0.25, 0.0, 1.0), "Y"),
+        "S+ + S- - I": (sub(add(Sp, Sm), (1.0,)), "Y"),
+        "P+ - S+P+": (sub(Sp, mul(Sp, Sp)), "X"),
+        "P- - S-P-": (sub(Sm, mul(Sm, Sm)), "X"),
+        "P+ - S+ - P+(C*-C)": (Sp, "D"),
     }
-    return {name: weighted_norm(_apply_poly(p, on), mesh) for name, (p, on) in polys.items()}
+    norms = {}
+
+    def residual(p, on):
+        p = np.trim_zeros(np.asarray(p, dtype=float), "b")
+        if p.size == 0:
+            return 0.0
+        key = (tuple(p if p[-1] > 0 else -p), on)
+        if key not in norms:
+            norms[key] = weighted_norm(_apply_poly(p, powers[on]), mesh)
+        return norms[key]
+
+    return {name: residual(p, on) for name, (p, on) in polys.items()}
 
 
 def verify_identities(

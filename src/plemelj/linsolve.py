@@ -7,7 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-__all__ = ["Factorization", "IllConditionedError", "factor", "gmres_restarted", "solve_system"]
+__all__ = [
+    "BlockFactorization",
+    "Factorization",
+    "IllConditionedError",
+    "factor",
+    "factor_blocks",
+    "gmres_restarted",
+    "solve_system",
+]
 
 
 class IllConditionedError(RuntimeError):
@@ -43,6 +51,34 @@ def factor(matrix: np.ndarray, cond_limit: float = 1e8) -> Factorization:
     if info != 0:
         raise RuntimeError(f"zgecon failed with info={info}")
     return Factorization(lu, piv, float(1.0 / max(rcond, np.finfo(float).tiny))).check(cond_limit)
+
+
+@dataclass(frozen=True)
+class BlockFactorization:
+    """Factorizations of the distinct diagonal blocks of a block-diagonal system."""
+
+    blocks: tuple
+
+    @property
+    def cond(self) -> float:
+        """The largest 1-norm condition estimate over the blocks."""
+        return max(f.cond for f in self.blocks)
+
+    def check(self, cond_limit: float) -> "BlockFactorization":
+        """Raise IllConditionedError when the estimate exceeds cond_limit."""
+        if self.cond > cond_limit:
+            raise IllConditionedError(self.cond)
+        return self
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve block by block; rhs is a stack (blocks, n, ...)."""
+        return np.stack([f.solve(b) for f, b in zip(self.blocks, rhs)])
+
+
+def factor_blocks(stack: np.ndarray, cond_limit: float = 1e8) -> BlockFactorization:
+    """LU-factor every matrix of a stack (blocks, n, n), one factor call each;
+    the largest condition estimate must not exceed cond_limit."""
+    return BlockFactorization(tuple(factor(m, np.inf) for m in stack)).check(cond_limit)
 
 
 def condition_estimate(matrix: np.ndarray) -> float:

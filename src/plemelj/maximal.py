@@ -137,17 +137,22 @@ def _family_nontangential(mesh: BoundaryMesh, family, alpha, r, samples_per_cone
     return [_cone_sup(mesh, vals[:, k], near) for k in range(len(family))], int(near.sum())
 
 
-def _truncated_sup(mesh: BoundaryMesh, f: BoundaryFunction, radii) -> np.ndarray:
-    """sup over the schedule of ||integral over dM minus B(w, eps) of G n f||."""
+def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
+    """(F, N) sup over the schedule of ||integral over dM minus B(w, eps) of G n f||, per function.
+
+    The pair kernel and each radius mask are built once for the whole
+    family; the plain einsum sums in the same order as one function at a
+    time (optimize=True or a GEMM would not).
+    """
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
-    pre = _transform_weights(mesh, f.values)
+    pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
     dist = _pair_distances(mesh)
-    out = np.zeros(mesh.size)
+    out = np.zeros((len(family), mesh.size))
     for eps in radii:
         mask = (dist > eps).astype(float)
         np.fill_diagonal(mask, 0.0)
-        vals = np.einsum("ijl,laj,ij->ia", G, pre, mask) / omega(mesh.n)
+        vals = np.einsum("ijl,lajf,ij->fia", G, pre, mask) / omega(mesh.n)
         out = np.maximum(out, alg.norm(vals))
     return out
 
@@ -213,12 +218,12 @@ def bound_diagnostics(
     C = assemble_singular_cauchy(mesh)
     family = band_limited_family(mesh, family_size, seed)
     nontangential, skipped = _family_nontangential(mesh, family, alpha, r, samples_per_cone)
+    truncated = _family_truncated_sup(mesh, family, radii)
     reports = []
-    for f, Nf in zip(family, nontangential):
+    for f, Nf, trunc in zip(family, nontangential, truncated):
         Mf = maximal_function(mesh, f, radii)
         Cf = C.apply(f)
         MCf = maximal_function(mesh, Cf, radii)
-        trunc = _truncated_sup(mesh, f, radii)
         cotlar = trunc / (MCf + Mf)
         reports.append(
             MaximalReport(

@@ -1,8 +1,11 @@
-"""Dense boundary-integral operators over a BoundaryMesh.
+"""Boundary-integral operators over a BoundaryMesh.
 
 Everything is assembled in Nystrom fashion: an operator is an (N d) x (N d)
 complex matrix of d x d blocks (d = 2**n), each block the left-multiplication
-matrix of a kernel value times a quadrature weight.
+matrix of a kernel value times a quadrature weight.  The kernels (G n, the
+cancelled Kerzman-Stein kernel) are even, so every such matrix is stored
+and applied as its irreducible spinor blocks (BlockOperator): two N x N
+matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -19,7 +22,6 @@ band-limited data rather than stalling at first order.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -43,7 +45,6 @@ __all__ = [
     "assemble_singular_cauchy",
     "cauchy_transform",
     "cauchy_transform_points",
-    "export_operator_json",
     "export_spectrum_csv",
     "generic_kernel_operator",
     "l2_norm",
@@ -156,8 +157,30 @@ def hermitian_inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
 # -- block operators -------------------------------------------------------------
 
 
+def _to_spinor(values: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """Node coefficients (N, d) -> spinor columns (blocks, N s, copies), row node * s + row."""
+    sp = algebra(mesh.n).spinor
+    y = (values @ sp.T.conj()).reshape(mesh.size, sp.blocks, sp.copies, sp.size)
+    return y.transpose(1, 0, 3, 2).reshape(sp.blocks, mesh.size * sp.size, sp.copies)
+
+
+def _from_spinor(columns: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """Inverse of _to_spinor."""
+    sp = algebra(mesh.n).spinor
+    y = columns.reshape(sp.blocks, mesh.size, sp.size, sp.copies).transpose(1, 0, 3, 2)
+    return y.reshape(mesh.size, -1) @ sp.T.T
+
+
 class BlockOperator:
-    """(N d) x (N d) complex matrix acting on stacked node coefficients."""
+    """Operator on stacked node coefficients whose d x d blocks are left
+    multiplications by even elements, stored as its spinor blocks.
+
+    Such an (N d) x (N d) Clifford block matrix is block-diagonal in the frame
+    I_N (x) T of algebra.SpinorReduction, with every distinct block repeated
+    `copies` times.  `matrix` holds the distinct blocks only, shape
+    (blocks, N s, N s) with row index node * s + row: two N x N matrices for
+    n = 2, one (2N) x (2N) matrix for n = 3.  `dense()` expands it.
+    """
 
     def __init__(self, mesh: BoundaryMesh, matrix: np.ndarray, label: str = "custom"):
         self.mesh = mesh
@@ -166,22 +189,20 @@ class BlockOperator:
 
     @classmethod
     def identity(cls, mesh: BoundaryMesh) -> "BlockOperator":
-        d = algebra(mesh.n).dim
-        return cls(mesh, np.eye(mesh.size * d, dtype=complex), "I")
+        sp = algebra(mesh.n).spinor
+        eye = np.eye(mesh.size * sp.size, dtype=complex)
+        return cls(mesh, np.repeat(eye[None], sp.blocks, axis=0), "I")
 
     @property
     def block_dim(self) -> int:
+        """d, the size of a node block of the dense matrix."""
         return algebra(self.mesh.n).dim
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.block_dim
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
     def apply(self, f: BoundaryFunction) -> BoundaryFunction:
         if f.mesh.size != self.mesh.size:
             raise ValueError("operator and function live on different meshes")
-        out = self.matrix @ f.flat()
-        return BoundaryFunction(f.mesh, out.reshape(f.values.shape))
+        out = self.matrix @ _to_spinor(f.values, self.mesh)
+        return BoundaryFunction(f.mesh, _from_spinor(out, self.mesh))
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(self.mesh, self.matrix @ other.matrix, f"{self.label}*{other.label}")
@@ -200,46 +221,62 @@ class BlockOperator:
 
     __rmul__ = __mul__
 
+    def _weighted(self) -> np.ndarray:
+        w = _node_weights(self.mesh, algebra(self.mesh.n).spinor.size)
+        return self.matrix * (w[:, None] / w[None, :])
+
     def operator_norm(self) -> float:
         """Largest singular value w.r.t. the weighted L^2 inner product."""
-        w = _node_weights(self.mesh)
-        return float(np.linalg.norm((self.matrix * (w[:, None] / w[None, :])), 2))
+        return float(np.max(np.linalg.norm(self._weighted(), 2, axis=(-2, -1))))
 
     def singular_values(self) -> np.ndarray:
-        w = _node_weights(self.mesh)
-        return np.linalg.svd(self.matrix * (w[:, None] / w[None, :]), compute_uv=False)
+        """Weighted singular values, each block's repeated by its multiplicity, descending."""
+        sv = np.linalg.svd(self._weighted(), compute_uv=False)
+        return -np.sort(-np.repeat(sv.reshape(-1), algebra(self.mesh.n).spinor.copies))
 
     def max_block_norm(self, off_diagonal_only: bool = False) -> float:
-        d = self.block_dim
+        """Largest Frobenius norm of a d x d node block (T is unitary, so copies add up)."""
+        sp = algebra(self.mesh.n).spinor
         N = self.mesh.size
-        blocks = self.matrix.reshape(N, d, N, d)
-        norms = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=(1, 3)))
+        blocks = self.matrix.reshape(sp.blocks, N, sp.size, N, sp.size)
+        norms = np.sqrt(sp.copies * np.sum(np.abs(blocks) ** 2, axis=(0, 2, 4)))
         if off_diagonal_only:
             np.fill_diagonal(norms, 0.0)
         return float(norms.max())
+
+    def dense(self) -> np.ndarray:
+        """The (N d) x (N d) Clifford block matrix (for tests and oracles)."""
+        sp = algebra(self.mesh.n).spinor
+        N, s, m, r = self.mesh.size, sp.size, sp.copies, sp.blocks
+        blocks = self.matrix.reshape(r, N, s, N, s).transpose(1, 3, 0, 2, 4)
+        frame = np.zeros((N, N, r, m, s, r, m, s), dtype=complex)
+        for rho in range(r):
+            for k in range(m):
+                frame[:, :, rho, k, :, rho, k, :] = blocks[:, :, rho]
+        d = sp.T.shape[0]
+        out = sp.T @ frame.reshape(N, N, d, d) @ sp.T.conj().T
+        return out.transpose(0, 2, 1, 3).reshape(N * d, N * d)
 
 
 # -- smooth test family ----------------------------------------------------------
 
 
-def _node_weights(mesh: BoundaryMesh) -> np.ndarray:
-    """Diagonal of W = sqrt|sigma| per coefficient; W maps coefficients to the weighted L^2 frame."""
-    return np.repeat(np.sqrt(mesh.sigma_abs), algebra(mesh.n).dim)
+def _node_weights(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
+    """Diagonal of W = sqrt|sigma|, size entries per node (default d, one per coefficient)."""
+    return np.repeat(np.sqrt(mesh.sigma_abs), algebra(mesh.n).dim if size is None else size)
 
 
-def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
-    """Weighted-orthonormal basis of a fixed smooth subspace, as columns.
+def _scalar_smooth_basis(mesh: BoundaryMesh, modes: int) -> np.ndarray:
+    """Weighted-orthonormal basis Q_s (N, M) of the scalar smooth traces.
 
-    Curves get Fourier modes |m| <= modes tensored with all blades; other
-    meshes get polynomial traces of degree <= 2.  Nystrom discretizations
-    of singular operators converge strongly, not in norm, so identity
-    residuals are measured on this family.
+    Curves get Fourier modes |m| <= modes; other meshes get polynomial
+    traces of degree <= 2.  Columns that depend on earlier ones (x1^2 + x2^2
+    + x3^2 = 1 on the sphere) are dropped, so the span is fixed and no
+    direction is chosen by rounding.
     """
     key = ("smooth_basis", modes)
     if key in mesh.cache:
         return mesh.cache[key]
-    alg = algebra(mesh.n)
-    d = alg.dim
     N = mesh.size
     if mesh.theta is not None:
         ms = np.arange(-modes, modes + 1)
@@ -252,27 +289,39 @@ def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
             for b in range(a, mesh.n):
                 cols.append(x[:, a] * x[:, b])
         scal = np.array(cols).T
-    M = scal.shape[1]
-    raw = np.zeros((N * d, M * d), dtype=complex)
-    for c in range(d):
-        raw[c::d, c * M : (c + 1) * M] = scal
-    q, _ = np.linalg.qr(_node_weights(mesh)[:, None] * raw)
+    q, r = np.linalg.qr(_node_weights(mesh, 1)[:, None] * scal)
+    diag = np.abs(np.diag(r))
+    q = q[:, diag > 1e-10 * diag.max()]
     mesh.cache[key] = q
     return q
 
 
-def smooth_family(mesh: BoundaryMesh, modes: int = 12) -> np.ndarray:
-    """The smooth basis as node coefficients, Y = W^{-1} Q, so ||W R Y||_2 is R's norm on it."""
-    return smooth_test_basis(mesh, modes) / _node_weights(mesh)[:, None]
+def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12, size: int = None) -> np.ndarray:
+    """Weighted-orthonormal basis Q_s (x) I_size of a fixed smooth subspace, as columns.
+
+    The scalar traces of _scalar_smooth_basis tensored with all size
+    coefficients of a node: size = d (the default) gives node coefficients,
+    size = s one spinor block.  Nystrom discretizations of singular
+    operators converge strongly, not in norm, so identity residuals are
+    measured on this family.
+    """
+    size = algebra(mesh.n).dim if size is None else size
+    return np.kron(_scalar_smooth_basis(mesh, modes), np.eye(size))
+
+
+def smooth_family(mesh: BoundaryMesh, modes: int = 12, size: int = None) -> np.ndarray:
+    """The smooth basis as coefficients, Y = W^{-1} Q, so ||W R Y||_2 is R's norm on it."""
+    return smooth_test_basis(mesh, modes, size) / _node_weights(mesh, size)[:, None]
 
 
 def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
-    """Spectral norm ||W X||_2 of a block of node-coefficient columns X."""
-    return float(np.linalg.norm(_node_weights(mesh)[:, None] * columns, 2))
+    """Spectral norm ||W X||_2 of coefficient columns X; the largest over a stack of blocks."""
+    w = _node_weights(mesh, columns.shape[-2] // mesh.size)
+    return float(np.max(np.linalg.norm(w[:, None] * columns, 2, axis=(-2, -1))))
 
 
 def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh, modes: int = 12) -> float:
-    """Operator norm of the weighted matrix restricted to the smooth family."""
+    """Operator norm of a dense (N d) x (N d) matrix restricted to the smooth family (oracle)."""
     return weighted_norm(op_matrix @ smooth_family(mesh, modes), mesh)
 
 
@@ -304,15 +353,22 @@ def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
     return W
 
 
-def _blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
-    N, d = blocks.shape[0], blocks.shape[2]
-    return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
-
-
 def _require_valid(mesh: BoundaryMesh):
     report = validate_domain_manifold(mesh)
     if not report.passed:
         raise ValidationFailedError(report)
+
+
+def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Spinor blocks (blocks, N, s, N, s) of (1/omega) L(K_ij) L(n_j) W_ij, K grade-1 (N, N, n)."""
+    sp = algebra(mesh.n).spinor
+    Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
+    return np.einsum("ijl,jlrpq->ripjq", K * W[..., None], Kn) / omega(mesh.n)
+
+
+def _stack(blocks: np.ndarray) -> np.ndarray:
+    r, N, s = blocks.shape[:3]
+    return blocks.reshape(r, N * s, N * s)
 
 
 def assemble_singular_cauchy(mesh: BoundaryMesh, validate: bool = True) -> BlockOperator:
@@ -321,24 +377,20 @@ def assemble_singular_cauchy(mesh: BoundaryMesh, validate: bool = True) -> Block
     Off-diagonal blocks are (1/omega) L(G(w_i - z_j)) L(n_j) w_ij; the
     diagonal absorbs the quadrature's principal-value defect through
     diag_i = I/2 - sum_{j != i} block_ij, which makes C(const) = const/2
-    exact for every constant multivector.
+    exact for every constant multivector.  All of it is done on the
+    spinor blocks of the even kernel G n.
     """
     key = "op_C"
     if key in mesh.cache:
         return mesh.cache[key]
     if validate:
         _require_valid(mesh)
-    alg = algebra(mesh.n)
-    G = _pair_kernel(mesh)
-    LG = alg.left_vector_matrix(G)
-    Ln = alg.left_vector_matrix(mesh.normals)
-    W = _quad_weights(mesh)
-    blocks = np.einsum("ijab,jbc,ij->ijac", LG, Ln, W) / omega(mesh.n)
+    blocks = _vector_kernel_blocks(mesh, _pair_kernel(mesh), _quad_weights(mesh))
     idx = np.arange(mesh.size)
-    blocks[idx, idx] = 0.0
-    rowsum = blocks.sum(axis=1)
-    blocks[idx, idx] = 0.5 * np.eye(alg.dim)[None, :, :] - rowsum
-    op = BlockOperator(mesh, _blocks_to_matrix(blocks), "C")
+    blocks[:, idx, :, idx, :] = 0.0
+    rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
+    blocks[:, idx, :, idx, :] = 0.5 * np.eye(blocks.shape[2]) - rowsum
+    op = BlockOperator(mesh, _stack(blocks), "C")
     mesh.cache[key] = op
     return op
 
@@ -364,6 +416,51 @@ def _cancelled_kernel_coeffs(alg, G, n_row, n_col) -> np.ndarray:
     return out
 
 
+def _padded(N: int, pairs: np.ndarray):
+    """Pairs sorted by source -> (N, width) targets padded with the source, and counts."""
+    count = np.bincount(pairs[:, 0], minlength=N)
+    out = np.repeat(np.arange(N)[:, None], max(1, int(count.max())), axis=1)
+    start = np.cumsum(count) - count
+    out[pairs[:, 0], np.arange(len(pairs)) - start[pairs[:, 0]]] = pairs[:, 1]
+    return out, count
+
+
+def _neighbour_rings(mesh: BoundaryMesh):
+    """First and second neighbour rings of every node as padded index arrays.
+
+    Returns (ring1, count1, ring2, count2).  On curves the rings are the
+    offsets +-1 and +-2.  Otherwise ring 1 lists the mesh neighbours in edge
+    order and ring 2 the neighbours of neighbours that are neither the node
+    nor in ring 1, ascending.
+    """
+    N = mesh.size
+    idx = np.arange(N)
+    if mesh.curve_order:
+        ring1 = np.stack([(idx + 1) % N, (idx - 1) % N], axis=1)
+        ring2 = np.stack([(idx + 2) % N, (idx - 2) % N], axis=1)
+        return ring1, np.full(N, 2), ring2, np.full(N, 2)
+    edges = np.asarray(mesh.edge_list(), dtype=np.int64)
+    directed = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)
+    ring1, count1 = _padded(N, directed[np.argsort(directed[:, 0], kind="stable")])
+    # ring 1 of every ring-1 member; padded slots reach only the node and its ring 1
+    code = np.unique(idx[:, None, None] * N + ring1[ring1])
+    code = code[(code // N != code % N) & ~np.isin(code, idx[:, None] * N + ring1)]
+    ring2, count2 = _padded(N, np.stack([code // N, code % N], axis=1))
+    return ring1, count1, ring2, count2
+
+
+def _ring_mean(K: np.ndarray, ring: np.ndarray, count: np.ndarray) -> np.ndarray:
+    used = np.arange(ring.shape[1])[None, :] < count[:, None]
+    vals = K[np.arange(K.shape[0])[:, None], ring]
+    return np.where(used[..., None], vals, 0.0).sum(axis=1) / count[:, None]
+
+
+def _richardson_diagonal(mesh: BoundaryMesh, K: np.ndarray) -> np.ndarray:
+    """Diagonal of a smooth kernel K (N, N, d), extrapolated from the nearest two rings."""
+    ring1, count1, ring2, count2 = _neighbour_rings(mesh)
+    return (4.0 * _ring_mean(K, ring1, count1) - _ring_mean(K, ring2, count2)) / 3.0
+
+
 def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOperator:
     """Kerzman-Stein operator A = C - C* (continuous, singularity-cancelled kernel).
 
@@ -371,7 +468,8 @@ def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOp
     <f, g> = integral bar(f) g dsigma, which is the reading under which the
     singularities cancel (and A vanishes identically on the circle).  The
     diagonal is the Richardson extrapolation of the cancelled kernel from
-    the two nearest neighbor rings.
+    the two nearest neighbor rings.  The kernel is scalar plus bivector, so
+    it is stored as its spinor blocks.
     """
     key = "op_A"
     if key in mesh.cache:
@@ -379,42 +477,15 @@ def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOp
     if validate:
         _require_valid(mesh)
     alg = algebra(mesh.n)
-    N = mesh.size
     G = _pair_kernel(mesh)
     n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
     n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
     K = _cancelled_kernel_coeffs(alg, G, n_row, n_col)
-    idx = np.arange(N)
-
-    # diagonal limit via Richardson extrapolation along the surface
-    if mesh.curve_order:
-        ring1 = np.stack([(idx + 1) % N, (idx - 1) % N], axis=1)
-        ring2 = np.stack([(idx + 2) % N, (idx - 2) % N], axis=1)
-    else:
-        edges = mesh.edge_list()
-        nbrs = [[] for _ in range(N)]
-        for a, b in edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        second = []
-        for i in range(N):
-            s = set()
-            for j in nbrs[i]:
-                s.update(nbrs[j])
-            s.discard(i)
-            s -= set(nbrs[i])
-            second.append(sorted(s))
-        k1 = np.array([K[i, nbrs[i]].mean(axis=0) for i in range(N)])
-        k2 = np.array([K[i, second[i]].mean(axis=0) for i in range(N)])
-    if mesh.curve_order:
-        k1 = K[idx[:, None], ring1].mean(axis=1)
-        k2 = K[idx[:, None], ring2].mean(axis=1)
-    K[idx, idx] = (4.0 * k1 - k2) / 3.0
-
-    W = np.tile(mesh.sigma, (N, 1))  # smooth kernel: plain trapezoid everywhere
-    LK = alg.left_matrix(K)
-    blocks = np.einsum("ijab,ij->ijab", LK, W) / omega(mesh.n)
-    op = BlockOperator(mesh, _blocks_to_matrix(blocks), "A")
+    idx = np.arange(mesh.size)
+    K[idx, idx] = _richardson_diagonal(mesh, K)
+    # smooth kernel: plain trapezoid everywhere
+    blocks = alg.spinor.reduce(K * mesh.sigma[None, :, None]).transpose(2, 0, 3, 1, 4)
+    op = BlockOperator(mesh, _stack(blocks / omega(mesh.n)), "A")
     mesh.cache[key] = op
     return op
 
@@ -442,9 +513,8 @@ def plemelj_projection(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     if key in mesh.cache:
         return mesh.cache[key]
     C = assemble_singular_cauchy(mesh)
-    eye = np.eye(C.matrix.shape[0], dtype=complex)
     c0, c1 = PROJECTION_COEFFS[sign]
-    op = BlockOperator(mesh, c0 * eye + c1 * C.matrix, f"S{sign}")
+    op = BlockOperator(mesh, c0 * BlockOperator.identity(mesh).matrix + c1 * C.matrix, f"S{sign}")
     mesh.cache[key] = op
     return op
 
@@ -452,28 +522,24 @@ def plemelj_projection(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
 def generic_kernel_operator(mesh: BoundaryMesh, kernel, label: str = "T_K") -> BlockOperator:
     """Nystrom operator for a user kernel K(w - z), odd-symmetry zero diagonal.
 
-    kernel maps difference vectors (..., n) to either grade-1 components
-    (..., n) or full coefficient arrays (..., 2**n).  Assembly matches the
-    Cauchy operator except that diagonal blocks are zero (the principal
-    value of an odd kernel over a symmetric neighborhood).
+    kernel maps difference vectors (..., n) to grade-1 components (..., n),
+    so K n is even and the operator is stored as spinor blocks.  Assembly
+    matches the Cauchy operator except that diagonal blocks are zero (the
+    principal value of an odd kernel over a symmetric neighborhood).
     """
-    alg = algebra(mesh.n)
     N = mesh.size
     diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
     idx = np.arange(N)
     diffs[idx, idx, 0] = 1.0
-    K = np.asarray(kernel(diffs), dtype=complex)
-    if K.shape[-1] == mesh.n:
-        K = alg.embed_vector(K)
+    K = np.array(kernel(diffs), dtype=complex)
+    if K.shape != diffs.shape:
+        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
     K[idx, idx] = 0.0
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel returned non-finite values on mesh differences")
-    LK = alg.left_matrix(K)
-    Ln = alg.left_vector_matrix(mesh.normals)
-    W = _quad_weights(mesh)
-    blocks = np.einsum("ijab,jbc,ij->ijac", LK, Ln, W) / omega(mesh.n)
-    blocks[idx, idx] = 0.0
-    return BlockOperator(mesh, _blocks_to_matrix(blocks), label)
+    blocks = _vector_kernel_blocks(mesh, K, _quad_weights(mesh))
+    blocks[:, idx, :, idx, :] = 0.0
+    return BlockOperator(mesh, _stack(blocks), label)
 
 
 # -- off-boundary transforms -------------------------------------------------------
@@ -570,21 +636,6 @@ def cauchy_transform_points(
 
 
 # -- export -----------------------------------------------------------------------
-
-
-def export_operator_json(op: BlockOperator, path: str):
-    """Block-major, row-major within block, [re, im] scalar pairs."""
-    d = op.block_dim
-    N = op.mesh.size
-    blocks = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            b = op.block(i, j)
-            row.append([[[float(v.real), float(v.imag)] for v in r] for r in b])
-        blocks.append(row)
-    with open(path, "w") as fh:
-        json.dump({"label": op.label, "n": op.mesh.n, "N": N, "blocks": blocks}, fh)
 
 
 def export_spectrum_csv(op: BlockOperator, path: str):

@@ -189,6 +189,28 @@ class TestLeftMatrix:
         assert np.abs(alg.right_matrix(a) @ b - alg.product(b, a)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_spinor_frame_block_diagonalises_even_elements(n):
+    alg = algebra(n)
+    sp = alg.spinor
+    h = n // 2
+    want = (2, 2 ** (h - 1), 2**h) if n % 2 == 0 else (1, 2**h, 2 ** (h + 1))
+    assert (sp.blocks, sp.size, sp.copies) == want
+    assert np.abs(sp.T.conj().T @ sp.T - np.eye(alg.dim)).max() < 1e-14
+    rng = np.random.default_rng(n)
+    even = alg.grades % 2 == 0
+    for _ in range(3):
+        a = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * even
+        got = sp.T.conj().T @ alg.left_matrix(a) @ sp.T
+        # block-diagonal, each distinct block repeated `copies` times entry for entry
+        want = np.zeros_like(got)
+        for rho, B in enumerate(sp.reduce(a)):
+            for k in range(sp.copies):
+                o = (rho * sp.copies + k) * sp.size
+                want[o : o + sp.size, o : o + sp.size] = B
+        assert np.abs(got - want).max() < 1e-13
+
+
 class TestDiracResidual:
     def test_monogenic_linear(self):
         def f(x):

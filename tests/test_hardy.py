@@ -94,7 +94,7 @@ class TestSzego:
 
     def test_idempotence(self, circle128):
         P = szego_matrix(circle128, "+")
-        assert smooth_matrix_norm(P.matrix @ P.matrix - P.matrix, circle128) < 1e-3
+        assert smooth_matrix_norm(P.dense() @ P.dense() - P.dense(), circle128) < 1e-3
 
     def test_matches_qr_oracle_on_scalar_data(self, circle128):
         # independent oracle: orthogonal projector onto the span of
@@ -121,44 +121,44 @@ class TestSzego:
         P = szego_matrix(circle128, "+")
         f = band_limited(circle128, seed=5)
         g = band_limited(circle128, seed=6)
-        pf = BoundaryFunction(circle128, (P.matrix @ f.flat()).reshape(-1, 4))
-        g_perp = g - BoundaryFunction(circle128, (P.matrix @ g.flat()).reshape(-1, 4))
+        pf = BoundaryFunction(circle128, (P.dense() @ f.flat()).reshape(-1, 4))
+        g_perp = g - BoundaryFunction(circle128, (P.dense() @ g.flat()).reshape(-1, 4))
         val = pairing(pf, g_perp)
         assert val.norm() / (l2_norm(f) * l2_norm(g)) < 1e-6
 
     def test_condition_estimates_small(self, circle128, deformed128, sphere162):
         for mesh in (circle128, deformed128, sphere162):
-            from plemelj.hardy import _kerzman_stein_system
             from plemelj.linsolve import condition_estimate
 
-            assert condition_estimate(_kerzman_stein_system(mesh)) <= 100
+            A = assemble_kerzman_stein(mesh).dense()
+            assert condition_estimate(np.eye(A.shape[0]) + A) <= 100
 
     def test_plus_plus_minus_reproduces_on_circle(self, circle128):
         # orthogonal + oblique projectors coincide where A = 0
         Pp = szego_matrix(circle128, "+")
         Pm = szego_matrix(circle128, "-")
-        eye = np.eye(Pp.matrix.shape[0])
-        assert smooth_matrix_norm(Pp.matrix + Pm.matrix - eye, circle128) < 1e-6
+        eye = np.eye(Pp.dense().shape[0])
+        assert smooth_matrix_norm(Pp.dense() + Pm.dense() - eye, circle128) < 1e-6
 
     def test_deformed_p_plus_p_minus_gap_tracks_A(self, deformed128):
         # on complex-deformed boundaries the two orthogonal projectors do
         # NOT sum to the identity; the defect is of the size of A
         Pp = szego_matrix(deformed128, "+")
         Pm = szego_matrix(deformed128, "-")
-        eye = np.eye(Pp.matrix.shape[0])
-        gap = smooth_matrix_norm(Pp.matrix + Pm.matrix - eye, deformed128)
+        eye = np.eye(Pp.dense().shape[0])
+        gap = smooth_matrix_norm(Pp.dense() + Pm.dense() - eye, deformed128)
         normA = assemble_kerzman_stein(deformed128).operator_norm()
         assert 0.1 * normA < gap < 10 * normA
 
 
 def _dense_residuals(mesh):
     """Reference: each identity residual as a dense (N d)^2 matrix, then its smooth-family norm."""
-    C = assemble_singular_cauchy(mesh).matrix
-    Sp = plemelj_projection(mesh, "+").matrix
-    Sm = plemelj_projection(mesh, "-").matrix
-    A = assemble_kerzman_stein(mesh).matrix
-    Pp = szego_matrix(mesh, "+").matrix
-    Pm = szego_matrix(mesh, "-").matrix
+    C = assemble_singular_cauchy(mesh).dense()
+    Sp = plemelj_projection(mesh, "+").dense()
+    Sm = plemelj_projection(mesh, "-").dense()
+    A = assemble_kerzman_stein(mesh).dense()
+    Pp = szego_matrix(mesh, "+").dense()
+    Pm = szego_matrix(mesh, "-").dense()
     eye = np.eye(C.shape[0])
     res = {
         "S+^2 - S+": Sp @ Sp - Sp,
@@ -183,6 +183,17 @@ class TestVerifyIdentities:
         assert got.keys() == want.keys()
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-13, (key, got[key], want[key])
+
+    def test_rows_carry_three_residuals_and_one_zero(self, deformed128):
+        # S+- = I/2 +- C: the five S rows are ||(C^2 - I/4) Y|| and the two P
+        # rows ||(I/4 - C^2)(I + A)^{-1} Y||, each evaluated once
+        r = {rep.identity: rep.residual for rep in verify_identities(deformed128, refine=False)}
+        s_rows = ["S+^2 - S+", "S-^2 - S-", "S+S-", "S-S+", "C^2 - I/4"]
+        assert len({r[k] for k in s_rows}) == 1
+        assert r["P+ - S+P+"] == r["P- - S-P-"]
+        assert r["S+ + S- - I"] == 0.0
+        distinct = {r["C^2 - I/4"], r["P+ - S+P+"], r["P+ - S+ - P+(C*-C)"]}
+        assert len(distinct) == 3 and min(distinct) > 0.0
 
     def test_cond_limit_checked_on_every_call(self):
         mesh = make_circle(32)  # A = 0 on the circle: the system is I, estimate 1

@@ -109,6 +109,30 @@ class TestBoundDiagnostics:
             assert np.array_equal(rep.nontangential, Nf)
             assert rep.skipped_cone_samples == skipped
 
+    def test_truncated_family_pass_matches_per_function(self, circle64, deformed128):
+        # pair kernel and radius masks built once for the family, bit for bit
+        from plemelj.algebra import algebra
+        from plemelj.maximal import _family_truncated_sup, _pair_distances, band_limited_family
+        from plemelj.operators import _pair_kernel, _transform_weights, omega
+
+        def per_function(mesh, f, radii):
+            G = _pair_kernel(mesh)
+            pre = _transform_weights(mesh, f.values)
+            out = np.zeros(mesh.size)
+            for eps in radii:
+                mask = (_pair_distances(mesh) > eps).astype(float)
+                np.fill_diagonal(mask, 0.0)
+                vals = np.einsum("ijl,laj,ij->ia", G, pre, mask) / omega(mesh.n)
+                out = np.maximum(out, algebra(mesh.n).norm(vals))
+            return out
+
+        for mesh in (circle64, deformed128):
+            family = band_limited_family(mesh, 5, seed=4)
+            radii = default_radii(mesh)
+            got = _family_truncated_sup(mesh, family, radii)
+            for k, f in enumerate(family):
+                assert np.array_equal(got[k], per_function(mesh, f, radii))
+
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)

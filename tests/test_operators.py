@@ -13,7 +13,6 @@ from plemelj.operators import (
     assemble_singular_cauchy,
     cauchy_transform,
     cauchy_transform_points,
-    export_operator_json,
     export_spectrum_csv,
     generic_kernel_operator,
     hermitian_inner,
@@ -23,6 +22,101 @@ from plemelj.operators import (
     plemelj_projection,
     smooth_matrix_norm,
 )
+
+
+def _dense_oracle(mesh):
+    """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, P+-."""
+    from plemelj.operators import _cancelled_kernel_coeffs, _pair_kernel, _quad_weights
+
+    alg = algebra(mesh.n)
+    N, d = mesh.size, alg.dim
+    idx = np.arange(N)
+
+    def flat(blocks):
+        return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
+
+    G = _pair_kernel(mesh)
+    LG, Ln = alg.left_vector_matrix(G), alg.left_vector_matrix(mesh.normals)
+    blocks = np.einsum("ijab,jbc,ij->ijac", LG, Ln, _quad_weights(mesh)) / omega(mesh.n)
+    blocks[idx, idx] = 0.0
+    blocks[idx, idx] = 0.5 * np.eye(d) - blocks.sum(axis=1)
+    C = flat(blocks)
+
+    n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
+    n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
+    K = _cancelled_kernel_coeffs(alg, G, n_row, n_col)
+    K[idx, idx] = _loop_richardson_diagonal(mesh, K)
+    A = flat(np.einsum("ijab,j->ijab", alg.left_matrix(K), mesh.sigma) / omega(mesh.n))
+
+    eye = np.eye(N * d)
+    out = {"C": C, "A": A, "C*": C - A, "S+": 0.5 * eye + C, "S-": 0.5 * eye - C}
+    for sign in "+-":
+        out["P" + sign] = np.linalg.solve((eye + A).T, out["S" + sign].T).T
+    return out
+
+
+def _loop_richardson_diagonal(mesh, K):
+    """Richardson diagonal from neighbour rings built with Python sets, node by node."""
+    N = mesh.size
+    if mesh.curve_order:
+        ring1 = [[(i + 1) % N, (i - 1) % N] for i in range(N)]
+        ring2 = [[(i + 2) % N, (i - 2) % N] for i in range(N)]
+    else:
+        ring1 = [[] for _ in range(N)]
+        for a, b in mesh.edge_list():
+            ring1[a].append(b)
+            ring1[b].append(a)
+        ring2 = []
+        for i in range(N):
+            s = set()
+            for j in ring1[i]:
+                s.update(ring1[j])
+            s.discard(i)
+            s -= set(ring1[i])
+            ring2.append(sorted(s))
+    k1 = np.array([K[i, ring1[i]].mean(axis=0) for i in range(N)])
+    k2 = np.array([K[i, ring2[i]].mean(axis=0) for i in range(N)])
+    return (4.0 * k1 - k2) / 3.0
+
+
+class TestSpinorStorage:
+    @pytest.mark.parametrize("name", ["circle128", "deformed128", "sphere42"])
+    def test_reduced_operators_match_dense_oracle(self, name, request):
+        from plemelj.hardy import szego_matrix
+
+        mesh = request.getfixturevalue(name)
+        want = _dense_oracle(mesh)
+        got = {
+            "C": assemble_singular_cauchy(mesh),
+            "A": assemble_kerzman_stein(mesh),
+            "C*": assemble_adjoint_cauchy(mesh),
+            "S+": plemelj_projection(mesh, "+"),
+            "S-": plemelj_projection(mesh, "-"),
+            "P+": szego_matrix(mesh, "+"),
+            "P-": szego_matrix(mesh, "-"),
+        }
+        for key, op in got.items():
+            assert np.abs(op.dense() - want[key]).max() <= 1e-13, key
+
+    @pytest.mark.parametrize("name", ["circle128", "sphere42"])
+    def test_stored_matrix_is_the_reduced_blocks(self, name, request):
+        mesh = request.getfixturevalue(name)
+        N = mesh.size
+        entries = 2 * N**2 if mesh.n == 2 else (2 * N) ** 2
+        for op in (assemble_singular_cauchy(mesh), assemble_kerzman_stein(mesh)):
+            assert op.matrix.size == entries and op.matrix.dtype == complex
+
+    @pytest.mark.parametrize("name", ["sphere42", "sphere162"])
+    def test_richardson_rings_match_loop(self, name, request):
+        from plemelj.operators import _cancelled_kernel_coeffs, _pair_kernel, _richardson_diagonal
+
+        mesh = request.getfixturevalue(name)
+        G = _pair_kernel(mesh)
+        n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
+        n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
+        K = _cancelled_kernel_coeffs(algebra(mesh.n), G, n_row, n_col)
+        gap = np.abs(_richardson_diagonal(mesh, K) - _loop_richardson_diagonal(mesh, K)).max()
+        assert gap <= 1e-15
 
 
 def test_omega_values():
@@ -72,7 +166,7 @@ class TestSingularCauchy:
     def test_squares_to_quarter_identity(self, circle128, circle256):
         for mesh in (circle128, circle256):
             C = assemble_singular_cauchy(mesh)
-            res = (C @ C).matrix - 0.25 * np.eye(C.matrix.shape[0])
+            res = (C @ C).dense() - 0.25 * np.eye(C.dense().shape[0])
             assert smooth_matrix_norm(res, mesh) < 1e-3
 
     def test_apply_squared_to_random(self, circle128):
@@ -93,22 +187,22 @@ class TestSingularCauchy:
 
     def test_real_mesh_blocks_real(self, circle128):
         C = assemble_singular_cauchy(circle128)
-        assert np.abs(C.matrix.imag).max() < 1e-12
+        assert np.abs(C.dense().imag).max() < 1e-12
 
     def test_kernel_negation_flips_sign(self, circle128):
         C = assemble_singular_cauchy(circle128)
         T = generic_kernel_operator(circle128, lambda d: -cauchy_kernel(d))
-        offdiag = C.matrix.copy()
+        offdiag = C.dense()
         d = C.block_dim
         for i in range(circle128.size):
             offdiag[i * d : (i + 1) * d, i * d : (i + 1) * d] = 0.0
-        assert np.abs(T.matrix + offdiag).max() < 1e-12
+        assert np.abs(T.dense() + offdiag).max() < 1e-12
 
 
 class TestKerzmanStein:
     def test_circle_vanishes(self, circle128):
         A = assemble_kerzman_stein(circle128)
-        assert np.abs(A.matrix).max() < 1e-12
+        assert np.abs(A.dense()).max() < 1e-12
         one = BoundaryFunction.constant(circle128, 1.0)
         assert l2_norm(A.apply(one)) < 1e-6
 
@@ -138,7 +232,7 @@ class TestKerzmanStein:
         C = assemble_singular_cauchy(circle128)
         A = assemble_kerzman_stein(circle128)
         Cs = assemble_adjoint_cauchy(circle128)
-        assert np.abs(C.matrix - Cs.matrix - A.matrix).max() < 1e-15
+        assert np.abs(C.dense() - Cs.dense() - A.dense()).max() < 1e-15
 
     def test_cstar_of_constants(self, circle128):
         Cs = assemble_adjoint_cauchy(circle128)
@@ -152,13 +246,14 @@ class TestPlemeljProjections:
     def test_partition_of_identity_exact(self, circle128):
         Sp = plemelj_projection(circle128, "+")
         Sm = plemelj_projection(circle128, "-")
-        assert np.abs(Sp.matrix + Sm.matrix - np.eye(Sp.matrix.shape[0])).max() == 0.0
+        eye = BlockOperator.identity(circle128).matrix
+        assert np.abs(Sp.matrix + Sm.matrix - eye).max() == 0.0
 
     def test_idempotence(self, circle128, circle256):
         r = []
         for mesh in (circle128, circle256):
             Sp = plemelj_projection(mesh, "+")
-            r.append(smooth_matrix_norm((Sp @ Sp).matrix - Sp.matrix, mesh))
+            r.append(smooth_matrix_norm((Sp @ Sp).dense() - Sp.dense(), mesh))
         assert r[0] < 1e-3 and r[1] < 1e-3
 
     def test_exterior_trace_annihilated(self, circle256):
@@ -205,11 +300,11 @@ class TestGenericKernel:
         # differ only by the diagonal rule
         diff = BlockOperator(circle128, C.matrix - T.matrix)
         assert diff.max_block_norm(off_diagonal_only=True) < 1e-13
-        assert smooth_matrix_norm(C.matrix - T.matrix, circle128) < 1e-3
+        assert smooth_matrix_norm(C.dense() - T.dense(), circle128) < 1e-3
 
     def test_zero_kernel(self, circle128):
         T = generic_kernel_operator(circle128, lambda d: np.zeros_like(d))
-        assert np.abs(T.matrix).max() == 0.0
+        assert np.abs(T.dense()).max() == 0.0
 
     def test_scaled_odd_kernel_bounded(self):
         # K(z) = G(z) * sqrt(z^2): odd, homogeneous of degree -(n-2)
@@ -224,6 +319,12 @@ class TestGenericKernel:
         ]
         for a, b in zip(norms, norms[1:]):
             assert b <= 1.2 * a
+
+    def test_full_coefficient_kernel_rejected(self, circle128):
+        # only grade-1 kernels: K n must be even to be stored as spinor blocks
+        alg = algebra(2)
+        with pytest.raises(ValueError):
+            generic_kernel_operator(circle128, lambda d: alg.embed_vector(cauchy_kernel(d)))
 
     def test_nonfinite_kernel_rejected(self, circle128):
         def bad(d):
@@ -256,19 +357,6 @@ class TestNearEvaluation:
 
 
 class TestExport:
-    def test_operator_json(self, tmp_path):
-        import json
-
-        m = make_circle(8)
-        C = assemble_singular_cauchy(m)
-        path = str(tmp_path / "op.json")
-        export_operator_json(C, path)
-        doc = json.load(open(path))
-        assert doc["label"] == "C"
-        assert len(doc["blocks"]) == 8
-        b00 = np.array(doc["blocks"][0][0])
-        assert np.abs(b00[..., 0] + 1j * b00[..., 1] - C.block(0, 0)).max() < 1e-15
-
     def test_spectrum_csv(self, tmp_path):
         m = make_circle(16)
         C = assemble_singular_cauchy(m)
@@ -276,7 +364,12 @@ class TestExport:
         export_spectrum_csv(C, path)
         lines = open(path).read().strip().splitlines()
         assert lines[0] == "index,singular_value"
-        assert len(lines) == 1 + C.matrix.shape[0]
+        assert len(lines) == 1 + C.dense().shape[0]
+        # reduced-block singular values, repeated by multiplicity, match the dense SVD
+        w = np.repeat(np.sqrt(m.sigma_abs), 4)
+        want = np.linalg.svd(C.dense() * (w[:, None] / w[None, :]), compute_uv=False)
+        got = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        assert np.abs(got - want).max() < 1e-13
 
 
 def test_block_operator_algebra(circle128):
@@ -292,8 +385,8 @@ def test_block_operator_algebra(circle128):
     comp = (Sp @ C).apply(f)
     seq = Sp.apply(C.apply(f))
     assert np.abs(comp.values - seq.values).max() < 1e-12
-    # block accessor agrees with the flat matrix
-    assert np.abs(C.block(2, 3) - C.matrix[8:12, 12:16]).max() == 0.0
+    # the stored composition expands to the dense block-matrix product
+    assert np.abs((Sp @ C).dense() - Sp.dense() @ C.dense()).max() < 1e-12
 
 
 def test_hermitian_inner_matches_weighted_dot(circle128):
