@@ -16,10 +16,9 @@ from .algebra import algebra, cauchy_kernel
 from .mesh import (
     BoundaryMesh,
     EmptyBallError,
-    barrier_clearance,
+    _cone_sample_set,
     barrier_clearance_floor,
     cone_parameters,
-    _cone_samples,
 )
 from .operators import (
     BoundaryFunction,
@@ -81,14 +80,10 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
     return out
 
 
-def _cone_sample_cache(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
-    key = ("nt_samples", alpha, r, count, seed)
-    if key not in mesh.cache:
-        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
-        # samples within the barrier-resolution zone of dM are unusable
-        near = barrier_clearance(pts, mesh) < barrier_clearance_floor(mesh)
-        mesh.cache[key] = (pts, near.reshape(mesh.size, count))
-    return mesh.cache[key]
+def _usable_cone_samples(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
+    """Cone samples and the (N, count) mask of those inside the barrier-resolution zone of dM."""
+    pts, clearance = _cone_sample_set(mesh, alpha, r, count, seed)
+    return pts, (clearance < barrier_clearance_floor(mesh)).reshape(mesh.size, count)
 
 
 def nontangential_maximal(
@@ -107,7 +102,7 @@ def nontangential_maximal(
     """
     if alpha is None or r is None:
         alpha, r = cone_parameters(mesh)
-    pts, near = _cone_sample_cache(mesh, alpha, r, samples_per_cone, seed)
+    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone, seed)
     return _cone_sup(mesh, _transform_points(mesh, f.values, pts), near), int(near.sum())
 
 
@@ -126,7 +121,7 @@ def _family_nontangential(mesh: BoundaryMesh, family, alpha, r, samples_per_cone
     chunks are those of _transform_points, and the plain einsum loop sums in
     the same order (optimize=True or a GEMM would not).
     """
-    pts, near = _cone_sample_cache(mesh, alpha, r, samples_per_cone, seed)
+    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone, seed)
     pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
     vals = np.empty((pts.shape[0], len(family), pre.shape[1]), dtype=complex)
     chunk = max(1, int(4e6 / mesh.size))

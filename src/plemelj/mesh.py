@@ -195,7 +195,7 @@ def make_deformed_curve(N: int, eps: float, k: int, margin: float = 0.1) -> Boun
         theta=theta,
         builder=lambda m: make_deformed_curve(m, eps, k, margin),
     )
-    report = validate_domain_manifold(mesh, margin=margin)
+    report = _validated(mesh, margin)
     if not report.passed:
         raise ValidationFailedError(report)
     return mesh
@@ -366,6 +366,17 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     return ValidationReport(True, "ok", None, pair_margin, tangent_margin)
 
 
+def _validated(mesh: BoundaryMesh, margin: float = 0.1) -> ValidationReport:
+    """validate_domain_manifold, once per mesh and margin: a passing report is kept in mesh.cache."""
+    key = ("validation", margin)
+    if key in mesh.cache:
+        return mesh.cache[key]
+    report = validate_domain_manifold(mesh, margin=margin)
+    if report.passed:
+        mesh.cache[key] = report
+    return report
+
+
 # -- region membership ----------------------------------------------------------
 
 
@@ -406,6 +417,11 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh, tol: float = 
     flat patch (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
+    return _classify(points, mesh, barrier_clearance(points, mesh), tol)
+
+
+def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray, tol: float = 1e-12):
+    """region_membership_many of (P, n) points whose barrier_clearance is known."""
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
     diff = points[:, None, :] - mesh.nodes[None, :, :]
@@ -417,7 +433,7 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh, tol: float = 
         np.sum(diff[np.arange(points.shape[0]), jmin] * np.conj(mesh.normals[jmin]), axis=1)
     )
     out = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
-    resolved = barrier_clearance(points, mesh) >= barrier_clearance_floor(mesh)
+    resolved = clearance >= barrier_clearance_floor(mesh)
     regs = _index_regions(np.concatenate([points[resolved], mesh.interior_seed[None, :]]), mesh)
     if regs[-1] is not Region.INTERIOR:
         raise ValueError("the boundary does not enclose its interior seed")
@@ -441,8 +457,23 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     points below barrier_clearance_floor(mesh) cannot be evaluated
     reliably.  Exact for real-direction offsets, conservative within a
     factor two for transversal complex approaches.
+
+    The points are cleared in blocks of (1 << 18) // (fine nodes) rows, and
+    a point's last bits depend on its block: a one-row matmul takes another
+    BLAS path than a multi-row one.  A point at the floor can therefore be
+    resolved in one block and unresolved in another.  cone_parameters stops
+    at the first unresolved block, and it walks these same blocks, so its
+    accept and reject decisions are those of the full call.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
+    out = np.empty(points.shape[0])
+    for rows, clearance in _clearance_blocks(points, mesh):
+        out[rows] = clearance
+    return out
+
+
+def _clearance_blocks(points: np.ndarray, mesh: BoundaryMesh):
+    """Yield (rows, barrier_clearance of points[rows]) per cache-sized block of (P, n) points."""
     fine = mesh.barrier_nodes()
     gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
     if mesh.curve_order:
@@ -451,7 +482,6 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
         speed = np.ones(fine.shape[0])
     f_bil = np.sum(fine * fine, axis=1)
     f_her = np.sum(np.abs(fine) ** 2, axis=1)
-    out = np.empty(points.shape[0])
     chunk = max(1, (1 << 18) // fine.shape[0])  # rows that keep each block cache-sized
     for s0 in range(0, points.shape[0], chunk):
         rows = slice(s0, min(s0 + chunk, points.shape[0]))
@@ -470,8 +500,7 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
         np.sqrt(dist, out=dist)
         dist *= speed[None, :]
         dist += 1e-300
-        out[rows] = np.min(np.abs(sq) / dist, axis=1)
-    return out
+        yield rows, np.min(np.abs(sq) / dist, axis=1)
 
 
 def barrier_clearance_floor(mesh: BoundaryMesh) -> float:
@@ -551,6 +580,28 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
 
 
+def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int, tau=-np.inf):
+    """Every node's cone samples and their barrier_clearance, kept in mesh.cache.
+
+    The clearance is walked block by block (barrier_clearance's blocks); at
+    the first block with a sample below tau the walk stops and nothing is
+    returned or kept, and a kept set with a sample below tau is not returned
+    either.  So cone_parameters clears each schedule entry at most once, and
+    bound_diagnostics finds the accepted entry's set kept.
+    """
+    key = ("cone_samples", alpha, r, count, seed)
+    if key not in mesh.cache:
+        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
+        clearance = np.empty(pts.shape[0])
+        for rows, block in _clearance_blocks(pts, mesh):
+            if block.min() < tau:
+                return None
+            clearance[rows] = block
+        mesh.cache[key] = (pts, clearance)
+    pts, clearance = mesh.cache[key]
+    return None if clearance.min() < tau else (pts, clearance)
+
+
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
 _DEFAULT_RADIUS_FACTORS = (1.0, 0.5, 0.25, 0.1)
 
@@ -566,7 +617,8 @@ def cone_parameters(
 
     For every node the truncated cone around the inward normal is sampled
     deterministically; a schedule entry is accepted only if every sample at
-    every node classifies Interior.  Conservative by construction.
+    every node classifies Interior.  Conservative by construction.  An entry
+    is rejected at the first clearance block with a sample below the floor.
     """
     key = ("cone_parameters", samples_per_cone, seed, tuple(alphas), tuple(radius_factors))
     if key in mesh.cache:
@@ -576,12 +628,12 @@ def cone_parameters(
     for alpha in alphas:
         for fac in radius_factors:
             r = fac * half_diam
-            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone, seed)
             # every sample must be resolved: the floor away from the null cones
-            if barrier_clearance(pts, mesh).min() < tau:
+            samples = _cone_sample_set(mesh, alpha, r, samples_per_cone, seed, tau)
+            if samples is None:
                 continue
-            regs = region_membership_many(pts, mesh)
-            if np.all(regs == Region.INTERIOR):
+            pts, clearance = samples
+            if np.all(_classify(pts, mesh, clearance) == Region.INTERIOR):
                 mesh.cache[key] = (float(alpha), float(r))
                 return mesh.cache[key]
     raise NoValidConeError("no schedule entry produced all-interior cone samples")

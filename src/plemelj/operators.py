@@ -31,8 +31,8 @@ from .mesh import (
     BoundaryMesh,
     Region,
     ValidationFailedError,
+    _validated,
     region_membership,
-    validate_domain_manifold,
 )
 
 __all__ = [
@@ -354,7 +354,7 @@ def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
 
 
 def _require_valid(mesh: BoundaryMesh):
-    report = validate_domain_manifold(mesh)
+    report = _validated(mesh)
     if not report.passed:
         raise ValidationFailedError(report)
 

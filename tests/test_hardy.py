@@ -203,6 +203,23 @@ class TestVerifyIdentities:
         with pytest.raises(IllConditionedError):
             verify_identities(mesh, refine=False, cond_limit=0.5)
 
+    def test_each_mesh_validated_once(self, monkeypatch):
+        # the builder's passing report is reused by both assemblers
+        import plemelj.mesh as mesh_mod
+
+        sizes = []
+        validate = mesh_mod.validate_domain_manifold
+
+        def counting(mesh, margin=0.1):
+            sizes.append(mesh.size)
+            return validate(mesh, margin)
+
+        monkeypatch.setattr(mesh_mod, "validate_domain_manifold", counting)
+        verify_identities(mesh_mod.make_deformed_curve(128, 0.05, 2), refine=False)
+        assert sizes == [128]
+        verify_identities(mesh_mod.make_deformed_curve(128, 0.05, 2), refine=True)
+        assert sizes == [128, 128, 256]
+
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)
         for rep in reports:

@@ -133,6 +133,28 @@ class TestBoundDiagnostics:
             for k, f in enumerate(family):
                 assert np.array_equal(got[k], per_function(mesh, f, radii))
 
+    def test_accepted_cone_samples_cleared_once(self, monkeypatch):
+        # 8 schedule entries rejected at their first or second block of 512
+        # rows, and the accepted entry's 4096 samples cleared once for both
+        # cone_parameters and the nontangential pass
+        import plemelj.mesh as mesh_mod
+        from plemelj.mesh import make_circle
+
+        calls = []
+        blocks = mesh_mod._clearance_blocks
+
+        def spy(points, mesh):
+            calls.append([])
+            for rows, clearance in blocks(points, mesh):
+                calls[-1].append(rows.stop - rows.start)
+                yield rows, clearance
+
+        monkeypatch.setattr(mesh_mod, "_clearance_blocks", spy)
+        bound_diagnostics(make_circle(64), family_size=2)
+        assert sum(map(sum, calls)) == 8704
+        assert sorted(len(c) for c in calls) == [1] * 7 + [2, 8]
+        assert [sum(c) for c in calls].count(64 * 64) == 1
+
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)

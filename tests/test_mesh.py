@@ -125,6 +125,22 @@ class TestValidation:
         assert rep.passed
         assert abs(rep.tangent_margin - 1.0) < 1e-12
 
+    def test_assemblers_reject_an_invalid_mesh_every_time(self, circle128):
+        # only a passing report is kept, so a failing mesh fails on every call
+        from plemelj.mesh import BoundaryMesh
+        from plemelj.operators import assemble_kerzman_stein, assemble_singular_cauchy
+
+        m = circle128
+        bad = m.nodes.copy()
+        bad[5] = bad[4] + 0.7 * np.array([1.0, 1j])
+        mesh = BoundaryMesh(
+            n=2, nodes=bad, normals=m.normals, sigma=m.sigma, sigma_abs=m.sigma_abs,
+            interior_seed=m.interior_seed, exterior_seed=m.exterior_seed, h=m.h,
+        )
+        for assemble in (assemble_singular_cauchy, assemble_kerzman_stein, assemble_singular_cauchy):
+            with pytest.raises(ValidationFailedError):
+                assemble(mesh)
+
     def test_pass_implies_kernel_finite(self, deformed128):
         from plemelj.algebra import cauchy_kernel
 
@@ -275,6 +291,71 @@ class TestCones:
             [_cone_samples(circle128, i, alpha, r, 64, 7) for i in range(circle128.size)]
         )
         assert barrier_clearance(pts, circle128).min() >= barrier_clearance_floor(circle128)
+
+
+def _schedule_oracle(mesh, samples_per_cone=64, seed=7):
+    """cone_parameters' schedule walked with full barrier_clearance and region_membership_many calls.
+
+    Returns the entries tried, each as (alpha, r, rejected by clearance), their
+    samples with the full call's clearance, and the accepted (alpha, r) or None.
+    """
+    from plemelj.mesh import _DEFAULT_ALPHAS, _DEFAULT_RADIUS_FACTORS, _cone_samples
+
+    tau = barrier_clearance_floor(mesh)
+    tried, cleared = [], []
+    for alpha in _DEFAULT_ALPHAS:
+        for fac in _DEFAULT_RADIUS_FACTORS:
+            r = fac * mesh.half_diameter()
+            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone, seed)
+            clearance = barrier_clearance(pts, mesh)
+            unresolved = clearance.min() < tau
+            tried.append((alpha, r, bool(unresolved)))
+            cleared.append((pts, clearance))
+            if not unresolved and np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
+                return tried, cleared, (float(alpha), float(r))
+    return tried, cleared, None
+
+
+class TestConeSchedule:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_circle(64),
+            lambda: make_circle(128),
+            lambda: make_deformed_curve(128, 0.05, 2),
+            lambda: make_sphere(42),
+        ],
+        ids=["circle64", "circle128", "deformed128", "sphere42"],
+    )
+    def test_early_rejection_matches_full_clearance_oracle(self, build, monkeypatch):
+        import plemelj.mesh as mesh_mod
+
+        mesh = build()
+        tried = []
+        sample_set = mesh_mod._cone_sample_set
+
+        def spy(m, alpha, r, count, seed, tau=-np.inf):
+            out = sample_set(m, alpha, r, count, seed, tau)
+            tried.append((alpha, r, out is None))
+            return out
+
+        monkeypatch.setattr(mesh_mod, "_cone_sample_set", spy)
+        try:
+            got = cone_parameters(mesh)
+        except NoValidConeError:
+            got = None
+        monkeypatch.undo()
+        want_tried, cleared, want = _schedule_oracle(mesh)
+        assert tried == want_tried
+        assert got == want
+        # the blocks cover the rows in order and hold the full call's values
+        chunk = (1 << 18) // mesh.barrier_nodes().shape[0]
+        for pts, clearance in cleared:
+            rows, blocks = zip(*mesh_mod._clearance_blocks(pts, mesh))
+            assert [(b.start, b.stop) for b in rows] == [
+                (s0, min(s0 + chunk, pts.shape[0])) for s0 in range(0, pts.shape[0], chunk)
+            ]
+            assert np.array_equal(np.concatenate(blocks), clearance)
 
 
 class TestApproachPath:
