@@ -26,7 +26,7 @@ from .hardy import (
     szego_project,
     verify_identities,
 )
-from .linsolve import IllConditionedError, gmres_restarted, solve_system
+from .linsolve import IllConditionedError
 from .maximal import bound_diagnostics, maximal_function, nontangential_maximal
 from .mesh import (
     ApproachPath,

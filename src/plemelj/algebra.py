@@ -368,22 +368,21 @@ def null_tolerance(z: np.ndarray):
     return 1e-12 * (1.0 + np.sum(np.abs(z) ** 2, axis=-1))
 
 
-def is_null(z: np.ndarray, tol=None):
-    if tol is None:
-        tol = null_tolerance(z)
-    return np.abs(vector_square(z)) <= tol
+def is_null(z: np.ndarray):
+    """Whether z lies on the null cone to within null_tolerance."""
+    return np.abs(vector_square(z)) <= null_tolerance(z)
 
 
-def vector_inverse(z: np.ndarray, tol=None) -> np.ndarray:
+def vector_inverse(z: np.ndarray) -> np.ndarray:
     """Inverse of a non-null vector: z / z^2 (equals -x/|x|^2 on real vectors)."""
     z = np.asarray(z, dtype=complex)
     s = vector_square(z)
-    if np.any(is_null(z, tol)):
+    if np.any(is_null(z)):
         raise NullVectorError("vector (numerically) on the null cone has no inverse")
     return z / s[..., None]
 
 
-def cauchy_kernel(z: np.ndarray, tol=None) -> np.ndarray:
+def cauchy_kernel(z: np.ndarray) -> np.ndarray:
     """Vector-valued Cauchy kernel, as grade-1 components.
 
     Real arguments use x / |x|^n for any n in 2..5.  Complex arguments
@@ -403,7 +402,7 @@ def cauchy_kernel(z: np.ndarray, tol=None) -> np.ndarray:
             "complex Cauchy kernel is single-valued only for even n"
         )
     s = vector_square(z)
-    if np.any(np.abs(s) <= (null_tolerance(z) if tol is None else tol)):
+    if np.any(np.abs(s) <= null_tolerance(z)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
     return (-1.0) ** (n // 2) * z * s[..., None] ** (-(n // 2))
 
@@ -411,7 +410,6 @@ def cauchy_kernel(z: np.ndarray, tol=None) -> np.ndarray:
 def dirac_residual(
     f,
     n: int,
-    center=None,
     half_width: float = 0.5,
     points: int = 7,
     side: str = "left",
@@ -420,18 +418,15 @@ def dirac_residual(
     """Max norm of the finite-difference Dirac derivative over a grid.
 
     f maps a coordinate array (..., n) to coefficient arrays (..., 2**n).
-    The grid is a real box center +- half_width with `points` nodes per
-    axis; derivatives are centered differences (complex_step samples the
-    holomorphic extension along imaginary offsets instead).  side selects
-    sum e_j d_j f (left) or sum (d_j f) e_j (right).
+    The grid is the real box [-half_width, half_width]^n with `points`
+    nodes per axis; derivatives are centered differences (complex_step
+    samples the holomorphic extension along imaginary offsets instead).
+    side selects sum e_j d_j f (left) or sum (d_j f) e_j (right).
     """
     if points < 3:
         raise ValueError("grid too small: need at least 3 points per axis")
     alg = algebra(n)
-    if center is None:
-        center = np.zeros(n)
-    center = np.asarray(center, dtype=float)
-    axes = [center[k] + np.linspace(-half_width, half_width, points) for k in range(n)]
+    axes = [np.linspace(-half_width, half_width, points)] * n
     h = axes[0][1] - axes[0][0]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 

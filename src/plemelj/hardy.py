@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .algebra import algebra
 from .linsolve import BlockFactorization, factor_blocks
-from .mesh import BoundaryMesh, cone_parameters
+from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
     BlockOperator,
     BoundaryFunction,
@@ -85,11 +85,13 @@ def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> BlockFa
     the blocks; IllConditionedError is raised whenever it exceeds this
     call's cond_limit.
     """
-    key = "lu_I+A"
-    if key not in mesh.cache:
-        system = BlockOperator.identity(mesh).matrix + assemble_kerzman_stein(mesh).matrix
-        mesh.cache[key] = factor_blocks(system, cond_limit)
-    return mesh.cache[key].check(cond_limit)
+    return _kerzman_stein_lu(mesh).check(cond_limit)
+
+
+@per_mesh
+def _kerzman_stein_lu(mesh: BoundaryMesh) -> BlockFactorization:
+    system = BlockOperator.identity(mesh).matrix + assemble_kerzman_stein(mesh).matrix
+    return factor_blocks(system)
 
 
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
@@ -99,16 +101,10 @@ def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8)
     return BoundaryFunction(mesh, _from_spinor(plemelj_projection(mesh, sign).matrix @ x, mesh))
 
 
-def szego_matrix(mesh: BoundaryMesh, sign: str = "+", cond_limit: float = 1e8) -> BlockOperator:
+def szego_matrix(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """P = S (I + A)^{-1} as spinor blocks (for tests and oracles)."""
-    key = f"op_P{sign}"
-    if key in mesh.cache:
-        return mesh.cache[key]
-    S = plemelj_projection(mesh, sign)
-    inv = kerzman_stein_factor(mesh, cond_limit).solve(BlockOperator.identity(mesh).matrix)
-    op = BlockOperator(mesh, S.matrix @ inv, f"P{sign}")
-    mesh.cache[key] = op
-    return op
+    inv = kerzman_stein_factor(mesh).solve(BlockOperator.identity(mesh).matrix)
+    return BlockOperator(mesh, plemelj_projection(mesh, sign).matrix @ inv, f"P{sign}")
 
 
 @dataclass
@@ -138,7 +134,7 @@ def _apply_poly(coeffs, powers) -> np.ndarray:
     return out
 
 
-def _identity_residuals(mesh: BoundaryMesh, modes: int, cond_limit: float) -> dict:
+def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     """Smooth-family norms of the identity residuals, from spinor-block products.
 
     A residual R is measured as ||W R Y||_2 on the smooth family Y = W^{-1} Q.
@@ -155,7 +151,7 @@ def _identity_residuals(mesh: BoundaryMesh, modes: int, cond_limit: float) -> di
     """
     C = assemble_singular_cauchy(mesh).matrix
     A = assemble_kerzman_stein(mesh).matrix
-    Y = smooth_family(mesh, modes, algebra(mesh.n).spinor.size)
+    Y = smooth_family(mesh, algebra(mesh.n).spinor.size)
     Y = np.broadcast_to(Y, C.shape[:1] + Y.shape)
     m = Y.shape[-1]
     Z = kerzman_stein_factor(mesh, cond_limit).solve(np.concatenate([Y, A @ Y], axis=-1))
@@ -193,7 +189,7 @@ def _identity_residuals(mesh: BoundaryMesh, modes: int, cond_limit: float) -> di
 
 
 def verify_identities(
-    mesh: BoundaryMesh, refine: bool = True, modes: int = 12, caps=None, cond_limit: float = 1e8
+    mesh: BoundaryMesh, refine: bool = True, cap: float = 1e-3, cond_limit: float = 1e8
 ):
     """Residuals of the projection-algebra identities at N and (optionally) 2N.
 
@@ -202,13 +198,12 @@ def verify_identities(
     passes when its residual meets the cap and either decreases under
     refinement or already sits at the rounding floor.
     """
-    base = _identity_residuals(mesh, modes, cond_limit)
+    base = _identity_residuals(mesh, cond_limit)
     refined = None
     if refine and mesh.builder is not None:
-        refined = _identity_residuals(mesh.refine(), modes, cond_limit)
+        refined = _identity_residuals(mesh.refine(), cond_limit)
     reports = []
     for name, r in base.items():
-        cap = (caps or {}).get(name, 1e-3)
         rep = IdentityReport(identity=name, residual=r)
         ok = r <= cap
         if refined is not None:

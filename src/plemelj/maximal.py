@@ -14,11 +14,16 @@ import numpy as np
 
 from .algebra import algebra, cauchy_kernel
 from .mesh import (
+    _CONE_SAMPLES,
+    _CONE_SEED,
     BoundaryMesh,
     EmptyBallError,
     _cone_sample_set,
+    _cone_samples,
+    barrier_clearance,
     barrier_clearance_floor,
     cone_parameters,
+    per_mesh,
 )
 from .operators import (
     BoundaryFunction,
@@ -41,19 +46,15 @@ __all__ = [
 
 def default_radii(mesh: BoundaryMesh) -> np.ndarray:
     """Geometric schedule 2h, 4h, ... up to the mesh diameter."""
-    diam = 2.0 * 0.5 * float(
-        np.max(np.sqrt(np.sum(np.abs(mesh.nodes[:1] - mesh.nodes) ** 2, axis=1)))
-    ) * 2.0
+    diam = 2.0 * mesh.half_diameter()
     k = max(1, int(np.ceil(np.log2(diam / (2 * mesh.h)))) + 1)
     return 2.0 * mesh.h * 2.0 ** np.arange(k)
 
 
+@per_mesh
 def _pair_distances(mesh: BoundaryMesh) -> np.ndarray:
-    key = "pair_dist"
-    if key not in mesh.cache:
-        D = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-        mesh.cache[key] = np.sqrt(np.sum(np.abs(D) ** 2, axis=-1))
-    return mesh.cache[key]
+    D = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
+    return np.sqrt(np.sum(np.abs(D) ** 2, axis=-1))
 
 
 def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.ndarray:
@@ -80,9 +81,13 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
     return out
 
 
-def _usable_cone_samples(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
+def _usable_cone_samples(mesh: BoundaryMesh, alpha: float, r: float, count: int):
     """Cone samples and the (N, count) mask of those inside the barrier-resolution zone of dM."""
-    pts, clearance = _cone_sample_set(mesh, alpha, r, count, seed)
+    samples = _cone_sample_set(mesh, alpha, r, count, _CONE_SEED)
+    if samples is None:  # a given cone with unresolved samples: clear them all, uncached
+        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, _CONE_SEED)
+        samples = pts, barrier_clearance(pts, mesh)
+    pts, clearance = samples
     return pts, (clearance < barrier_clearance_floor(mesh)).reshape(mesh.size, count)
 
 
@@ -91,8 +96,7 @@ def nontangential_maximal(
     f: BoundaryFunction,
     alpha: float = None,
     r: float = None,
-    samples_per_cone: int = 64,
-    seed: int = 7,
+    samples_per_cone: int = _CONE_SAMPLES,
 ):
     """Per-node max of the transform norm over sampled approach cones.
 
@@ -102,7 +106,7 @@ def nontangential_maximal(
     """
     if alpha is None or r is None:
         alpha, r = cone_parameters(mesh)
-    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone, seed)
+    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone)
     return _cone_sup(mesh, _transform_points(mesh, f.values, pts), near), int(near.sum())
 
 
@@ -114,14 +118,14 @@ def _cone_sup(mesh: BoundaryMesh, vals: np.ndarray, near: np.ndarray) -> np.ndar
     return out
 
 
-def _family_nontangential(mesh: BoundaryMesh, family, alpha, r, samples_per_cone: int, seed=7):
+def _family_nontangential(mesh: BoundaryMesh, family, alpha, r):
     """nontangential_maximal of every function of the family, one kernel pass.
 
     Bit-identical to calling nontangential_maximal per function: the row
     chunks are those of _transform_points, and the plain einsum loop sums in
     the same order (optimize=True or a GEMM would not).
     """
-    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone, seed)
+    pts, near = _usable_cone_samples(mesh, alpha, r, _CONE_SAMPLES)
     pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
     vals = np.empty((pts.shape[0], len(family), pre.shape[1]), dtype=complex)
     chunk = max(1, int(4e6 / mesh.size))
@@ -175,14 +179,14 @@ def _weighted_l2(mesh: BoundaryMesh, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(values**2 * mesh.sigma_abs)))
 
 
-def band_limited_family(mesh: BoundaryMesh, count: int, seed: int = 0, modes: int = 8):
-    """Random smooth test functions; Fourier band on curves, low degree otherwise."""
+def band_limited_family(mesh: BoundaryMesh, count: int, seed: int = 0):
+    """Random smooth test functions; Fourier modes |m| <= 8 on curves, degree <= 1 otherwise."""
     rng = np.random.default_rng(seed)
     alg = algebra(mesh.n)
     out = []
     for _ in range(count):
         if mesh.theta is not None:
-            ms = np.arange(-modes, modes + 1)
+            ms = np.arange(-8, 9)
             coef = rng.normal(size=(ms.size, alg.dim)) + 1j * rng.normal(size=(ms.size, alg.dim))
             vals = np.exp(1j * np.outer(mesh.theta, ms)) @ coef / np.sqrt(ms.size)
         else:
@@ -193,13 +197,7 @@ def band_limited_family(mesh: BoundaryMesh, count: int, seed: int = 0, modes: in
     return out
 
 
-def bound_diagnostics(
-    mesh: BoundaryMesh,
-    family_size: int = 20,
-    seed: int = 0,
-    radii=None,
-    samples_per_cone: int = 64,
-):
+def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
     """Empirical maximal-inequality constants over a random smooth family.
 
     For each test function reports C_M = ||M f|| / ||f||, C_N = ||N f|| /
@@ -207,12 +205,11 @@ def bound_diagnostics(
     (M(Cf) + M(f)).  The constants are estimates, not proofs; stability
     under refinement is what the acceptance checks.
     """
-    if radii is None:
-        radii = default_radii(mesh)
+    radii = default_radii(mesh)
     alpha, r = cone_parameters(mesh)
     C = assemble_singular_cauchy(mesh)
     family = band_limited_family(mesh, family_size, seed)
-    nontangential, skipped = _family_nontangential(mesh, family, alpha, r, samples_per_cone)
+    nontangential, skipped = _family_nontangential(mesh, family, alpha, r)
     truncated = _family_truncated_sup(mesh, family, radii)
     reports = []
     for f, Nf, trunc in zip(family, nontangential, truncated):

@@ -19,6 +19,7 @@ than the mesh resolves take the side of the nearest node's normal.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -63,6 +64,23 @@ class EmptyBallError(ValueError):
     pass
 
 
+def per_mesh(fn):
+    """Keep fn(mesh, *args) in mesh.cache under (fn, *args), so each per-mesh result is built once.
+
+    The arguments are positional and hashable.  An exception is never kept:
+    a call that raises raises again on the next call.
+    """
+
+    @functools.wraps(fn)
+    def cached(mesh, *args):
+        key = (fn, *args)
+        if key not in mesh.cache:
+            mesh.cache[key] = fn(mesh, *args)
+        return mesh.cache[key]
+
+    return cached
+
+
 class Region(enum.Enum):
     INTERIOR = "interior"
     EXTERIOR = "exterior"
@@ -86,7 +104,7 @@ class BoundaryMesh:
     theta: np.ndarray | None = None   # curve parameter per node, if any
     edges: np.ndarray | None = None   # (E, 2) adjacency for tangent probes
     builder: object = None            # N -> BoundaryMesh, for refinement
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict = field(default_factory=dict, repr=False)  # per_mesh results
 
     @property
     def size(self) -> int:
@@ -101,20 +119,19 @@ class BoundaryMesh:
             return np.stack([i, (i + 1) % N], axis=1)
         return _nearest_neighbor_edges(self.nodes, self.h)
 
-    def refine(self, factor: int = 2) -> "BoundaryMesh":
+    def refine(self) -> "BoundaryMesh":
+        """The same boundary with twice the nodes."""
         if self.builder is None:
             raise ValueError("mesh has no builder; cannot refine")
-        return self.builder(self.size * factor)
+        return self.builder(2 * self.size)
 
     def total_measure(self) -> float:
         return float(np.sum(self.sigma_abs))
 
+    @per_mesh
     def barrier_nodes(self) -> np.ndarray:
         """Boundary sampled 8 times finer, for null-cone proximity queries."""
-        if "barrier_nodes" not in self.cache:
-            fine = self.nodes if self.builder is None else self.builder(8 * self.size).nodes
-            self.cache["barrier_nodes"] = fine
-        return self.cache["barrier_nodes"]
+        return self.nodes if self.builder is None else self.builder(8 * self.size).nodes
 
     def half_diameter(self) -> float:
         return 0.5 * float(
@@ -159,7 +176,7 @@ def make_circle(N: int, radius: float = 1.0) -> BoundaryMesh:
     return mesh
 
 
-def make_deformed_curve(N: int, eps: float, k: int, margin: float = 0.1) -> BoundaryMesh:
+def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     """Unit circle pushed along i * eps * cos(k theta) times the real normal.
 
     Nodes are (1 + i eps cos(k theta)) (cos theta, sin theta); the complex
@@ -193,16 +210,15 @@ def make_deformed_curve(N: int, eps: float, k: int, margin: float = 0.1) -> Boun
         exterior_seed=np.array([3.0, 0.0], dtype=complex),
         h=float(np.max(np.sqrt(np.sum(gaps**2, axis=1)))),
         theta=theta,
-        builder=lambda m: make_deformed_curve(m, eps, k, margin),
+        builder=lambda m: make_deformed_curve(m, eps, k),
     )
-    report = _validated(mesh, margin)
-    if not report.passed:
-        raise ValidationFailedError(report)
+    _validated(mesh)
     return mesh
 
 
-def make_flat_patch(N: int, length: float = 2 * np.pi) -> BoundaryMesh:
-    """Periodic straight-line mesh (flat-patch boundedness tests)."""
+def make_flat_patch(N: int) -> BoundaryMesh:
+    """Periodic straight-line mesh of length 2 pi (flat-patch boundedness tests)."""
+    length = 2 * np.pi
     if N < 8 or N % 2:
         raise ValueError("need even N >= 8")
     x = length * np.arange(N) / N
@@ -219,7 +235,7 @@ def make_flat_patch(N: int, length: float = 2 * np.pi) -> BoundaryMesh:
         exterior_seed=np.array([length / 2, 1.0], dtype=complex),
         h=float(length / N),
         theta=2 * np.pi * np.arange(N) / N,
-        builder=lambda m: make_flat_patch(m, length),
+        builder=make_flat_patch,
     )
 
 
@@ -248,17 +264,15 @@ def _icosahedron():
 
 def _subdivide(verts, faces):
     verts = verts.tolist()
-    cache = {}
+    midpoints = {}
 
     def midpoint(i, j):
         key = (i, j) if i < j else (j, i)
-        if key in cache:
-            return cache[key]
-        v = np.asarray(verts[i]) + np.asarray(verts[j])
-        v = v / np.linalg.norm(v)
-        verts.append(v.tolist())
-        cache[key] = len(verts) - 1
-        return cache[key]
+        if key not in midpoints:
+            v = np.asarray(verts[i]) + np.asarray(verts[j])
+            verts.append((v / np.linalg.norm(v)).tolist())
+            midpoints[key] = len(verts) - 1
+        return midpoints[key]
 
     out = []
     for a, b, c in faces:
@@ -366,14 +380,12 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     return ValidationReport(True, "ok", None, pair_margin, tangent_margin)
 
 
-def _validated(mesh: BoundaryMesh, margin: float = 0.1) -> ValidationReport:
-    """validate_domain_manifold, once per mesh and margin: a passing report is kept in mesh.cache."""
-    key = ("validation", margin)
-    if key in mesh.cache:
-        return mesh.cache[key]
-    report = validate_domain_manifold(mesh, margin=margin)
-    if report.passed:
-        mesh.cache[key] = report
+@per_mesh
+def _validated(mesh: BoundaryMesh) -> ValidationReport:
+    """The passing validate_domain_manifold report, once per mesh; ValidationFailedError otherwise."""
+    report = validate_domain_manifold(mesh)
+    if not report.passed:
+        raise ValidationFailedError(report)
     return report
 
 
@@ -401,11 +413,11 @@ def _index_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     return np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
 
 
-def region_membership_many(points: np.ndarray, mesh: BoundaryMesh, tol: float = 1e-12):
+def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     """Vectorized region classification; returns an object array of Region.
 
     NearBoundary means the point sits on the null cone of some node to
-    within the scale-invariant tolerance.  A point whose barrier_clearance
+    within the scale-invariant tolerance 1e-12.  A point whose barrier_clearance
     reaches barrier_clearance_floor is classified by index (module
     docstring): for n = 2 by the winding numbers of its zeta and eta, for
     real points at n = 3 by the rounded Gauss solid-angle sum.  Any other
@@ -417,17 +429,17 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh, tol: float = 
     flat patch (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    return _classify(points, mesh, barrier_clearance(points, mesh), tol)
+    return _classify(points, mesh, barrier_clearance(points, mesh))
 
 
-def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray, tol: float = 1e-12):
+def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
     """region_membership_many of (P, n) points whose barrier_clearance is known."""
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
     diff = points[:, None, :] - mesh.nodes[None, :, :]
     sq = np.abs(vector_square(diff))
     dist2 = np.sum(np.abs(diff) ** 2, axis=-1)
-    near = sq.min(axis=1) <= tol * (1.0 + dist2.min(axis=1))
+    near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
     jmin = np.argmin(dist2, axis=1)
     side = np.real(
         np.sum(diff[np.arange(points.shape[0]), jmin] * np.conj(mesh.normals[jmin]), axis=1)
@@ -442,9 +454,9 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray, tol
     return out
 
 
-def region_membership(u, mesh: BoundaryMesh, tol: float = 1e-12) -> Region:
+def region_membership(u, mesh: BoundaryMesh) -> Region:
     """Classify one point as Interior, Exterior, Mixed or NearBoundary."""
-    return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh, tol)[0]
+    return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh)[0]
 
 
 def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
@@ -580,39 +592,32 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
 
 
-def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int, tau=-np.inf):
-    """Every node's cone samples and their barrier_clearance, kept in mesh.cache.
+@per_mesh
+def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
+    """Every node's cone samples and their barrier_clearance, or None if some sample is unresolved.
 
-    The clearance is walked block by block (barrier_clearance's blocks); at
-    the first block with a sample below tau the walk stops and nothing is
-    returned or kept, and a kept set with a sample below tau is not returned
-    either.  So cone_parameters clears each schedule entry at most once, and
-    bound_diagnostics finds the accepted entry's set kept.
+    The clearance is walked block by block (barrier_clearance's blocks), and
+    the walk stops at the first block with a sample below
+    barrier_clearance_floor.  So cone_parameters clears each schedule entry
+    at most once, and bound_diagnostics finds the accepted entry's set kept.
     """
-    key = ("cone_samples", alpha, r, count, seed)
-    if key not in mesh.cache:
-        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
-        clearance = np.empty(pts.shape[0])
-        for rows, block in _clearance_blocks(pts, mesh):
-            if block.min() < tau:
-                return None
-            clearance[rows] = block
-        mesh.cache[key] = (pts, clearance)
-    pts, clearance = mesh.cache[key]
-    return None if clearance.min() < tau else (pts, clearance)
+    pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
+    tau = barrier_clearance_floor(mesh)
+    clearance = np.empty(pts.shape[0])
+    for rows, block in _clearance_blocks(pts, mesh):
+        if block.min() < tau:
+            return None
+        clearance[rows] = block
+    return pts, clearance
 
 
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
 _DEFAULT_RADIUS_FACTORS = (1.0, 0.5, 0.25, 0.1)
+_CONE_SAMPLES, _CONE_SEED = 64, 7  # samples per cone and Halton seed of the schedule
 
 
-def cone_parameters(
-    mesh: BoundaryMesh,
-    samples_per_cone: int = 64,
-    seed: int = 7,
-    alphas=_DEFAULT_ALPHAS,
-    radius_factors=_DEFAULT_RADIUS_FACTORS,
-):
+@per_mesh
+def cone_parameters(mesh: BoundaryMesh):
     """Largest (alpha, r) from the schedule whose cones sample as Interior.
 
     For every node the truncated cone around the inward normal is sampled
@@ -620,22 +625,17 @@ def cone_parameters(
     every node classifies Interior.  Conservative by construction.  An entry
     is rejected at the first clearance block with a sample below the floor.
     """
-    key = ("cone_parameters", samples_per_cone, seed, tuple(alphas), tuple(radius_factors))
-    if key in mesh.cache:
-        return mesh.cache[key]
     half_diam = mesh.half_diameter()
-    tau = barrier_clearance_floor(mesh)
-    for alpha in alphas:
-        for fac in radius_factors:
+    for alpha in _DEFAULT_ALPHAS:
+        for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * half_diam
             # every sample must be resolved: the floor away from the null cones
-            samples = _cone_sample_set(mesh, alpha, r, samples_per_cone, seed, tau)
+            samples = _cone_sample_set(mesh, alpha, r, _CONE_SAMPLES, _CONE_SEED)
             if samples is None:
                 continue
             pts, clearance = samples
             if np.all(_classify(pts, mesh, clearance) == Region.INTERIOR):
-                mesh.cache[key] = (float(alpha), float(r))
-                return mesh.cache[key]
+                return float(alpha), float(r)
     raise NoValidConeError("no schedule entry produced all-interior cone samples")
 
 

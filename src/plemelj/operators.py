@@ -27,13 +27,7 @@ import math
 import numpy as np
 
 from .algebra import Multivector, algebra, cauchy_kernel, is_null
-from .mesh import (
-    BoundaryMesh,
-    Region,
-    ValidationFailedError,
-    _validated,
-    region_membership,
-)
+from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership
 
 __all__ = [
     "BlockOperator",
@@ -45,7 +39,6 @@ __all__ = [
     "assemble_singular_cauchy",
     "cauchy_transform",
     "cauchy_transform_points",
-    "export_spectrum_csv",
     "generic_kernel_operator",
     "l2_norm",
     "omega",
@@ -266,20 +259,18 @@ def _node_weights(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
     return np.repeat(np.sqrt(mesh.sigma_abs), algebra(mesh.n).dim if size is None else size)
 
 
-def _scalar_smooth_basis(mesh: BoundaryMesh, modes: int) -> np.ndarray:
+@per_mesh
+def _scalar_smooth_basis(mesh: BoundaryMesh) -> np.ndarray:
     """Weighted-orthonormal basis Q_s (N, M) of the scalar smooth traces.
 
-    Curves get Fourier modes |m| <= modes; other meshes get polynomial
+    Curves get Fourier modes |m| <= 12; other meshes get polynomial
     traces of degree <= 2.  Columns that depend on earlier ones (x1^2 + x2^2
     + x3^2 = 1 on the sphere) are dropped, so the span is fixed and no
     direction is chosen by rounding.
     """
-    key = ("smooth_basis", modes)
-    if key in mesh.cache:
-        return mesh.cache[key]
     N = mesh.size
     if mesh.theta is not None:
-        ms = np.arange(-modes, modes + 1)
+        ms = np.arange(-12, 13)
         scal = np.exp(1j * np.outer(mesh.theta, ms))  # (N, M)
     else:
         x = mesh.nodes.real
@@ -291,12 +282,10 @@ def _scalar_smooth_basis(mesh: BoundaryMesh, modes: int) -> np.ndarray:
         scal = np.array(cols).T
     q, r = np.linalg.qr(_node_weights(mesh, 1)[:, None] * scal)
     diag = np.abs(np.diag(r))
-    q = q[:, diag > 1e-10 * diag.max()]
-    mesh.cache[key] = q
-    return q
+    return q[:, diag > 1e-10 * diag.max()]
 
 
-def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12, size: int = None) -> np.ndarray:
+def smooth_test_basis(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
     """Weighted-orthonormal basis Q_s (x) I_size of a fixed smooth subspace, as columns.
 
     The scalar traces of _scalar_smooth_basis tensored with all size
@@ -306,12 +295,12 @@ def smooth_test_basis(mesh: BoundaryMesh, modes: int = 12, size: int = None) -> 
     measured on this family.
     """
     size = algebra(mesh.n).dim if size is None else size
-    return np.kron(_scalar_smooth_basis(mesh, modes), np.eye(size))
+    return np.kron(_scalar_smooth_basis(mesh), np.eye(size))
 
 
-def smooth_family(mesh: BoundaryMesh, modes: int = 12, size: int = None) -> np.ndarray:
+def smooth_family(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
     """The smooth basis as coefficients, Y = W^{-1} Q, so ||W R Y||_2 is R's norm on it."""
-    return smooth_test_basis(mesh, modes, size) / _node_weights(mesh, size)[:, None]
+    return smooth_test_basis(mesh, size) / _node_weights(mesh, size)[:, None]
 
 
 def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
@@ -320,14 +309,15 @@ def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
     return float(np.max(np.linalg.norm(w[:, None] * columns, 2, axis=(-2, -1))))
 
 
-def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh, modes: int = 12) -> float:
+def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
     """Operator norm of a dense (N d) x (N d) matrix restricted to the smooth family (oracle)."""
-    return weighted_norm(op_matrix @ smooth_family(mesh, modes), mesh)
+    return weighted_norm(op_matrix @ smooth_family(mesh), mesh)
 
 
 # -- assembly ---------------------------------------------------------------------
 
 
+@per_mesh
 def _pair_kernel(mesh: BoundaryMesh) -> np.ndarray:
     """G(w_i - z_j) components for all pairs, junk on the diagonal."""
     diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
@@ -353,12 +343,6 @@ def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
     return W
 
 
-def _require_valid(mesh: BoundaryMesh):
-    report = _validated(mesh)
-    if not report.passed:
-        raise ValidationFailedError(report)
-
-
 def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Spinor blocks (blocks, N, s, N, s) of (1/omega) L(K_ij) L(n_j) W_ij, K grade-1 (N, N, n)."""
     sp = algebra(mesh.n).spinor
@@ -371,28 +355,24 @@ def _stack(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(r, N * s, N * s)
 
 
-def assemble_singular_cauchy(mesh: BoundaryMesh, validate: bool = True) -> BlockOperator:
+@per_mesh
+def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """Principal-value Cauchy operator C with the constant-calibrated diagonal.
 
     Off-diagonal blocks are (1/omega) L(G(w_i - z_j)) L(n_j) w_ij; the
     diagonal absorbs the quadrature's principal-value defect through
     diag_i = I/2 - sum_{j != i} block_ij, which makes C(const) = const/2
     exact for every constant multivector.  All of it is done on the
-    spinor blocks of the even kernel G n.
+    spinor blocks of the even kernel G n.  Raises ValidationFailedError
+    on a mesh that fails validate_domain_manifold.
     """
-    key = "op_C"
-    if key in mesh.cache:
-        return mesh.cache[key]
-    if validate:
-        _require_valid(mesh)
+    _validated(mesh)
     blocks = _vector_kernel_blocks(mesh, _pair_kernel(mesh), _quad_weights(mesh))
     idx = np.arange(mesh.size)
     blocks[:, idx, :, idx, :] = 0.0
     rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
     blocks[:, idx, :, idx, :] = 0.5 * np.eye(blocks.shape[2]) - rowsum
-    op = BlockOperator(mesh, _stack(blocks), "C")
-    mesh.cache[key] = op
-    return op
+    return BlockOperator(mesh, _stack(blocks), "C")
 
 
 def _cancelled_kernel_coeffs(alg, G, n_row, n_col) -> np.ndarray:
@@ -461,7 +441,8 @@ def _richardson_diagonal(mesh: BoundaryMesh, K: np.ndarray) -> np.ndarray:
     return (4.0 * _ring_mean(K, ring1, count1) - _ring_mean(K, ring2, count2)) / 3.0
 
 
-def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOperator:
+@per_mesh
+def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     """Kerzman-Stein operator A = C - C* (continuous, singularity-cancelled kernel).
 
     C* is the transpose of C with respect to the bilinear pairing
@@ -469,13 +450,10 @@ def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOp
     singularities cancel (and A vanishes identically on the circle).  The
     diagonal is the Richardson extrapolation of the cancelled kernel from
     the two nearest neighbor rings.  The kernel is scalar plus bivector, so
-    it is stored as its spinor blocks.
+    it is stored as its spinor blocks.  Raises ValidationFailedError on a
+    mesh that fails validate_domain_manifold.
     """
-    key = "op_A"
-    if key in mesh.cache:
-        return mesh.cache[key]
-    if validate:
-        _require_valid(mesh)
+    _validated(mesh)
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
     n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
@@ -485,19 +463,13 @@ def assemble_kerzman_stein(mesh: BoundaryMesh, validate: bool = True) -> BlockOp
     K[idx, idx] = _richardson_diagonal(mesh, K)
     # smooth kernel: plain trapezoid everywhere
     blocks = alg.spinor.reduce(K * mesh.sigma[None, :, None]).transpose(2, 0, 3, 1, 4)
-    op = BlockOperator(mesh, _stack(blocks / omega(mesh.n)), "A")
-    mesh.cache[key] = op
-    return op
+    return BlockOperator(mesh, _stack(blocks / omega(mesh.n)), "A")
 
 
 def assemble_adjoint_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """C* = C - A: the bilinear-pairing transpose of C."""
-    key = "op_Cstar"
-    if key in mesh.cache:
-        return mesh.cache[key]
     op = assemble_singular_cauchy(mesh) - assemble_kerzman_stein(mesh)
     op.label = "C*"
-    mesh.cache[key] = op
     return op
 
 
@@ -509,17 +481,17 @@ def plemelj_projection(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """Boundary projection S+ = I/2 + C or S- = I/2 - C."""
     if sign not in PROJECTION_COEFFS:
         raise ValueError("sign must be '+' or '-'")
-    key = f"op_S{sign}"
-    if key in mesh.cache:
-        return mesh.cache[key]
+    return _projection(mesh, sign)
+
+
+@per_mesh
+def _projection(mesh: BoundaryMesh, sign: str) -> BlockOperator:
     C = assemble_singular_cauchy(mesh)
     c0, c1 = PROJECTION_COEFFS[sign]
-    op = BlockOperator(mesh, c0 * BlockOperator.identity(mesh).matrix + c1 * C.matrix, f"S{sign}")
-    mesh.cache[key] = op
-    return op
+    return BlockOperator(mesh, c0 * BlockOperator.identity(mesh).matrix + c1 * C.matrix, f"S{sign}")
 
 
-def generic_kernel_operator(mesh: BoundaryMesh, kernel, label: str = "T_K") -> BlockOperator:
+def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
     """Nystrom operator for a user kernel K(w - z), odd-symmetry zero diagonal.
 
     kernel maps difference vectors (..., n) to grade-1 components (..., n),
@@ -539,7 +511,7 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel, label: str = "T_K") -> B
         raise ValueError("kernel returned non-finite values on mesh differences")
     blocks = _vector_kernel_blocks(mesh, K, _quad_weights(mesh))
     blocks[:, idx, :, idx, :] = 0.0
-    return BlockOperator(mesh, _stack(blocks), label)
+    return BlockOperator(mesh, _stack(blocks), "T_K")
 
 
 # -- off-boundary transforms -------------------------------------------------------
@@ -633,14 +605,3 @@ def cauchy_transform_points(
             np.einsum("mab,mb->ma", Lu, fi) - chi * fi
         )
     return out
-
-
-# -- export -----------------------------------------------------------------------
-
-
-def export_spectrum_csv(op: BlockOperator, path: str):
-    sv = op.singular_values()
-    with open(path, "w") as fh:
-        fh.write("index,singular_value\n")
-        for k, s in enumerate(sv):
-            fh.write(f"{k},{s:.16e}\n")

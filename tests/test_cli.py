@@ -50,6 +50,18 @@ def test_verify_honours_config_cond_limit(tmp_path):
     assert rc == 3
 
 
+def test_verify_honours_config_identity_cap(tmp_path):
+    # the sphere's residuals decrease under refinement but sit above the default 1e-3 cap
+    rc, _ = run_cli(tmp_path, "--command", "verify", "--geometry", "sphere", "--N", "42")
+    assert rc == 4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"identity_cap": 0.5}))
+    rc, out = run_cli(tmp_path, "--config", str(cfg_path), "--command", "verify",
+                      "--geometry", "sphere", "--N", "42")
+    assert rc == 0
+    assert json.load(open(os.path.join(out, "verify.json")))["pass"]
+
+
 def test_no_valid_cone_exit_code(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "--command", "maximal", "--geometry", "circle", "--N", "16")
     assert rc == 5

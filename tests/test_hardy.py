@@ -220,6 +220,22 @@ class TestVerifyIdentities:
         verify_identities(mesh_mod.make_deformed_curve(128, 0.05, 2), refine=True)
         assert sizes == [128, 128, 256]
 
+    def test_pair_kernel_built_once(self, monkeypatch):
+        # C and A share one pair kernel: one kernel call on an (N, N, n) array
+        import plemelj.operators as operators_mod
+        from plemelj.mesh import make_deformed_curve
+
+        shapes = []
+        kernel = operators_mod.cauchy_kernel
+
+        def counting(z):
+            shapes.append(np.shape(z))
+            return kernel(z)
+
+        monkeypatch.setattr(operators_mod, "cauchy_kernel", counting)
+        verify_identities(make_deformed_curve(128, 0.05, 2), refine=False)
+        assert shapes.count((128, 128, 2)) == 1
+
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)
         for rep in reports:

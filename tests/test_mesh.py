@@ -334,8 +334,8 @@ class TestConeSchedule:
         tried = []
         sample_set = mesh_mod._cone_sample_set
 
-        def spy(m, alpha, r, count, seed, tau=-np.inf):
-            out = sample_set(m, alpha, r, count, seed, tau)
+        def spy(m, alpha, r, count, seed):
+            out = sample_set(m, alpha, r, count, seed)
             tried.append((alpha, r, out is None))
             return out
 
