@@ -27,6 +27,8 @@ __all__ = [
     "cauchy_kernel",
     "dirac_residual",
     "is_null",
+    "null_coordinates",
+    "null_differences",
     "null_tolerance",
     "vector_inverse",
     "vector_square",
@@ -371,6 +373,23 @@ def null_tolerance(z: np.ndarray):
 def is_null(z: np.ndarray):
     """Whether z lies on the null cone to within null_tolerance."""
     return np.abs(vector_square(z)) <= null_tolerance(z)
+
+
+def null_coordinates(z: np.ndarray) -> np.ndarray:
+    """Null coordinates (zeta, eta) = (z1 + i z2, z1 - i z2) of n = 2 vectors (..., 2), on the last axis.
+
+    square(z) = -zeta eta and |z|^2 = (|zeta|^2 + |eta|^2) / 2.  Spinor block 0
+    of an even element pairs with zeta, block 1 with eta: block rho of
+    G(u) n is -zeta_rho(n) / zeta_rho(u), the planar Cauchy kernel.
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z[..., 0] + 1j * z[..., 1], z[..., 0] - 1j * z[..., 1]], axis=-1)
+
+
+def null_differences(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """zeta_rho(p_m - z_j) of (M, 2) points p and (N, 2) points z, plane first: (2, M, N)."""
+    cp, cz = null_coordinates(p).T, null_coordinates(z).T
+    return cp[:, :, None] - cz[:, None, :]
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

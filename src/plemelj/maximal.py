@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra, cauchy_kernel
+from .algebra import algebra
 from .mesh import (
     _CONE_SAMPLES,
     _CONE_SEED,
@@ -27,12 +27,12 @@ from .mesh import (
 )
 from .operators import (
     BoundaryFunction,
-    _pair_kernel,
+    _pair_blocks,
+    _to_spinor,
+    _transform_columns,
     _transform_points,
-    _transform_weights,
     assemble_singular_cauchy,
     l2_norm,
-    omega,
 )
 
 __all__ = [
@@ -107,52 +107,58 @@ def nontangential_maximal(
     if alpha is None or r is None:
         alpha, r = cone_parameters(mesh)
     pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone)
-    return _cone_sup(mesh, _transform_points(mesh, f.values, pts), near), int(near.sum())
+    norms = algebra(mesh.n).norm(_transform_points(mesh, f.values, pts))
+    return _cone_sup(norms, near), int(near.sum())
 
 
-def _cone_sup(mesh: BoundaryMesh, vals: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Per-node max of the transform norm over the usable samples of its cone."""
-    norms = algebra(mesh.n).norm(vals).reshape(near.shape)
-    out = np.where(near, -np.inf, norms).max(axis=1)
+def _cone_sup(norms: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Per-node max of the transform norms (one per cone sample) over the usable samples of its cone."""
+    out = np.where(near, -np.inf, norms.reshape(near.shape)).max(axis=1)
     out[~np.isfinite(out)] = 0.0  # every sample of a cone skipped
     return out
+
+
+def _family_columns(mesh: BoundaryMesh, family) -> np.ndarray:
+    """Spinor columns (blocks, N s, copies F) of sigma_j f_j for every function f of the family."""
+    cols = np.stack([_to_spinor(f.values * mesh.sigma[:, None], mesh) for f in family], axis=-1)
+    return cols.reshape(cols.shape[0], cols.shape[1], -1)
+
+
+def _family_norms(mesh: BoundaryMesh, vals: np.ndarray, count: int) -> np.ndarray:
+    """(count, M) norms of the transforms whose spinor columns are vals (blocks, M s, copies count).
+
+    T is unitary, so the norm of a multivector is that of its spinor coordinates.
+    """
+    sp = algebra(mesh.n).spinor
+    sq = np.abs(vals.reshape(sp.blocks, -1, sp.size, sp.copies, count)) ** 2
+    return np.sqrt(sq.sum(axis=(0, 2, 3))).T
 
 
 def _family_nontangential(mesh: BoundaryMesh, family, alpha, r):
     """nontangential_maximal of every function of the family, one kernel pass.
 
-    Bit-identical to calling nontangential_maximal per function: the row
-    chunks are those of _transform_points, and the plain einsum loop sums in
-    the same order (optimize=True or a GEMM would not).
+    The kernel blocks of each row chunk of cone samples multiply the spinor
+    columns of the whole family at once.
     """
     pts, near = _usable_cone_samples(mesh, alpha, r, _CONE_SAMPLES)
-    pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
-    vals = np.empty((pts.shape[0], len(family), pre.shape[1]), dtype=complex)
-    chunk = max(1, int(4e6 / mesh.size))
-    for s0 in range(0, pts.shape[0], chunk):
-        G = cauchy_kernel(pts[s0 : s0 + chunk, None, :] - mesh.nodes[None, :, :])
-        vals[s0 : s0 + chunk] = np.einsum("mjl,lajf->mfa", G, pre)
-    vals /= omega(mesh.n)
-    return [_cone_sup(mesh, vals[:, k], near) for k in range(len(family))], int(near.sum())
+    vals = _transform_columns(mesh, pts, _family_columns(mesh, family))
+    norms = _family_norms(mesh, vals, len(family))
+    return [_cone_sup(nk, near) for nk in norms], int(near.sum())
 
 
 def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
     """(F, N) sup over the schedule of ||integral over dM minus B(w, eps) of G n f||, per function.
 
-    The pair kernel and each radius mask are built once for the whole
-    family; the plain einsum sums in the same order as one function at a
-    time (optimize=True or a GEMM would not).
+    Each radius mask weights the pair kernel blocks once for the whole family.
     """
-    alg = algebra(mesh.n)
-    G = _pair_kernel(mesh)
-    pre = np.stack([_transform_weights(mesh, f.values) for f in family], axis=-1)
+    cols = _family_columns(mesh, family)
     dist = _pair_distances(mesh)
     out = np.zeros((len(family), mesh.size))
     for eps in radii:
         mask = (dist > eps).astype(float)
         np.fill_diagonal(mask, 0.0)
-        vals = np.einsum("ijl,lajf,ij->fia", G, pre, mask) / omega(mesh.n)
-        out = np.maximum(out, alg.norm(vals))
+        vals = _pair_blocks(mesh, mask) @ cols
+        out = np.maximum(out, _family_norms(mesh, vals, len(family)))
     return out
 
 

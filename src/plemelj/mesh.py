@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import OddDimensionComplexError, cauchy_kernel, vector_square
+from .algebra import (
+    OddDimensionComplexError,
+    cauchy_kernel,
+    null_coordinates,
+    null_differences,
+    vector_square,
+)
 
 __all__ = [
     "ApproachPath",
@@ -343,21 +349,31 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     (ii) every discrete tangent t satisfies |square(t)| > margin * |t|^2,
     with |.| the Euclidean norm of C^n identified with R^{2n}.  Real
     submanifolds achieve margin 1 exactly.
+
+    The pairs are checked in row blocks of about 1 << 18 pairs, so the memory
+    stays bounded on the 8N fine meshes of barrier_nodes; the witness is the
+    first minimal pair in row-major order, as for one (N, N) array.
     """
     z = mesh.nodes
-    D = z[:, None, :] - z[None, :, :]
-    sq = np.abs(vector_square(D))
-    r2 = np.sum(np.abs(D) ** 2, axis=-1)
-    np.fill_diagonal(sq, np.inf)
-    np.fill_diagonal(r2, 1.0)
-    ratios = sq / r2
-    imin = np.unravel_index(np.argmin(ratios), ratios.shape)
-    pair_margin = float(ratios[imin])
+    N = z.shape[0]
+    chunk = max(1, (1 << 18) // N)
+    firsts = []  # (ratio, i, j) of the first minimum of each row block
+    for s0 in range(0, N, chunk):
+        rows = np.arange(s0, min(s0 + chunk, N))
+        D = z[rows, None, :] - z[None, :, :]
+        sq = np.abs(vector_square(D))
+        r2 = np.sum(np.abs(D) ** 2, axis=-1)
+        sq[rows - s0, rows] = np.inf
+        r2[rows - s0, rows] = 1.0
+        ratios = sq / r2
+        i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+        firsts.append((float(ratios[i, j]), s0 + int(i), int(j)))
+    pair_margin, i, j = firsts[int(np.argmin([f[0] for f in firsts]))]
     if pair_margin <= margin:
         return ValidationReport(
             False,
             f"node pair violates the null-cone separation (ratio {pair_margin:.3g} <= {margin})",
-            (int(imin[0]), int(imin[1])),
+            (i, j),
             pair_margin,
             float("nan"),
         )
@@ -392,25 +408,10 @@ def _validated(mesh: BoundaryMesh) -> ValidationReport:
 # -- region membership ----------------------------------------------------------
 
 
-def _winding_numbers(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Winding numbers of the complex points w about the closed polygon v."""
-    a = v[None, :] - w[:, None]
-    turn = np.sum(np.angle(np.roll(a, -1, axis=1) / a), axis=1)
+def _winding_numbers(d: np.ndarray) -> np.ndarray:
+    """Winding numbers about 0 of the closed polygons given by the rows of d (P, N)."""
+    turn = np.sum(np.angle(np.roll(d, -1, axis=1) / d), axis=1)
     return np.rint(turn / (2 * np.pi)).astype(int)
-
-
-def _index_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Region of points the mesh resolves, by index; see region_membership_many."""
-    if mesh.n == 2:
-        zeta, eta = (
-            _winding_numbers(points @ c, mesh.nodes @ c) != 0
-            for c in (np.array([1.0, 1.0j]), np.array([1.0, -1.0j]))
-        )
-        return np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
-    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
-    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
-    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
-    return np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
 
 
 def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
@@ -436,20 +437,39 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
     """region_membership_many of (P, n) points whose barrier_clearance is known."""
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
-    diff = points[:, None, :] - mesh.nodes[None, :, :]
-    sq = np.abs(vector_square(diff))
-    dist2 = np.sum(np.abs(diff) ** 2, axis=-1)
-    near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
-    jmin = np.argmin(dist2, axis=1)
-    side = np.real(
-        np.sum(diff[np.arange(points.shape[0]), jmin] * np.conj(mesh.normals[jmin]), axis=1)
-    )
-    out = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
     resolved = clearance >= barrier_clearance_floor(mesh)
-    regs = _index_regions(np.concatenate([points[resolved], mesh.interior_seed[None, :]]), mesh)
+    low = ~resolved  # points the index cannot resolve: nearest-normal side
+    seed = mesh.interior_seed[None, :]
+    if mesh.n == 2:
+        # one pair of null difference arrays: square(u) = -zeta eta,
+        # |u|^2 = (|zeta|^2 + |eta|^2) / 2, and twice the R^4 inner product
+        # <u, n> is Re(zeta(u) conj(zeta(n)) + eta(u) conj(eta(n)))
+        d = null_differences(np.concatenate([points, seed]), mesh.nodes)  # seed last
+        index_rows = np.append(np.flatnonzero(resolved), points.shape[0])
+        zeta, eta = (_winding_numbers(dk[index_rows]) != 0 for dk in d)
+        d = d[:, :-1]
+        sq = np.abs(d[0] * d[1])
+        dist2 = 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
+        u, normals = np.moveaxis(d[:, low], 0, -1), null_coordinates(mesh.normals)
+        regs = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
+    else:
+        u = points[:, None, :] - mesh.nodes[None, :, :]
+        sq = np.abs(vector_square(u))
+        dist2 = np.sum(np.abs(u) ** 2, axis=-1)
+        u, normals = u[low], mesh.normals
+        # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
+        probe = np.concatenate([points[resolved], seed])
+        G = cauchy_kernel(probe[:, None, :] - mesh.nodes[None, :, :])
+        gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
+        regs = np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
     if regs[-1] is not Region.INTERIOR:
         raise ValueError("the boundary does not enclose its interior seed")
+    near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
+    out = np.empty(points.shape[0], dtype=object)
     out[resolved] = regs[:-1]
+    jmin = np.argmin(dist2[low], axis=1)
+    side = np.real(np.sum(u[np.arange(jmin.size), jmin] * np.conj(normals[jmin]), axis=1))
+    out[low] = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
     out[near] = Region.NEAR_BOUNDARY
     return out
 

@@ -7,6 +7,15 @@ cancelled Kerzman-Stein kernel) are even, so every such matrix is stored
 and applied as its irreducible spinor blocks (BlockOperator): two N x N
 matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
+For n = 2 the blocks are assembled directly.  With the null coordinates
+zeta = z1 + i z2 and eta = z1 - i z2, square(z) = -zeta eta, and block rho
+of G(w - z) n(z) is the planar Cauchy kernel -zeta_rho(n) / (2 pi
+zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta, zeta_1 = eta).  So
+C, A and the off-boundary transforms come from arrays of null differences
+and are applied as matrix products (_kernel_blocks).  The Clifford kernel
+G = cauchy_kernel serves n = 3, generic_kernel_operator and the subtracted
+near-boundary transform.
+
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
 off-boundary transform of the constant function 1 equals 1 at interior
@@ -26,7 +35,15 @@ import math
 
 import numpy as np
 
-from .algebra import Multivector, algebra, cauchy_kernel, is_null
+from .algebra import (
+    Multivector,
+    NullVectorError,
+    algebra,
+    cauchy_kernel,
+    is_null,
+    null_coordinates,
+    null_differences,
+)
 from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership
 
 __all__ = [
@@ -158,10 +175,10 @@ def _to_spinor(values: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
 
 
 def _from_spinor(columns: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Inverse of _to_spinor."""
+    """Inverse of _to_spinor, for the rows of any number M of points: (blocks, M s, copies) -> (M, d)."""
     sp = algebra(mesh.n).spinor
-    y = columns.reshape(sp.blocks, mesh.size, sp.size, sp.copies).transpose(1, 0, 3, 2)
-    return y.reshape(mesh.size, -1) @ sp.T.T
+    y = columns.reshape(sp.blocks, -1, sp.size, sp.copies).transpose(1, 0, 3, 2)
+    return y.reshape(y.shape[0], -1) @ sp.T.T
 
 
 class BlockOperator:
@@ -319,7 +336,7 @@ def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
 
 @per_mesh
 def _pair_kernel(mesh: BoundaryMesh) -> np.ndarray:
-    """G(w_i - z_j) components for all pairs, junk on the diagonal."""
+    """G(w_i - z_j) components for all pairs, junk on the diagonal (n = 3 assembly, oracles)."""
     diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
     idx = np.arange(mesh.size)
     diffs[idx, idx, 0] = 1.0  # placeholder off the null cone; diagonal set later
@@ -344,15 +361,59 @@ def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
 
 
 def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Spinor blocks (blocks, N, s, N, s) of (1/omega) L(K_ij) L(n_j) W_ij, K grade-1 (N, N, n)."""
+    """Spinor blocks (blocks, M, s, N, s) of (1/omega) L(K_mj) L(n_j) W_mj, K grade-1 (M, N, n)."""
     sp = algebra(mesh.n).spinor
     Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
     return np.einsum("ijl,jlrpq->ripjq", K * W[..., None], Kn) / omega(mesh.n)
 
 
 def _stack(blocks: np.ndarray) -> np.ndarray:
-    r, N, s = blocks.shape[:3]
-    return blocks.reshape(r, N * s, N * s)
+    r, M, s, N = blocks.shape[:4]
+    return blocks.reshape(r, M * s, N * s)
+
+
+def _off_null(dz: np.ndarray) -> np.ndarray:
+    """Null differences (2, M, N), checked as cauchy_kernel checks square(u) = -zeta eta."""
+    r2 = 0.5 * (np.abs(dz[0]) ** 2 + np.abs(dz[1]) ** 2)  # |u|^2
+    if np.any(np.abs(dz[0] * dz[1]) <= 1e-12 * (1.0 + r2)):
+        raise NullVectorError("Cauchy kernel evaluated on the null cone")
+    return dz
+
+
+@per_mesh
+def _null_pairs(mesh: BoundaryMesh) -> np.ndarray:
+    """zeta_rho(z_i - z_j) of all node pairs (n = 2) as (2, N, N), 1 on the diagonal."""
+    dz = null_differences(mesh.nodes, mesh.nodes)
+    idx = np.arange(mesh.size)
+    dz[:, idx, idx] = 1.0  # placeholder off the null cones; diagonals are set later
+    return _off_null(dz)
+
+
+def _planar_blocks(mesh: BoundaryMesh, dz: np.ndarray) -> np.ndarray:
+    """Blocks -zeta_rho(n_j) / (omega zeta_rho(p_m - z_j)) (n = 2) from null differences (2, M, N)."""
+    return null_coordinates(mesh.normals).T[:, None, :] / (-omega(2) * dz)
+
+
+def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
+    """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j at (M, n) points.
+
+    For n = 2 block rho is the planar Cauchy kernel of the zeta_rho plane,
+    -zeta_rho(n_j) / (2 pi zeta_rho(p_m - z_j)), with zeta_0 = zeta and
+    zeta_1 = eta (algebra.null_coordinates).  For n = 3 the blocks come from
+    cauchy_kernel.  Raises NullVectorError wherever cauchy_kernel(p_m - z_j)
+    does.
+    """
+    if mesh.n == 2:
+        return _planar_blocks(mesh, _off_null(null_differences(points, mesh.nodes)))
+    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
+    return _stack(_vector_kernel_blocks(mesh, G, np.ones(G.shape[:2])))
+
+
+def _pair_blocks(mesh: BoundaryMesh, W: np.ndarray) -> np.ndarray:
+    """_kernel_blocks at the nodes themselves times weights W (N, N) that vanish on the diagonal."""
+    if mesh.n == 2:
+        return _planar_blocks(mesh, _null_pairs(mesh)) * W
+    return _stack(_vector_kernel_blocks(mesh, _pair_kernel(mesh), W))
 
 
 @per_mesh
@@ -363,16 +424,19 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     diagonal absorbs the quadrature's principal-value defect through
     diag_i = I/2 - sum_{j != i} block_ij, which makes C(const) = const/2
     exact for every constant multivector.  All of it is done on the
-    spinor blocks of the even kernel G n.  Raises ValidationFailedError
-    on a mesh that fails validate_domain_manifold.
+    spinor blocks of the even kernel G n, which for n = 2 are planar Cauchy
+    kernels (_kernel_blocks).  Raises ValidationFailedError on a mesh that
+    fails validate_domain_manifold.
     """
     _validated(mesh)
-    blocks = _vector_kernel_blocks(mesh, _pair_kernel(mesh), _quad_weights(mesh))
-    idx = np.arange(mesh.size)
+    sp, N = algebra(mesh.n).spinor, mesh.size
+    matrix = _pair_blocks(mesh, _quad_weights(mesh))
+    blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
+    idx = np.arange(N)
     blocks[:, idx, :, idx, :] = 0.0
     rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
-    blocks[:, idx, :, idx, :] = 0.5 * np.eye(blocks.shape[2]) - rowsum
-    return BlockOperator(mesh, _stack(blocks), "C")
+    blocks[:, idx, :, idx, :] = 0.5 * np.eye(sp.size) - rowsum
+    return BlockOperator(mesh, matrix, "C")
 
 
 def _cancelled_kernel_coeffs(alg, G, n_row, n_col) -> np.ndarray:
@@ -449,17 +513,27 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     <f, g> = integral bar(f) g dsigma, which is the reading under which the
     singularities cancel (and A vanishes identically on the circle).  The
     diagonal is the Richardson extrapolation of the cancelled kernel from
-    the two nearest neighbor rings.  The kernel is scalar plus bivector, so
-    it is stored as its spinor blocks.  Raises ValidationFailedError on a
-    mesh that fails validate_domain_manifold.
+    the two nearest neighbor rings, block by block.  The kernel is scalar
+    plus bivector, so it is stored as its spinor blocks; for n = 2 they are
+    built from the null pair differences of C.  Raises ValidationFailedError
+    on a mesh that fails validate_domain_manifold.
     """
     _validated(mesh)
+    idx = np.arange(mesh.size)
+    if mesh.n == 2:
+        # block rho of G n_j + n_i G: -(zeta_rho(n_j) - zeta_rho(n_i)) / zeta_rho(u)
+        # - 2 u.n_i / (zeta eta), u = w_i - z_j, with 2 u.v = zeta(u) eta(v) + eta(u) zeta(v)
+        dz = _null_pairs(mesh)
+        zn = null_coordinates(mesh.normals).T
+        dot2 = dz[0] * zn[1][:, None] + dz[1] * zn[0][:, None]
+        K = (zn[:, :, None] - zn[:, None, :]) / dz - dot2 / (dz[0] * dz[1])
+        K[:, idx, idx] = _richardson_diagonal(mesh, K.transpose(1, 2, 0)).T
+        return BlockOperator(mesh, K * (mesh.sigma / omega(2)), "A")
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
     n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
     n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
     K = _cancelled_kernel_coeffs(alg, G, n_row, n_col)
-    idx = np.arange(mesh.size)
     K[idx, idx] = _richardson_diagonal(mesh, K)
     # smooth kernel: plain trapezoid everywhere
     blocks = alg.spinor.reduce(K * mesh.sigma[None, :, None]).transpose(2, 0, 3, 1, 4)
@@ -517,26 +591,22 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
 # -- off-boundary transforms -------------------------------------------------------
 
 
-def _transform_weights(mesh: BoundaryMesh, values: np.ndarray) -> np.ndarray:
-    """(n, d, N) array P with sum_jl G_l(u - z_j) P[l, :, j] = sum_j G(u - z_j) n_j f_j sigma_j."""
-    alg = algebra(mesh.n)
-    nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), values)
-    return np.einsum("lab,jb->laj", alg.generator_left, nf * mesh.sigma[:, None])
-
-
-def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, vectorized."""
-    alg = algebra(mesh.n)
-    points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    pre = _transform_weights(mesh, values)
-    out = np.empty((points.shape[0], alg.dim), dtype=complex)
+def _transform_columns(mesh: BoundaryMesh, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """_kernel_blocks(mesh, points) @ columns in row chunks: (blocks, N s, k) -> (blocks, M s, k)."""
+    s = algebra(mesh.n).spinor.size
+    out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
     chunk = max(1, int(4e6 / mesh.size))
     for s0 in range(0, points.shape[0], chunk):
         rows = slice(s0, min(s0 + chunk, points.shape[0]))
-        diffs = points[rows, None, :] - mesh.nodes[None, :, :]
-        G = cauchy_kernel(diffs)
-        out[rows] = np.einsum("mjl,laj->ma", G, pre)
-    return out / omega(mesh.n)
+        out[:, rows.start * s : rows.stop * s] = _kernel_blocks(mesh, points[rows]) @ columns
+    return out
+
+
+def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, as spinor-block products."""
+    points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
+    columns = _to_spinor(values * mesh.sigma[:, None], mesh)
+    return _from_spinor(_transform_columns(mesh, points, columns), mesh)
 
 
 def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> Multivector:

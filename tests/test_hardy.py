@@ -221,20 +221,28 @@ class TestVerifyIdentities:
         assert sizes == [128, 128, 256]
 
     def test_pair_kernel_built_once(self, monkeypatch):
-        # C and A share one pair kernel: one kernel call on an (N, N, n) array
+        # C and A share one array of null pair differences (2, N, N), and no
+        # Cartesian (N, N, 2) kernel is evaluated
         import plemelj.operators as operators_mod
         from plemelj.mesh import make_deformed_curve
 
-        shapes = []
-        kernel = operators_mod.cauchy_kernel
+        kernel_shapes, null_shapes = [], []
+        kernel, differences = operators_mod.cauchy_kernel, operators_mod.null_differences
 
-        def counting(z):
-            shapes.append(np.shape(z))
+        def counting_kernel(z):
+            kernel_shapes.append(np.shape(z))
             return kernel(z)
 
-        monkeypatch.setattr(operators_mod, "cauchy_kernel", counting)
+        def counting_differences(p, z):
+            out = differences(p, z)
+            null_shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(operators_mod, "cauchy_kernel", counting_kernel)
+        monkeypatch.setattr(operators_mod, "null_differences", counting_differences)
         verify_identities(make_deformed_curve(128, 0.05, 2), refine=False)
-        assert shapes.count((128, 128, 2)) == 1
+        assert null_shapes == [(2, 128, 128)]
+        assert (128, 128, 2) not in kernel_shapes
 
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)

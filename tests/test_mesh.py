@@ -6,6 +6,7 @@ from plemelj.mesh import (
     NoValidConeError,
     Region,
     ValidationFailedError,
+    ValidationReport,
     approach_path,
     barrier_clearance,
     barrier_clearance_floor,
@@ -119,6 +120,43 @@ class TestValidation:
         assert not rep.passed
         assert rep.witness is not None
         assert 4 in rep.witness or 5 in rep.witness
+
+    def test_blocked_pair_check_matches_one_shot(self):
+        # N = 1024 walks four row blocks; the failing mesh plants a null pair
+        # across the boundary of the third and fourth, so the witness must be
+        # the first minimum in row-major order
+        import dataclasses
+
+        def one_shot(mesh, margin=0.1):
+            z = mesh.nodes
+            D = z[:, None, :] - z[None, :, :]
+            sq = np.abs(-np.sum(D * D, axis=-1))
+            r2 = np.sum(np.abs(D) ** 2, axis=-1)
+            np.fill_diagonal(sq, np.inf)
+            np.fill_diagonal(r2, 1.0)
+            ratios = sq / r2
+            imin = np.unravel_index(np.argmin(ratios), ratios.shape)
+            pair_margin = float(ratios[imin])
+            if pair_margin <= margin:
+                return ValidationReport(
+                    False,
+                    f"node pair violates the null-cone separation (ratio {pair_margin:.3g} <= {margin})",
+                    (int(imin[0]), int(imin[1])),
+                    pair_margin,
+                    float("nan"),
+                )
+            edges = mesh.edge_list()
+            t = z[edges[:, 1]] - z[edges[:, 0]]
+            tratios = np.abs(-np.sum(t * t, axis=-1)) / np.sum(np.abs(t) ** 2, axis=-1)
+            return ValidationReport(True, "ok", None, pair_margin, float(tratios.min()))
+
+        good = make_deformed_curve(1024, 0.05, 2)
+        nodes = good.nodes.copy()
+        nodes[768] = nodes[767] + 0.7 * np.array([1.0, 1j])
+        bad = dataclasses.replace(good, nodes=nodes, cache={})
+        for mesh in (good, bad):
+            assert repr(validate_domain_manifold(mesh)) == repr(one_shot(mesh))
+        assert validate_domain_manifold(bad).witness == (767, 768)
 
     def test_flat_patch_tangent_margin_one(self):
         rep = validate_domain_manifold(make_flat_patch(64))

@@ -118,6 +118,50 @@ class TestSpinorStorage:
         assert gap <= 1e-15
 
 
+class TestPlanarKernelBlocks:
+    @pytest.mark.parametrize("name", ["circle128", "deformed128"])
+    def test_blocks_pair_zeta_and_eta_with_the_spinor_frame(self, name, request):
+        # block rho of G n from the frame's own tables, against the planar
+        # kernels of _kernel_blocks: zeta with block 0, eta with block 1
+        from plemelj.operators import _kernel_blocks
+
+        mesh = request.getfixturevalue(name)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-2.0, 2.0, (40, 2)) + 1j * rng.normal(scale=0.3, size=(40, 2))
+        G = cauchy_kernel(pts[:, None, :] - mesh.nodes[None, :, :])
+        pairs = algebra(2).spinor.vector_pairs[..., 0, 0]  # B_rho(e_l e_k)
+        want = np.einsum("mjl,jk,lkr->rmj", G, mesh.normals, pairs) / omega(2)
+        got = _kernel_blocks(mesh, pts)
+        assert got.shape == (2, 40, mesh.size)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["circle128", "deformed128"])
+    def test_null_pairs_raise_where_cauchy_kernel_does(self, name, request):
+        # p - z_5 = t (1, i) + delta (1, -i) has square -4 t delta: planted on
+        # the null cone (delta = 0), inside the tolerance, and just off it
+        from plemelj.algebra import NullVectorError, null_tolerance
+        from plemelj.operators import _kernel_blocks
+
+        def raises(fn):
+            try:
+                fn()
+            except NullVectorError:
+                return True
+            return False
+
+        mesh = request.getfixturevalue(name)
+        t = 0.3
+        tol = null_tolerance(t * np.array([1.0, 1j]))
+        probes = [(mesh.nodes[5], True)]
+        for k, on_cone in ((0.0, True), (0.5, True), (2.0, False), (10.0, False)):
+            delta = k * tol / (4 * t)
+            probes.append((mesh.nodes[5] + t * np.array([1.0, 1j]) + delta * np.array([1.0, -1j]), on_cone))
+        for p, on_cone in probes:
+            kernel = raises(lambda: cauchy_kernel(p - mesh.nodes))
+            blocks = raises(lambda: _kernel_blocks(mesh, p[None, :]))
+            assert kernel == blocks == on_cone, (p, kernel, blocks)
+
+
 def test_omega_values():
     assert abs(omega(2) - 2 * np.pi) < 1e-14
     assert abs(omega(3) - 4 * np.pi) < 1e-14
