@@ -388,8 +388,13 @@ def null_coordinates(z: np.ndarray) -> np.ndarray:
 
 def null_differences(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """zeta_rho(p_m - z_j) of (M, 2) points p and (N, 2) points z, plane first: (2, M, N)."""
-    cp, cz = null_coordinates(p).T, null_coordinates(z).T
-    return cp[:, :, None] - cz[:, None, :]
+    cp, cz = (np.ascontiguousarray(null_coordinates(x).T) for x in (p, z))
+    # planes subtracted one at a time from contiguous operands into the
+    # (M, N, 2) memory order that downstream sums and products round by
+    out = np.empty((cp.shape[1], cz.shape[1], 2), dtype=complex)
+    for k in range(2):
+        np.subtract(cp[k][:, None], cz[k][None, :], out=out[:, :, k])
+    return np.moveaxis(out, -1, 0)
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

@@ -189,7 +189,16 @@ def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     measure comes from the bilinear line element of the parametrization and
     the complex normal is the bilinear-orthogonal rotation of the tangent.
     Raises ValidationFailedError when the deformation meets the null cones.
+    The meshes of its builder (refinement, barrier_nodes) are not validated
+    here; every assembler validates the mesh it is given.
     """
+    mesh = _deformed_curve(N, eps, k)
+    _validated(mesh)
+    return mesh
+
+
+def _deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
+    """make_deformed_curve without the validation."""
     if N < 8:
         raise ValueError("need at least 8 nodes on the curve")
     if N % 2:
@@ -206,7 +215,7 @@ def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     sigma = mu * (2 * np.pi / N)
     normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / mu[:, None]
     gaps = np.abs(np.diff(nodes, axis=0, append=nodes[:1]))
-    mesh = BoundaryMesh(
+    return BoundaryMesh(
         n=2,
         nodes=nodes,
         normals=normals,
@@ -216,10 +225,8 @@ def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
         exterior_seed=np.array([3.0, 0.0], dtype=complex),
         h=float(np.max(np.sqrt(np.sum(gaps**2, axis=1)))),
         theta=theta,
-        builder=lambda m: make_deformed_curve(m, eps, k),
+        builder=lambda m: _deformed_curve(m, eps, k),
     )
-    _validated(mesh)
-    return mesh
 
 
 def make_flat_patch(N: int) -> BoundaryMesh:
@@ -410,7 +417,10 @@ def _validated(mesh: BoundaryMesh) -> ValidationReport:
 
 def _winding_numbers(d: np.ndarray) -> np.ndarray:
     """Winding numbers about 0 of the closed polygons given by the rows of d (P, N)."""
-    turn = np.sum(np.angle(np.roll(d, -1, axis=1) / d), axis=1)
+    ratio = np.empty_like(d)  # np.roll(d, -1, axis=1) / d, without the rolled copy
+    np.divide(d[:, 1:], d[:, :-1], out=ratio[:, :-1])
+    np.divide(d[:, :1], d[:, -1:], out=ratio[:, -1:])
+    turn = np.sum(np.angle(ratio), axis=1)
     return np.rint(turn / (2 * np.pi)).astype(int)
 
 
@@ -434,29 +444,37 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
 
 
 def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
-    """region_membership_many of (P, n) points whose barrier_clearance is known."""
+    """region_membership_many of (P, n) points whose barrier_clearance is known.
+
+    The null-cone test and the nearest-node side are taken only for the
+    points below barrier_clearance_floor: a point at the floor has
+    |square(p - z_j)| >= floor |p - z_j| s_j over the fine nodes, which
+    include the mesh nodes, so it is near no node's null cone.  (The test's
+    tolerance 1e-12 (1 + |p - z|^2) would call points some 1e12 away along
+    a null direction near; they are classified by index.)
+    """
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
     resolved = clearance >= barrier_clearance_floor(mesh)
-    low = ~resolved  # points the index cannot resolve: nearest-normal side
+    low = np.flatnonzero(~resolved)  # points the index cannot resolve: nearest-normal side
     seed = mesh.interior_seed[None, :]
     if mesh.n == 2:
         # one pair of null difference arrays: square(u) = -zeta eta,
         # |u|^2 = (|zeta|^2 + |eta|^2) / 2, and twice the R^4 inner product
         # <u, n> is Re(zeta(u) conj(zeta(n)) + eta(u) conj(eta(n)))
         d = null_differences(np.concatenate([points, seed]), mesh.nodes)  # seed last
-        index_rows = np.append(np.flatnonzero(resolved), points.shape[0])
-        zeta, eta = (_winding_numbers(dk[index_rows]) != 0 for dk in d)
-        d = d[:, :-1]
+        index = d if low.size == 0 else d[:, np.append(resolved, True)]
+        zeta, eta = (_winding_numbers(dk) != 0 for dk in index)
+        d = d[:, low]
         sq = np.abs(d[0] * d[1])
         dist2 = 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
-        u, normals = np.moveaxis(d[:, low], 0, -1), null_coordinates(mesh.normals)
+        u, normals = np.moveaxis(d, 0, -1), null_coordinates(mesh.normals)
         regs = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
     else:
-        u = points[:, None, :] - mesh.nodes[None, :, :]
+        u = points[low, None, :] - mesh.nodes[None, :, :]
         sq = np.abs(vector_square(u))
         dist2 = np.sum(np.abs(u) ** 2, axis=-1)
-        u, normals = u[low], mesh.normals
+        normals = mesh.normals
         # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
         probe = np.concatenate([points[resolved], seed])
         G = cauchy_kernel(probe[:, None, :] - mesh.nodes[None, :, :])
@@ -465,12 +483,11 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
     if regs[-1] is not Region.INTERIOR:
         raise ValueError("the boundary does not enclose its interior seed")
     near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
+    jmin = np.argmin(dist2, axis=1)
+    side = np.real(np.sum(u[np.arange(jmin.size), jmin] * np.conj(normals[jmin]), axis=1))
     out = np.empty(points.shape[0], dtype=object)
     out[resolved] = regs[:-1]
-    jmin = np.argmin(dist2[low], axis=1)
-    side = np.real(np.sum(u[np.arange(jmin.size), jmin] * np.conj(normals[jmin]), axis=1))
-    out[low] = np.where(side > 0, Region.EXTERIOR, Region.INTERIOR)
-    out[near] = Region.NEAR_BOUNDARY
+    out[low] = np.where(near, Region.NEAR_BOUNDARY, np.where(side > 0, Region.EXTERIOR, Region.INTERIOR))
     return out
 
 
@@ -490,12 +507,13 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     reliably.  Exact for real-direction offsets, conservative within a
     factor two for transversal complex approaches.
 
-    The points are cleared in blocks of (1 << 18) // (fine nodes) rows, and
-    a point's last bits depend on its block: a one-row matmul takes another
-    BLAS path than a multi-row one.  A point at the floor can therefore be
-    resolved in one block and unresolved in another.  cone_parameters stops
-    at the first unresolved block, and it walks these same blocks, so its
-    accept and reject decisions are those of the full call.
+    The points are cleared in row blocks: the first has an eighth of the
+    cache-sized block of (1 << 18) // (fine nodes) rows, and each next one
+    doubles up to it.  A point's last bits depend on its block (BLAS takes
+    other paths for other row counts), so a point at the floor can be
+    resolved in one block and unresolved in another.  cone_parameters walks
+    these same blocks and stops at the first unresolved one, so its accept
+    and reject decisions are those of the full call.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     out = np.empty(points.shape[0])
@@ -505,34 +523,34 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
 
 
 def _clearance_blocks(points: np.ndarray, mesh: BoundaryMesh):
-    """Yield (rows, barrier_clearance of points[rows]) per cache-sized block of (P, n) points."""
+    """Yield (rows, barrier_clearance of points[rows]) per row block of (P, n) points, in order."""
     fine = mesh.barrier_nodes()
-    gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
+    F, P = fine.shape[0], points.shape[0]
     if mesh.curve_order:
-        speed = gaps * (fine.shape[0] / (2 * np.pi))
+        gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
+        speed2 = (gaps * (F / (2 * np.pi))) ** 2
     else:
-        speed = np.ones(fine.shape[0])
-    f_bil = np.sum(fine * fine, axis=1)
-    f_her = np.sum(np.abs(fine) ** 2, axis=1)
-    chunk = max(1, (1 << 18) // fine.shape[0])  # rows that keep each block cache-sized
-    for s0 in range(0, points.shape[0], chunk):
-        rows = slice(s0, min(s0 + chunk, points.shape[0]))
-        p = points[rows]
-        p_bil = np.sum(p * p, axis=1)
-        p_her = np.sum(np.abs(p) ** 2, axis=1)
-        # square(p - z) = -(p.p) + 2 p.z - (z.z) and |p - z|^2, in place
-        sq = p @ fine.T
-        sq *= 2.0
-        sq -= p_bil[:, None]
-        sq -= f_bil[None, :]
-        dist = np.real(p @ np.conj(fine.T)) * -2.0
-        dist += p_her[:, None]
-        dist += f_her[None, :]
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        dist *= speed[None, :]
-        dist += 1e-300
-        yield rows, np.min(np.abs(sq) / dist, axis=1)
+        speed2 = np.ones(F)
+    # square(p - z) = 2 p.z - p.p - z.z as one complex GEMM and
+    # |p - z|^2 s^2 = (|p|^2 - 2 Re(p.conj z) + |z|^2) s^2 as one real GEMM
+    one_f, one_p = np.ones((F, 1)), np.ones((P, 1))
+    z_sq = np.hstack([2 * fine, -one_f, -np.sum(fine * fine, axis=1)[:, None]]).T
+    z_d2 = np.hstack([-2 * fine.real, -2 * fine.imag, one_f, np.sum(np.abs(fine) ** 2, axis=1)[:, None]])
+    z_d2 = (z_d2 * speed2[:, None]).T
+    p_sq = np.hstack([points, np.sum(points * points, axis=1)[:, None], one_p])
+    p_d2 = np.hstack([points.real, points.imag, np.sum(np.abs(points) ** 2, axis=1)[:, None], one_p])
+    chunk = max(1, (1 << 18) // F)  # rows that keep a block cache-sized
+    s0, size = 0, max(1, chunk // 8)
+    while s0 < P:
+        rows = slice(s0, min(s0 + size, P))
+        # |square(p - z)|^2 / (|p - z|^2 s^2), and one square root per row
+        ratio = np.abs(p_sq[rows] @ z_sq)
+        ratio *= ratio
+        d2 = p_d2[rows] @ z_d2
+        np.maximum(d2, 1e-300, out=d2)  # rounding can leave a point on a fine node at d2 <= 0
+        ratio /= d2
+        yield rows, np.sqrt(ratio.min(axis=1))
+        s0, size = rows.stop, min(2 * size, chunk)
 
 
 def barrier_clearance_floor(mesh: BoundaryMesh) -> float:
@@ -581,8 +599,22 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     Radii follow the rho = r * u^(1/(2n)) law (uniform for the R^{2n}
     volume element, and bounded away from the apex for moderate counts);
     directions spread over the alpha-cone around the inward axis.  With an
-    array of nodes i the samples come node by node, count rows each; every
-    node shares one draw of the Halton sequence.
+    array of nodes i the samples come node by node, count rows each.  Every
+    (alpha, r) only rescales the mesh's one _cone_frame.
+    """
+    axis, perp, radial, angular = _cone_frame(mesh, count, seed)
+    rho, phi = r * radial, alpha * angular
+    dirs = np.cos(phi)[:, None] * axis[i] + np.sin(phi)[:, None] * perp[i]
+    return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
+
+
+@per_mesh
+def _cone_frame(mesh: BoundaryMesh, count: int, seed: int):
+    """What the cone samples of every (alpha, r) share, read-only, from one Halton draw.
+
+    The inward unit axes (N, 1, n), unit directions orthogonal to them
+    (N, count, n), and per sample u^(1/(2n)) and v^(1/2) of the draw's
+    first two coordinates, which r and alpha scale.
     """
     from scipy.stats import qmc
 
@@ -590,9 +622,7 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     sampler = qmc.Halton(d=n2 + 1, scramble=False, seed=seed)
     sampler.fast_forward(1)  # skip the degenerate all-zero first point
     raw = sampler.random(count)
-    axis = _interior_axis(mesh, i)[..., None, :]
-    rho = r * raw[:, 0] ** (1.0 / n2)
-    phi = alpha * raw[:, 1] ** 0.5
+    axis = _interior_axis(mesh, np.arange(mesh.size))[:, None, :]
     # direction orthogonal to the axis in R^{2n}, from the remaining coords
     g = raw[:, 2:] - 0.5
     perp_r = g[:, : mesh.n]
@@ -608,18 +638,23 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     norms = np.sqrt(np.sum(np.abs(perp) ** 2, axis=-1))
     norms[norms == 0] = 1.0
     perp = perp / norms[..., None]
-    dirs = np.cos(phi)[:, None] * axis + np.sin(phi)[:, None] * perp
-    return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
+    frame = axis, perp, raw[:, 0] ** (1.0 / n2), raw[:, 1] ** 0.5
+    for a in frame:
+        a.setflags(write=False)
+    return frame
 
 
 @per_mesh
 def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
     """Every node's cone samples and their barrier_clearance, or None if some sample is unresolved.
 
-    The clearance is walked block by block (barrier_clearance's blocks), and
-    the walk stops at the first block with a sample below
-    barrier_clearance_floor.  So cone_parameters clears each schedule entry
-    at most once, and bound_diagnostics finds the accepted entry's set kept.
+    The clearance is walked in barrier_clearance's blocks, so the kept
+    values are those of the full call, and the walk stops at the first block
+    with a sample below barrier_clearance_floor.  The first blocks are
+    small, so an entry with a sample at an early node is rejected after a
+    few dozen rows.  cone_parameters clears each schedule entry at most
+    once, every entry rescales the mesh's one _cone_frame, and
+    bound_diagnostics finds the accepted entry's set kept.
     """
     pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
     tau = barrier_clearance_floor(mesh)

@@ -159,14 +159,21 @@ class TestBoundDiagnostics:
                 assert _relative_gap(got[k], per_function(mesh, f, radii)) <= 1e-13
 
     def test_accepted_cone_samples_cleared_once(self, monkeypatch):
-        # 8 schedule entries rejected at their first or second block of 512
-        # rows, and the accepted entry's 4096 samples cleared once for both
-        # cone_parameters and the nontangential pass
+        # 8 schedule entries rejected, 7 at their first block of 64 rows and
+        # one at its fourth, and the accepted entry's 4096 samples cleared
+        # once for both cone_parameters and the nontangential pass; every
+        # entry rescales one draw of the Halton sequence
+        from scipy.stats import qmc
+
         import plemelj.mesh as mesh_mod
         from plemelj.mesh import make_circle
 
-        calls = []
-        blocks = mesh_mod._clearance_blocks
+        calls, draws = [], []
+        blocks, halton = mesh_mod._clearance_blocks, qmc.Halton
+
+        def counting(*args, **kwargs):
+            draws.append(kwargs)
+            return halton(*args, **kwargs)
 
         def spy(points, mesh):
             calls.append([])
@@ -175,9 +182,11 @@ class TestBoundDiagnostics:
                 yield rows, clearance
 
         monkeypatch.setattr(mesh_mod, "_clearance_blocks", spy)
+        monkeypatch.setattr(qmc, "Halton", counting)
         bound_diagnostics(make_circle(64), family_size=2)
-        assert sum(map(sum, calls)) == 8704
-        assert sorted(len(c) for c in calls) == [1] * 7 + [2, 8]
+        assert len(draws) == 1
+        assert sum(map(sum, calls)) == 5504
+        assert sorted(len(c) for c in calls) == [1] * 7 + [4, 11]
         assert [sum(c) for c in calls].count(64 * 64) == 1
 
     def test_constant_diagnostics(self, circle64):

@@ -331,6 +331,58 @@ class TestCones:
         assert barrier_clearance(pts, circle128).min() >= barrier_clearance_floor(circle128)
 
 
+def _clearance_reference(points, mesh):
+    """barrier_clearance from the differences p - z_j themselves, one (P, F, n) array."""
+    from plemelj.algebra import vector_square
+
+    fine = mesh.barrier_nodes()
+    speed = np.ones(fine.shape[0])
+    if mesh.curve_order:
+        gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
+        speed = gaps * (fine.shape[0] / (2 * np.pi))
+    D = points[:, None, :] - fine[None, :, :]
+    dist = np.sqrt(np.sum(np.abs(D) ** 2, axis=-1))
+    return np.min(np.abs(vector_square(D)) / (dist * speed), axis=1)
+
+
+class TestBarrierClearance:
+    @pytest.mark.parametrize("fixture", ["circle64", "deformed128", "sphere42"])
+    def test_matches_explicit_differences(self, fixture, request):
+        # the expanded square loses relative accuracy as p nears a fine node,
+        # so the bound holds from an eighth of the floor up, where cone
+        # entries are accepted or rejected
+        from plemelj.mesh import _cone_samples
+
+        m = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(8)
+        pts = _cone_samples(m, np.arange(m.size), np.pi / 6, 0.5 * m.half_diameter(), 8, 7)
+        pts = np.concatenate([pts, rng.uniform(-2.0, 2.0, (300, m.n))])
+        if m.n == 2:  # complex points too
+            pts = np.concatenate([pts, pts + 0.3j * rng.normal(size=pts.shape)])
+        want = _clearance_reference(pts, m)
+        keep = want >= barrier_clearance_floor(m) / 8
+        assert keep.sum() > pts.shape[0] // 2
+        got = barrier_clearance(pts, m)
+        assert np.max(np.abs(got[keep] - want[keep]) / want[keep]) <= 1e-12
+
+    def test_fine_mesh_not_validated(self, monkeypatch):
+        # only the mesh itself is validated, not the 8N barrier nodes
+        import plemelj.mesh as mesh_mod
+
+        sizes = []
+        validate = mesh_mod.validate_domain_manifold
+
+        def counting(mesh, margin=0.1):
+            sizes.append(mesh.size)
+            return validate(mesh, margin)
+
+        monkeypatch.setattr(mesh_mod, "validate_domain_manifold", counting)
+        mesh = make_deformed_curve(128, 0.05, 2)
+        cone_parameters(mesh)
+        assert mesh.barrier_nodes().shape[0] == 1024
+        assert sizes == [128]
+
+
 def _schedule_oracle(mesh, samples_per_cone=64, seed=7):
     """cone_parameters' schedule walked with full barrier_clearance and region_membership_many calls.
 
@@ -386,14 +438,20 @@ class TestConeSchedule:
         want_tried, cleared, want = _schedule_oracle(mesh)
         assert tried == want_tried
         assert got == want
-        # the blocks cover the rows in order and hold the full call's values
+        # the blocks cover the rows in order, an eighth, a quarter and a half
+        # of the cache-sized block first, and hold the full call's values
         chunk = (1 << 18) // mesh.barrier_nodes().shape[0]
         for pts, clearance in cleared:
             rows, blocks = zip(*mesh_mod._clearance_blocks(pts, mesh))
-            assert [(b.start, b.stop) for b in rows] == [
-                (s0, min(s0 + chunk, pts.shape[0])) for s0 in range(0, pts.shape[0], chunk)
-            ]
+            sizes = [chunk // 8, chunk // 4, chunk // 2] + [chunk] * len(rows)
+            stops = np.minimum(np.cumsum(sizes[: len(rows)]), pts.shape[0])
+            assert [(b.start, b.stop) for b in rows] == list(zip([0, *stops[:-1]], stops))
+            assert stops[-1] == pts.shape[0]
             assert np.array_equal(np.concatenate(blocks), clearance)
+        # the walk keeps the accepted entry's clearance as the full call gives it
+        if want is not None:
+            pts, clearance = mesh_mod._cone_sample_set(mesh, *want, 64, 7)
+            assert np.array_equal(clearance, barrier_clearance(pts, mesh))
 
 
 class TestApproachPath:
