@@ -29,6 +29,7 @@ __all__ = [
     "is_null",
     "null_coordinates",
     "null_differences",
+    "null_magnitudes",
     "null_tolerance",
     "vector_inverse",
     "vector_square",
@@ -395,6 +396,11 @@ def null_differences(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     for k in range(2):
         np.subtract(cp[k][:, None], cz[k][None, :], out=out[:, :, k])
     return np.moveaxis(out, -1, 0)
+
+
+def null_magnitudes(d: np.ndarray):
+    """|square(u)| and |u|^2 of n = 2 vectors u given by their null coordinates d = (zeta(u), eta(u)), plane first."""
+    return np.abs(d[0] * d[1]), 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

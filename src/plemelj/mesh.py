@@ -30,6 +30,7 @@ from .algebra import (
     cauchy_kernel,
     null_coordinates,
     null_differences,
+    null_magnitudes,
     vector_square,
 )
 
@@ -357,9 +358,12 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     with |.| the Euclidean norm of C^n identified with R^{2n}.  Real
     submanifolds achieve margin 1 exactly.
 
+    For n = 2 both sides come from the null coordinates: |square(u)| =
+    |zeta eta| and |u|^2 = (|zeta|^2 + |eta|^2) / 2 (algebra.null_magnitudes).
+
     The pairs are checked in row blocks of about 1 << 18 pairs, so the memory
-    stays bounded on the 8N fine meshes of barrier_nodes; the witness is the
-    first minimal pair in row-major order, as for one (N, N) array.
+    stays bounded on large meshes; the witness is the first minimal pair in
+    row-major order, as for one (N, N) array.
     """
     z = mesh.nodes
     N = z.shape[0]
@@ -367,9 +371,12 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     firsts = []  # (ratio, i, j) of the first minimum of each row block
     for s0 in range(0, N, chunk):
         rows = np.arange(s0, min(s0 + chunk, N))
-        D = z[rows, None, :] - z[None, :, :]
-        sq = np.abs(vector_square(D))
-        r2 = np.sum(np.abs(D) ** 2, axis=-1)
+        if mesh.n == 2:
+            sq, r2 = null_magnitudes(null_differences(z[rows], z))
+        else:
+            D = z[rows, None, :] - z[None, :, :]
+            sq = np.abs(vector_square(D))
+            r2 = np.sum(np.abs(D) ** 2, axis=-1)
         sq[rows - s0, rows] = np.inf
         r2[rows - s0, rows] = 1.0
         ratios = sq / r2
@@ -387,8 +394,11 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
 
     edges = mesh.edge_list()
     t = z[edges[:, 1]] - z[edges[:, 0]]
-    tsq = np.abs(vector_square(t))
-    tr2 = np.sum(np.abs(t) ** 2, axis=-1)
+    if mesh.n == 2:
+        tsq, tr2 = null_magnitudes(null_coordinates(t).T)
+    else:
+        tsq = np.abs(vector_square(t))
+        tr2 = np.sum(np.abs(t) ** 2, axis=-1)
     tratios = tsq / tr2
     jmin = int(np.argmin(tratios))
     tangent_margin = float(tratios[jmin])
@@ -466,8 +476,7 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
         index = d if low.size == 0 else d[:, np.append(resolved, True)]
         zeta, eta = (_winding_numbers(dk) != 0 for dk in index)
         d = d[:, low]
-        sq = np.abs(d[0] * d[1])
-        dist2 = 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
+        sq, dist2 = null_magnitudes(d)
         u, normals = np.moveaxis(d, 0, -1), null_coordinates(mesh.normals)
         regs = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
     else:

@@ -10,11 +10,16 @@ matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 For n = 2 the blocks are assembled directly.  With the null coordinates
 zeta = z1 + i z2 and eta = z1 - i z2, square(z) = -zeta eta, and block rho
 of G(w - z) n(z) is the planar Cauchy kernel -zeta_rho(n) / (2 pi
-zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta, zeta_1 = eta).  So
-C, A and the off-boundary transforms come from arrays of null differences
-and are applied as matrix products (_kernel_blocks).  The Clifford kernel
-G = cauchy_kernel serves n = 3, generic_kernel_operator and the subtracted
-near-boundary transform.
+zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta, zeta_1 = eta).  The
+off-boundary transforms come from arrays of null differences and are
+applied as matrix products (_kernel_blocks).  Between the nodes themselves
+one per-mesh array holds the reciprocals R_rho = 1 / zeta_rho(z_i - z_j)
+(_null_pairs), and C and A are built from it by multiplications only:
+block rho of C is R_rho (-zeta_rho(n_j) w_ij / 2 pi), and block rho of the
+cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho - zeta_rhobar(n_i)
+R_rhobar (rhobar = 1 - rho), since left multiplication by a vector swaps
+the null planes.  The Clifford kernel G = cauchy_kernel serves n = 3,
+generic_kernel_operator and the subtracted near-boundary transform.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -43,6 +48,7 @@ from .algebra import (
     is_null,
     null_coordinates,
     null_differences,
+    null_magnitudes,
 )
 from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership
 
@@ -321,9 +327,15 @@ def smooth_family(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
 
 
 def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
-    """Spectral norm ||W X||_2 of coefficient columns X; the largest over a stack of blocks."""
+    """Spectral norm ||W X||_2 of coefficient columns X; the largest over a stack of blocks.
+
+    It is the square root of the largest eigenvalue of the k x k Gram
+    matrix (W X)^H (W X); no SVD of the tall block is taken.
+    """
     w = _node_weights(mesh, columns.shape[-2] // mesh.size)
-    return float(np.max(np.linalg.norm(w[:, None] * columns, 2, axis=(-2, -1))))
+    B = w[:, None] * columns
+    gram = np.swapaxes(B, -2, -1).conj() @ B
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram).max())))
 
 
 def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
@@ -374,24 +386,25 @@ def _stack(blocks: np.ndarray) -> np.ndarray:
 
 def _off_null(dz: np.ndarray) -> np.ndarray:
     """Null differences (2, M, N), checked as cauchy_kernel checks square(u) = -zeta eta."""
-    r2 = 0.5 * (np.abs(dz[0]) ** 2 + np.abs(dz[1]) ** 2)  # |u|^2
-    if np.any(np.abs(dz[0] * dz[1]) <= 1e-12 * (1.0 + r2)):
+    sq, r2 = null_magnitudes(dz)
+    if np.any(sq <= 1e-12 * (1.0 + r2)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
     return dz
 
 
 @per_mesh
 def _null_pairs(mesh: BoundaryMesh) -> np.ndarray:
-    """zeta_rho(z_i - z_j) of all node pairs (n = 2) as (2, N, N), 1 on the diagonal."""
+    """Reciprocals 1 / zeta_rho(z_i - z_j) of all node pairs (n = 2) as (2, N, N), 0 on the diagonal.
+
+    The differences are checked against the null cones first (_off_null).
+    They are antisymmetric, and so are their reciprocals, bit for bit.
+    """
     dz = null_differences(mesh.nodes, mesh.nodes)
     idx = np.arange(mesh.size)
-    dz[:, idx, idx] = 1.0  # placeholder off the null cones; diagonals are set later
-    return _off_null(dz)
-
-
-def _planar_blocks(mesh: BoundaryMesh, dz: np.ndarray) -> np.ndarray:
-    """Blocks -zeta_rho(n_j) / (omega zeta_rho(p_m - z_j)) (n = 2) from null differences (2, M, N)."""
-    return null_coordinates(mesh.normals).T[:, None, :] / (-omega(2) * dz)
+    dz[:, idx, idx] = 1.0  # placeholder off the null cones
+    R = np.reciprocal(_off_null(dz), out=np.empty(dz.shape, dtype=complex))  # C order, unlike dz
+    R[:, idx, idx] = 0.0
+    return R
 
 
 def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
@@ -404,15 +417,22 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
     does.
     """
     if mesh.n == 2:
-        return _planar_blocks(mesh, _off_null(null_differences(points, mesh.nodes)))
+        dz = _off_null(null_differences(points, mesh.nodes))
+        return null_coordinates(mesh.normals).T[:, None, :] / (-omega(2) * dz)
     G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
     return _stack(_vector_kernel_blocks(mesh, G, np.ones(G.shape[:2])))
 
 
 def _pair_blocks(mesh: BoundaryMesh, W: np.ndarray) -> np.ndarray:
-    """_kernel_blocks at the nodes themselves times weights W (N, N) that vanish on the diagonal."""
+    """_kernel_blocks at the nodes themselves times weights W (N, N) that vanish on the diagonal.
+
+    For n = 2 block rho is R_rho (-zeta_rho(n_j) W_ij / omega) with the
+    reciprocal null pairs R (_null_pairs): multiplications only, and 0 on
+    the diagonal.
+    """
     if mesh.n == 2:
-        return _planar_blocks(mesh, _null_pairs(mesh)) * W
+        zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
+        return _null_pairs(mesh) * (zn[:, None, :] * (W / -omega(2)))
     return _stack(_vector_kernel_blocks(mesh, _pair_kernel(mesh), W))
 
 
@@ -431,8 +451,11 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     _validated(mesh)
     sp, N = algebra(mesh.n).spinor, mesh.size
     matrix = _pair_blocks(mesh, _quad_weights(mesh))
-    blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     idx = np.arange(N)
+    if mesh.n == 2:  # 1 x 1 blocks, zero on the diagonal
+        matrix[:, idx, idx] = 0.5 - matrix.sum(axis=-1)
+        return BlockOperator(mesh, matrix, "C")
+    blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     blocks[:, idx, :, idx, :] = 0.0
     rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
     blocks[:, idx, :, idx, :] = 0.5 * np.eye(sp.size) - rowsum
@@ -515,20 +538,23 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     diagonal is the Richardson extrapolation of the cancelled kernel from
     the two nearest neighbor rings, block by block.  The kernel is scalar
     plus bivector, so it is stored as its spinor blocks; for n = 2 they are
-    built from the null pair differences of C.  Raises ValidationFailedError
-    on a mesh that fails validate_domain_manifold.
+    built from the reciprocal null pairs of C, by multiplications only.
+    Raises ValidationFailedError on a mesh that fails validate_domain_manifold.
     """
     _validated(mesh)
     idx = np.arange(mesh.size)
     if mesh.n == 2:
-        # block rho of G n_j + n_i G: -(zeta_rho(n_j) - zeta_rho(n_i)) / zeta_rho(u)
-        # - 2 u.n_i / (zeta eta), u = w_i - z_j, with 2 u.v = zeta(u) eta(v) + eta(u) zeta(v)
-        dz = _null_pairs(mesh)
-        zn = null_coordinates(mesh.normals).T
-        dot2 = dz[0] * zn[1][:, None] + dz[1] * zn[0][:, None]
-        K = (zn[:, :, None] - zn[:, None, :]) / dz - dot2 / (dz[0] * dz[1])
+        # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
+        # by the vector n_i swaps the null planes, so it is
+        # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
+        # R is antisymmetric, so K_1 = -K_0^T off the diagonal, bit for bit.
+        # K holds minus the kernel; the sign goes into the weights.
+        R = _null_pairs(mesh)
+        zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
+        K = zn[:, None, :] * R
+        K += zn[::-1, :, None] * R[::-1]
         K[:, idx, idx] = _richardson_diagonal(mesh, K.transpose(1, 2, 0)).T
-        return BlockOperator(mesh, K * (mesh.sigma / omega(2)), "A")
+        return BlockOperator(mesh, K * (mesh.sigma / -omega(2)), "A")
     alg = algebra(mesh.n)
     G = _pair_kernel(mesh)
     n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
@@ -595,7 +621,7 @@ def _transform_columns(mesh: BoundaryMesh, points: np.ndarray, columns: np.ndarr
     """_kernel_blocks(mesh, points) @ columns in row chunks: (blocks, N s, k) -> (blocks, M s, k)."""
     s = algebra(mesh.n).spinor.size
     out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
-    chunk = max(1, int(4e6 / mesh.size))
+    chunk = max(1, (1 << 18) // mesh.size)
     for s0 in range(0, points.shape[0], chunk):
         rows = slice(s0, min(s0 + chunk, points.shape[0]))
         out[:, rows.start * s : rows.stop * s] = _kernel_blocks(mesh, points[rows]) @ columns
@@ -654,7 +680,7 @@ def cauchy_transform_points(
     pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
     pre_1 = np.einsum("lab,jb->laj", alg.generator_left, alg.embed_vector(n1))
     out = np.empty((points.shape[0], alg.dim), dtype=complex)
-    chunk = max(1, int(4e6 / mesh.size))
+    chunk = max(1, (1 << 18) // mesh.size)
     for s0 in range(0, points.shape[0], chunk):
         rows = slice(s0, min(s0 + chunk, points.shape[0]))
         diffs = points[rows, None, :] - mesh.nodes[None, :, :]

@@ -36,6 +36,11 @@ def deformed256():
 
 
 @pytest.fixture(scope="session")
+def deformed1024():
+    return make_deformed_curve(1024, 0.05, 2)
+
+
+@pytest.fixture(scope="session")
 def sphere42():
     return make_sphere(42)
 

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 
 import numpy as np
+import pytest
 
 from plemelj.cli import DEFAULT_CONFIG, main
 
@@ -145,3 +147,32 @@ def test_config_defaults_complete():
     for field in ("command", "geometry", "N", "eps", "mode", "seed", "out"):
         assert field in DEFAULT_CONFIG
     assert "n" not in DEFAULT_CONFIG  # the geometry fixes the dimension
+
+
+@pytest.mark.parametrize(
+    "args, reports",
+    [
+        (("--command", "verify", "--geometry", "deformed", "--mode", "2", "--N", "512"), ("verify.json",)),
+        (("--command", "maximal", "--geometry", "circle", "--N", "64"), ("maximal.json", "maximal.csv")),
+        (("--command", "szego", "--geometry", "sphere", "--N", "162"), ("szego.json",)),
+    ],
+    ids=["verify-deformed-512", "maximal-circle-64", "szego-sphere-162"],
+)
+def test_benchmark_job_shapes(tmp_path, args, reports):
+    # each benchmark job shape once, with the benchmark's report checks
+    # against the CLI's own caps
+    rc, out = run_cli(tmp_path, *args)
+    assert rc == 0
+    for name in reports:
+        assert os.path.isfile(os.path.join(out, name))
+    doc = json.load(open(os.path.join(out, reports[0])))
+    command = args[1]
+    if command == "verify":
+        assert doc["pass"] is True
+        assert all(row["residual_N"] <= DEFAULT_CONFIG["identity_cap"] for row in doc["results"])
+    elif command == "maximal":
+        assert math.isfinite(doc["c_maximal"]) and math.isfinite(doc["c_nontangential"])
+        assert doc["cotlar_finite"] is True
+    else:
+        cond = doc["condition_estimate"]
+        assert isinstance(cond, float) and math.isfinite(cond) and cond <= DEFAULT_CONFIG["cond_limit"]

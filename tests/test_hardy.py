@@ -221,7 +221,7 @@ class TestVerifyIdentities:
         assert sizes == [128, 128, 256]
 
     def test_pair_kernel_built_once(self, monkeypatch):
-        # C and A share one array of null pair differences (2, N, N), and no
+        # C and A share one array of reciprocal null pairs (2, N, N), and no
         # Cartesian (N, N, 2) kernel is evaluated
         import plemelj.operators as operators_mod
         from plemelj.mesh import make_deformed_curve
@@ -243,6 +243,38 @@ class TestVerifyIdentities:
         verify_identities(make_deformed_curve(128, 0.05, 2), refine=False)
         assert null_shapes == [(2, 128, 128)]
         assert (128, 128, 2) not in kernel_shapes
+
+    def test_curve_verify_takes_no_square_and_no_svd(self, monkeypatch):
+        # on a curve, validation takes |square(u)| / |u|^2 from null
+        # coordinates, and the residual norms come from k x k Gram matrices
+        import importlib
+
+        import plemelj.mesh as mesh_mod
+        from plemelj.operators import weighted_norm
+
+        algebra_mod = importlib.import_module("plemelj.algebra")  # the package exports the function
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        for mod in (algebra_mod, mesh_mod):
+            monkeypatch.setattr(mod, "vector_square", forbidden("vector_square"))
+        norm = np.linalg.norm
+
+        def norm_without_svd(x, ord=None, axis=None, keepdims=False):
+            if ord in (2, -2, "nuc"):  # the matrix norms numpy takes from an SVD
+                raise AssertionError("SVD norm called")
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden("svd"))
+        monkeypatch.setattr(np.linalg, "norm", norm_without_svd)
+        mesh = mesh_mod.make_deformed_curve(128, 0.05, 2)
+        assert mesh_mod.validate_domain_manifold(mesh).passed
+        assert weighted_norm(np.ones((2, 128, 3), dtype=complex), mesh) > 0.0
+        assert all(rep.passed for rep in verify_identities(mesh, refine=False))
 
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)

@@ -121,42 +121,74 @@ class TestValidation:
         assert rep.witness is not None
         assert 4 in rep.witness or 5 in rep.witness
 
-    def test_blocked_pair_check_matches_one_shot(self):
+    @staticmethod
+    def _one_shot(mesh, null, margin=0.1):
+        # the whole (N, N) ratio array at once, |square(u)| / |u|^2 either from
+        # the null coordinates zeta = u1 + i u2, eta = u1 - i u2 (null=True, as
+        # validation forms it on curves) or from the Euclidean components
+        def terms(zeta, eta):
+            return np.abs(zeta * eta), 0.5 * (np.abs(zeta) ** 2 + np.abs(eta) ** 2)
+
+        def euclidean(u):
+            return np.abs(-np.sum(u * u, axis=-1)), np.sum(np.abs(u) ** 2, axis=-1)
+
+        z = mesh.nodes
+        edges = mesh.edge_list()
+        t = z[edges[:, 1]] - z[edges[:, 0]]
+        if null:
+            zeta, eta = z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]
+            sq, r2 = terms(zeta[:, None] - zeta[None, :], eta[:, None] - eta[None, :])
+            tsq, tr2 = terms(t[:, 0] + 1j * t[:, 1], t[:, 0] - 1j * t[:, 1])
+        else:
+            sq, r2 = euclidean(z[:, None, :] - z[None, :, :])
+            tsq, tr2 = euclidean(t)
+        np.fill_diagonal(sq, np.inf)
+        np.fill_diagonal(r2, 1.0)
+        ratios = sq / r2
+        imin = np.unravel_index(np.argmin(ratios), ratios.shape)
+        pair_margin = float(ratios[imin])
+        if pair_margin <= margin:
+            return ValidationReport(
+                False,
+                f"node pair violates the null-cone separation (ratio {pair_margin:.3g} <= {margin})",
+                (int(imin[0]), int(imin[1])),
+                pair_margin,
+                float("nan"),
+            )
+        return ValidationReport(True, "ok", None, pair_margin, float((tsq / tr2).min()))
+
+    @staticmethod
+    def _planted(mesh, i=767):
+        # node i + 1 moved onto the null cone of node i, along (1, i)
+        import dataclasses
+
+        nodes = mesh.nodes.copy()
+        nodes[(i + 1) % mesh.size] = nodes[i % mesh.size] + 0.7 * np.array([1.0, 1j])
+        return dataclasses.replace(mesh, nodes=nodes, cache={})
+
+    def test_blocked_pair_check_matches_one_shot(self, deformed1024):
         # N = 1024 walks four row blocks; the failing mesh plants a null pair
         # across the boundary of the third and fourth, so the witness must be
         # the first minimum in row-major order
-        import dataclasses
-
-        def one_shot(mesh, margin=0.1):
-            z = mesh.nodes
-            D = z[:, None, :] - z[None, :, :]
-            sq = np.abs(-np.sum(D * D, axis=-1))
-            r2 = np.sum(np.abs(D) ** 2, axis=-1)
-            np.fill_diagonal(sq, np.inf)
-            np.fill_diagonal(r2, 1.0)
-            ratios = sq / r2
-            imin = np.unravel_index(np.argmin(ratios), ratios.shape)
-            pair_margin = float(ratios[imin])
-            if pair_margin <= margin:
-                return ValidationReport(
-                    False,
-                    f"node pair violates the null-cone separation (ratio {pair_margin:.3g} <= {margin})",
-                    (int(imin[0]), int(imin[1])),
-                    pair_margin,
-                    float("nan"),
-                )
-            edges = mesh.edge_list()
-            t = z[edges[:, 1]] - z[edges[:, 0]]
-            tratios = np.abs(-np.sum(t * t, axis=-1)) / np.sum(np.abs(t) ** 2, axis=-1)
-            return ValidationReport(True, "ok", None, pair_margin, float(tratios.min()))
-
-        good = make_deformed_curve(1024, 0.05, 2)
-        nodes = good.nodes.copy()
-        nodes[768] = nodes[767] + 0.7 * np.array([1.0, 1j])
-        bad = dataclasses.replace(good, nodes=nodes, cache={})
-        for mesh in (good, bad):
-            assert repr(validate_domain_manifold(mesh)) == repr(one_shot(mesh))
+        bad = self._planted(deformed1024)
+        for mesh in (deformed1024, bad):
+            assert repr(validate_domain_manifold(mesh)) == repr(self._one_shot(mesh, null=True))
         assert validate_domain_manifold(bad).witness == (767, 768)
+
+    @pytest.mark.parametrize("name", ["circle128", "deformed128", "deformed1024"])
+    def test_null_ratio_matches_euclidean_ratio(self, name, request):
+        # on curves the ratio comes from null coordinates; it is the Euclidean
+        # |square(u)| / |u|^2 to rounding, with the same verdict and witness.
+        # The planted pair's ratio is rounding noise in both forms.
+        mesh = request.getfixturevalue(name)
+        for m in (mesh, self._planted(mesh)):
+            got, want = validate_domain_manifold(m), self._one_shot(m, null=False)
+            assert (got.passed, got.witness) == (want.passed, want.witness)
+            if got.passed:
+                for a, b in ((got.pair_margin, want.pair_margin), (got.tangent_margin, want.tangent_margin)):
+                    assert abs(a - b) <= 1e-14 * b
+            else:
+                assert max(got.pair_margin, want.pair_margin) <= 1e-15
 
     def test_flat_patch_tangent_margin_one(self):
         rep = validate_domain_manifold(make_flat_patch(64))

@@ -162,6 +162,94 @@ class TestPlanarKernelBlocks:
             assert kernel == blocks == on_cone, (p, kernel, blocks)
 
 
+    @pytest.mark.parametrize("N", [128, 512])
+    def test_reciprocal_kernel_as_accurate_as_division(self, N):
+        # A's off-diagonal kernel, built from the reciprocal null pairs, against
+        # a clongdouble reference; the division form it replaced, on the same
+        # null differences, is the yardstick
+        from plemelj.algebra import null_coordinates, null_differences
+        from plemelj.mesh import make_deformed_curve
+
+        mesh = make_deformed_curve(N, 0.05, 2)
+        off = ~np.eye(N, dtype=bool)
+        got = assemble_kerzman_stein(mesh).matrix * (omega(2) / mesh.sigma)
+        dz = null_differences(mesh.nodes, mesh.nodes)
+        dz[:, np.arange(N), np.arange(N)] = 1.0
+        zn = null_coordinates(mesh.normals).T
+        dot2 = dz[0] * zn[1][:, None] + dz[1] * zn[0][:, None]
+        division = (zn[:, :, None] - zn[:, None, :]) / dz - dot2 / (dz[0] * dz[1])
+
+        L = np.clongdouble
+        z, n = mesh.nodes.astype(L), mesh.normals.astype(L)
+        zl = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]])
+        nl = np.stack([n[:, 0] + 1j * n[:, 1], n[:, 0] - 1j * n[:, 1]])
+        dl = zl[:, :, None] - zl[:, None, :]
+        dl[:, np.arange(N), np.arange(N)] = 1.0
+        ref = np.stack([-(nl[0][None, :] / dl[0] + nl[1][:, None] / dl[1]),
+                        -(nl[1][None, :] / dl[1] + nl[0][:, None] / dl[0])])
+
+        def error(K):
+            return float(np.abs((K.astype(L) - ref)[:, off]).max())
+
+        assert error(got) <= 1.05 * error(division)
+        assert error(division) <= 1e-10 * float(np.abs(ref[:, off]).max())
+
+    @pytest.mark.parametrize("name", ["circle128", "deformed128"])
+    def test_null_pairs_are_antisymmetric_reciprocals(self, name, request):
+        from plemelj.algebra import null_differences
+        from plemelj.operators import _null_pairs
+
+        mesh = request.getfixturevalue(name)
+        R = _null_pairs(mesh)
+        assert R.shape == (2, mesh.size, mesh.size) and R.flags.c_contiguous
+        assert np.array_equal(R, -R.transpose(0, 2, 1))
+        assert not np.any(np.diagonal(R, axis1=1, axis2=2))
+        dz = null_differences(mesh.nodes, mesh.nodes)
+        off = ~np.eye(mesh.size, dtype=bool)
+        inverse = 1.0 / dz[:, off]
+        assert np.all(np.abs(R[:, off] - inverse) <= 4e-16 * np.abs(inverse))
+
+
+class TestWeightedNorm:
+    @staticmethod
+    def _svd_norm(columns, mesh):
+        from plemelj.operators import _node_weights
+
+        w = _node_weights(mesh, columns.shape[-2] // mesh.size)
+        return float(np.max(np.linalg.norm(w[:, None] * columns, 2, axis=(-2, -1))))
+
+    @pytest.mark.parametrize("name", ["deformed128", "sphere42"])
+    def test_gram_norm_matches_svd_norm(self, name, request):
+        from plemelj.operators import weighted_norm
+
+        mesh = request.getfixturevalue(name)
+        s = algebra(mesh.n).spinor.size
+        rng = np.random.default_rng(5)
+        for scale, k in ((1.0, 25), (1e-16, 25), (1e-16, 1), (3e3, 72)):
+            X = scale * (rng.normal(size=(2, mesh.size * s, k)) + 1j * rng.normal(size=(2, mesh.size * s, k)))
+            want = self._svd_norm(X, mesh)
+            assert abs(weighted_norm(X, mesh) - want) <= 1e-14 * want
+
+    def test_gram_norm_of_floor_residuals(self, deformed128):
+        # residual columns at the rounding floor, as verify sees them on the curves
+        from plemelj.operators import smooth_family, weighted_norm
+
+        C = assemble_singular_cauchy(deformed128).matrix
+        Y = np.broadcast_to(smooth_family(deformed128, 1), C.shape[:1] + (deformed128.size, 25))
+        R = C @ (C @ Y) - 0.25 * Y
+        want = self._svd_norm(R, deformed128)
+        assert want < 1e-14
+        assert abs(weighted_norm(R, deformed128) - want) <= 1e-14 * want
+
+    def test_gram_norm_of_zero_columns_is_zero(self, deformed128):
+        import math
+
+        from plemelj.operators import weighted_norm
+
+        value = weighted_norm(np.zeros((2, deformed128.size, 25), dtype=complex), deformed128)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_omega_values():
     assert abs(omega(2) - 2 * np.pi) < 1e-14
     assert abs(omega(3) - 4 * np.pi) < 1e-14
