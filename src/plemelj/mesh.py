@@ -358,8 +358,9 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     with |.| the Euclidean norm of C^n identified with R^{2n}.  Real
     submanifolds achieve margin 1 exactly.
 
-    For n = 2 both sides come from the null coordinates: |square(u)| =
-    |zeta eta| and |u|^2 = (|zeta|^2 + |eta|^2) / 2 (algebra.null_magnitudes).
+    For n = 2 both sides of the pair check come from the null coordinates:
+    |square(u)| = |zeta eta| and |u|^2 = (|zeta|^2 + |eta|^2) / 2
+    (algebra.null_magnitudes).
 
     The pairs are checked in row blocks of about 1 << 18 pairs, so the memory
     stays bounded on large meshes; the witness is the first minimal pair in
@@ -394,11 +395,8 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
 
     edges = mesh.edge_list()
     t = z[edges[:, 1]] - z[edges[:, 0]]
-    if mesh.n == 2:
-        tsq, tr2 = null_magnitudes(null_coordinates(t).T)
-    else:
-        tsq = np.abs(vector_square(t))
-        tr2 = np.sum(np.abs(t) ** 2, axis=-1)
+    tsq = np.abs(vector_square(t))
+    tr2 = np.sum(np.abs(t) ** 2, axis=-1)
     tratios = tsq / tr2
     jmin = int(np.argmin(tratios))
     tangent_margin = float(tratios[jmin])

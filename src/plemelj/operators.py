@@ -330,12 +330,14 @@ def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
     """Spectral norm ||W X||_2 of coefficient columns X; the largest over a stack of blocks.
 
     It is the square root of the largest eigenvalue of the k x k Gram
-    matrix (W X)^H (W X); no SVD of the tall block is taken.
+    matrix (W X)^H (W X); no SVD of the tall block is taken.  A non-finite
+    column gives NaN (or LinAlgError), never a small norm.
     """
     w = _node_weights(mesh, columns.shape[-2] // mesh.size)
     B = w[:, None] * columns
     gram = np.swapaxes(B, -2, -1).conj() @ B
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram).max())))
+    # np.maximum, unlike max, keeps a NaN eigenvalue; + 0.0 turns -0.0 into 0.0
+    return float(np.sqrt(np.maximum(np.linalg.eigvalsh(gram).max(), 0.0)) + 0.0)
 
 
 def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
@@ -452,9 +454,6 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     sp, N = algebra(mesh.n).spinor, mesh.size
     matrix = _pair_blocks(mesh, _quad_weights(mesh))
     idx = np.arange(N)
-    if mesh.n == 2:  # 1 x 1 blocks, zero on the diagonal
-        matrix[:, idx, idx] = 0.5 - matrix.sum(axis=-1)
-        return BlockOperator(mesh, matrix, "C")
     blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     blocks[:, idx, :, idx, :] = 0.0
     rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)

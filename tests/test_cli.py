@@ -98,7 +98,8 @@ def test_maximal_report(tmp_path):
     rc, out = run_cli(tmp_path, "--command", "maximal", "--N", "64")
     assert rc == 0
     doc = json.load(open(os.path.join(out, "maximal.json")))
-    assert doc["cotlar_finite"]
+    assert doc["cotlar_finite"] is True
+    assert math.isfinite(doc["c_maximal"]) and math.isfinite(doc["c_nontangential"])
     rows = open(os.path.join(out, "maximal.csv")).read().strip().splitlines()
     assert rows[0] == "node,M,N,cotlar_ratio"
     assert len(rows) == 65
@@ -153,26 +154,21 @@ def test_config_defaults_complete():
     "args, reports",
     [
         (("--command", "verify", "--geometry", "deformed", "--mode", "2", "--N", "512"), ("verify.json",)),
-        (("--command", "maximal", "--geometry", "circle", "--N", "64"), ("maximal.json", "maximal.csv")),
         (("--command", "szego", "--geometry", "sphere", "--N", "162"), ("szego.json",)),
     ],
-    ids=["verify-deformed-512", "maximal-circle-64", "szego-sphere-162"],
+    ids=["verify-deformed-512", "szego-sphere-162"],
 )
 def test_benchmark_job_shapes(tmp_path, args, reports):
-    # each benchmark job shape once, with the benchmark's report checks
-    # against the CLI's own caps
+    # the benchmark's verify and szego job shapes once, with its report checks
+    # against the CLI's own caps (test_maximal_report runs the maximal shape)
     rc, out = run_cli(tmp_path, *args)
     assert rc == 0
     for name in reports:
         assert os.path.isfile(os.path.join(out, name))
     doc = json.load(open(os.path.join(out, reports[0])))
-    command = args[1]
-    if command == "verify":
+    if args[1] == "verify":
         assert doc["pass"] is True
         assert all(row["residual_N"] <= DEFAULT_CONFIG["identity_cap"] for row in doc["results"])
-    elif command == "maximal":
-        assert math.isfinite(doc["c_maximal"]) and math.isfinite(doc["c_nontangential"])
-        assert doc["cotlar_finite"] is True
     else:
         cond = doc["condition_estimate"]
         assert isinstance(cond, float) and math.isfinite(cond) and cond <= DEFAULT_CONFIG["cond_limit"]

@@ -244,9 +244,10 @@ class TestVerifyIdentities:
         assert null_shapes == [(2, 128, 128)]
         assert (128, 128, 2) not in kernel_shapes
 
-    def test_curve_verify_takes_no_square_and_no_svd(self, monkeypatch):
-        # on a curve, validation takes |square(u)| / |u|^2 from null
-        # coordinates, and the residual norms come from k x k Gram matrices
+    def test_curve_verify_takes_no_pair_square_and_no_svd(self, monkeypatch):
+        # on a curve, validation takes the pair ratios |square(u)| / |u|^2 from
+        # null coordinates, with no (rows, N, 2) array of differences, and the
+        # residual norms come from k x k Gram matrices
         import importlib
 
         import plemelj.mesh as mesh_mod
@@ -261,7 +262,13 @@ class TestVerifyIdentities:
             return call
 
         for mod in (algebra_mod, mesh_mod):
-            monkeypatch.setattr(mod, "vector_square", forbidden("vector_square"))
+            square = getattr(mod, "vector_square")
+
+            def no_pair_square(z, square=square):
+                assert np.ndim(z) < 3, f"vector_square called on pair differences {np.shape(z)}"
+                return square(z)
+
+            monkeypatch.setattr(mod, "vector_square", no_pair_square)
         norm = np.linalg.norm
 
         def norm_without_svd(x, ord=None, axis=None, keepdims=False):

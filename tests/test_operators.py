@@ -249,6 +249,24 @@ class TestWeightedNorm:
         value = weighted_norm(np.zeros((2, deformed128.size, 25), dtype=complex), deformed128)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("k", [1, 2, 25])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gram_norm_of_non_finite_columns_is_never_small(self, deformed128, bad, k):
+        # a NaN or Inf residual must fail the caps, so it gives NaN or Inf, or
+        # raises; for small k LAPACK returns NaN eigenvalues without raising
+        import math
+
+        from plemelj.operators import weighted_norm
+
+        X = np.full((2, deformed128.size, k), 1e-16, dtype=complex)
+        X[1, 7, k - 1] = bad
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                value = weighted_norm(X, deformed128)
+        except np.linalg.LinAlgError:
+            return
+        assert math.isnan(value) or value == math.inf
+
 
 def test_omega_values():
     assert abs(omega(2) - 2 * np.pi) < 1e-14
