@@ -7,6 +7,11 @@ projection application; the LU factors of I + A, one per distinct spinor
 block, are computed once per mesh and shared by every solve.  The identity
 route is the only production path; an orthogonal-projector construction
 from a monogenic basis exists solely as an independent oracle in the tests.
+
+Every dense product here goes through linsolve.matmul, so a verify or
+szego job runs its products, LU and solves on scipy's OpenBLAS alone:
+numpy's @ would run on numpy's own OpenBLAS, whose thread pool spins on
+after each call and fights scipy's pool for the cores.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .algebra import algebra
-from .linsolve import BlockFactorization, factor_blocks
+from .linsolve import BlockFactorization, factor_blocks, matmul
 from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
     BlockOperator,
@@ -90,21 +95,26 @@ def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> BlockFa
 
 @per_mesh
 def _kerzman_stein_lu(mesh: BoundaryMesh) -> BlockFactorization:
-    system = BlockOperator.identity(mesh).matrix + assemble_kerzman_stein(mesh).matrix
-    return factor_blocks(system)
+    # I + A in private column-major copies of A's blocks, which LAPACK
+    # overwrites with their factors
+    systems = [np.array(block, order="F") for block in assemble_kerzman_stein(mesh).matrix]
+    idx = np.arange(systems[0].shape[0])
+    for system in systems:
+        system[idx, idx] += 1.0
+    return factor_blocks(systems)
 
 
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
     """Szego projection via the Kerzman-Stein equation: solve then project."""
     mesh = f.mesh
     x = kerzman_stein_factor(mesh, cond_limit).solve(_to_spinor(f.values, mesh))
-    return BoundaryFunction(mesh, _from_spinor(plemelj_projection(mesh, sign).matrix @ x, mesh))
+    return BoundaryFunction(mesh, _from_spinor(matmul(plemelj_projection(mesh, sign).matrix, x), mesh))
 
 
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """P = S (I + A)^{-1} as spinor blocks (for tests and oracles)."""
     inv = kerzman_stein_factor(mesh).solve(BlockOperator.identity(mesh).matrix)
-    return BlockOperator(mesh, plemelj_projection(mesh, sign).matrix @ inv, f"P{sign}")
+    return BlockOperator(mesh, matmul(plemelj_projection(mesh, sign).matrix, inv), f"P{sign}")
 
 
 @dataclass
@@ -154,11 +164,11 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     Y = smooth_family(mesh, algebra(mesh.n).spinor.size)
     Y = np.broadcast_to(Y, C.shape[:1] + Y.shape)
     m = Y.shape[-1]
-    Z = kerzman_stein_factor(mesh, cond_limit).solve(np.concatenate([Y, A @ Y], axis=-1))
+    Z = kerzman_stein_factor(mesh, cond_limit).solve(np.concatenate([Y, matmul(A, Y)], axis=-1))
     X = Z[..., :m]
     D = X + Z[..., m:] - Y
-    CY, CX, CD = np.split(C @ np.concatenate([Y, X, D], axis=-1), 3, axis=-1)
-    C2Y, C2X = np.split(C @ np.concatenate([CY, CX], axis=-1), 2, axis=-1)
+    CY, CX, CD = np.split(matmul(C, np.concatenate([Y, X, D], axis=-1)), 3, axis=-1)
+    C2Y, C2X = np.split(matmul(C, np.concatenate([CY, CX], axis=-1)), 2, axis=-1)
     powers = {"Y": [Y, CY, C2Y], "X": [X, CX, C2X], "D": [D, CD]}
 
     Sp, Sm = PROJECTION_COEFFS["+"], PROJECTION_COEFFS["-"]

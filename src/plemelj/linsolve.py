@@ -1,9 +1,19 @@
-"""Dense LU factorizations with condition monitoring.
+"""Dense LU factorizations with condition monitoring, and the dense products
+and QR of the Kerzman-Stein path.
 
 factor LU-factors one matrix and estimates its 1-norm condition number
 (LAPACK gecon); factor_blocks does the same for every distinct spinor block
 of a block-diagonal system.  A factorization's check raises
 IllConditionedError when the estimate exceeds the caller's limit.
+
+This is the only module that imports scipy.linalg, and every threaded
+dense BLAS or LAPACK call of a verify or szego job goes through it: matmul
+for the block products and qr for the smooth basis, next to the LU and its
+solves.  numpy and scipy each load their own OpenBLAS, and each keeps its
+own pool of worker threads that spin on after a call; a job that switched
+between numpy's pool (its @ and QR) and scipy's pool (the LU) had the two
+pools fight over the cores.  Calls too small to start a pool's threads
+(d x d spinor frames, the k x k Gram eigenvalues) stay on numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemm
 
 __all__ = [
     "BlockFactorization",
@@ -19,6 +30,8 @@ __all__ = [
     "IllConditionedError",
     "factor",
     "factor_blocks",
+    "matmul",
+    "qr",
 ]
 
 
@@ -47,10 +60,18 @@ class Factorization:
 
 
 def factor(matrix: np.ndarray, cond_limit: float = 1e8) -> Factorization:
-    """LU-factor a dense matrix; its 1-norm condition estimate (LAPACK gecon)
-    must not exceed cond_limit."""
-    lu, piv = scipy.linalg.lu_factor(matrix)
-    anorm = np.linalg.norm(matrix, 1)
+    """LU-factor a dense matrix, which is left untouched; its 1-norm
+    condition estimate (LAPACK gecon) must not exceed cond_limit."""
+    return _factor_in_place(np.array(matrix, order="F"), cond_limit)
+
+
+def _factor_in_place(matrix: np.ndarray, cond_limit: float) -> Factorization:
+    """factor, overwriting matrix with its LU factors when it is column-major."""
+    # LAPACK lange sums each column in row order, as numpy's 1-norm of a
+    # row-major matrix does, and it is taken before getrf overwrites matrix
+    (lange,) = scipy.linalg.get_lapack_funcs(("lange",), (matrix,))
+    anorm = lange("1", matrix)
+    lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=True)
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
     if info != 0:
         raise RuntimeError(f"zgecon failed with info={info}")
@@ -79,12 +100,37 @@ class BlockFactorization:
         return np.stack([f.solve(b) for f, b in zip(self.blocks, rhs)])
 
 
-def factor_blocks(stack: np.ndarray) -> BlockFactorization:
-    """LU-factor every matrix of a stack (blocks, n, n), one factor call each;
-    the caller applies its condition limit with BlockFactorization.check."""
-    return BlockFactorization(tuple(factor(m, np.inf) for m in stack))
+def factor_blocks(matrices) -> BlockFactorization:
+    """LU-factor square matrices that the caller gives up, one factor call
+    each: a column-major matrix is overwritten by its LU factors.  The
+    caller applies its condition limit with BlockFactorization.check."""
+    return BlockFactorization(tuple(_factor_in_place(m, np.inf) for m in matrices))
 
 
-def condition_estimate(matrix: np.ndarray) -> float:
-    """1-norm condition estimate via LAPACK gecon."""
-    return factor(matrix, cond_limit=np.inf).cond
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex stacks (blocks, m, k) and (blocks, k, p), bit for bit.
+
+    Each block goes to zgemm as (b^T a^T)^T, in the layout numpy's row-major
+    @ hands to cblas: a row-major block goes as its transpose, which is
+    column-major, and a column-major block as itself with zgemm's transpose
+    flag.  Neither is copied, broadcast stacks (stride 0 over the blocks)
+    included.  On one thread the product is numpy's bit for bit.  Threaded,
+    scipy's OpenBLAS splits some small products differently from numpy's
+    (50 x 128 times 128 x 50 differs in the last bits); the products of the
+    verify and szego jobs are still numpy's bit for bit.
+    """
+    out = []
+    for ak, bk in zip(a, b):
+        (at, ta), (bt, tb) = _transposed(ak), _transposed(bk)
+        out.append(zgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T)
+    return np.stack(out)
+
+
+def _transposed(x: np.ndarray):
+    """(y, t) with op_t(y) = x^T and y column-major when x is row- or column-major."""
+    return (x.T, 0) if x.strides[-1] == x.itemsize else (x, 1)
+
+
+def qr(a: np.ndarray):
+    """Reduced QR factorization (Q, R) of a tall matrix."""
+    return scipy.linalg.qr(a, mode="economic")

@@ -459,43 +459,53 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
     |square(p - z_j)| >= floor |p - z_j| s_j over the fine nodes, which
     include the mesh nodes, so it is near no node's null cone.  (The test's
     tolerance 1e-12 (1 + |p - z|^2) would call points some 1e12 away along
-    a null direction near; they are classified by index.)
+    a null direction near; they are classified by index.)  The points go in
+    row blocks of (1 << 18) // N, so the (rows, N) arrays stay bounded; every
+    row is classified on its own, so the blocks do not change a region.
     """
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
+    if _index_regions(mesh.interior_seed[None, :], mesh)[0] is not Region.INTERIOR:
+        raise ValueError("the boundary does not enclose its interior seed")
     resolved = clearance >= barrier_clearance_floor(mesh)
-    low = np.flatnonzero(~resolved)  # points the index cannot resolve: nearest-normal side
-    seed = mesh.interior_seed[None, :]
+    out = np.empty(points.shape[0], dtype=object)
+    chunk = max(1, (1 << 18) // mesh.size)
+    for s0 in range(0, points.shape[0], chunk):
+        rows = np.arange(s0, min(s0 + chunk, points.shape[0]))
+        high, low = rows[resolved[rows]], rows[~resolved[rows]]
+        out[high] = _index_regions(points[high], mesh)
+        out[low] = _side_regions(points[low], mesh)  # points the index cannot resolve
+    return out
+
+
+def _index_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """Regions by index (module docstring) of points at or above barrier_clearance_floor."""
     if mesh.n == 2:
-        # one pair of null difference arrays: square(u) = -zeta eta,
-        # |u|^2 = (|zeta|^2 + |eta|^2) / 2, and twice the R^4 inner product
-        # <u, n> is Re(zeta(u) conj(zeta(n)) + eta(u) conj(eta(n)))
-        d = null_differences(np.concatenate([points, seed]), mesh.nodes)  # seed last
-        index = d if low.size == 0 else d[:, np.append(resolved, True)]
-        zeta, eta = (_winding_numbers(dk) != 0 for dk in index)
-        d = d[:, low]
+        zeta, eta = (_winding_numbers(dk) != 0 for dk in null_differences(points, mesh.nodes))
+        return np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
+    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
+    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
+    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
+    return np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
+
+
+def _side_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """NearBoundary, or the side of the nearest node's normal, of points below the floor."""
+    if mesh.n == 2:
+        # square(u) = -zeta eta, |u|^2 = (|zeta|^2 + |eta|^2) / 2, and twice
+        # the R^4 inner product <u, n> is Re(zeta(u) conj(zeta(n)) + eta(u) conj(eta(n)))
+        d = null_differences(points, mesh.nodes)
         sq, dist2 = null_magnitudes(d)
         u, normals = np.moveaxis(d, 0, -1), null_coordinates(mesh.normals)
-        regs = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
     else:
-        u = points[low, None, :] - mesh.nodes[None, :, :]
+        u = points[:, None, :] - mesh.nodes[None, :, :]
         sq = np.abs(vector_square(u))
         dist2 = np.sum(np.abs(u) ** 2, axis=-1)
         normals = mesh.normals
-        # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
-        probe = np.concatenate([points[resolved], seed])
-        G = cauchy_kernel(probe[:, None, :] - mesh.nodes[None, :, :])
-        gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
-        regs = np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
-    if regs[-1] is not Region.INTERIOR:
-        raise ValueError("the boundary does not enclose its interior seed")
     near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
     jmin = np.argmin(dist2, axis=1)
     side = np.real(np.sum(u[np.arange(jmin.size), jmin] * np.conj(normals[jmin]), axis=1))
-    out = np.empty(points.shape[0], dtype=object)
-    out[resolved] = regs[:-1]
-    out[low] = np.where(near, Region.NEAR_BOUNDARY, np.where(side > 0, Region.EXTERIOR, Region.INTERIOR))
-    return out
+    return np.where(near, Region.NEAR_BOUNDARY, np.where(side > 0, Region.EXTERIOR, Region.INTERIOR))
 
 
 def region_membership(u, mesh: BoundaryMesh) -> Region:

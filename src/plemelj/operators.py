@@ -50,6 +50,7 @@ from .algebra import (
     null_differences,
     null_magnitudes,
 )
+from .linsolve import matmul, qr
 from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership
 
 __all__ = [
@@ -303,7 +304,7 @@ def _scalar_smooth_basis(mesh: BoundaryMesh) -> np.ndarray:
             for b in range(a, mesh.n):
                 cols.append(x[:, a] * x[:, b])
         scal = np.array(cols).T
-    q, r = np.linalg.qr(_node_weights(mesh, 1)[:, None] * scal)
+    q, r = qr(_node_weights(mesh, 1)[:, None] * scal)
     diag = np.abs(np.diag(r))
     return q[:, diag > 1e-10 * diag.max()]
 
@@ -334,8 +335,8 @@ def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
     column gives NaN (or LinAlgError), never a small norm.
     """
     w = _node_weights(mesh, columns.shape[-2] // mesh.size)
-    B = w[:, None] * columns
-    gram = np.swapaxes(B, -2, -1).conj() @ B
+    B = (w[:, None] * columns).reshape((-1,) + columns.shape[-2:])
+    gram = matmul(np.swapaxes(B, -2, -1).conj(), B)
     # np.maximum, unlike max, keeps a NaN eigenvalue; + 0.0 turns -0.0 into 0.0
     return float(np.sqrt(np.maximum(np.linalg.eigvalsh(gram).max(), 0.0)) + 0.0)
 

@@ -10,8 +10,8 @@ from plemelj.hardy import (
     szego_project,
     verify_identities,
 )
-from plemelj.linsolve import IllConditionedError
-from plemelj.mesh import make_circle
+from plemelj.linsolve import IllConditionedError, factor
+from plemelj.mesh import make_circle, make_deformed_curve
 from plemelj.operators import (
     BoundaryFunction,
     assemble_kerzman_stein,
@@ -128,10 +128,19 @@ class TestSzego:
 
     def test_condition_estimates_small(self, circle128, deformed128, sphere162):
         for mesh in (circle128, deformed128, sphere162):
-            from plemelj.linsolve import condition_estimate
-
             A = assemble_kerzman_stein(mesh).dense()
-            assert condition_estimate(np.eye(A.shape[0]) + A) <= 100
+            assert factor(np.eye(A.shape[0]) + A, np.inf).cond <= 100
+
+    def test_factors_of_I_plus_A_leave_A_untouched(self):
+        mesh = make_deformed_curve(128, 0.05, 2)
+        A = assemble_kerzman_stein(mesh).matrix
+        before = A.copy()
+        ks = kerzman_stein_factor(mesh)
+        assert np.array_equal(A, before)
+        for block, fac in zip(A, ks.blocks):
+            ref = factor(np.eye(block.shape[0]) + block, np.inf)
+            assert np.array_equal(fac.lu, ref.lu) and np.array_equal(fac.piv, ref.piv)
+            assert fac.cond == ref.cond
 
     def test_plus_plus_minus_reproduces_on_circle(self, circle128):
         # orthogonal + oblique projectors coincide where A = 0
@@ -282,6 +291,17 @@ class TestVerifyIdentities:
         assert mesh_mod.validate_domain_manifold(mesh).passed
         assert weighted_norm(np.ones((2, 128, 3), dtype=complex), mesh) > 0.0
         assert all(rep.passed for rep in verify_identities(mesh, refine=False))
+
+    def test_kerzman_stein_path_takes_no_numpy_qr(self, monkeypatch):
+        # the smooth basis takes its QR from linsolve (scipy), on a fresh mesh
+        # so that no cached basis hides a numpy call
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        mesh = make_deformed_curve(128, 0.05, 2)
+        assert all(rep.passed for rep in verify_identities(mesh, refine=False))
+        assert l2_norm(szego_project(band_limited(mesh, seed=3))) > 0.0
 
     def test_circle_all_pass(self, circle128):
         reports = verify_identities(circle128, refine=True)

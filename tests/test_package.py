@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import plemelj
 
@@ -10,3 +12,25 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"plemelj.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_kerzman_stein_path_runs_on_one_blas():
+    # scipy.linalg holds the LU; hardy's dense products go through linsolve,
+    # so numpy's OpenBLAS thread pool is not woken between the LU's calls
+    src = Path(plemelj.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(trees["hardy.py"]))
+    importers = {
+        name
+        for name, tree in trees.items()
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in _imported_names(tree))
+    }
+    assert importers == {"linsolve.py"}
