@@ -150,11 +150,6 @@ class CliffordAlgebra:
     def vector_part(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(a, dtype=complex)[..., self.vector_slots]
 
-    def grade_select(self, a: np.ndarray, grade: int) -> np.ndarray:
-        out = np.array(a, dtype=complex)
-        out[..., self.grades != grade] = 0.0
-        return out
-
     def blade_name(self, index: int) -> str:
         bits = self.blades[index]
         return "1" if not bits else "e" + "".join(str(b) for b in bits)
@@ -226,10 +221,6 @@ class SpinorReduction:
         vs = alg.vector_slots
         # B_rho(e_l e_m) for grade-1 pairs, the blocks of L(u) L(v)
         self.vector_pairs = np.einsum("lmb,brpq->lmrpq", alg.structure[vs][:, vs], even)
-
-    def reduce(self, coeffs: np.ndarray) -> np.ndarray:
-        """Blocks B_rho(a) of even elements: (..., dim) -> (..., blocks, size, size)."""
-        return np.einsum("...b,brpq->...rpq", coeffs, self.even)
 
 
 def _involution(alg: CliffordAlgebra, slot: int) -> np.ndarray:

@@ -9,7 +9,9 @@ output files (runtimes go to stderr only).
 
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
 solve, 4 check failure, 5 no approach cone fits inside the mesh (the
-maximal and limits commands need one).
+maximal and limits commands need one), 6 invalid input (a node count the
+geometry does not take, a command the geometry does not support, a sweep
+too short); every failure ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ EXIT_VALIDATION = 2
 EXIT_ILL_CONDITIONED = 3
 EXIT_CHECK_FAILED = 4
 EXIT_NO_CONE = 5
+EXIT_INVALID_INPUT = 6
 
 
 def build_mesh(cfg, N=None):
@@ -334,9 +337,9 @@ def load_config(args) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    cfg = load_config(args)
-    os.makedirs(cfg["out"], exist_ok=True)
     try:
+        cfg = load_config(args)
+        os.makedirs(cfg["out"], exist_ok=True)
         return COMMANDS[cfg["command"]](cfg)
     except ValidationFailedError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
@@ -347,6 +350,9 @@ def main(argv=None) -> int:
     except NoValidConeError as exc:
         print(f"no approach cone: {exc}", file=sys.stderr)
         return EXIT_NO_CONE
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

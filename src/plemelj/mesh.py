@@ -120,11 +120,11 @@ class BoundaryMesh:
     def edge_list(self) -> np.ndarray:
         if self.edges is not None:
             return self.edges
-        if self.curve_order:
-            N = self.size
-            i = np.arange(N)
-            return np.stack([i, (i + 1) % N], axis=1)
-        return _nearest_neighbor_edges(self.nodes, self.h)
+        if not self.curve_order:
+            raise ValueError("mesh has no edges and its nodes are not consecutive on a curve")
+        N = self.size
+        i = np.arange(N)
+        return np.stack([i, (i + 1) % N], axis=1)
 
     def refine(self) -> "BoundaryMesh":
         """The same boundary with twice the nodes."""
@@ -144,15 +144,6 @@ class BoundaryMesh:
         return 0.5 * float(
             np.max(np.sqrt(np.sum(np.abs(self.nodes[:1, :] - self.nodes) ** 2, axis=1)))
         )
-
-
-def _nearest_neighbor_edges(nodes: np.ndarray, h: float) -> np.ndarray:
-    from scipy.spatial import cKDTree
-
-    pts = np.concatenate([nodes.real, nodes.imag], axis=1)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(1.5 * h, output_type="ndarray")
-    return pairs.astype(np.int64)
 
 
 # -- builders -----------------------------------------------------------------
@@ -769,6 +760,8 @@ def save_mesh(mesh: BoundaryMesh, path: str):
         "exterior_seed": _pack_vec(mesh.exterior_seed),
         "h": mesh.h,
     }
+    if mesh.edges is not None:
+        doc["edges"] = mesh.edges.tolist()
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
@@ -782,6 +775,8 @@ def load_mesh(path: str) -> BoundaryMesh:
     with open(path) as fh:
         doc = json.load(fh)
     n = int(doc["n"])
+    if n != 2 and "edges" not in doc:
+        raise ValueError(f"{path}: a surface mesh file needs its edges")
     nodes = _unpack_vecs(doc["nodes"])
     sig = np.asarray(doc["sigma"], dtype=float)
     return BoundaryMesh(
@@ -795,4 +790,5 @@ def load_mesh(path: str) -> BoundaryMesh:
         h=float(doc["h"]),
         curve_order=(n == 2),
         theta=2 * np.pi * np.arange(nodes.shape[0]) / nodes.shape[0] if n == 2 else None,
+        edges=np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None,
     )

@@ -462,72 +462,6 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     return BlockOperator(mesh, matrix, "C")
 
 
-def _cancelled_kernel_coeffs(alg, G, n_row, n_col) -> np.ndarray:
-    """Coefficients of G(w-z) n(z) + n(w) G(w-z), written without cancellation.
-
-    For vectors, u v + v u = -2 <u, v>, so the singular parts drop out
-    analytically:  G (n(z) - n(w)) - 2 <G, n(w)>.
-    """
-    delta = n_col - n_row
-    scal = -np.sum(G * (n_col + n_row), axis=-1)
-    out = np.zeros(G.shape[:-1] + (alg.dim,), dtype=complex)
-    out[..., 0] = scal
-    n = alg.n
-    slot = {}
-    for i, blade in enumerate(alg.blades):
-        if len(blade) == 2:
-            slot[blade] = i
-    for a in range(n):
-        for b in range(a + 1, n):
-            out[..., slot[(a + 1, b + 1)]] = G[..., a] * delta[..., b] - G[..., b] * delta[..., a]
-    return out
-
-
-def _padded(N: int, pairs: np.ndarray):
-    """Pairs sorted by source -> (N, width) targets padded with the source, and counts."""
-    count = np.bincount(pairs[:, 0], minlength=N)
-    out = np.repeat(np.arange(N)[:, None], max(1, int(count.max())), axis=1)
-    start = np.cumsum(count) - count
-    out[pairs[:, 0], np.arange(len(pairs)) - start[pairs[:, 0]]] = pairs[:, 1]
-    return out, count
-
-
-def _neighbour_rings(mesh: BoundaryMesh):
-    """First and second neighbour rings of every node as padded index arrays.
-
-    Returns (ring1, count1, ring2, count2).  On curves the rings are the
-    offsets +-1 and +-2.  Otherwise ring 1 lists the mesh neighbours in edge
-    order and ring 2 the neighbours of neighbours that are neither the node
-    nor in ring 1, ascending.
-    """
-    N = mesh.size
-    idx = np.arange(N)
-    if mesh.curve_order:
-        ring1 = np.stack([(idx + 1) % N, (idx - 1) % N], axis=1)
-        ring2 = np.stack([(idx + 2) % N, (idx - 2) % N], axis=1)
-        return ring1, np.full(N, 2), ring2, np.full(N, 2)
-    edges = np.asarray(mesh.edge_list(), dtype=np.int64)
-    directed = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2)
-    ring1, count1 = _padded(N, directed[np.argsort(directed[:, 0], kind="stable")])
-    # ring 1 of every ring-1 member; padded slots reach only the node and its ring 1
-    code = np.unique(idx[:, None, None] * N + ring1[ring1])
-    code = code[(code // N != code % N) & ~np.isin(code, idx[:, None] * N + ring1)]
-    ring2, count2 = _padded(N, np.stack([code // N, code % N], axis=1))
-    return ring1, count1, ring2, count2
-
-
-def _ring_mean(K: np.ndarray, ring: np.ndarray, count: np.ndarray) -> np.ndarray:
-    used = np.arange(ring.shape[1])[None, :] < count[:, None]
-    vals = K[np.arange(K.shape[0])[:, None], ring]
-    return np.where(used[..., None], vals, 0.0).sum(axis=1) / count[:, None]
-
-
-def _richardson_diagonal(mesh: BoundaryMesh, K: np.ndarray) -> np.ndarray:
-    """Diagonal of a smooth kernel K (N, N, d), extrapolated from the nearest two rings."""
-    ring1, count1, ring2, count2 = _neighbour_rings(mesh)
-    return (4.0 * _ring_mean(K, ring1, count1) - _ring_mean(K, ring2, count2)) / 3.0
-
-
 @per_mesh
 def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     """Kerzman-Stein operator A = C - C* (continuous, singularity-cancelled kernel).
@@ -535,35 +469,41 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     C* is the transpose of C with respect to the bilinear pairing
     <f, g> = integral bar(f) g dsigma, which is the reading under which the
     singularities cancel (and A vanishes identically on the circle).  The
-    diagonal is the Richardson extrapolation of the cancelled kernel from
-    the two nearest neighbor rings, block by block.  The kernel is scalar
-    plus bivector, so it is stored as its spinor blocks; for n = 2 they are
-    built from the reciprocal null pairs of C, by multiplications only.
-    Raises ValidationFailedError on a mesh that fails validate_domain_manifold.
+    kernel G(w - z) n(z) + n(w) G(w - z) is assembled in the cancelled form
+    G (n(z) - n(w)) - 2 <G, n(w)> (u v + v u = -2 <u, v> for vectors), and
+    its diagonal blocks are 0, the kernel's limit on every shipped geometry:
+    on a closed curve the 1/(theta_i - theta_j) parts cancel and so do the
+    O(1) parts i mu'/mu^2 and -i mu'/mu^2 (mu^2 = z'.z'), and on the sphere
+    n(z) = z makes the whole kernel vanish.  A continuous periodic kernel
+    needs nothing beyond the trapezoid rule, so the weights are sigma_j
+    everywhere.  The kernel is scalar plus bivector, so it is stored as its
+    spinor blocks; for n = 2 they are built from the reciprocal null pairs
+    of C, by multiplications only.  Raises ValidationFailedError on a mesh
+    that fails validate_domain_manifold.
     """
     _validated(mesh)
-    idx = np.arange(mesh.size)
     if mesh.n == 2:
         # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
         # by the vector n_i swaps the null planes, so it is
         # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
-        # R is antisymmetric, so K_1 = -K_0^T off the diagonal, bit for bit.
+        # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
         # K holds minus the kernel; the sign goes into the weights.
         R = _null_pairs(mesh)
         zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
         K = zn[:, None, :] * R
         K += zn[::-1, :, None] * R[::-1]
-        K[:, idx, idx] = _richardson_diagonal(mesh, K.transpose(1, 2, 0)).T
         return BlockOperator(mesh, K * (mesh.sigma / -omega(2)), "A")
-    alg = algebra(mesh.n)
-    G = _pair_kernel(mesh)
-    n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
-    n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
-    K = _cancelled_kernel_coeffs(alg, G, n_row, n_col)
-    K[idx, idx] = _richardson_diagonal(mesh, K)
-    # smooth kernel: plain trapezoid everywhere
-    blocks = alg.spinor.reduce(K * mesh.sigma[None, :, None]).transpose(2, 0, 3, 1, 4)
-    return BlockOperator(mesh, _stack(blocks / omega(mesh.n)), "A")
+    sp, N, n = algebra(mesh.n).spinor, mesh.size, mesh.n
+    G = _pair_kernel(mesh) * (mesh.sigma / omega(n))[None, :, None]  # trapezoid weights
+    # sum_lm G_l (n_j - n_i)_m B(e_l e_m) as one GEMM, then -2 <G, n_i> on the block diagonals
+    delta = mesh.normals[None, :, :] - mesh.normals[:, None, :]
+    outer = (G[..., :, None] * delta[..., None, :]).reshape(1, N * N, n * n)
+    K = matmul(outer, sp.vector_pairs.reshape(1, n * n, -1)).reshape(N, N, sp.blocks, sp.size, sp.size)
+    rows = np.arange(sp.size)
+    K[..., rows, rows] -= 2.0 * np.sum(G * mesh.normals[:, None, :], axis=-1)[..., None, None]
+    idx = np.arange(N)
+    K[idx, idx] = 0.0
+    return BlockOperator(mesh, _stack(K.transpose(2, 0, 3, 1, 4)), "A")
 
 
 def assemble_adjoint_cauchy(mesh: BoundaryMesh) -> BlockOperator:

@@ -204,7 +204,7 @@ def test_spinor_frame_block_diagonalises_even_elements(n):
         got = sp.T.conj().T @ alg.left_matrix(a) @ sp.T
         # block-diagonal, each distinct block repeated `copies` times entry for entry
         want = np.zeros_like(got)
-        for rho, B in enumerate(sp.reduce(a)):
+        for rho, B in enumerate(np.einsum("b,brpq->rpq", a, sp.even)):
             for k in range(sp.copies):
                 o = (rho * sp.copies + k) * sp.size
                 want[o : o + sp.size, o : o + sp.size] = B

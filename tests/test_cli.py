@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plemelj
 from plemelj.cli import DEFAULT_CONFIG, main
 
 
@@ -69,6 +73,26 @@ def test_no_valid_cone_exit_code(tmp_path, capsys):
     assert rc == 5
     assert "no approach cone" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--command", "mobius", "--geometry", "sphere", "--N", "42"],
+        ["--command", "converge", "--N", "64"],
+        ["--N", "63"],
+    ],
+)
+def test_invalid_input_exit_code(tmp_path, args):
+    # run as a program, so an uncaught exception would show its traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plemelj.cli", *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("invalid input: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 def test_decompose_constant(tmp_path):
     rc, out = run_cli(tmp_path, "--command", "decompose", "--N", "64")

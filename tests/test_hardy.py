@@ -11,6 +11,7 @@ from plemelj.hardy import (
     verify_identities,
 )
 from plemelj.linsolve import IllConditionedError, factor
+from plemelj.maximal import band_limited_family
 from plemelj.mesh import make_circle, make_deformed_curve
 from plemelj.operators import (
     BoundaryFunction,
@@ -19,7 +20,9 @@ from plemelj.operators import (
     l2_norm,
     pairing,
     plemelj_projection,
+    smooth_family,
     smooth_matrix_norm,
+    weighted_norm,
 )
 
 
@@ -95,6 +98,22 @@ class TestSzego:
     def test_idempotence(self, circle128):
         P = szego_matrix(circle128, "+")
         assert smooth_matrix_norm(P.dense() @ P.dense() - P.dense(), circle128) < 1e-3
+
+    def test_deformed_idempotence_at_rounding(self):
+        # A's kernel is continuous with diagonal limit 0, so P+ = S+ (I + A)^{-1}
+        # is a projection to rounding on the smooth family
+        mesh = make_deformed_curve(128, 0.1, 2)
+        P = szego_matrix(mesh, "+").matrix
+        PY = P @ smooth_family(mesh, P.shape[-1] // mesh.size)
+        assert weighted_norm(P @ PY - PY, mesh) <= 1e-12
+
+    def test_deformed_projection_converges_spectrally(self):
+        # P+ f at N = 128 against N = 256 on the shared nodes, for the same smooth f
+        p, q = (
+            szego_project(band_limited_family(make_deformed_curve(N, 0.1, 2), 1, seed=3)[0], "+").values
+            for N in (128, 256)
+        )
+        assert np.abs(p - q[::2]).max() <= 1e-12 * np.abs(q).max()
 
     def test_matches_qr_oracle_on_scalar_data(self, circle128):
         # independent oracle: orthogonal projector onto the span of

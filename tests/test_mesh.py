@@ -519,3 +519,23 @@ class TestSerialization:
             "n", "nodes", "normals", "sigma", "sigma_abs",
             "interior_seed", "exterior_seed", "h",
         ]
+
+    def test_sphere_round_trip_keeps_edges(self, sphere42, tmp_path):
+        path = str(tmp_path / "mesh.json")
+        save_mesh(sphere42, path)
+        m2 = load_mesh(path)
+        assert np.array_equal(m2.edge_list(), sphere42.edge_list())
+        assert validate_domain_manifold(m2) == validate_domain_manifold(sphere42)
+
+    def test_surface_file_without_edges_is_refused(self, sphere42, tmp_path):
+        import json
+
+        path = str(tmp_path / "mesh.json")
+        save_mesh(sphere42, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        del doc["edges"]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match="edges"):
+            load_mesh(path)

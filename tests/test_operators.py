@@ -3,7 +3,7 @@ import pytest
 
 from conftest import band_limited, monogenic_linear
 from plemelj.algebra import Multivector, algebra, cauchy_kernel
-from plemelj.mesh import make_circle, make_flat_patch
+from plemelj.mesh import make_circle, make_deformed_curve, make_flat_patch
 from plemelj.operators import (
     BlockOperator,
     BoundaryFunction,
@@ -25,7 +25,7 @@ from plemelj.operators import (
 
 def _dense_oracle(mesh):
     """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, P+-."""
-    from plemelj.operators import _cancelled_kernel_coeffs, _pair_kernel, _quad_weights
+    from plemelj.operators import _pair_kernel, _quad_weights
 
     alg = algebra(mesh.n)
     N, d = mesh.size, alg.dim
@@ -41,41 +41,16 @@ def _dense_oracle(mesh):
     blocks[idx, idx] = 0.5 * np.eye(d) - blocks.sum(axis=1)
     C = flat(blocks)
 
-    n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
-    n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
-    K = _cancelled_kernel_coeffs(alg, G, n_row, n_col)
-    K[idx, idx] = _loop_richardson_diagonal(mesh, K)
-    A = flat(np.einsum("ijab,j->ijab", alg.left_matrix(K), mesh.sigma) / omega(mesh.n))
+    # the uncancelled kernel L(G) L(n_j) + L(n_i) L(G), with its diagonal limit 0
+    KA = np.einsum("ijab,jbc->ijac", LG, Ln) + np.einsum("iab,ijbc->ijac", Ln, LG)
+    KA[idx, idx] = 0.0
+    A = flat(KA * mesh.sigma[None, :, None, None] / omega(mesh.n))
 
     eye = np.eye(N * d)
     out = {"C": C, "A": A, "C*": C - A, "S+": 0.5 * eye + C, "S-": 0.5 * eye - C}
     for sign in "+-":
         out["P" + sign] = np.linalg.solve((eye + A).T, out["S" + sign].T).T
     return out
-
-
-def _loop_richardson_diagonal(mesh, K):
-    """Richardson diagonal from neighbour rings built with Python sets, node by node."""
-    N = mesh.size
-    if mesh.curve_order:
-        ring1 = [[(i + 1) % N, (i - 1) % N] for i in range(N)]
-        ring2 = [[(i + 2) % N, (i - 2) % N] for i in range(N)]
-    else:
-        ring1 = [[] for _ in range(N)]
-        for a, b in mesh.edge_list():
-            ring1[a].append(b)
-            ring1[b].append(a)
-        ring2 = []
-        for i in range(N):
-            s = set()
-            for j in ring1[i]:
-                s.update(ring1[j])
-            s.discard(i)
-            s -= set(ring1[i])
-            ring2.append(sorted(s))
-    k1 = np.array([K[i, ring1[i]].mean(axis=0) for i in range(N)])
-    k2 = np.array([K[i, ring2[i]].mean(axis=0) for i in range(N)])
-    return (4.0 * k1 - k2) / 3.0
 
 
 class TestSpinorStorage:
@@ -105,17 +80,20 @@ class TestSpinorStorage:
         for op in (assemble_singular_cauchy(mesh), assemble_kerzman_stein(mesh)):
             assert op.matrix.size == entries and op.matrix.dtype == complex
 
-    @pytest.mark.parametrize("name", ["sphere42", "sphere162"])
-    def test_richardson_rings_match_loop(self, name, request):
-        from plemelj.operators import _cancelled_kernel_coeffs, _pair_kernel, _richardson_diagonal
-
+    @pytest.mark.parametrize("name", ["circle128", "deformed128", "sphere42"])
+    def test_kerzman_stein_diagonal_is_zero(self, name, request):
+        # the cancelled kernel's limit at w = z is 0 on curves and the sphere
         mesh = request.getfixturevalue(name)
-        G = _pair_kernel(mesh)
-        n_row = np.broadcast_to(mesh.normals[:, None, :], G.shape)
-        n_col = np.broadcast_to(mesh.normals[None, :, :], G.shape)
-        K = _cancelled_kernel_coeffs(algebra(mesh.n), G, n_row, n_col)
-        gap = np.abs(_richardson_diagonal(mesh, K) - _loop_richardson_diagonal(mesh, K)).max()
-        assert gap <= 1e-15
+        sp, N = algebra(mesh.n).spinor, mesh.size
+        blocks = assemble_kerzman_stein(mesh).matrix.reshape(sp.blocks, N, sp.size, N, sp.size)
+        idx = np.arange(N)
+        assert not np.any(blocks[:, idx, :, idx, :])
+
+    def test_deformed_blocks_are_weighted_negative_transposes(self):
+        # sigma_i A_0[i, j] = -sigma_j A_1[j, i]: I - A_0 is I + A_1 transposed, up to diag(sigma)
+        mesh = make_deformed_curve(128, 0.1, 2)
+        A0, A1 = mesh.sigma[None, :, None] * assemble_kerzman_stein(mesh).matrix
+        assert np.abs(A0 + A1.T).max() <= 1e-15 * np.abs(A0).max()
 
 
 class TestPlanarKernelBlocks:

@@ -34,3 +34,25 @@ def test_kerzman_stein_path_runs_on_one_blas():
         if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in _imported_names(tree))
     }
     assert importers == {"linsolve.py"}
+
+
+def _references(node, skip=None):
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+        if name is not None and name != skip:
+            yield name
+
+
+def test_every_private_function_is_referenced():
+    # a module-level helper whose last caller was deleted shows up here
+    src = Path(plemelj.__file__).parent
+    defined, used = set(), set()
+    for path in src.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and not stmt.name.endswith("__"):
+                defined.add(stmt.name)
+                own = stmt.name
+            used.update(_references(stmt, skip=own))
+    orphans = sorted(defined - used)
+    assert defined and not orphans, orphans
