@@ -24,12 +24,13 @@ from .mesh import (
     barrier_clearance_floor,
     cone_parameters,
     per_mesh,
+    row_blocks,
 )
 from .operators import (
     BoundaryFunction,
+    _kernel_blocks,
     _pair_blocks,
     _to_spinor,
-    _transform_columns,
     _transform_points,
     assemble_singular_cauchy,
     l2_norm,
@@ -137,12 +138,15 @@ def _family_norms(mesh: BoundaryMesh, vals: np.ndarray, count: int) -> np.ndarra
 def _family_nontangential(mesh: BoundaryMesh, family, alpha, r):
     """nontangential_maximal of every function of the family, one kernel pass.
 
-    The kernel blocks of each row chunk of cone samples multiply the spinor
-    columns of the whole family at once.
+    The kernel blocks of each row block of cone samples (row_blocks) multiply
+    the spinor columns of the whole family at once, and the products are
+    reduced to their norms block by block.
     """
     pts, near = _usable_cone_samples(mesh, alpha, r, _CONE_SAMPLES)
-    vals = _transform_columns(mesh, pts, _family_columns(mesh, family))
-    norms = _family_norms(mesh, vals, len(family))
+    cols = _family_columns(mesh, family)
+    norms = np.empty((len(family), pts.shape[0]))
+    for rows in row_blocks(pts.shape[0], mesh.size):
+        norms[:, rows] = _family_norms(mesh, _kernel_blocks(mesh, pts[rows]) @ cols, len(family))
     return [_cone_sup(nk, near) for nk in norms], int(near.sum())
 
 

@@ -71,6 +71,20 @@ class EmptyBallError(ValueError):
     pass
 
 
+# Node pairs per row block of every (rows, width) pass.  A complex (rows,
+# width) array of this many pairs is 512 KiB, so a block's few temporaries
+# stay near a 2 MiB L2 cache, and the blocks keep the memory of a pass
+# independent of its row count.
+PAIR_BLOCK = 1 << 15
+
+
+def row_blocks(count: int, width: int):
+    """Yield slices covering range(count) in order, each of at most max(1, PAIR_BLOCK // width) rows."""
+    step = max(1, PAIR_BLOCK // width)
+    for s0 in range(0, count, step):
+        yield slice(s0, min(s0 + step, count))
+
+
 def per_mesh(fn):
     """Keep fn(mesh, *args) in mesh.cache under (fn, *args), so each per-mesh result is built once.
 
@@ -353,27 +367,27 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     |square(u)| = |zeta eta| and |u|^2 = (|zeta|^2 + |eta|^2) / 2
     (algebra.null_magnitudes).
 
-    The pairs are checked in row blocks of about 1 << 18 pairs, so the memory
-    stays bounded on large meshes; the witness is the first minimal pair in
-    row-major order, as for one (N, N) array.
+    The pairs are checked in row blocks of PAIR_BLOCK pairs (row_blocks), so
+    the memory stays cache-sized on large meshes; every ratio is formed
+    elementwise, and the witness is the first minimal pair in row-major
+    order, as for one (N, N) array.
     """
     z = mesh.nodes
     N = z.shape[0]
-    chunk = max(1, (1 << 18) // N)
     firsts = []  # (ratio, i, j) of the first minimum of each row block
-    for s0 in range(0, N, chunk):
-        rows = np.arange(s0, min(s0 + chunk, N))
+    for rows in row_blocks(N, N):
         if mesh.n == 2:
             sq, r2 = null_magnitudes(null_differences(z[rows], z))
         else:
             D = z[rows, None, :] - z[None, :, :]
             sq = np.abs(vector_square(D))
             r2 = np.sum(np.abs(D) ** 2, axis=-1)
-        sq[rows - s0, rows] = np.inf
-        r2[rows - s0, rows] = 1.0
+        diag = np.arange(rows.start, rows.stop)
+        sq[diag - rows.start, diag] = np.inf
+        r2[diag - rows.start, diag] = 1.0
         ratios = sq / r2
         i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-        firsts.append((float(ratios[i, j]), s0 + int(i), int(j)))
+        firsts.append((float(ratios[i, j]), rows.start + int(i), int(j)))
     pair_margin, i, j = firsts[int(np.argmin([f[0] for f in firsts]))]
     if pair_margin <= margin:
         return ValidationReport(
@@ -451,8 +465,8 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
     include the mesh nodes, so it is near no node's null cone.  (The test's
     tolerance 1e-12 (1 + |p - z|^2) would call points some 1e12 away along
     a null direction near; they are classified by index.)  The points go in
-    row blocks of (1 << 18) // N, so the (rows, N) arrays stay bounded; every
-    row is classified on its own, so the blocks do not change a region.
+    row_blocks of PAIR_BLOCK pairs, so the (rows, N) arrays stay cache-sized;
+    every row is classified on its own, so the blocks do not change a region.
     """
     if mesh.n % 2 and np.any(points.imag):
         raise OddDimensionComplexError("complex points have no region for odd n")
@@ -460,12 +474,13 @@ def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
         raise ValueError("the boundary does not enclose its interior seed")
     resolved = clearance >= barrier_clearance_floor(mesh)
     out = np.empty(points.shape[0], dtype=object)
-    chunk = max(1, (1 << 18) // mesh.size)
-    for s0 in range(0, points.shape[0], chunk):
-        rows = np.arange(s0, min(s0 + chunk, points.shape[0]))
-        high, low = rows[resolved[rows]], rows[~resolved[rows]]
-        out[high] = _index_regions(points[high], mesh)
-        out[low] = _side_regions(points[low], mesh)  # points the index cannot resolve
+    for rows in row_blocks(points.shape[0], mesh.size):
+        index = np.arange(rows.start, rows.stop)
+        high, low = index[resolved[rows]], index[~resolved[rows]]
+        if high.size:
+            out[high] = _index_regions(points[high], mesh)
+        if low.size:  # points the index cannot resolve
+            out[low] = _side_regions(points[low], mesh)
     return out
 
 
@@ -515,13 +530,13 @@ def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     reliably.  Exact for real-direction offsets, conservative within a
     factor two for transversal complex approaches.
 
-    The points are cleared in row blocks: the first has an eighth of the
-    cache-sized block of (1 << 18) // (fine nodes) rows, and each next one
-    doubles up to it.  A point's last bits depend on its block (BLAS takes
-    other paths for other row counts), so a point at the floor can be
-    resolved in one block and unresolved in another.  cone_parameters walks
-    these same blocks and stops at the first unresolved one, so its accept
-    and reject decisions are those of the full call.
+    The points are cleared in row blocks of PAIR_BLOCK pairs, PAIR_BLOCK //
+    (fine nodes) rows, after three of an eighth, a quarter and a half of
+    that.  A point's last bits depend on its block (BLAS takes other paths
+    for other row counts), so a point at the floor can be resolved in one
+    block and unresolved in another.  cone_parameters walks these same
+    blocks and stops at the first unresolved one, so its accept and reject
+    decisions are those of the full call.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     out = np.empty(points.shape[0])
@@ -547,10 +562,10 @@ def _clearance_blocks(points: np.ndarray, mesh: BoundaryMesh):
     z_d2 = (z_d2 * speed2[:, None]).T
     p_sq = np.hstack([points, np.sum(points * points, axis=1)[:, None], one_p])
     p_d2 = np.hstack([points.real, points.imag, np.sum(np.abs(points) ** 2, axis=1)[:, None], one_p])
-    chunk = max(1, (1 << 18) // F)  # rows that keep a block cache-sized
-    s0, size = 0, max(1, chunk // 8)
+    chunk = max(1, PAIR_BLOCK // F)  # the rows of a full block
+    s0, part = 0, 8  # an eighth, a quarter and a half of it first, so early rejections come sooner
     while s0 < P:
-        rows = slice(s0, min(s0 + size, P))
+        rows = slice(s0, min(s0 + max(1, chunk // part), P))
         # |square(p - z)|^2 / (|p - z|^2 s^2), and one square root per row
         ratio = np.abs(p_sq[rows] @ z_sq)
         ratio *= ratio
@@ -558,7 +573,7 @@ def _clearance_blocks(points: np.ndarray, mesh: BoundaryMesh):
         np.maximum(d2, 1e-300, out=d2)  # rounding can leave a point on a fine node at d2 <= 0
         ratio /= d2
         yield rows, np.sqrt(ratio.min(axis=1))
-        s0, size = rows.stop, min(2 * size, chunk)
+        s0, part = rows.stop, max(1, part // 2)
 
 
 def barrier_clearance_floor(mesh: BoundaryMesh) -> float:
@@ -616,20 +631,34 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
 
 
+def _halton(count: int, dim: int) -> np.ndarray:
+    """Points 1..count of the unscrambled Halton sequence in [0, 1)^dim, as (count, dim).
+
+    Coordinate k is the radical inverse of the point's index in the k-th
+    prime: its base-b digits mirrored about the radix point.  Point 0, all
+    zeros, is skipped.
+    """
+    primes = [p for p in range(2, 64) if all(p % q for q in range(2, p))][:dim]
+    out = np.zeros((count, dim))
+    for k, b in enumerate(primes):
+        i, f = np.arange(1, count + 1), 1.0 / b
+        while i.any():
+            out[:, k] += f * (i % b)
+            i //= b
+            f /= b
+    return out
+
+
 @per_mesh
 def _cone_frame(mesh: BoundaryMesh, count: int, seed: int):
-    """What the cone samples of every (alpha, r) share, read-only, from one Halton draw.
+    """What the cone samples of every (alpha, r) share, read-only, from one Halton draw (_halton).
 
     The inward unit axes (N, 1, n), unit directions orthogonal to them
     (N, count, n), and per sample u^(1/(2n)) and v^(1/2) of the draw's
     first two coordinates, which r and alpha scale.
     """
-    from scipy.stats import qmc
-
     n2 = 2 * mesh.n
-    sampler = qmc.Halton(d=n2 + 1, scramble=False, seed=seed)
-    sampler.fast_forward(1)  # skip the degenerate all-zero first point
-    raw = sampler.random(count)
+    raw = _halton(count, n2 + 1)
     axis = _interior_axis(mesh, np.arange(mesh.size))[:, None, :]
     # direction orthogonal to the axis in R^{2n}, from the remaining coords
     g = raw[:, 2:] - 0.5
@@ -676,7 +705,9 @@ def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, see
 
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
 _DEFAULT_RADIUS_FACTORS = (1.0, 0.5, 0.25, 0.1)
-_CONE_SAMPLES, _CONE_SEED = 64, 7  # samples per cone and Halton seed of the schedule
+# samples per cone, and the schedule's seed, which keys the cached sample
+# sets (the unscrambled Halton draw does not depend on it)
+_CONE_SAMPLES, _CONE_SEED = 64, 7
 
 
 @per_mesh

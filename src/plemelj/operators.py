@@ -51,7 +51,7 @@ from .algebra import (
     null_magnitudes,
 )
 from .linsolve import matmul, qr
-from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership
+from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership, row_blocks
 
 __all__ = [
     "BlockOperator",
@@ -400,12 +400,17 @@ def _null_pairs(mesh: BoundaryMesh) -> np.ndarray:
     """Reciprocals 1 / zeta_rho(z_i - z_j) of all node pairs (n = 2) as (2, N, N), 0 on the diagonal.
 
     The differences are checked against the null cones first (_off_null).
-    They are antisymmetric, and so are their reciprocals, bit for bit.
+    They are antisymmetric, and so are their reciprocals, bit for bit.  The
+    rows go in row_blocks, so no (2, N, N) temporary beside R is made.
     """
-    dz = null_differences(mesh.nodes, mesh.nodes)
-    idx = np.arange(mesh.size)
-    dz[:, idx, idx] = 1.0  # placeholder off the null cones
-    R = np.reciprocal(_off_null(dz), out=np.empty(dz.shape, dtype=complex))  # C order, unlike dz
+    z, N = mesh.nodes, mesh.size
+    R = np.empty((2, N, N), dtype=complex)
+    for rows in row_blocks(N, N):
+        dz = null_differences(z[rows], z)
+        diag = np.arange(rows.start, rows.stop)
+        dz[:, diag - rows.start, diag] = 1.0  # placeholder off the null cones
+        R[:, rows] = np.reciprocal(_off_null(dz))
+    idx = np.arange(N)
     R[:, idx, idx] = 0.0
     return R
 
@@ -431,11 +436,20 @@ def _pair_blocks(mesh: BoundaryMesh, W: np.ndarray) -> np.ndarray:
 
     For n = 2 block rho is R_rho (-zeta_rho(n_j) W_ij / omega) with the
     reciprocal null pairs R (_null_pairs): multiplications only, and 0 on
-    the diagonal.
+    the diagonal, filled one row block at a time.
     """
     if mesh.n == 2:
+        R = _null_pairs(mesh)
         zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-        return _null_pairs(mesh) * (zn[:, None, :] * (W / -omega(2)))
+        out = np.empty_like(R)
+        for rows in row_blocks(mesh.size, mesh.size):
+            # numpy evaluates R * (temporary) as temporary *= R when the
+            # temporary has 256 KiB or more, and a complex product's imaginary
+            # part rounds by the order of its factors.  Blocks of PAIR_BLOCK
+            # pairs fall on the same side of that size as the whole (2, N, N)
+            # product, so the blocks round as it did.
+            out[:, rows] = R[:, rows] * (zn[:, None, :] * (W[rows] / -omega(2)))
+        return out
     return _stack(_vector_kernel_blocks(mesh, _pair_kernel(mesh), W))
 
 
@@ -490,9 +504,13 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
         # K holds minus the kernel; the sign goes into the weights.
         R = _null_pairs(mesh)
         zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-        K = zn[:, None, :] * R
-        K += zn[::-1, :, None] * R[::-1]
-        return BlockOperator(mesh, K * (mesh.sigma / -omega(2)), "A")
+        w = mesh.sigma / -omega(2)
+        A = np.empty_like(R)
+        for rows in row_blocks(mesh.size, mesh.size):
+            K = zn[:, None, :] * R[:, rows]
+            K += zn[::-1, rows, None] * R[::-1, rows]
+            A[:, rows] = K * w
+        return BlockOperator(mesh, A, "A")
     sp, N, n = algebra(mesh.n).spinor, mesh.size, mesh.n
     G = _pair_kernel(mesh) * (mesh.sigma / omega(n))[None, :, None]  # trapezoid weights
     # sum_lm G_l (n_j - n_i)_m B(e_l e_m) as one GEMM, then -2 <G, n_i> on the block diagonals
@@ -557,22 +575,15 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
 # -- off-boundary transforms -------------------------------------------------------
 
 
-def _transform_columns(mesh: BoundaryMesh, points: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """_kernel_blocks(mesh, points) @ columns in row chunks: (blocks, N s, k) -> (blocks, M s, k)."""
-    s = algebra(mesh.n).spinor.size
-    out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
-    chunk = max(1, (1 << 18) // mesh.size)
-    for s0 in range(0, points.shape[0], chunk):
-        rows = slice(s0, min(s0 + chunk, points.shape[0]))
-        out[:, rows.start * s : rows.stop * s] = _kernel_blocks(mesh, points[rows]) @ columns
-    return out
-
-
 def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, as spinor-block products."""
+    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, as spinor-block products in row_blocks."""
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     columns = _to_spinor(values * mesh.sigma[:, None], mesh)
-    return _from_spinor(_transform_columns(mesh, points, columns), mesh)
+    s = algebra(mesh.n).spinor.size
+    out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
+    for rows in row_blocks(points.shape[0], mesh.size):
+        out[:, rows.start * s : rows.stop * s] = _kernel_blocks(mesh, points[rows]) @ columns
+    return _from_spinor(out, mesh)
 
 
 def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> Multivector:
@@ -620,9 +631,7 @@ def cauchy_transform_points(
     pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
     pre_1 = np.einsum("lab,jb->laj", alg.generator_left, alg.embed_vector(n1))
     out = np.empty((points.shape[0], alg.dim), dtype=complex)
-    chunk = max(1, (1 << 18) // mesh.size)
-    for s0 in range(0, points.shape[0], chunk):
-        rows = slice(s0, min(s0 + chunk, points.shape[0]))
+    for rows in row_blocks(points.shape[0], mesh.size):
         diffs = points[rows, None, :] - mesh.nodes[None, :, :]
         # pairs on the null cone carry zero quadrature weight (they sit at
         # the subtracted node); park them off the cone before evaluating

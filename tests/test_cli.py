@@ -94,6 +94,20 @@ def test_invalid_input_exit_code(tmp_path, args):
     assert proc.stderr.startswith("invalid input: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
+
+def test_maximal_does_not_import_scipy_stats(tmp_path):
+    # the cone samples' Halton draw is computed in numpy; importing
+    # scipy.stats would cost a fresh maximal or limits run about a second
+    env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
+    code = (
+        "import sys; from plemelj.cli import main; "
+        f"rc = main(['--command', 'maximal', '--geometry', 'circle', '--N', '64', '--out', {str(tmp_path)!r}]); "
+        "print(rc, 'scipy.stats' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_decompose_constant(tmp_path):
     rc, out = run_cli(tmp_path, "--command", "decompose", "--N", "64")
     assert rc == 0

@@ -159,21 +159,20 @@ class TestBoundDiagnostics:
                 assert _relative_gap(got[k], per_function(mesh, f, radii)) <= 1e-13
 
     def test_accepted_cone_samples_cleared_once(self, monkeypatch):
-        # 8 schedule entries rejected, 7 at their first block of 64 rows and
-        # one at its fourth, and the accepted entry's 4096 samples cleared
-        # once for both cone_parameters and the nontangential pass; every
-        # entry rescales one draw of the Halton sequence
-        from scipy.stats import qmc
-
+        # 8 schedule entries rejected, 6 at their first block of 8 rows, one
+        # at its second and one at its twelfth, and the accepted entry's 4096
+        # samples cleared once, in 67 blocks, for both cone_parameters and
+        # the nontangential pass; every entry rescales one draw of the
+        # Halton sequence
         import plemelj.mesh as mesh_mod
         from plemelj.mesh import make_circle
 
         calls, draws = [], []
-        blocks, halton = mesh_mod._clearance_blocks, qmc.Halton
+        blocks, halton = mesh_mod._clearance_blocks, mesh_mod._halton
 
-        def counting(*args, **kwargs):
-            draws.append(kwargs)
-            return halton(*args, **kwargs)
+        def counting(*args):
+            draws.append(args)
+            return halton(*args)
 
         def spy(points, mesh):
             calls.append([])
@@ -182,11 +181,11 @@ class TestBoundDiagnostics:
                 yield rows, clearance
 
         monkeypatch.setattr(mesh_mod, "_clearance_blocks", spy)
-        monkeypatch.setattr(qmc, "Halton", counting)
+        monkeypatch.setattr(mesh_mod, "_halton", counting)
         bound_diagnostics(make_circle(64), family_size=2)
         assert len(draws) == 1
-        assert sum(map(sum, calls)) == 5504
-        assert sorted(len(c) for c in calls) == [1] * 7 + [4, 11]
+        assert sum(map(sum, calls)) == 4800
+        assert sorted(len(c) for c in calls) == [1] * 6 + [2, 12, 67]
         assert [sum(c) for c in calls].count(64 * 64) == 1
 
     def test_constant_diagnostics(self, circle64):

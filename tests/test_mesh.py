@@ -164,9 +164,9 @@ class TestValidation:
         return dataclasses.replace(mesh, nodes=nodes, cache={})
 
     def test_blocked_pair_check_matches_one_shot(self, deformed1024):
-        # N = 1024 walks four row blocks; the failing mesh plants a null pair
-        # across the boundary of the third and fourth, so the witness must be
-        # the first minimum in row-major order
+        # N = 1024 walks 32 row blocks of 32 rows; the failing mesh plants a
+        # null pair across the boundary of the 24th and 25th (768 = 24 * 32),
+        # so the witness must be the first minimum in row-major order
         bad = self._planted(deformed1024)
         for mesh in (deformed1024, bad):
             assert repr(validate_domain_manifold(mesh)) == repr(self._one_shot(mesh, null=True))
@@ -468,8 +468,8 @@ class TestConeSchedule:
         assert tried == want_tried
         assert got == want
         # the blocks cover the rows in order, an eighth, a quarter and a half
-        # of the cache-sized block first, and hold the full call's values
-        chunk = (1 << 18) // mesh.barrier_nodes().shape[0]
+        # of a full PAIR_BLOCK block first, and hold the full call's values
+        chunk = mesh_mod.PAIR_BLOCK // mesh.barrier_nodes().shape[0]
         for pts, clearance in cleared:
             rows, blocks = zip(*mesh_mod._clearance_blocks(pts, mesh))
             sizes = [chunk // 8, chunk // 4, chunk // 2] + [chunk] * len(rows)
@@ -481,6 +481,19 @@ class TestConeSchedule:
         if want is not None:
             pts, clearance = mesh_mod._cone_sample_set(mesh, *want, 64, 7)
             assert np.array_equal(clearance, barrier_clearance(pts, mesh))
+
+
+@pytest.mark.parametrize("dim", [5, 7])
+def test_halton_matches_scipy(dim):
+    # the cone frames' draw for n = 2 and n = 3: points 1..count of the
+    # unscrambled sequence, bit for bit
+    from scipy.stats import qmc
+
+    import plemelj.mesh as mesh_mod
+
+    sampler = qmc.Halton(d=dim, scramble=False, seed=7)
+    sampler.fast_forward(1)
+    assert np.array_equal(mesh_mod._halton(1000, dim), sampler.random(1000))
 
 
 class TestApproachPath:
