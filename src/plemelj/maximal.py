@@ -15,7 +15,6 @@ import numpy as np
 from .algebra import algebra
 from .mesh import (
     _CONE_SAMPLES,
-    _CONE_SEED,
     BoundaryMesh,
     EmptyBallError,
     _cone_sample_set,
@@ -84,9 +83,9 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
 
 def _usable_cone_samples(mesh: BoundaryMesh, alpha: float, r: float, count: int):
     """Cone samples and the (N, count) mask of those inside the barrier-resolution zone of dM."""
-    samples = _cone_sample_set(mesh, alpha, r, count, _CONE_SEED)
+    samples = _cone_sample_set(mesh, alpha, r, count)
     if samples is None:  # a given cone with unresolved samples: clear them all, uncached
-        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, _CONE_SEED)
+        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count)
         samples = pts, barrier_clearance(pts, mesh)
     pts, clearance = samples
     return pts, (clearance < barrier_clearance_floor(mesh)).reshape(mesh.size, count)

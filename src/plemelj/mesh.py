@@ -370,7 +370,9 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     The pairs are checked in row blocks of PAIR_BLOCK pairs (row_blocks), so
     the memory stays cache-sized on large meshes; every ratio is formed
     elementwise, and the witness is the first minimal pair in row-major
-    order, as for one (N, N) array.
+    order, as for one (N, N) array.  A ratio that is not a number (0 / 0
+    for coincident nodes or a zero tangent) fails its check and is the
+    witness.
     """
     z = mesh.nodes
     N = z.shape[0]
@@ -385,14 +387,15 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
         diag = np.arange(rows.start, rows.stop)
         sq[diag - rows.start, diag] = np.inf
         r2[diag - rows.start, diag] = 1.0
-        ratios = sq / r2
+        with np.errstate(invalid="ignore"):
+            ratios = sq / r2
         i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
         firsts.append((float(ratios[i, j]), rows.start + int(i), int(j)))
     pair_margin, i, j = firsts[int(np.argmin([f[0] for f in firsts]))]
-    if pair_margin <= margin:
+    if not pair_margin > margin:  # argmin returns a NaN ratio first
         return ValidationReport(
             False,
-            f"node pair violates the null-cone separation (ratio {pair_margin:.3g} <= {margin})",
+            f"node pair violates the null-cone separation ({_ratio_text(pair_margin, margin)})",
             (i, j),
             pair_margin,
             float("nan"),
@@ -402,18 +405,26 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     t = z[edges[:, 1]] - z[edges[:, 0]]
     tsq = np.abs(vector_square(t))
     tr2 = np.sum(np.abs(t) ** 2, axis=-1)
-    tratios = tsq / tr2
+    with np.errstate(invalid="ignore"):
+        tratios = tsq / tr2
     jmin = int(np.argmin(tratios))
     tangent_margin = float(tratios[jmin])
-    if tangent_margin <= margin:
+    if not tangent_margin > margin:
         return ValidationReport(
             False,
-            f"discrete tangent meets the null cone (ratio {tangent_margin:.3g} <= {margin})",
+            f"discrete tangent meets the null cone ({_ratio_text(tangent_margin, margin)})",
             (int(edges[jmin, 0]), int(edges[jmin, 1])),
             pair_margin,
             tangent_margin,
         )
     return ValidationReport(True, "ok", None, pair_margin, tangent_margin)
+
+
+def _ratio_text(ratio: float, margin: float) -> str:
+    """A failed check's ratio in words; a NaN ratio is 0 / 0 or worse."""
+    if ratio <= margin:
+        return f"ratio {ratio:.3g} <= {margin}"
+    return f"ratio {ratio:.3g}: coincident or non-finite nodes"
 
 
 @per_mesh
@@ -616,7 +627,7 @@ def _interior_axis(mesh: BoundaryMesh, i) -> np.ndarray:
     return -nrm / np.sqrt(np.sum(np.abs(nrm) ** 2, axis=-1, keepdims=True))
 
 
-def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, seed: int):
+def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int):
     """Deterministic low-discrepancy samples of the truncated cone at node i.
 
     Radii follow the rho = r * u^(1/(2n)) law (uniform for the R^{2n}
@@ -625,7 +636,7 @@ def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int, see
     array of nodes i the samples come node by node, count rows each.  Every
     (alpha, r) only rescales the mesh's one _cone_frame.
     """
-    axis, perp, radial, angular = _cone_frame(mesh, count, seed)
+    axis, perp, radial, angular = _cone_frame(mesh, count)
     rho, phi = r * radial, alpha * angular
     dirs = np.cos(phi)[:, None] * axis[i] + np.sin(phi)[:, None] * perp[i]
     return (mesh.nodes[i][..., None, :] + rho[:, None] * dirs).reshape(-1, mesh.n)
@@ -650,7 +661,7 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 
 @per_mesh
-def _cone_frame(mesh: BoundaryMesh, count: int, seed: int):
+def _cone_frame(mesh: BoundaryMesh, count: int):
     """What the cone samples of every (alpha, r) share, read-only, from one Halton draw (_halton).
 
     The inward unit axes (N, 1, n), unit directions orthogonal to them
@@ -682,7 +693,7 @@ def _cone_frame(mesh: BoundaryMesh, count: int, seed: int):
 
 
 @per_mesh
-def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, seed: int):
+def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int):
     """Every node's cone samples and their barrier_clearance, or None if some sample is unresolved.
 
     The clearance is walked in barrier_clearance's blocks, so the kept
@@ -693,7 +704,7 @@ def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, see
     once, every entry rescales the mesh's one _cone_frame, and
     bound_diagnostics finds the accepted entry's set kept.
     """
-    pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count, seed)
+    pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count)
     tau = barrier_clearance_floor(mesh)
     clearance = np.empty(pts.shape[0])
     for rows, block in _clearance_blocks(pts, mesh):
@@ -705,9 +716,7 @@ def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int, see
 
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
 _DEFAULT_RADIUS_FACTORS = (1.0, 0.5, 0.25, 0.1)
-# samples per cone, and the schedule's seed, which keys the cached sample
-# sets (the unscrambled Halton draw does not depend on it)
-_CONE_SAMPLES, _CONE_SEED = 64, 7
+_CONE_SAMPLES = 64  # samples per cone
 
 
 @per_mesh
@@ -724,7 +733,7 @@ def cone_parameters(mesh: BoundaryMesh):
         for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * half_diam
             # every sample must be resolved: the floor away from the null cones
-            samples = _cone_sample_set(mesh, alpha, r, _CONE_SAMPLES, _CONE_SEED)
+            samples = _cone_sample_set(mesh, alpha, r, _CONE_SAMPLES)
             if samples is None:
                 continue
             pts, clearance = samples

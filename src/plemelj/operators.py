@@ -13,13 +13,15 @@ of G(w - z) n(z) is the planar Cauchy kernel -zeta_rho(n) / (2 pi
 zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta, zeta_1 = eta).  The
 off-boundary transforms come from arrays of null differences and are
 applied as matrix products (_kernel_blocks).  Between the nodes themselves
-one per-mesh array holds the reciprocals R_rho = 1 / zeta_rho(z_i - z_j)
-(_null_pairs), and C and A are built from it by multiplications only:
-block rho of C is R_rho (-zeta_rho(n_j) w_ij / 2 pi), and block rho of the
-cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho - zeta_rhobar(n_i)
-R_rhobar (rhobar = 1 - rho), since left multiplication by a vector swaps
-the null planes.  The Clifford kernel G = cauchy_kernel serves n = 3,
-generic_kernel_operator and the subtracted near-boundary transform.
+C and A are built in one pass over row blocks (_curve_operators): each
+block takes its reciprocals R_rho = 1 / zeta_rho(z_i - z_j) (_null_rows)
+once, and both operators follow by multiplications only: block rho of C
+is R_rho (-zeta_rho(n_j) w_ij / 2 pi), and block rho of the cancelled
+kernel G n_j + n_i G is -zeta_rho(n_j) R_rho - zeta_rhobar(n_i) R_rhobar
+(rhobar = 1 - rho), since left multiplication by a vector swaps the null
+planes.  No (N, N) array of reciprocals or weights is kept.  The Clifford
+kernel G = cauchy_kernel serves n = 3, generic_kernel_operator and the
+subtracted near-boundary transform.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -358,21 +360,27 @@ def _pair_kernel(mesh: BoundaryMesh) -> np.ndarray:
     return cauchy_kernel(diffs)
 
 
-def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
-    """(N, N) quadrature weight matrix for singular kernels.
+def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
+    """Rows (a slice or an index array) of the quadrature weight matrix for singular kernels.
 
     Closed curves with even N use odd offsets with doubled weights (the
     alternate-point trapezoid rule, exact on the circle's band); other
-    meshes use the punctured rule.
+    meshes use the punctured rule.  Only the requested rows are built.
     """
     N = mesh.size
+    j = np.arange(N)
+    i = j[rows]
     if mesh.curve_order and N % 2 == 0:
-        i = np.arange(N)
-        parity = ((i[:, None] - i[None, :]) % 2).astype(float)
+        parity = ((i[:, None] - j[None, :]) % 2).astype(float)
         return parity * (2.0 * mesh.sigma)[None, :]
-    W = np.tile(mesh.sigma, (N, 1))
-    np.fill_diagonal(W, 0.0)
+    W = np.tile(mesh.sigma, (i.size, 1))
+    W[np.arange(i.size), i] = 0.0
     return W
+
+
+def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
+    """(N, N) quadrature weight matrix for singular kernels: every row of _weight_rows."""
+    return _weight_rows(mesh, slice(None))
 
 
 def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -395,24 +403,32 @@ def _off_null(dz: np.ndarray) -> np.ndarray:
     return dz
 
 
-@per_mesh
-def _null_pairs(mesh: BoundaryMesh) -> np.ndarray:
-    """Reciprocals 1 / zeta_rho(z_i - z_j) of all node pairs (n = 2) as (2, N, N), 0 on the diagonal.
+def _null_rows(mesh: BoundaryMesh, rows: slice) -> np.ndarray:
+    """Rows R[:, rows] (2, rows, N) of the reciprocal null pairs R_rho = 1 / zeta_rho(z_i - z_j) (n = 2), 0 on the diagonal.
 
-    The differences are checked against the null cones first (_off_null).
-    They are antisymmetric, and so are their reciprocals, bit for bit.  The
-    rows go in row_blocks, so no (2, N, N) temporary beside R is made.
+    The differences are checked against the null cones first (_off_null),
+    so this raises NullVectorError wherever cauchy_kernel does.  The rows
+    of all blocks make an antisymmetric R, bit for bit.
     """
-    z, N = mesh.nodes, mesh.size
-    R = np.empty((2, N, N), dtype=complex)
-    for rows in row_blocks(N, N):
-        dz = null_differences(z[rows], z)
-        diag = np.arange(rows.start, rows.stop)
-        dz[:, diag - rows.start, diag] = 1.0  # placeholder off the null cones
-        R[:, rows] = np.reciprocal(_off_null(dz))
-    idx = np.arange(N)
-    R[:, idx, idx] = 0.0
+    z = mesh.nodes
+    dz = null_differences(z[rows], z)
+    i = np.arange(mesh.size)[rows]
+    local = np.arange(i.size)
+    dz[:, local, i] = 1.0  # placeholder off the null cones
+    R = np.empty(dz.shape, dtype=complex)  # plane first in memory too, unlike dz
+    np.reciprocal(_off_null(dz), out=R)
+    R[:, local, i] = 0.0
     return R
+
+
+def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), from reciprocal rows R and weight rows W."""
+    # numpy evaluates R * (temporary) as temporary *= R when the temporary
+    # has 256 KiB or more, and a complex product's imaginary part rounds by
+    # the order of its factors.  Blocks of PAIR_BLOCK pairs fall on the same
+    # side of that size as one (2, N, N) product would, so C rounds as if it
+    # were built whole.
+    return R * (zn[:, None, :] * (W / -omega(2)))
 
 
 def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
@@ -434,23 +450,47 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
 def _pair_blocks(mesh: BoundaryMesh, W: np.ndarray) -> np.ndarray:
     """_kernel_blocks at the nodes themselves times weights W (N, N) that vanish on the diagonal.
 
-    For n = 2 block rho is R_rho (-zeta_rho(n_j) W_ij / omega) with the
-    reciprocal null pairs R (_null_pairs): multiplications only, and 0 on
-    the diagonal, filled one row block at a time.
+    For n = 2 block rho is R_rho (-zeta_rho(n_j) W_ij / omega), filled one
+    row block at a time from that block's reciprocal null pairs (_null_rows):
+    multiplications only, and 0 on the diagonal.
     """
     if mesh.n == 2:
-        R = _null_pairs(mesh)
         zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-        out = np.empty_like(R)
+        out = np.empty((2, mesh.size, mesh.size), dtype=complex)
         for rows in row_blocks(mesh.size, mesh.size):
-            # numpy evaluates R * (temporary) as temporary *= R when the
-            # temporary has 256 KiB or more, and a complex product's imaginary
-            # part rounds by the order of its factors.  Blocks of PAIR_BLOCK
-            # pairs fall on the same side of that size as the whole (2, N, N)
-            # product, so the blocks round as it did.
-            out[:, rows] = R[:, rows] * (zn[:, None, :] * (W[rows] / -omega(2)))
+            out[:, rows] = _cauchy_rows(_null_rows(mesh, rows), zn, W[rows])
         return out
     return _stack(_vector_kernel_blocks(mesh, _pair_kernel(mesh), W))
+
+
+@per_mesh
+def _curve_operators(mesh: BoundaryMesh) -> tuple:
+    """C with its diagonal blocks still open, and A, for n = 2: (2, N, N) each, from one row-blocked pass.
+
+    Each row block takes its reciprocal null pairs R (_null_rows) and its
+    singular weights (_weight_rows) once and drops them: C's rows are
+    R_rho (-zeta_rho(n_j) w_ij / omega) (_cauchy_rows), and A's rows are the
+    cancelled kernel of assemble_kerzman_stein with the trapezoid weights
+    sigma_j.  assemble_singular_cauchy writes C's diagonal blocks into the
+    first array, so the cache keeps each operator once.
+    """
+    N = mesh.size
+    zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
+    w = mesh.sigma / -omega(2)
+    C = np.empty((2, N, N), dtype=complex)
+    A = np.empty_like(C)
+    for rows in row_blocks(N, N):
+        R = _null_rows(mesh, rows)
+        C[:, rows] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
+        # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
+        # by the vector n_i swaps the null planes, so it is
+        # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
+        # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
+        # K holds minus the kernel; the sign goes into the weights.
+        K = zn[:, None, :] * R
+        K += zn[::-1, rows, None] * R[::-1]
+        A[:, rows] = K * w
+    return C, A
 
 
 @per_mesh
@@ -467,7 +507,7 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """
     _validated(mesh)
     sp, N = algebra(mesh.n).spinor, mesh.size
-    matrix = _pair_blocks(mesh, _quad_weights(mesh))
+    matrix = _curve_operators(mesh)[0] if mesh.n == 2 else _pair_blocks(mesh, _quad_weights(mesh))
     idx = np.arange(N)
     blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     blocks[:, idx, :, idx, :] = 0.0
@@ -491,26 +531,13 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     n(z) = z makes the whole kernel vanish.  A continuous periodic kernel
     needs nothing beyond the trapezoid rule, so the weights are sigma_j
     everywhere.  The kernel is scalar plus bivector, so it is stored as its
-    spinor blocks; for n = 2 they are built from the reciprocal null pairs
-    of C, by multiplications only.  Raises ValidationFailedError on a mesh
-    that fails validate_domain_manifold.
+    spinor blocks; for n = 2 they come from the row-blocked pass that
+    builds C (_curve_operators), by multiplications only.  Raises
+    ValidationFailedError on a mesh that fails validate_domain_manifold.
     """
     _validated(mesh)
     if mesh.n == 2:
-        # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
-        # by the vector n_i swaps the null planes, so it is
-        # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
-        # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
-        # K holds minus the kernel; the sign goes into the weights.
-        R = _null_pairs(mesh)
-        zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-        w = mesh.sigma / -omega(2)
-        A = np.empty_like(R)
-        for rows in row_blocks(mesh.size, mesh.size):
-            K = zn[:, None, :] * R[:, rows]
-            K += zn[::-1, rows, None] * R[::-1, rows]
-            A[:, rows] = K * w
-        return BlockOperator(mesh, A, "A")
+        return BlockOperator(mesh, _curve_operators(mesh)[1], "A")
     sp, N, n = algebra(mesh.n).spinor, mesh.size, mesh.n
     G = _pair_kernel(mesh) * (mesh.sigma / omega(n))[None, :, None]  # trapezoid weights
     # sum_lm G_l (n_j - n_i)_m B(e_l e_m) as one GEMM, then -2 <G, n_i> on the block diagonals
@@ -625,7 +652,6 @@ def cauchy_transform_points(
     alg = algebra(mesh.n)
     subtract_node = np.asarray(subtract_node, dtype=int)
     chi = 1.0 if interior else 0.0
-    W = _quad_weights(mesh)[subtract_node]  # (M, N) row weights
     nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), f.values)
     n1 = mesh.normals  # n_j acting on the constant 1 is the vector itself
     pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
@@ -635,7 +661,7 @@ def cauchy_transform_points(
         diffs = points[rows, None, :] - mesh.nodes[None, :, :]
         # pairs on the null cone carry zero quadrature weight (they sit at
         # the subtracted node); park them off the cone before evaluating
-        Wr = np.array(W[rows])
+        Wr = _weight_rows(mesh, subtract_node[rows])
         bad = is_null(diffs)
         if np.any(bad):
             diffs = diffs.copy()

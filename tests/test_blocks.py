@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import plemelj.mesh as mesh_mod
+from plemelj.hardy import verify_identities
 from plemelj.maximal import _family_nontangential, band_limited_family, bound_diagnostics
 from plemelj.mesh import (
+    BoundaryMesh,
     Region,
     _cone_samples,
     barrier_clearance,
@@ -16,9 +18,10 @@ from plemelj.mesh import (
     make_circle,
     make_deformed_curve,
     region_membership_many,
+    row_blocks,
     validate_domain_manifold,
 )
-from plemelj.operators import _null_pairs, assemble_kerzman_stein, assemble_singular_cauchy
+from plemelj.operators import _null_rows, assemble_kerzman_stein, assemble_singular_cauchy
 
 BUILDS = {
     "circle128": lambda: make_circle(128),
@@ -31,7 +34,7 @@ def _outputs(mesh):
     # the widest schedule cone's samples, their mirror images through the
     # nodes and their turns into the imaginary directions: interior,
     # exterior and mixed points, some of them below the clearance floor
-    wide = _cone_samples(mesh, np.arange(mesh.size), np.pi / 4, mesh.half_diameter(), 64, 7)
+    wide = _cone_samples(mesh, np.arange(mesh.size), np.pi / 4, mesh.half_diameter(), 64)
     z = np.repeat(mesh.nodes, 64, axis=0)
     points = np.concatenate([wide, 2 * z - wide, z + 1j * (wide - z)])
     alpha, r = cone_parameters(mesh)
@@ -40,7 +43,7 @@ def _outputs(mesh):
         "report": repr(validate_domain_manifold(mesh)),
         "regions": region_membership_many(points, mesh),
         "unresolved": barrier_clearance(points, mesh) < barrier_clearance_floor(mesh),
-        "R": _null_pairs(mesh),
+        "R": np.concatenate([_null_rows(mesh, rows) for rows in row_blocks(mesh.size, mesh.size)], axis=1),
         "C": assemble_singular_cauchy(mesh).matrix,
         "A": assemble_kerzman_stein(mesh).matrix,
         "nontangential": np.array(nontangential),
@@ -96,3 +99,37 @@ def test_cone_walk_memory():
     # of scipy.stats)
     mesh = make_circle(256)
     assert _peak_mib(lambda: cone_parameters(mesh)) <= 8.0
+
+
+def test_verify_memory():
+    # C, A and the LU factors of I + A take 8 MiB each; keeping the (2, N, N)
+    # reciprocal null pairs beside them took 37.1 MiB
+    assert _peak_mib(lambda: verify_identities(make_deformed_curve(512, 0.05, 2), refine=False)) <= 31.0
+
+
+def _cached_arrays(value, seen):
+    """Every array a cached value holds, without looking into meshes."""
+    if id(value) in seen or isinstance(value, BoundaryMesh):
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "__dict__"):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _cached_arrays(item, seen)
+
+
+def test_verify_caches_no_pair_array_beside_c_and_a():
+    # the reciprocal null pairs live one row block at a time; the LU factors
+    # of I + A are one (N, N) array per block
+    mesh = make_deformed_curve(128, 0.05, 2)
+    verify_identities(mesh)
+    C, A = assemble_singular_cauchy(mesh).matrix, assemble_kerzman_stein(mesh).matrix
+    pairs = [a for a in _cached_arrays(mesh.cache, set()) if a.shape == C.shape]
+    assert any(a is C for a in pairs) and any(a is A for a in pairs)
+    assert all(np.shares_memory(a, C) or np.shares_memory(a, A) for a in pairs)

@@ -1,5 +1,5 @@
+import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,6 +10,26 @@ import pytest
 
 import plemelj
 from plemelj.cli import DEFAULT_CONFIG, main
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file: the benchmark's workloads and report checks."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+CAPS = {key: DEFAULT_CONFIG[key] for key in ("identity_cap", "cond_limit")}
+
+
+def check_benchmark_reports(name, out):
+    """The benchmark's own check of a job's reports, against the CLI's caps."""
+    failure, _ = WORKLOADS.check_reports(WORKLOADS.WORKLOADS[name], out, CAPS)
+    assert failure is None, failure
 
 
 def run_cli(tmp_path, *args):
@@ -133,11 +153,10 @@ def test_szego_report(tmp_path):
 
 
 def test_maximal_report(tmp_path):
+    # the benchmark's maximal-circle-64 job shape, with its report checks
     rc, out = run_cli(tmp_path, "--command", "maximal", "--N", "64")
     assert rc == 0
-    doc = json.load(open(os.path.join(out, "maximal.json")))
-    assert doc["cotlar_finite"] is True
-    assert math.isfinite(doc["c_maximal"]) and math.isfinite(doc["c_nontangential"])
+    check_benchmark_reports("maximal-circle-64", out)
     rows = open(os.path.join(out, "maximal.csv")).read().strip().splitlines()
     assert rows[0] == "node,M,N,cotlar_ratio"
     assert len(rows) == 65
@@ -188,25 +207,11 @@ def test_config_defaults_complete():
     assert "n" not in DEFAULT_CONFIG  # the geometry fixes the dimension
 
 
-@pytest.mark.parametrize(
-    "args, reports",
-    [
-        (("--command", "verify", "--geometry", "deformed", "--mode", "2", "--N", "512"), ("verify.json",)),
-        (("--command", "szego", "--geometry", "sphere", "--N", "162"), ("szego.json",)),
-    ],
-    ids=["verify-deformed-512", "szego-sphere-162"],
-)
-def test_benchmark_job_shapes(tmp_path, args, reports):
+@pytest.mark.parametrize("name", ["verify-deformed-512", "szego-sphere-162"])
+def test_benchmark_job_shapes(tmp_path, name):
     # the benchmark's verify and szego job shapes once, with its report checks
     # against the CLI's own caps (test_maximal_report runs the maximal shape)
-    rc, out = run_cli(tmp_path, *args)
+    workload = WORKLOADS.WORKLOADS[name]
+    rc, out = run_cli(tmp_path, *workload.args, "--N", str(workload.N))
     assert rc == 0
-    for name in reports:
-        assert os.path.isfile(os.path.join(out, name))
-    doc = json.load(open(os.path.join(out, reports[0])))
-    if args[1] == "verify":
-        assert doc["pass"] is True
-        assert all(row["residual_N"] <= DEFAULT_CONFIG["identity_cap"] for row in doc["results"])
-    else:
-        cond = doc["condition_estimate"]
-        assert isinstance(cond, float) and math.isfinite(cond) and cond <= DEFAULT_CONFIG["cond_limit"]
+    check_benchmark_reports(name, out)

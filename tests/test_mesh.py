@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from plemelj.mesh import (
     Region,
     ValidationFailedError,
     ValidationReport,
+    _deformed_curve,
     approach_path,
     barrier_clearance,
     barrier_clearance_floor,
@@ -208,6 +211,35 @@ class TestValidation:
             with pytest.raises(ValidationFailedError):
                 assemble(mesh)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_circle(16), lambda: _deformed_curve(16, 0.05, 2), lambda: make_sphere(42)],
+        ids=["circle16", "deformed16", "sphere42"],
+    )
+    def test_coincident_nodes_rejected(self, build):
+        # 0 / 0 makes a NaN ratio; it fails the check, names the pair and
+        # warns not, so no assembler meets the pair
+        from plemelj.operators import assemble_singular_cauchy
+
+        m = build()
+        m.nodes[3] = m.nodes[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_domain_manifold(m)
+        assert not rep.passed and rep.witness == (2, 3) and np.isnan(rep.pair_margin)
+        with pytest.raises(ValidationFailedError):
+            assemble_singular_cauchy(m)
+
+    def test_zero_tangent_rejected(self, circle128):
+        # an edge from a node to itself has tangent 0 and ratio 0 / 0
+        import dataclasses
+
+        m = dataclasses.replace(circle128, edges=np.array([[0, 1], [5, 5], [1, 2]]), cache={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_domain_manifold(m)
+        assert not rep.passed and rep.witness == (5, 5) and np.isnan(rep.tangent_margin)
+
     def test_pass_implies_kernel_finite(self, deformed128):
         from plemelj.algebra import cauchy_kernel
 
@@ -323,7 +355,7 @@ class TestCones:
         # the checker's own contract: the accepted samples classify Interior
         from plemelj.mesh import _cone_samples
 
-        pts = _cone_samples(circle128, 7, alpha, r, 32, 7)
+        pts = _cone_samples(circle128, 7, alpha, r, 32)
         assert np.all(region_membership_many(pts, circle128) == Region.INTERIOR)
 
     def test_deformed_cone_parameters(self, deformed128):
@@ -343,8 +375,8 @@ class TestCones:
 
         m = request.getfixturevalue(fixture)
         nodes = np.arange(m.size)
-        loop = np.concatenate([_cone_samples(m, i, np.pi / 6, 0.4, 48, 7) for i in nodes])
-        assert np.array_equal(_cone_samples(m, nodes, np.pi / 6, 0.4, 48, 7), loop)
+        loop = np.concatenate([_cone_samples(m, i, np.pi / 6, 0.4, 48) for i in nodes])
+        assert np.array_equal(_cone_samples(m, nodes, np.pi / 6, 0.4, 48), loop)
 
     def test_degenerate_mesh_has_no_valid_cone(self):
         with pytest.raises(NoValidConeError):
@@ -355,7 +387,7 @@ class TestCones:
 
         alpha, r = cone_parameters(circle128)
         pts = np.concatenate(
-            [_cone_samples(circle128, i, alpha, r, 64, 7) for i in range(circle128.size)]
+            [_cone_samples(circle128, i, alpha, r, 64) for i in range(circle128.size)]
         )
         assert barrier_clearance(pts, circle128).min() >= barrier_clearance_floor(circle128)
 
@@ -384,7 +416,7 @@ class TestBarrierClearance:
 
         m = request.getfixturevalue(fixture)
         rng = np.random.default_rng(8)
-        pts = _cone_samples(m, np.arange(m.size), np.pi / 6, 0.5 * m.half_diameter(), 8, 7)
+        pts = _cone_samples(m, np.arange(m.size), np.pi / 6, 0.5 * m.half_diameter(), 8)
         pts = np.concatenate([pts, rng.uniform(-2.0, 2.0, (300, m.n))])
         if m.n == 2:  # complex points too
             pts = np.concatenate([pts, pts + 0.3j * rng.normal(size=pts.shape)])
@@ -412,7 +444,7 @@ class TestBarrierClearance:
         assert sizes == [128]
 
 
-def _schedule_oracle(mesh, samples_per_cone=64, seed=7):
+def _schedule_oracle(mesh, samples_per_cone=64):
     """cone_parameters' schedule walked with full barrier_clearance and region_membership_many calls.
 
     Returns the entries tried, each as (alpha, r, rejected by clearance), their
@@ -425,7 +457,7 @@ def _schedule_oracle(mesh, samples_per_cone=64, seed=7):
     for alpha in _DEFAULT_ALPHAS:
         for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * mesh.half_diameter()
-            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone, seed)
+            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone)
             clearance = barrier_clearance(pts, mesh)
             unresolved = clearance.min() < tau
             tried.append((alpha, r, bool(unresolved)))
@@ -453,8 +485,8 @@ class TestConeSchedule:
         tried = []
         sample_set = mesh_mod._cone_sample_set
 
-        def spy(m, alpha, r, count, seed):
-            out = sample_set(m, alpha, r, count, seed)
+        def spy(m, alpha, r, count):
+            out = sample_set(m, alpha, r, count)
             tried.append((alpha, r, out is None))
             return out
 
@@ -479,7 +511,7 @@ class TestConeSchedule:
             assert np.array_equal(np.concatenate(blocks), clearance)
         # the walk keeps the accepted entry's clearance as the full call gives it
         if want is not None:
-            pts, clearance = mesh_mod._cone_sample_set(mesh, *want, 64, 7)
+            pts, clearance = mesh_mod._cone_sample_set(mesh, *want, 64)
             assert np.array_equal(clearance, barrier_clearance(pts, mesh))
 
 

@@ -116,9 +116,12 @@ class TestPlanarKernelBlocks:
     @pytest.mark.parametrize("name", ["circle128", "deformed128"])
     def test_null_pairs_raise_where_cauchy_kernel_does(self, name, request):
         # p - z_5 = t (1, i) + delta (1, -i) has square -4 t delta: planted on
-        # the null cone (delta = 0), inside the tolerance, and just off it
+        # the null cone (delta = 0), inside the tolerance, and just off it.
+        # The reciprocal rows see p as node k, across the curve from node 5.
+        import dataclasses
+
         from plemelj.algebra import NullVectorError, null_tolerance
-        from plemelj.operators import _kernel_blocks
+        from plemelj.operators import _kernel_blocks, _null_rows
 
         def raises(fn):
             try:
@@ -128,17 +131,21 @@ class TestPlanarKernelBlocks:
             return False
 
         mesh = request.getfixturevalue(name)
+        k = 5 + mesh.size // 2
         t = 0.3
         tol = null_tolerance(t * np.array([1.0, 1j]))
         probes = [(mesh.nodes[5], True)]
-        for k, on_cone in ((0.0, True), (0.5, True), (2.0, False), (10.0, False)):
-            delta = k * tol / (4 * t)
+        for f, on_cone in ((0.0, True), (0.5, True), (2.0, False), (10.0, False)):
+            delta = f * tol / (4 * t)
             probes.append((mesh.nodes[5] + t * np.array([1.0, 1j]) + delta * np.array([1.0, -1j]), on_cone))
         for p, on_cone in probes:
             kernel = raises(lambda: cauchy_kernel(p - mesh.nodes))
             blocks = raises(lambda: _kernel_blocks(mesh, p[None, :]))
-            assert kernel == blocks == on_cone, (p, kernel, blocks)
-
+            nodes = mesh.nodes.copy()
+            nodes[k] = p
+            planted = dataclasses.replace(mesh, nodes=nodes, cache={})
+            rows = raises(lambda: _null_rows(planted, slice(k - 1, k + 1)))
+            assert kernel == blocks == rows == on_cone, (p, kernel, blocks, rows)
 
     @pytest.mark.parametrize("N", [128, 512])
     def test_reciprocal_kernel_as_accurate_as_division(self, N):
@@ -175,10 +182,11 @@ class TestPlanarKernelBlocks:
     @pytest.mark.parametrize("name", ["circle128", "deformed128"])
     def test_null_pairs_are_antisymmetric_reciprocals(self, name, request):
         from plemelj.algebra import null_differences
-        from plemelj.operators import _null_pairs
+        from plemelj.mesh import row_blocks
+        from plemelj.operators import _null_rows
 
         mesh = request.getfixturevalue(name)
-        R = _null_pairs(mesh)
+        R = np.concatenate([_null_rows(mesh, rows) for rows in row_blocks(mesh.size, mesh.size)], axis=1)
         assert R.shape == (2, mesh.size, mesh.size) and R.flags.c_contiguous
         assert np.array_equal(R, -R.transpose(0, 2, 1))
         assert not np.any(np.diagonal(R, axis1=1, axis2=2))
