@@ -27,6 +27,7 @@ __all__ = [
     "cauchy_kernel",
     "dirac_residual",
     "is_null",
+    "is_null_planar",
     "null_coordinates",
     "null_differences",
     "null_magnitudes",
@@ -392,6 +393,12 @@ def null_differences(p: np.ndarray, z: np.ndarray) -> np.ndarray:
 def null_magnitudes(d: np.ndarray):
     """|square(u)| and |u|^2 of n = 2 vectors u given by their null coordinates d = (zeta(u), eta(u)), plane first."""
     return np.abs(d[0] * d[1]), 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
+
+
+def is_null_planar(d: np.ndarray) -> np.ndarray:
+    """is_null of n = 2 vectors given by their null coordinates d, plane first: |square(u)| <= 1e-12 (1 + |u|^2)."""
+    sq, r2 = null_magnitudes(d)
+    return sq <= 1e-12 * (1.0 + r2)
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

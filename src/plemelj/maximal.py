@@ -17,12 +17,11 @@ from .mesh import (
     _CONE_SAMPLES,
     BoundaryMesh,
     EmptyBallError,
-    _cone_sample_set,
+    Region,
     _cone_samples,
-    barrier_clearance,
-    barrier_clearance_floor,
     cone_parameters,
     per_mesh,
+    region_membership_many,
     row_blocks,
 )
 from .operators import (
@@ -30,9 +29,9 @@ from .operators import (
     _kernel_blocks,
     _pair_blocks,
     _to_spinor,
-    _transform_points,
     assemble_singular_cauchy,
     l2_norm,
+    plemelj_projection,
 )
 
 __all__ = [
@@ -81,41 +80,16 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
     return out
 
 
-def _usable_cone_samples(mesh: BoundaryMesh, alpha: float, r: float, count: int):
-    """Cone samples and the (N, count) mask of those inside the barrier-resolution zone of dM."""
-    samples = _cone_sample_set(mesh, alpha, r, count)
-    if samples is None:  # a given cone with unresolved samples: clear them all, uncached
-        pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count)
-        samples = pts, barrier_clearance(pts, mesh)
-    pts, clearance = samples
-    return pts, (clearance < barrier_clearance_floor(mesh)).reshape(mesh.size, count)
+def nontangential_maximal(mesh: BoundaryMesh, f: BoundaryFunction, samples_per_cone: int = _CONE_SAMPLES):
+    """Per-node max of the transform norm over the sampled cones of cone_parameters.
 
-
-def nontangential_maximal(
-    mesh: BoundaryMesh,
-    f: BoundaryFunction,
-    alpha: float = None,
-    r: float = None,
-    samples_per_cone: int = _CONE_SAMPLES,
-):
-    """Per-node max of the transform norm over sampled approach cones.
-
-    Returns (values, skipped) where skipped counts cone samples discarded
-    as NearBoundary.  A sampled sup is a lower bound for the true one and
-    never decreases as samples_per_cone grows.
+    The transform is taken at samples_per_cone samples per node
+    (_family_nontangential).  A sampled sup is a lower bound for the true
+    one and never decreases as samples_per_cone grows.  Raises ValueError
+    when a sample does not classify Interior, which the cone of
+    cone_parameters guarantees for its own 64 samples only.
     """
-    if alpha is None or r is None:
-        alpha, r = cone_parameters(mesh)
-    pts, near = _usable_cone_samples(mesh, alpha, r, samples_per_cone)
-    norms = algebra(mesh.n).norm(_transform_points(mesh, f.values, pts))
-    return _cone_sup(norms, near), int(near.sum())
-
-
-def _cone_sup(norms: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Per-node max of the transform norms (one per cone sample) over the usable samples of its cone."""
-    out = np.where(near, -np.inf, norms.reshape(near.shape)).max(axis=1)
-    out[~np.isfinite(out)] = 0.0  # every sample of a cone skipped
-    return out
+    return _family_nontangential(mesh, [f], samples_per_cone)[0]
 
 
 def _family_columns(mesh: BoundaryMesh, family) -> np.ndarray:
@@ -134,19 +108,42 @@ def _family_norms(mesh: BoundaryMesh, vals: np.ndarray, count: int) -> np.ndarra
     return np.sqrt(sq.sum(axis=(0, 2, 3))).T
 
 
-def _family_nontangential(mesh: BoundaryMesh, family, alpha, r):
-    """nontangential_maximal of every function of the family, one kernel pass.
+def _family_nontangential(mesh: BoundaryMesh, family, count: int = _CONE_SAMPLES):
+    """nontangential_maximal of every function of the family, (F, N), from one kernel pass.
 
-    The kernel blocks of each row block of cone samples (row_blocks) multiply
-    the spinor columns of the whole family at once, and the products are
-    reduced to their norms block by block.
+    The samples are count per node in the cones of cone_parameters.  The
+    kernel blocks of each row block of samples (row_blocks) multiply the
+    spinor columns of the whole family at once (_cone_block), and the
+    products are reduced to their norms block by block.
     """
-    pts, near = _usable_cone_samples(mesh, alpha, r, _CONE_SAMPLES)
+    pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), count)
+    if count != _CONE_SAMPLES and not np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
+        raise ValueError(f"a cone sample of {count} per node does not classify interior")
+    if mesh.n == 2:
+        family = [plemelj_projection(mesh, "+").apply(f) for f in family]
     cols = _family_columns(mesh, family)
     norms = np.empty((len(family), pts.shape[0]))
     for rows in row_blocks(pts.shape[0], mesh.size):
-        norms[:, rows] = _family_norms(mesh, _kernel_blocks(mesh, pts[rows]) @ cols, len(family))
-    return [_cone_sup(nk, near) for nk in norms], int(near.sum())
+        norms[:, rows] = _family_norms(mesh, _cone_block(mesh, pts[rows], cols), len(family))
+    return norms.reshape(len(family), mesh.size, count).max(axis=2)
+
+
+def _cone_block(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Spinor columns (blocks, M s, copies F) of the transforms at Interior (M, n) points.
+
+    cols are the _family_columns of S+ f on curves and of f on the sphere.
+    On curves each null plane takes the interior barycentric form
+    num(S+ f) / num(1) of the Cauchy integral, num(g) = sum_j K(p, z_j)
+    sigma_j g_j with the planar kernel blocks K of _kernel_blocks: near a
+    node the quadrature error is a common factor of both sums and cancels
+    (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the sphere, whose S+
+    is first order, the transform is the plain sum num(f).
+    """
+    K = _kernel_blocks(mesh, points)
+    vals = K @ cols
+    if mesh.n == 2:
+        vals /= (K @ mesh.sigma)[..., None]
+    return vals
 
 
 def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
@@ -173,7 +170,6 @@ class MaximalReport:
     norm_f: float
     norm_maximal: float
     norm_nontangential: float
-    skipped_cone_samples: int
 
     @property
     def c_maximal(self) -> float:
@@ -215,10 +211,9 @@ def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
     under refinement is what the acceptance checks.
     """
     radii = default_radii(mesh)
-    alpha, r = cone_parameters(mesh)
     C = assemble_singular_cauchy(mesh)
     family = band_limited_family(mesh, family_size, seed)
-    nontangential, skipped = _family_nontangential(mesh, family, alpha, r)
+    nontangential = _family_nontangential(mesh, family)
     truncated = _family_truncated_sup(mesh, family, radii)
     reports = []
     for f, Nf, trunc in zip(family, nontangential, truncated):
@@ -234,7 +229,6 @@ def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
                 norm_f=l2_norm(f),
                 norm_maximal=_weighted_l2(mesh, Mf),
                 norm_nontangential=_weighted_l2(mesh, Nf),
-                skipped_cone_samples=skipped,
             )
         )
     return reports

@@ -12,8 +12,8 @@ with zeta = u1 + i u2 and eta = u1 - i u2, so a point is Interior when its
 zeta and its eta wind around the zeta- and eta-images of dM, Exterior when
 neither does, and Mixed when one does; there the transform of 1 is the
 idempotent (1 +- i e12)/2.  For real points at n = 3 the Gauss solid-angle
-sum (the transform of 1) rounds to 1 or 0.  Points nearer the null cones
-than the mesh resolves take the side of the nearest node's normal.
+sum (the transform of 1) rounds to 1 or 0.  Points on the null cone of a
+node, to the Cauchy kernel's tolerance, are NearBoundary.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 from .algebra import (
     OddDimensionComplexError,
     cauchy_kernel,
-    null_coordinates,
+    is_null,
+    is_null_planar,
     null_differences,
     null_magnitudes,
     vector_square,
@@ -149,11 +150,6 @@ class BoundaryMesh:
     def total_measure(self) -> float:
         return float(np.sum(self.sigma_abs))
 
-    @per_mesh
-    def barrier_nodes(self) -> np.ndarray:
-        """Boundary sampled 8 times finer, for null-cone proximity queries."""
-        return self.nodes if self.builder is None else self.builder(8 * self.size).nodes
-
     def half_diameter(self) -> float:
         return 0.5 * float(
             np.max(np.sqrt(np.sum(np.abs(self.nodes[:1, :] - self.nodes) ** 2, axis=1)))
@@ -195,8 +191,8 @@ def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     measure comes from the bilinear line element of the parametrization and
     the complex normal is the bilinear-orthogonal rotation of the tangent.
     Raises ValidationFailedError when the deformation meets the null cones.
-    The meshes of its builder (refinement, barrier_nodes) are not validated
-    here; every assembler validates the mesh it is given.
+    The refined meshes of its builder are not validated here; every
+    assembler validates the mesh it is given.
     """
     mesh = _deformed_curve(N, eps, k)
     _validated(mesh)
@@ -451,150 +447,57 @@ def _winding_numbers(d: np.ndarray) -> np.ndarray:
 def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     """Vectorized region classification; returns an object array of Region.
 
-    NearBoundary means the point sits on the null cone of some node to
-    within the scale-invariant tolerance 1e-12.  A point whose barrier_clearance
-    reaches barrier_clearance_floor is classified by index (module
-    docstring): for n = 2 by the winding numbers of its zeta and eta, for
-    real points at n = 3 by the rounded Gauss solid-angle sum.  Any other
-    point takes the side given by the sign of the R^{2n} inner product with
-    the nearest node's normal.
+    NearBoundary means that some node pair fails the Cauchy kernel's own
+    null test |square(p - z_j)| <= 1e-12 (1 + |p - z_j|^2), so a point is
+    NearBoundary exactly where the kernel refuses it.  Every other point is
+    classified by index (module docstring): for n = 2 by the winding
+    numbers of its zeta and eta, for real points at n = 3 by the rounded
+    Gauss solid-angle sum.  The points go in row_blocks of PAIR_BLOCK pairs,
+    so the (rows, N) arrays stay cache-sized; every row is classified on its
+    own, so the blocks do not change a region.
 
     No region exists for complex points at odd n (OddDimensionComplexError)
     or on a mesh that does not enclose its interior seed, such as the open
     flat patch (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    return _classify(points, mesh, barrier_clearance(points, mesh))
-
-
-def _classify(points: np.ndarray, mesh: BoundaryMesh, clearance: np.ndarray):
-    """region_membership_many of (P, n) points whose barrier_clearance is known.
-
-    The null-cone test and the nearest-node side are taken only for the
-    points below barrier_clearance_floor: a point at the floor has
-    |square(p - z_j)| >= floor |p - z_j| s_j over the fine nodes, which
-    include the mesh nodes, so it is near no node's null cone.  (The test's
-    tolerance 1e-12 (1 + |p - z|^2) would call points some 1e12 away along
-    a null direction near; they are classified by index.)  The points go in
-    row_blocks of PAIR_BLOCK pairs, so the (rows, N) arrays stay cache-sized;
-    every row is classified on its own, so the blocks do not change a region.
-    """
-    if mesh.n % 2 and np.any(points.imag):
-        raise OddDimensionComplexError("complex points have no region for odd n")
-    if _index_regions(mesh.interior_seed[None, :], mesh)[0] is not Region.INTERIOR:
-        raise ValueError("the boundary does not enclose its interior seed")
-    resolved = clearance >= barrier_clearance_floor(mesh)
     out = np.empty(points.shape[0], dtype=object)
-    for rows in row_blocks(points.shape[0], mesh.size):
-        index = np.arange(rows.start, rows.stop)
-        high, low = index[resolved[rows]], index[~resolved[rows]]
-        if high.size:
-            out[high] = _index_regions(points[high], mesh)
-        if low.size:  # points the index cannot resolve
-            out[low] = _side_regions(points[low], mesh)
+    for rows, regions in _region_blocks(points, mesh):
+        out[rows] = regions
     return out
 
 
-def _index_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Regions by index (module docstring) of points at or above barrier_clearance_floor."""
-    if mesh.n == 2:
-        zeta, eta = (_winding_numbers(dk) != 0 for dk in null_differences(points, mesh.nodes))
-        return np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
-    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
-    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
-    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
-    return np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
+def _region_blocks(points: np.ndarray, mesh: BoundaryMesh):
+    """Yield (rows, regions of points[rows]) per row block of (P, n) points, in order."""
+    if mesh.n % 2 and np.any(points.imag):
+        raise OddDimensionComplexError("complex points have no region for odd n")
+    if _regions(mesh.interior_seed[None, :], mesh)[0] is not Region.INTERIOR:
+        raise ValueError("the boundary does not enclose its interior seed")
+    for rows in row_blocks(points.shape[0], mesh.size):
+        yield rows, _regions(points[rows], mesh)
 
 
-def _side_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """NearBoundary, or the side of the nearest node's normal, of points below the floor."""
+def _regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """NearBoundary by the kernel's null test, the region by index (module docstring) elsewhere."""
+    out = np.full(points.shape[0], Region.NEAR_BOUNDARY, dtype=object)
     if mesh.n == 2:
-        # square(u) = -zeta eta, |u|^2 = (|zeta|^2 + |eta|^2) / 2, and twice
-        # the R^4 inner product <u, n> is Re(zeta(u) conj(zeta(n)) + eta(u) conj(eta(n)))
         d = null_differences(points, mesh.nodes)
-        sq, dist2 = null_magnitudes(d)
-        u, normals = np.moveaxis(d, 0, -1), null_coordinates(mesh.normals)
-    else:
-        u = points[:, None, :] - mesh.nodes[None, :, :]
-        sq = np.abs(vector_square(u))
-        dist2 = np.sum(np.abs(u) ** 2, axis=-1)
-        normals = mesh.normals
-    near = sq.min(axis=1) <= 1e-12 * (1.0 + dist2.min(axis=1))
-    jmin = np.argmin(dist2, axis=1)
-    side = np.real(np.sum(u[np.arange(jmin.size), jmin] * np.conj(normals[jmin]), axis=1))
-    return np.where(near, Region.NEAR_BOUNDARY, np.where(side > 0, Region.EXTERIOR, Region.INTERIOR))
+        far = ~np.any(is_null_planar(d), axis=1)
+        zeta, eta = (_winding_numbers(dk[far]) != 0 for dk in d)
+        out[far] = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
+        return out
+    u = points[:, None, :] - mesh.nodes[None, :, :]
+    far = ~np.any(is_null(u), axis=1)
+    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
+    G = cauchy_kernel(u[far])
+    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
+    out[far] = np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
+    return out
 
 
 def region_membership(u, mesh: BoundaryMesh) -> Region:
     """Classify one point as Interior, Exterior, Mixed or NearBoundary."""
     return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh)[0]
-
-
-def barrier_clearance(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """Estimated parameter-strip distance of each point to the null cones of dM.
-
-    For a fine boundary sampling z_j with local parametrization speed s_j,
-    min_j |square(p - z_j)| / (|p - z_j| s_j) estimates how far the
-    integrand pole theta -> square(p - z(theta)) sits from the real axis.
-    Off-boundary quadrature error scales like exp(-N * clearance), so
-    points below barrier_clearance_floor(mesh) cannot be evaluated
-    reliably.  Exact for real-direction offsets, conservative within a
-    factor two for transversal complex approaches.
-
-    The points are cleared in row blocks of PAIR_BLOCK pairs, PAIR_BLOCK //
-    (fine nodes) rows, after three of an eighth, a quarter and a half of
-    that.  A point's last bits depend on its block (BLAS takes other paths
-    for other row counts), so a point at the floor can be resolved in one
-    block and unresolved in another.  cone_parameters walks these same
-    blocks and stops at the first unresolved one, so its accept and reject
-    decisions are those of the full call.
-    """
-    points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    out = np.empty(points.shape[0])
-    for rows, clearance in _clearance_blocks(points, mesh):
-        out[rows] = clearance
-    return out
-
-
-def _clearance_blocks(points: np.ndarray, mesh: BoundaryMesh):
-    """Yield (rows, barrier_clearance of points[rows]) per row block of (P, n) points, in order."""
-    fine = mesh.barrier_nodes()
-    F, P = fine.shape[0], points.shape[0]
-    if mesh.curve_order:
-        gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
-        speed2 = (gaps * (F / (2 * np.pi))) ** 2
-    else:
-        speed2 = np.ones(F)
-    # square(p - z) = 2 p.z - p.p - z.z as one complex GEMM and
-    # |p - z|^2 s^2 = (|p|^2 - 2 Re(p.conj z) + |z|^2) s^2 as one real GEMM
-    one_f, one_p = np.ones((F, 1)), np.ones((P, 1))
-    z_sq = np.hstack([2 * fine, -one_f, -np.sum(fine * fine, axis=1)[:, None]]).T
-    z_d2 = np.hstack([-2 * fine.real, -2 * fine.imag, one_f, np.sum(np.abs(fine) ** 2, axis=1)[:, None]])
-    z_d2 = (z_d2 * speed2[:, None]).T
-    p_sq = np.hstack([points, np.sum(points * points, axis=1)[:, None], one_p])
-    p_d2 = np.hstack([points.real, points.imag, np.sum(np.abs(points) ** 2, axis=1)[:, None], one_p])
-    chunk = max(1, PAIR_BLOCK // F)  # the rows of a full block
-    s0, part = 0, 8  # an eighth, a quarter and a half of it first, so early rejections come sooner
-    while s0 < P:
-        rows = slice(s0, min(s0 + max(1, chunk // part), P))
-        # |square(p - z)|^2 / (|p - z|^2 s^2), and one square root per row
-        ratio = np.abs(p_sq[rows] @ z_sq)
-        ratio *= ratio
-        d2 = p_d2[rows] @ z_d2
-        np.maximum(d2, 1e-300, out=d2)  # rounding can leave a point on a fine node at d2 <= 0
-        ratio /= d2
-        yield rows, np.sqrt(ratio.min(axis=1))
-        s0, part = rows.stop, max(1, part // 2)
-
-
-def barrier_clearance_floor(mesh: BoundaryMesh) -> float:
-    """Strip distance below which near-barrier quadrature noise dominates.
-
-    exp(-16) ~ 1e-7 relative error at the floor.
-    """
-    if mesh.curve_order:
-        return 16.0 / mesh.size
-    return 16.0 * mesh.h / (2 * np.pi)
 
 
 # -- cones and approach paths ---------------------------------------------------
@@ -692,28 +595,6 @@ def _cone_frame(mesh: BoundaryMesh, count: int):
     return frame
 
 
-@per_mesh
-def _cone_sample_set(mesh: BoundaryMesh, alpha: float, r: float, count: int):
-    """Every node's cone samples and their barrier_clearance, or None if some sample is unresolved.
-
-    The clearance is walked in barrier_clearance's blocks, so the kept
-    values are those of the full call, and the walk stops at the first block
-    with a sample below barrier_clearance_floor.  The first blocks are
-    small, so an entry with a sample at an early node is rejected after a
-    few dozen rows.  cone_parameters clears each schedule entry at most
-    once, every entry rescales the mesh's one _cone_frame, and
-    bound_diagnostics finds the accepted entry's set kept.
-    """
-    pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, count)
-    tau = barrier_clearance_floor(mesh)
-    clearance = np.empty(pts.shape[0])
-    for rows, block in _clearance_blocks(pts, mesh):
-        if block.min() < tau:
-            return None
-        clearance[rows] = block
-    return pts, clearance
-
-
 _DEFAULT_ALPHAS = (np.pi / 4, np.pi / 6, np.pi / 8, np.pi / 12)
 _DEFAULT_RADIUS_FACTORS = (1.0, 0.5, 0.25, 0.1)
 _CONE_SAMPLES = 64  # samples per cone
@@ -724,20 +605,18 @@ def cone_parameters(mesh: BoundaryMesh):
     """Largest (alpha, r) from the schedule whose cones sample as Interior.
 
     For every node the truncated cone around the inward normal is sampled
-    deterministically; a schedule entry is accepted only if every sample at
-    every node classifies Interior.  Conservative by construction.  An entry
-    is rejected at the first clearance block with a sample below the floor.
+    deterministically (_cone_samples); a schedule entry is accepted only if
+    every sample at every node classifies Interior by index
+    (region_membership_many).  Conservative by construction.  The samples
+    are classified in row blocks, and an entry is rejected at the first
+    block that holds a sample of another region.
     """
     half_diam = mesh.half_diameter()
     for alpha in _DEFAULT_ALPHAS:
         for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * half_diam
-            # every sample must be resolved: the floor away from the null cones
-            samples = _cone_sample_set(mesh, alpha, r, _CONE_SAMPLES)
-            if samples is None:
-                continue
-            pts, clearance = samples
-            if np.all(_classify(pts, mesh, clearance) == Region.INTERIOR):
+            pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, _CONE_SAMPLES)
+            if all(np.all(regions == Region.INTERIOR) for _, regions in _region_blocks(pts, mesh)):
                 return float(alpha), float(r)
     raise NoValidConeError("no schedule entry produced all-interior cone samples")
 

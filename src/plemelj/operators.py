@@ -48,9 +48,9 @@ from .algebra import (
     algebra,
     cauchy_kernel,
     is_null,
+    is_null_planar,
     null_coordinates,
     null_differences,
-    null_magnitudes,
 )
 from .linsolve import matmul, qr
 from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership, row_blocks
@@ -397,8 +397,7 @@ def _stack(blocks: np.ndarray) -> np.ndarray:
 
 def _off_null(dz: np.ndarray) -> np.ndarray:
     """Null differences (2, M, N), checked as cauchy_kernel checks square(u) = -zeta eta."""
-    sq, r2 = null_magnitudes(dz)
-    if np.any(sq <= 1e-12 * (1.0 + r2)):
+    if np.any(is_null_planar(dz)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
     return dz
 
@@ -423,12 +422,9 @@ def _null_rows(mesh: BoundaryMesh, rows: slice) -> np.ndarray:
 
 def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), from reciprocal rows R and weight rows W."""
-    # numpy evaluates R * (temporary) as temporary *= R when the temporary
-    # has 256 KiB or more, and a complex product's imaginary part rounds by
-    # the order of its factors.  Blocks of PAIR_BLOCK pairs fall on the same
-    # side of that size as one (2, N, N) product would, so C rounds as if it
-    # were built whole.
-    return R * (zn[:, None, :] * (W / -omega(2)))
+    out = zn[:, None, :] * (W / -omega(2))
+    out *= R  # in this order at every size, not as numpy's temporary elision picks it
+    return out
 
 
 def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:

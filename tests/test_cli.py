@@ -89,7 +89,8 @@ def test_verify_honours_config_identity_cap(tmp_path):
 
 
 def test_no_valid_cone_exit_code(tmp_path, capsys):
-    rc, _ = run_cli(tmp_path, "--command", "maximal", "--geometry", "circle", "--N", "16")
+    rc, _ = run_cli(tmp_path, "--command", "maximal", "--geometry", "deformed",
+                    "--eps", "0.4", "--mode", "16", "--N", "64")
     assert rc == 5
     assert "no approach cone" in capsys.readouterr().err
 

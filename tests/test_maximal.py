@@ -3,8 +3,9 @@ import pytest
 
 from conftest import band_limited
 from plemelj.algebra import algebra, cauchy_kernel
-from plemelj.mesh import cone_parameters
+from plemelj.mesh import cone_parameters, make_circle, make_deformed_curve
 from plemelj.maximal import (
+    _cone_block,
     bound_diagnostics,
     default_radii,
     maximal_function,
@@ -79,22 +80,51 @@ class TestMaximalFunction:
 class TestNontangentialMaximal:
     def test_constants(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
-        N, skipped = nontangential_maximal(circle128, one)
+        N = nontangential_maximal(circle128, one)
         assert np.abs(N - 1.0).max() < 1e-6
-        assert skipped == 0
 
     def test_kernel_trace_peaks_toward_pole(self, circle128):
         pole = np.array([3.0, 0.0])
         f = BoundaryFunction.kernel_trace(circle128, pole)
-        N, _ = nontangential_maximal(circle128, f)
+        N = nontangential_maximal(circle128, f)
         assert N[0] > np.median(N)  # node nearest the segment to the pole
 
     def test_monotone_in_sample_count(self, circle128):
         f = band_limited(circle128, seed=4)
-        alpha, r = cone_parameters(circle128)
-        N1, _ = nontangential_maximal(circle128, f, alpha, r, samples_per_cone=64)
-        N2, _ = nontangential_maximal(circle128, f, alpha, r, samples_per_cone=128)
+        N1 = nontangential_maximal(circle128, f, samples_per_cone=64)
+        N2 = nontangential_maximal(circle128, f, samples_per_cone=128)
         assert np.all(N2 >= N1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_circle(64), lambda: make_circle(128), lambda: make_deformed_curve(128, 0.1, 2)],
+        ids=["circle64", "circle128", "deformed128"],
+    )
+    def test_cone_transforms_are_exact(self, build):
+        # f is G(. - a) plus G(. - b) with a outside and b inside: the
+        # transform of f inside is G(p - a), at every cone sample, however
+        # near its node; the plain quadrature sum misses it by 1e-7 to 0.7
+        from plemelj.maximal import _family_columns
+        from plemelj.mesh import _cone_samples, row_blocks
+        from plemelj.operators import _from_spinor, plemelj_projection
+
+        mesh = build()
+        a, b = np.array([2.5, 0.3]), np.array([0.2, -0.1])
+        f = BoundaryFunction.kernel_trace(mesh, a) + BoundaryFunction.kernel_trace(mesh, b)
+        cols = _family_columns(mesh, [plemelj_projection(mesh, "+").apply(f)])
+        pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
+        for rows in row_blocks(pts.shape[0], mesh.size):
+            got = _from_spinor(_cone_block(mesh, pts[rows], cols), mesh)
+            want = algebra(2).embed_vector(cauchy_kernel(pts[rows] - a))
+            assert _relative_gap(got, want) <= 1e-12
+
+    def test_samples_outside_the_interior_are_refused(self):
+        # the interior form holds at interior points only, and the cone of
+        # cone_parameters guarantees them for its own 64 samples alone: on
+        # circle 32, 2 of 256 samples per cone leave the interior
+        mesh = make_circle(32)
+        with pytest.raises(ValueError, match="interior"):
+            nontangential_maximal(mesh, band_limited(mesh, seed=4), samples_per_cone=256)
 
 
 class TestBoundDiagnostics:
@@ -113,26 +143,28 @@ class TestBoundDiagnostics:
 
     def test_family_pass_matches_per_function_transforms(self, circle64):
         # one block product for the whole family against the Clifford kernel
-        # contraction of one function at a time; the summation order differs,
-        # so the bound is complex128 rounding
-        from plemelj.maximal import _usable_cone_samples, band_limited_family
+        # contraction of one function at a time, in the barycentric form
+        # num(1)^-1 num(S+ f) with num(g) = sum_j G(p - z_j) n_j sigma_j g_j;
+        # the summation order differs, so the bound is complex128 rounding
+        from plemelj.maximal import band_limited_family
+        from plemelj.mesh import _cone_samples
+        from plemelj.operators import plemelj_projection
 
         def per_function(mesh, f):
-            alpha, r = cone_parameters(mesh)
-            pts, near = _usable_cone_samples(mesh, alpha, r, 64)
+            pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
             G = cauchy_kernel(pts[:, None, :] - mesh.nodes[None, :, :])
-            vals = np.einsum("mjl,laj->ma", G, _clifford_transform_weights(mesh, f.values))
-            norms = algebra(mesh.n).norm(vals / omega(mesh.n)).reshape(near.shape)
-            out = np.where(near, -np.inf, norms).max(axis=1)
-            out[~np.isfinite(out)] = 0.0
-            return out, int(near.sum())
+            alg = algebra(mesh.n)
+            sf = plemelj_projection(mesh, "+").apply(f)
+            num = np.einsum("mjl,laj->ma", G, _clifford_transform_weights(mesh, sf.values))
+            one = np.einsum("mjl,laj->ma", G, _clifford_transform_weights(mesh, BoundaryFunction.constant(mesh).values))
+            vals = np.linalg.solve(alg.left_matrix(one), num[..., None])[..., 0]
+            return alg.norm(vals).reshape(mesh.size, 64).max(axis=1)
 
         reps = bound_diagnostics(circle64, 4, seed=2)
         for rep, f in zip(reps, band_limited_family(circle64, 4, seed=2)):
-            want, skipped = per_function(circle64, f)
+            want = per_function(circle64, f)
             assert _relative_gap(rep.nontangential, want) <= 1e-13
-            assert _relative_gap(nontangential_maximal(circle64, f)[0], want) <= 1e-13
-            assert rep.skipped_cone_samples == skipped
+            assert _relative_gap(nontangential_maximal(circle64, f), want) <= 1e-13
 
     def test_truncated_family_pass_matches_per_function(self, circle64, deformed128):
         # radius masks applied to the kernel blocks once for the family, against
@@ -159,39 +191,35 @@ class TestBoundDiagnostics:
                 assert _relative_gap(got[k], per_function(mesh, f, radii)) <= 1e-13
 
     def test_accepted_cone_samples_cleared_once(self, monkeypatch):
-        # 8 schedule entries rejected, 6 at their first block of 8 rows, one
-        # at its second and one at its twelfth, and the accepted entry's 4096
-        # samples cleared once, in 67 blocks, for both cone_parameters and
-        # the nontangential pass; every entry rescales one draw of the
-        # Halton sequence
+        # the first entry is rejected at its third block of 512 rows, and the
+        # accepted entry's 4096 samples are classified once, in 8 blocks, by
+        # cone_parameters and not again by the nontangential pass; each walk
+        # checks the interior seed (1 row) first, and every entry rescales
+        # one draw of the Halton sequence
         import plemelj.mesh as mesh_mod
-        from plemelj.mesh import make_circle
 
-        calls, draws = [], []
-        blocks, halton = mesh_mod._clearance_blocks, mesh_mod._halton
+        classified, draws = [], []
+        regions, halton = mesh_mod._regions, mesh_mod._halton
 
         def counting(*args):
             draws.append(args)
             return halton(*args)
 
         def spy(points, mesh):
-            calls.append([])
-            for rows, clearance in blocks(points, mesh):
-                calls[-1].append(rows.stop - rows.start)
-                yield rows, clearance
+            classified.append(points.shape[0])
+            return regions(points, mesh)
 
-        monkeypatch.setattr(mesh_mod, "_clearance_blocks", spy)
+        monkeypatch.setattr(mesh_mod, "_regions", spy)
         monkeypatch.setattr(mesh_mod, "_halton", counting)
-        bound_diagnostics(make_circle(64), family_size=2)
+        mesh = make_circle(64)
+        bound_diagnostics(mesh, family_size=2)
         assert len(draws) == 1
-        assert sum(map(sum, calls)) == 4800
-        assert sorted(len(c) for c in calls) == [1] * 6 + [2, 12, 67]
-        assert [sum(c) for c in calls].count(64 * 64) == 1
+        assert classified == [1, 512, 512, 512] + [1] + [512] * 8
 
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)
-        Nf, _ = nontangential_maximal(circle64, one)
+        Nf = nontangential_maximal(circle64, one)
         # C_N on constants is 1 up to the cone-sample quadrature floor
         cn = float(np.sqrt(np.sum(Nf**2 * circle64.sigma_abs))) / l2_norm(one)
         assert cn >= 1 - 1e-6

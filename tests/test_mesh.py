@@ -11,8 +11,6 @@ from plemelj.mesh import (
     ValidationReport,
     _deformed_curve,
     approach_path,
-    barrier_clearance,
-    barrier_clearance_floor,
     cone_parameters,
     load_mesh,
     make_circle,
@@ -250,6 +248,15 @@ class TestValidation:
         assert np.all(np.isfinite(cauchy_kernel(D)))
 
 
+def _boundary_distance(points, mesh):
+    """Distance of each point to the nodes: in the nearer null plane on curves, in R^3 on the sphere."""
+    from plemelj.algebra import null_differences
+
+    if mesh.n == 2:
+        return np.abs(null_differences(points, mesh.nodes)).min(axis=(0, 2))
+    return np.linalg.norm(points[:, None, :] - mesh.nodes[None, :, :], axis=-1).min(axis=1)
+
+
 class TestRegionMembership:
     def test_seeds_and_nodes(self, circle128):
         m = circle128
@@ -303,7 +310,7 @@ class TestRegionMembership:
             ball = rng.normal(size=(300, 3))
             ball *= rng.uniform(0.0, 0.15, 300)[:, None] / np.linalg.norm(ball, axis=1)[:, None]
             pts = np.concatenate([ball, rng.uniform(-2.5, 2.5, (300, 3))])
-        pts = pts[barrier_clearance(pts, m) >= barrier_clearance_floor(m)]
+        pts = pts[_boundary_distance(pts, m) >= 2 * m.h]
         one = cauchy_transform_points(m, BoundaryFunction.constant(m), pts)
         if m.n == 2:
             # rounded transform of 1: 1, 0 or the idempotents (1 +- i e12)/2
@@ -323,6 +330,34 @@ class TestRegionMembership:
         assert set(expected) >= {Region.INTERIOR, Region.EXTERIOR}
         assert m.n == 3 or Region.MIXED in set(expected)
         assert np.array_equal(regs, expected)
+
+    @pytest.mark.parametrize("fixture", ["circle128", "deformed128"])
+    def test_near_boundary_exactly_where_the_kernel_refuses(self, fixture, request):
+        from plemelj.algebra import NullVectorError
+        from plemelj.operators import _kernel_blocks
+
+        m = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.6, 1.6, (100, 2)) + 1j * rng.normal(scale=0.5, size=(100, 2))
+        # planted on the null cone of a node, t (1, i) away from it, then
+        # moved off it by delta (1, -i): |square| = 4 |delta t| against the
+        # tolerance 1e-12 (1 + |u|^2), so the plants straddle the test
+        j = rng.integers(0, m.size, 200)
+        t = rng.uniform(0.01, 2.0, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+        delta = 10.0 ** rng.uniform(-15, -10, 200)
+        planted = m.nodes[j] + t[:, None] * np.array([1, 1j]) + delta[:, None] * np.array([1, -1j])
+        far = np.array([[1e12, 0.3 + 1e12j]])  # far out along a null direction
+        pts = np.concatenate([pts, planted, m.nodes[:5], far])
+        refused = []
+        for p in pts:
+            try:
+                _kernel_blocks(m, p[None, :])
+                refused.append(False)
+            except NullVectorError:
+                refused.append(True)
+        near = region_membership_many(pts, m) == Region.NEAR_BOUNDARY
+        assert np.array_equal(near, refused)
+        assert 20 < near[100:300].sum() < 180 and near[300:].all() and not near[:100].any()
 
     def test_undefined_regions_raise(self, sphere162):
         from plemelj.algebra import OddDimensionComplexError
@@ -363,11 +398,14 @@ class TestCones:
         assert alpha > 0 and r > 0
 
     @pytest.mark.parametrize(
-        "fixture, alpha", [("circle64", np.pi / 8), ("circle128", np.pi / 6), ("deformed128", np.pi / 6)]
+        "fixture, alpha, factor",
+        [("circle64", np.pi / 4, 0.5), ("circle128", np.pi / 4, 0.5), ("deformed128", np.pi / 6, 1.0)],
+        ids=["circle64", "circle128", "deformed128"],
     )
-    def test_cone_parameters_pinned(self, fixture, alpha, request):
+    def test_cone_parameters_pinned(self, fixture, alpha, factor, request):
+        # every circle from N = 16 to 256 gets the same cone
         m = request.getfixturevalue(fixture)
-        assert cone_parameters(m) == (alpha, m.half_diameter())
+        assert cone_parameters(m) == (alpha, factor * m.half_diameter())
 
     @pytest.mark.parametrize("fixture", ["circle64", "deformed128", "sphere42"])
     def test_cone_samples_match_per_node_loop(self, fixture, request):
@@ -379,140 +417,72 @@ class TestCones:
         assert np.array_equal(_cone_samples(m, nodes, np.pi / 6, 0.4, 48), loop)
 
     def test_degenerate_mesh_has_no_valid_cone(self):
+        # sixteen complex bulges: every schedule entry has samples outside
         with pytest.raises(NoValidConeError):
-            cone_parameters(make_circle(8))
-
-    def test_accepted_samples_clear_the_barrier(self, circle128):
-        from plemelj.mesh import _cone_samples, barrier_clearance_floor
-
-        alpha, r = cone_parameters(circle128)
-        pts = np.concatenate(
-            [_cone_samples(circle128, i, alpha, r, 64) for i in range(circle128.size)]
-        )
-        assert barrier_clearance(pts, circle128).min() >= barrier_clearance_floor(circle128)
-
-
-def _clearance_reference(points, mesh):
-    """barrier_clearance from the differences p - z_j themselves, one (P, F, n) array."""
-    from plemelj.algebra import vector_square
-
-    fine = mesh.barrier_nodes()
-    speed = np.ones(fine.shape[0])
-    if mesh.curve_order:
-        gaps = np.sqrt(np.sum(np.abs(np.roll(fine, -1, axis=0) - fine) ** 2, axis=1))
-        speed = gaps * (fine.shape[0] / (2 * np.pi))
-    D = points[:, None, :] - fine[None, :, :]
-    dist = np.sqrt(np.sum(np.abs(D) ** 2, axis=-1))
-    return np.min(np.abs(vector_square(D)) / (dist * speed), axis=1)
-
-
-class TestBarrierClearance:
-    @pytest.mark.parametrize("fixture", ["circle64", "deformed128", "sphere42"])
-    def test_matches_explicit_differences(self, fixture, request):
-        # the expanded square loses relative accuracy as p nears a fine node,
-        # so the bound holds from an eighth of the floor up, where cone
-        # entries are accepted or rejected
-        from plemelj.mesh import _cone_samples
-
-        m = request.getfixturevalue(fixture)
-        rng = np.random.default_rng(8)
-        pts = _cone_samples(m, np.arange(m.size), np.pi / 6, 0.5 * m.half_diameter(), 8)
-        pts = np.concatenate([pts, rng.uniform(-2.0, 2.0, (300, m.n))])
-        if m.n == 2:  # complex points too
-            pts = np.concatenate([pts, pts + 0.3j * rng.normal(size=pts.shape)])
-        want = _clearance_reference(pts, m)
-        keep = want >= barrier_clearance_floor(m) / 8
-        assert keep.sum() > pts.shape[0] // 2
-        got = barrier_clearance(pts, m)
-        assert np.max(np.abs(got[keep] - want[keep]) / want[keep]) <= 1e-12
-
-    def test_fine_mesh_not_validated(self, monkeypatch):
-        # only the mesh itself is validated, not the 8N barrier nodes
-        import plemelj.mesh as mesh_mod
-
-        sizes = []
-        validate = mesh_mod.validate_domain_manifold
-
-        def counting(mesh, margin=0.1):
-            sizes.append(mesh.size)
-            return validate(mesh, margin)
-
-        monkeypatch.setattr(mesh_mod, "validate_domain_manifold", counting)
-        mesh = make_deformed_curve(128, 0.05, 2)
-        cone_parameters(mesh)
-        assert mesh.barrier_nodes().shape[0] == 1024
-        assert sizes == [128]
+            cone_parameters(make_deformed_curve(64, 0.4, 16))
 
 
 def _schedule_oracle(mesh, samples_per_cone=64):
-    """cone_parameters' schedule walked with full barrier_clearance and region_membership_many calls.
+    """cone_parameters' schedule walked with full region_membership_many calls.
 
-    Returns the entries tried, each as (alpha, r, rejected by clearance), their
-    samples with the full call's clearance, and the accepted (alpha, r) or None.
+    Returns the number of entries tried and the accepted (alpha, r), or None.
     """
     from plemelj.mesh import _DEFAULT_ALPHAS, _DEFAULT_RADIUS_FACTORS, _cone_samples
 
-    tau = barrier_clearance_floor(mesh)
-    tried, cleared = [], []
+    tried = 0
     for alpha in _DEFAULT_ALPHAS:
         for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * mesh.half_diameter()
             pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone)
-            clearance = barrier_clearance(pts, mesh)
-            unresolved = clearance.min() < tau
-            tried.append((alpha, r, bool(unresolved)))
-            cleared.append((pts, clearance))
-            if not unresolved and np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
-                return tried, cleared, (float(alpha), float(r))
-    return tried, cleared, None
+            tried += 1
+            if np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
+                return tried, (float(alpha), float(r))
+    return tried, None
 
 
 class TestConeSchedule:
     @pytest.mark.parametrize(
         "build",
         [
+            lambda: make_circle(16),
             lambda: make_circle(64),
             lambda: make_circle(128),
             lambda: make_deformed_curve(128, 0.05, 2),
+            lambda: make_deformed_curve(64, 0.4, 16),
             lambda: make_sphere(42),
         ],
-        ids=["circle64", "circle128", "deformed128", "sphere42"],
+        ids=["circle16", "circle64", "circle128", "deformed128", "bulged64", "sphere42"],
     )
-    def test_early_rejection_matches_full_clearance_oracle(self, build, monkeypatch):
+    def test_early_rejection_matches_full_region_oracle(self, build, monkeypatch):
+        # the walk accepts what full region_membership_many calls accept, and
+        # stops each rejected entry at its first row block with a sample of
+        # another region
         import plemelj.mesh as mesh_mod
 
         mesh = build()
-        tried = []
-        sample_set = mesh_mod._cone_sample_set
+        walks = []  # per entry tried, whether each block it classified was all interior
+        region_blocks = mesh_mod._region_blocks
 
-        def spy(m, alpha, r, count):
-            out = sample_set(m, alpha, r, count)
-            tried.append((alpha, r, out is None))
-            return out
+        def spy(points, m):
+            walks.append([])
+            for rows, regions in region_blocks(points, m):
+                walks[-1].append(bool(np.all(regions == Region.INTERIOR)))
+                yield rows, regions
 
-        monkeypatch.setattr(mesh_mod, "_cone_sample_set", spy)
+        monkeypatch.setattr(mesh_mod, "_region_blocks", spy)
         try:
             got = cone_parameters(mesh)
         except NoValidConeError:
             got = None
         monkeypatch.undo()
-        want_tried, cleared, want = _schedule_oracle(mesh)
-        assert tried == want_tried
+        tried, want = _schedule_oracle(mesh)
         assert got == want
-        # the blocks cover the rows in order, an eighth, a quarter and a half
-        # of a full PAIR_BLOCK block first, and hold the full call's values
-        chunk = mesh_mod.PAIR_BLOCK // mesh.barrier_nodes().shape[0]
-        for pts, clearance in cleared:
-            rows, blocks = zip(*mesh_mod._clearance_blocks(pts, mesh))
-            sizes = [chunk // 8, chunk // 4, chunk // 2] + [chunk] * len(rows)
-            stops = np.minimum(np.cumsum(sizes[: len(rows)]), pts.shape[0])
-            assert [(b.start, b.stop) for b in rows] == list(zip([0, *stops[:-1]], stops))
-            assert stops[-1] == pts.shape[0]
-            assert np.array_equal(np.concatenate(blocks), clearance)
-        # the walk keeps the accepted entry's clearance as the full call gives it
+        assert len(walks) == tried
+        rejected = walks[:-1] if want is not None else walks
+        assert all(not walk[-1] and all(walk[:-1]) for walk in rejected)
         if want is not None:
-            pts, clearance = mesh_mod._cone_sample_set(mesh, *want, 64)
-            assert np.array_equal(clearance, barrier_clearance(pts, mesh))
+            blocks = len(list(mesh_mod.row_blocks(64 * mesh.size, mesh.size)))
+            assert walks[-1] == [True] * blocks
 
 
 @pytest.mark.parametrize("dim", [5, 7])
