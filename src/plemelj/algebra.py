@@ -325,21 +325,6 @@ class Multivector:
     def scalar_part(self) -> complex:
         return complex(self.coeffs[0])
 
-    @property
-    def vector_components(self) -> np.ndarray:
-        return self.alg.vector_part(self.coeffs)
-
-    def is_vector(self, tol: float = 1e-12) -> bool:
-        mask = self.alg.grades != 1
-        return bool(np.all(np.abs(self.coeffs[mask]) <= tol))
-
-    def inverse(self) -> "Multivector":
-        """Multiplicative inverse of a grade-1 element (Kelvin-type inverse)."""
-        v = self.vector_components
-        if not self.is_vector(1e-10 * (1 + self.norm())):
-            raise ValueError("inverse implemented for grade-1 elements only")
-        return Multivector.from_vector(vector_inverse(v))
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):

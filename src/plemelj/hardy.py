@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .algebra import algebra
 from .linsolve import BlockFactorization, factor_blocks, matmul
@@ -32,7 +31,6 @@ from .operators import (
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform_points,
-    PROJECTION_COEFFS,
     l2_norm,
     plemelj_projection,
     smooth_family,
@@ -135,15 +133,6 @@ class IdentityReport:
         }
 
 
-def _apply_poly(coeffs, powers) -> np.ndarray:
-    """sum_k coeffs[k] C^k B, given powers = [B, C B, C^2 B, ...]."""
-    out = np.zeros(powers[0].shape, dtype=complex)
-    for c, block in zip(coeffs, powers):
-        if c:
-            out += c * block
-    return out
-
-
 def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     """Smooth-family norms of the identity residuals, from spinor-block products.
 
@@ -151,13 +140,15 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     Q is a scalar family tensored with the blades and W commutes with the
     spinor frame, so the norm is the largest over the distinct blocks of
     ||W R_rho Y_s||_2, with Y_s the scalar family tensored with one block's
-    rows.  S+- = c0 I + c1 C, so each projection identity is a polynomial in
-    C; its coefficients are combined before it is applied to Y (which makes
-    S+ + S- - I exactly zero).  With X = (I + A)^{-1} Y one has P+- Y =
-    S+- X, and the Kerzman-Stein identity applies S+ to
-    D = (I + A)^{-1} (I + A) Y - Y.  Rows whose polynomials agree up to sign
-    on the same input share one norm: the nine rows carry three independent
-    residuals and one exact zero.
+    rows.  S+- = I/2 +- C, so the nine rows carry three residuals and one
+    exact zero:
+      - S+^2 - S+, S-^2 - S-, S+S-, S-S+ and C^2 - I/4 all equal +-(C^2 - I/4),
+        measured as ||C^2 Y - Y/4||;
+      - with X = (I + A)^{-1} Y one has P+- Y = S+- X, so both
+        P+- - S+-P+- rows are -(C^2 - I/4) X, measured as ||C^2 X - X/4||;
+      - the Kerzman-Stein row applies S+ to D = (I + A)^{-1} (I + A) Y - Y,
+        measured as ||D/2 + C D||;
+      - S+ + S- - I is 0 by construction.
     """
     C = assemble_singular_cauchy(mesh).matrix
     A = assemble_kerzman_stein(mesh).matrix
@@ -169,33 +160,19 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     D = X + Z[..., m:] - Y
     CY, CX, CD = np.split(matmul(C, np.concatenate([Y, X, D], axis=-1)), 3, axis=-1)
     C2Y, C2X = np.split(matmul(C, np.concatenate([CY, CX], axis=-1)), 2, axis=-1)
-    powers = {"Y": [Y, CY, C2Y], "X": [X, CX, C2X], "D": [D, CD]}
-
-    Sp, Sm = PROJECTION_COEFFS["+"], PROJECTION_COEFFS["-"]
-    mul, add, sub = npoly.polymul, npoly.polyadd, npoly.polysub
-    polys = {
-        "S+^2 - S+": (sub(mul(Sp, Sp), Sp), "Y"),
-        "S-^2 - S-": (sub(mul(Sm, Sm), Sm), "Y"),
-        "S+S-": (mul(Sp, Sm), "Y"),
-        "S-S+": (mul(Sm, Sp), "Y"),
-        "C^2 - I/4": ((-0.25, 0.0, 1.0), "Y"),
-        "S+ + S- - I": (sub(add(Sp, Sm), (1.0,)), "Y"),
-        "P+ - S+P+": (sub(Sp, mul(Sp, Sp)), "X"),
-        "P- - S-P-": (sub(Sm, mul(Sm, Sm)), "X"),
-        "P+ - S+ - P+(C*-C)": (Sp, "D"),
+    s_rows = weighted_norm(C2Y - 0.25 * Y, mesh)
+    p_rows = weighted_norm(C2X - 0.25 * X, mesh)
+    return {
+        "S+^2 - S+": s_rows,
+        "S-^2 - S-": s_rows,
+        "S+S-": s_rows,
+        "S-S+": s_rows,
+        "C^2 - I/4": s_rows,
+        "S+ + S- - I": 0.0,
+        "P+ - S+P+": p_rows,
+        "P- - S-P-": p_rows,
+        "P+ - S+ - P+(C*-C)": weighted_norm(0.5 * D + CD, mesh),
     }
-    norms = {}
-
-    def residual(p, on):
-        p = np.trim_zeros(np.asarray(p, dtype=float), "b")
-        if p.size == 0:
-            return 0.0
-        key = (tuple(p if p[-1] > 0 else -p), on)
-        if key not in norms:
-            norms[key] = weighted_norm(_apply_poly(p, powers[on]), mesh)
-        return norms[key]
-
-    return {name: residual(p, on) for name, (p, on) in polys.items()}
 
 
 def verify_identities(
@@ -233,9 +210,6 @@ class LimitReport:
     errors: np.ndarray
     floor_estimate: float
     target_norm: float
-
-    def rows(self):
-        return [(k, float(s), float(e)) for k, (s, e) in enumerate(zip(self.s_values, self.errors))]
 
 
 def boundary_limit_test(

@@ -27,7 +27,6 @@ from .mesh import (
 from .operators import (
     BoundaryFunction,
     _kernel_blocks,
-    _pair_blocks,
     _to_spinor,
     assemble_singular_cauchy,
     l2_norm,
@@ -149,16 +148,21 @@ def _cone_block(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray) -> np.
 def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
     """(F, N) sup over the schedule of ||integral over dM minus B(w, eps) of G n f||, per function.
 
-    Each radius mask weights the pair kernel blocks once for the whole family.
+    Each row block of nodes takes its kernel blocks once, each node's own
+    pair skipped (_kernel_blocks), and every radius masks them for the
+    whole family.
     """
+    sp = algebra(mesh.n).spinor
+    N = mesh.size
     cols = _family_columns(mesh, family)
     dist = _pair_distances(mesh)
-    out = np.zeros((len(family), mesh.size))
-    for eps in radii:
-        mask = (dist > eps).astype(float)
-        np.fill_diagonal(mask, 0.0)
-        vals = _pair_blocks(mesh, mask) @ cols
-        out = np.maximum(out, _family_norms(mesh, vals, len(family)))
+    idx = np.arange(N)
+    out = np.zeros((len(family), N))
+    for rows in row_blocks(N, N):
+        K = _kernel_blocks(mesh, mesh.nodes[rows], idx[rows]).reshape(sp.blocks, -1, sp.size, N, sp.size)
+        for eps in radii:
+            vals = (K * (dist[rows] > eps)[:, None, :, None]).reshape(sp.blocks, -1, N * sp.size) @ cols
+            out[:, rows] = np.maximum(out[:, rows], _family_norms(mesh, vals, len(family)))
     return out
 
 

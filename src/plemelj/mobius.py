@@ -153,13 +153,12 @@ def kernel_intertwining_check(n: int = 2, a=None, num_samples: int = 100, seed: 
         if min(norms) < 1e-3:
             skipped += 1
             continue
-        produced += 1
         v = vector_inverse(wa)
         u = vector_inverse(za)
         if np.abs(np.sum((v - u) * (v - u))) < 1e-12:
             skipped += 1
-            produced -= 1
             continue
+        produced += 1
         lhs_fwd = _kernel_mv(alg, v - u)
         lhs_rev = _kernel_mv(alg, u - v)
         mid = _kernel_mv(alg, w - z)

@@ -7,21 +7,24 @@ cancelled Kerzman-Stein kernel) are even, so every such matrix is stored
 and applied as its irreducible spinor blocks (BlockOperator): two N x N
 matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
-For n = 2 the blocks are assembled directly.  With the null coordinates
-zeta = z1 + i z2 and eta = z1 - i z2, square(z) = -zeta eta, and block rho
-of G(w - z) n(z) is the planar Cauchy kernel -zeta_rho(n) / (2 pi
-zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta, zeta_1 = eta).  The
-off-boundary transforms come from arrays of null differences and are
-applied as matrix products (_kernel_blocks).  Between the nodes themselves
-C and A are built in one pass over row blocks (_curve_operators): each
-block takes its reciprocals R_rho = 1 / zeta_rho(z_i - z_j) (_null_rows)
-once, and both operators follow by multiplications only: block rho of C
-is R_rho (-zeta_rho(n_j) w_ij / 2 pi), and block rho of the cancelled
-kernel G n_j + n_i G is -zeta_rho(n_j) R_rho - zeta_rhobar(n_i) R_rhobar
-(rhobar = 1 - rho), since left multiplication by a vector swaps the null
-planes.  No (N, N) array of reciprocals or weights is kept.  The Clifford
-kernel G = cauchy_kernel serves n = 3, generic_kernel_operator and the
-subtracted near-boundary transform.
+Every weighted kernel sum over the nodes, sum_j G(p_m - z_j) n_j W_mj g_j,
+is a product with the spinor blocks of one primitive, _kernel_blocks(mesh,
+points, skip, W): the off-boundary transforms (W = 1), the truncated
+maximal pass and the subtracted near-boundary transform (the pair of each
+point with its node skipped).  For n = 2 the blocks are assembled directly.
+With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
+-zeta eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
+-zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
+zeta_1 = eta).  A block of rows takes its reciprocals R_rho = 1 /
+zeta_rho(p_m - z_j) (_null_rows) once, and the kernel follows by
+multiplications only: block rho is R_rho (-zeta_rho(n_j) W_mj / 2 pi)
+(_cauchy_rows).  Between the nodes themselves C and A are built in one pass
+over row blocks (_curve_operators) from the same reciprocals: block rho of
+the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
+zeta_rhobar(n_i) R_rhobar (rhobar = 1 - rho), since left multiplication by
+a vector swaps the null planes.  No (N, N) array of reciprocals or weights
+is kept.  The Clifford kernel G = cauchy_kernel (_node_kernel) serves n = 3
+and generic_kernel_operator.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -47,7 +50,6 @@ from .algebra import (
     NullVectorError,
     algebra,
     cauchy_kernel,
-    is_null,
     is_null_planar,
     null_coordinates,
     null_differences,
@@ -109,16 +111,6 @@ class BoundaryFunction:
             coeffs = np.zeros(alg.dim, dtype=complex)
             coeffs[0] = value
         return cls(mesh, np.tile(coeffs, (mesh.size, 1)))
-
-    @classmethod
-    def from_callable(cls, mesh: BoundaryMesh, fn) -> "BoundaryFunction":
-        """Sample fn(node) -> Multivector | coefficient vector at every node."""
-        alg = algebra(mesh.n)
-        rows = []
-        for z in mesh.nodes:
-            v = fn(z)
-            rows.append(v.coeffs if isinstance(v, Multivector) else np.asarray(v, dtype=complex))
-        return cls(mesh, np.array(rows))
 
     @classmethod
     def kernel_trace(cls, mesh: BoundaryMesh, pole: np.ndarray) -> "BoundaryFunction":
@@ -351,13 +343,29 @@ def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
 # -- assembly ---------------------------------------------------------------------
 
 
+def _node_kernel(mesh: BoundaryMesh, points: np.ndarray, skip, kernel=None) -> np.ndarray:
+    """kernel(p_m - z_j) components (M, N, n) at (M, n) points, 0 at the pairs (m, skip[m]).
+
+    kernel maps difference vectors (..., n) to grade-1 components (..., n);
+    None means cauchy_kernel.  The skipped pairs are parked off the null
+    cone before the kernel sees them.
+    """
+    diffs = points[:, None, :] - mesh.nodes[None, :, :]
+    pairs = (np.arange(points.shape[0]), skip)
+    if skip is not None:
+        diffs[pairs] = np.eye(mesh.n)[0]  # placeholder off the null cone
+    K = np.asarray((cauchy_kernel if kernel is None else kernel)(diffs), dtype=complex)
+    if K.shape != diffs.shape:
+        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
+    if skip is not None:
+        K[pairs] = 0.0
+    return K
+
+
 @per_mesh
 def _pair_kernel(mesh: BoundaryMesh) -> np.ndarray:
-    """G(w_i - z_j) components for all pairs, junk on the diagonal (n = 3 assembly, oracles)."""
-    diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-    idx = np.arange(mesh.size)
-    diffs[idx, idx, 0] = 1.0  # placeholder off the null cone; diagonal set later
-    return cauchy_kernel(diffs)
+    """G(z_i - z_j) components for all node pairs, 0 on the diagonal (n = 3 assembly, oracles)."""
+    return _node_kernel(mesh, mesh.nodes, np.arange(mesh.size))
 
 
 def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
@@ -383,11 +391,11 @@ def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
     return _weight_rows(mesh, slice(None))
 
 
-def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Spinor blocks (blocks, M, s, N, s) of (1/omega) L(K_mj) L(n_j) W_mj, K grade-1 (M, N, n)."""
+def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W) -> np.ndarray:
+    """Spinor blocks (blocks, M s, N s) of (1/omega) L(K_mj) L(n_j) W_mj, K grade-1 (M, N, n)."""
     sp = algebra(mesh.n).spinor
     Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
-    return np.einsum("ijl,jlrpq->ripjq", K * W[..., None], Kn) / omega(mesh.n)
+    return _stack(np.einsum("ijl,jlrpq->ripjq", K * np.expand_dims(W, -1), Kn) / omega(mesh.n))
 
 
 def _stack(blocks: np.ndarray) -> np.ndarray:
@@ -402,61 +410,49 @@ def _off_null(dz: np.ndarray) -> np.ndarray:
     return dz
 
 
-def _null_rows(mesh: BoundaryMesh, rows: slice) -> np.ndarray:
-    """Rows R[:, rows] (2, rows, N) of the reciprocal null pairs R_rho = 1 / zeta_rho(z_i - z_j) (n = 2), 0 on the diagonal.
+def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
+    """Reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N) at (M, 2) points (n = 2), 0 at the pairs (m, skip[m]).
 
     The differences are checked against the null cones first (_off_null),
-    so this raises NullVectorError wherever cauchy_kernel does.  The rows
-    of all blocks make an antisymmetric R, bit for bit.
+    with the skipped pairs parked off them, so this raises NullVectorError
+    wherever cauchy_kernel does on a pair that is not skipped.  At the
+    nodes, each skipping itself, the rows of all blocks make an
+    antisymmetric R, bit for bit.
     """
-    z = mesh.nodes
-    dz = null_differences(z[rows], z)
-    i = np.arange(mesh.size)[rows]
-    local = np.arange(i.size)
-    dz[:, local, i] = 1.0  # placeholder off the null cones
+    dz = null_differences(points, mesh.nodes)
+    pairs = (slice(None), np.arange(points.shape[0]), skip)
+    if skip is not None:
+        dz[pairs] = 1.0  # placeholder off the null cones
     R = np.empty(dz.shape, dtype=complex)  # plane first in memory too, unlike dz
     np.reciprocal(_off_null(dz), out=R)
-    R[:, local, i] = 0.0
+    if skip is not None:
+        R[pairs] = 0.0
     return R
 
 
-def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), from reciprocal rows R and weight rows W."""
-    out = zn[:, None, :] * (W / -omega(2))
+def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W) -> np.ndarray:
+    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), from reciprocal rows R and weights W (rows or 1.0)."""
+    out = np.empty(R.shape, dtype=complex)
+    np.multiply(zn[:, None, :], W / -omega(2), out=out)
     out *= R  # in this order at every size, not as numpy's temporary elision picks it
     return out
 
 
-def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
-    """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j at (M, n) points.
+def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> np.ndarray:
+    """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j W_mj at (M, n) points, 0 at the pairs (m, skip[m]).
 
-    For n = 2 block rho is the planar Cauchy kernel of the zeta_rho plane,
-    -zeta_rho(n_j) / (2 pi zeta_rho(p_m - z_j)), with zeta_0 = zeta and
-    zeta_1 = eta (algebra.null_coordinates).  For n = 3 the blocks come from
-    cauchy_kernel.  Raises NullVectorError wherever cauchy_kernel(p_m - z_j)
-    does.
+    The one primitive for weighted kernel sums over the nodes; W is (M, N)
+    or the scalar 1.0.  For n = 2 block rho is the planar Cauchy kernel
+    of the zeta_rho plane, R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 =
+    zeta and zeta_1 = eta (algebra.null_coordinates), from the reciprocal
+    null pairs R of _null_rows by C's own arithmetic (_cauchy_rows).  For
+    n = 3 the blocks come from cauchy_kernel (_node_kernel).  Raises
+    NullVectorError wherever cauchy_kernel(p_m - z_j) does on a pair that
+    is not skipped.
     """
     if mesh.n == 2:
-        dz = _off_null(null_differences(points, mesh.nodes))
-        return null_coordinates(mesh.normals).T[:, None, :] / (-omega(2) * dz)
-    G = cauchy_kernel(points[:, None, :] - mesh.nodes[None, :, :])
-    return _stack(_vector_kernel_blocks(mesh, G, np.ones(G.shape[:2])))
-
-
-def _pair_blocks(mesh: BoundaryMesh, W: np.ndarray) -> np.ndarray:
-    """_kernel_blocks at the nodes themselves times weights W (N, N) that vanish on the diagonal.
-
-    For n = 2 block rho is R_rho (-zeta_rho(n_j) W_ij / omega), filled one
-    row block at a time from that block's reciprocal null pairs (_null_rows):
-    multiplications only, and 0 on the diagonal.
-    """
-    if mesh.n == 2:
-        zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-        out = np.empty((2, mesh.size, mesh.size), dtype=complex)
-        for rows in row_blocks(mesh.size, mesh.size):
-            out[:, rows] = _cauchy_rows(_null_rows(mesh, rows), zn, W[rows])
-        return out
-    return _stack(_vector_kernel_blocks(mesh, _pair_kernel(mesh), W))
+        return _cauchy_rows(_null_rows(mesh, points, skip), null_coordinates(mesh.normals).T, W)
+    return _vector_kernel_blocks(mesh, _node_kernel(mesh, points, skip), W)
 
 
 @per_mesh
@@ -475,8 +471,9 @@ def _curve_operators(mesh: BoundaryMesh) -> tuple:
     w = mesh.sigma / -omega(2)
     C = np.empty((2, N, N), dtype=complex)
     A = np.empty_like(C)
+    idx = np.arange(N)
     for rows in row_blocks(N, N):
-        R = _null_rows(mesh, rows)
+        R = _null_rows(mesh, mesh.nodes[rows], idx[rows])
         C[:, rows] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
         # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
         # by the vector n_i swaps the null planes, so it is
@@ -503,7 +500,10 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """
     _validated(mesh)
     sp, N = algebra(mesh.n).spinor, mesh.size
-    matrix = _curve_operators(mesh)[0] if mesh.n == 2 else _pair_blocks(mesh, _quad_weights(mesh))
+    if mesh.n == 2:
+        matrix = _curve_operators(mesh)[0]
+    else:
+        matrix = _vector_kernel_blocks(mesh, _pair_kernel(mesh), _quad_weights(mesh))
     idx = np.arange(N)
     blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     blocks[:, idx, :, idx, :] = 0.0
@@ -580,19 +580,10 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
     matches the Cauchy operator except that diagonal blocks are zero (the
     principal value of an odd kernel over a symmetric neighborhood).
     """
-    N = mesh.size
-    diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-    idx = np.arange(N)
-    diffs[idx, idx, 0] = 1.0
-    K = np.array(kernel(diffs), dtype=complex)
-    if K.shape != diffs.shape:
-        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
-    K[idx, idx] = 0.0
+    K = _node_kernel(mesh, mesh.nodes, np.arange(mesh.size), kernel)
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel returned non-finite values on mesh differences")
-    blocks = _vector_kernel_blocks(mesh, K, _quad_weights(mesh))
-    blocks[:, idx, :, idx, :] = 0.0
-    return BlockOperator(mesh, _stack(blocks), "T_K")
+    return BlockOperator(mesh, _vector_kernel_blocks(mesh, K, _quad_weights(mesh)), "T_K")
 
 
 # -- off-boundary transforms -------------------------------------------------------
@@ -640,35 +631,22 @@ def cauchy_transform_points(
     exactly zero in the continuum, the subtraction removes the h/dist
     quadrature blow-up near z_i, and the quadrature weights are those of
     node i's row in the singular operator, so the s -> 0 limit reproduces
-    the Nystrom boundary projection exactly.
+    the Nystrom boundary projection exactly.  The sum runs on the kernel
+    blocks of _kernel_blocks with the pair (m, i) skipped; any other pair on
+    the null cone raises NullVectorError, as the plain transform does.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     if subtract_node is None:
         return _transform_points(mesh, f.values, points)
-    alg = algebra(mesh.n)
     subtract_node = np.asarray(subtract_node, dtype=int)
-    chi = 1.0 if interior else 0.0
-    nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), f.values)
-    n1 = mesh.normals  # n_j acting on the constant 1 is the vector itself
-    pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
-    pre_1 = np.einsum("lab,jb->laj", alg.generator_left, alg.embed_vector(n1))
-    out = np.empty((points.shape[0], alg.dim), dtype=complex)
+    sp = algebra(mesh.n).spinor
+    F = _to_spinor(f.values, mesh).reshape(sp.blocks, mesh.size, sp.size, sp.copies)
+    out = np.empty((sp.blocks, points.shape[0], sp.size, sp.copies), dtype=complex)
     for rows in row_blocks(points.shape[0], mesh.size):
-        diffs = points[rows, None, :] - mesh.nodes[None, :, :]
-        # pairs on the null cone carry zero quadrature weight (they sit at
-        # the subtracted node); park them off the cone before evaluating
-        Wr = _weight_rows(mesh, subtract_node[rows])
-        bad = is_null(diffs)
-        if np.any(bad):
-            diffs = diffs.copy()
-            diffs[bad] = np.eye(mesh.n)[0]
-            Wr[bad] = 0.0
-        G = cauchy_kernel(diffs)
-        base = np.einsum("mjl,laj,mj->ma", G, pre_f, Wr)
-        unit = np.einsum("mjl,laj,mj->ma", G, pre_1, Wr)
-        fi = f.values[subtract_node[rows]]
-        Lu = alg.left_matrix(unit / omega(mesh.n))
-        out[rows] = base / omega(mesh.n) - (
-            np.einsum("mab,mb->ma", Lu, fi) - chi * fi
-        )
-    return out
+        i = subtract_node[rows]
+        K = _kernel_blocks(mesh, points[rows], i, _weight_rows(mesh, i))
+        K = K.reshape(sp.blocks, -1, sp.size, mesh.size, sp.size)
+        # sum_j K_mj (f_j - f_i), the difference taken in the spinor frame
+        out[:, rows] = np.einsum("bmpjq,bmjqc->bmpc", K, F[:, None] - F[:, i, None])
+    chi = 1.0 if interior else 0.0
+    return _from_spinor(out.reshape(sp.blocks, -1, sp.copies), mesh) + chi * f.values[subtract_node]

@@ -7,7 +7,13 @@ import pytest
 
 import plemelj.mesh as mesh_mod
 from plemelj.hardy import verify_identities
-from plemelj.maximal import _family_nontangential, band_limited_family, bound_diagnostics
+from plemelj.maximal import (
+    _family_nontangential,
+    _family_truncated_sup,
+    band_limited_family,
+    bound_diagnostics,
+    default_radii,
+)
 from plemelj.mesh import (
     BoundaryMesh,
     Region,
@@ -19,7 +25,12 @@ from plemelj.mesh import (
     row_blocks,
     validate_domain_manifold,
 )
-from plemelj.operators import _null_rows, assemble_kerzman_stein, assemble_singular_cauchy
+from plemelj.operators import (
+    _null_rows,
+    assemble_kerzman_stein,
+    assemble_singular_cauchy,
+    cauchy_transform_points,
+)
 
 BUILDS = {
     "circle128": lambda: make_circle(128),
@@ -32,17 +43,24 @@ def _outputs(mesh):
     # the widest schedule cone's samples, their mirror images through the
     # nodes and their turns into the imaginary directions: interior,
     # exterior and mixed points
-    wide = _cone_samples(mesh, np.arange(mesh.size), np.pi / 4, mesh.half_diameter(), 64)
+    idx = np.arange(mesh.size)
+    wide = _cone_samples(mesh, idx, np.pi / 4, mesh.half_diameter(), 64)
     z = np.repeat(mesh.nodes, 64, axis=0)
     points = np.concatenate([wide, 2 * z - wide, z + 1j * (wide - z)])
+    family = band_limited_family(mesh, 3, seed=5)
+    cone = _cone_samples(mesh, idx, *cone_parameters(mesh), 64)
     return {
         "report": repr(validate_domain_manifold(mesh)),
         "regions": region_membership_many(points, mesh),
         "cone": cone_parameters(mesh),
-        "R": np.concatenate([_null_rows(mesh, rows) for rows in row_blocks(mesh.size, mesh.size)], axis=1),
+        "R": np.concatenate(
+            [_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(mesh.size, mesh.size)], axis=1
+        ),
         "C": assemble_singular_cauchy(mesh).matrix,
         "A": assemble_kerzman_stein(mesh).matrix,
-        "nontangential": _family_nontangential(mesh, band_limited_family(mesh, 3, seed=5)),
+        "nontangential": _family_nontangential(mesh, family),
+        "truncated": _family_truncated_sup(mesh, family, default_radii(mesh)),
+        "subtracted": cauchy_transform_points(mesh, family[0], cone, subtract_node=np.repeat(idx, 64)),
     }
 
 

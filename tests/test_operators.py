@@ -3,7 +3,7 @@ import pytest
 
 from conftest import band_limited, monogenic_linear
 from plemelj.algebra import Multivector, algebra, cauchy_kernel
-from plemelj.mesh import make_circle, make_deformed_curve, make_flat_patch
+from plemelj.mesh import make_circle, make_deformed_curve, make_flat_patch, make_sphere
 from plemelj.operators import (
     BlockOperator,
     BoundaryFunction,
@@ -144,7 +144,7 @@ class TestPlanarKernelBlocks:
             nodes = mesh.nodes.copy()
             nodes[k] = p
             planted = dataclasses.replace(mesh, nodes=nodes, cache={})
-            rows = raises(lambda: _null_rows(planted, slice(k - 1, k + 1)))
+            rows = raises(lambda: _null_rows(planted, nodes[k - 1 : k + 1], np.arange(k - 1, k + 1)))
             assert kernel == blocks == rows == on_cone, (p, kernel, blocks, rows)
 
     @pytest.mark.parametrize("N", [128, 512])
@@ -186,7 +186,10 @@ class TestPlanarKernelBlocks:
         from plemelj.operators import _null_rows
 
         mesh = request.getfixturevalue(name)
-        R = np.concatenate([_null_rows(mesh, rows) for rows in row_blocks(mesh.size, mesh.size)], axis=1)
+        idx = np.arange(mesh.size)
+        R = np.concatenate(
+            [_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(mesh.size, mesh.size)], axis=1
+        )
         assert R.shape == (2, mesh.size, mesh.size) and R.flags.c_contiguous
         assert np.array_equal(R, -R.transpose(0, 2, 1))
         assert not np.any(np.diagonal(R, axis1=1, axis2=2))
@@ -489,6 +492,49 @@ class TestNearEvaluation:
         pts = circle256.nodes * (1 + 1e-7)
         vals = cauchy_transform_points(circle256, f, pts, subtract_node=idx, interior=False)
         assert np.abs(vals - target.values).max() < 1e-6
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
+    def test_subtracted_matches_clifford_reference(self, name):
+        # sum_j G(p - z_j) n_j W_ij (f_j - f_i) / omega + chi f_i as Clifford
+        # coefficient contractions, against the spinor-block sum, at points
+        # along the normals on both sides
+        from plemelj.maximal import band_limited_family
+        from plemelj.operators import _weight_rows
+
+        mesh = {
+            "circle64": lambda: make_circle(64),
+            "deformed128": lambda: make_deformed_curve(128, 0.1, 2),
+            "sphere42": lambda: make_sphere(42),
+        }[name]()
+        alg = algebra(mesh.n)
+        f = band_limited_family(mesh, 1, seed=3)[0]
+        idx = np.arange(mesh.size)
+        nrm = mesh.normals / np.sqrt(np.sum(np.abs(mesh.normals) ** 2, axis=1))[:, None]
+        nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), f.values)
+        pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
+        pre_1 = np.einsum("lab,jb->laj", alg.generator_left, alg.embed_vector(mesh.normals))
+        W = _weight_rows(mesh, idx)
+        for interior in (True, False):
+            for s in (2 * mesh.h, mesh.h / 4, mesh.h / 32):
+                pts = mesh.nodes + (-s if interior else s) * nrm
+                G = cauchy_kernel(pts[:, None, :] - mesh.nodes[None, :, :])
+                base = np.einsum("mjl,laj,mj->ma", G, pre_f, W) / omega(mesh.n)
+                unit = np.einsum("mjl,laj,mj->ma", G, pre_1, W) / omega(mesh.n)
+                Lf = np.einsum("mab,mb->ma", alg.left_matrix(unit), f.values)
+                want = base - (Lf - float(interior) * f.values)
+                got = cauchy_transform_points(mesh, f, pts, subtract_node=idx, interior=interior)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (interior, s)
+
+    def test_weighted_null_pair_raises(self, circle64):
+        # the point is node 1; in node 0's row its pair carries the weight
+        # 2 sigma, so it cannot be dropped
+        from plemelj.algebra import NullVectorError
+        from plemelj.operators import _weight_rows
+
+        assert _weight_rows(circle64, np.array([0]))[0, 1] != 0.0
+        f = BoundaryFunction.constant(circle64, 1.0)
+        with pytest.raises(NullVectorError):
+            cauchy_transform_points(circle64, f, circle64.nodes[1][None, :], subtract_node=[0])
 
 
 def test_block_singular_values_match_dense_svd():

@@ -43,6 +43,13 @@ def _references(node, skip=None):
             yield name
 
 
+def test_kernel_sums_stay_on_spinor_blocks():
+    # every weighted kernel sum in operators is a product with spinor blocks
+    # (_kernel_blocks); none contracts Clifford left-multiplication matrices
+    tree = ast.parse((Path(plemelj.__file__).parent / "operators.py").read_text())
+    assert not set(_references(tree)) & {"generator_left", "left_vector_matrix", "left_matrix"}
+
+
 def test_every_private_function_is_referenced():
     # a module-level helper whose last caller was deleted shows up here
     src = Path(plemelj.__file__).parent
