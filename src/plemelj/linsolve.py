@@ -6,9 +6,10 @@ factor LU-factors one matrix and estimates its 1-norm condition number
 of a block-diagonal system.  A factorization's check raises
 IllConditionedError when the estimate exceeds the caller's limit.
 
-This is the only module that imports scipy.linalg, and every threaded
-dense BLAS or LAPACK call of a verify or szego job goes through it: matmul
-for the block products and qr for the smooth basis, next to the LU and its
+This is the only module that imports scipy.linalg (on first use, so a
+command with no dense solve loads no scipy), and every threaded dense BLAS
+or LAPACK call of a verify or szego job goes through it: matmul for the
+block products and qr for the smooth basis, next to the LU and its
 solves.  numpy and scipy each load their own OpenBLAS, and each keeps its
 own pool of worker threads that spin on after a call; a job that switched
 between numpy's pool (its @ and QR) and scipy's pool (the LU) had the two
@@ -21,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import zgemm
 
 __all__ = [
     "BlockFactorization",
@@ -56,6 +55,7 @@ class Factorization:
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg
         return scipy.linalg.lu_solve((self.lu, self.piv), np.asarray(rhs, dtype=complex))
 
 
@@ -67,6 +67,7 @@ def factor(matrix: np.ndarray, cond_limit: float = 1e8) -> Factorization:
 
 def _factor_in_place(matrix: np.ndarray, cond_limit: float) -> Factorization:
     """factor, overwriting matrix with its LU factors when it is column-major."""
+    import scipy.linalg
     # LAPACK lange sums each column in row order, as numpy's 1-norm of a
     # row-major matrix does, and it is taken before getrf overwrites matrix
     (lange,) = scipy.linalg.get_lapack_funcs(("lange",), (matrix,))
@@ -119,6 +120,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (50 x 128 times 128 x 50 differs in the last bits); the products of the
     verify and szego jobs are still numpy's bit for bit.
     """
+    from scipy.linalg.blas import zgemm
     out = []
     for ak, bk in zip(a, b):
         (at, ta), (bt, tb) = _transposed(ak), _transposed(bk)
@@ -133,4 +135,5 @@ def _transposed(x: np.ndarray):
 
 def qr(a: np.ndarray):
     """Reduced QR factorization (Q, R) of a tall matrix."""
+    import scipy.linalg
     return scipy.linalg.qr(a, mode="economic")

@@ -361,7 +361,7 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
 
     For n = 2 both sides of the pair check come from the null coordinates:
     |square(u)| = |zeta eta| and |u|^2 = (|zeta|^2 + |eta|^2) / 2
-    (algebra.null_magnitudes).
+    (algebra.null_magnitudes); for n = 3 from component-first differences.
 
     The pairs are checked in row blocks of PAIR_BLOCK pairs (row_blocks), so
     the memory stays cache-sized on large meshes; every ratio is formed
@@ -377,9 +377,10 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
         if mesh.n == 2:
             sq, r2 = null_magnitudes(null_differences(z[rows], z))
         else:
-            D = z[rows, None, :] - z[None, :, :]
-            sq = np.abs(vector_square(D))
-            r2 = np.sum(np.abs(D) ** 2, axis=-1)
+            zt = np.ascontiguousarray(z.T)  # so that D is component first in memory too
+            D = zt[:, rows, None] - zt[:, None, :]
+            sq = np.abs(np.sum(D * D, axis=0))
+            r2 = np.sum(np.abs(D) ** 2, axis=0)
         diag = np.arange(rows.start, rows.stop)
         sq[diag - rows.start, diag] = np.inf
         r2[diag - rows.start, diag] = 1.0
@@ -483,7 +484,7 @@ def _regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     if mesh.n == 2:
         d = null_differences(points, mesh.nodes)
         far = ~np.any(is_null_planar(d), axis=1)
-        zeta, eta = (_winding_numbers(dk[far]) != 0 for dk in d)
+        zeta, eta = (_winding_numbers(dk if far.all() else dk[far]) != 0 for dk in d)
         out[far] = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
         return out
     u = points[:, None, :] - mesh.nodes[None, :, :]

@@ -23,8 +23,9 @@ over row blocks (_curve_operators) from the same reciprocals: block rho of
 the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
 zeta_rhobar(n_i) R_rhobar (rhobar = 1 - rho), since left multiplication by
 a vector swaps the null planes.  No (N, N) array of reciprocals or weights
-is kept.  The Clifford kernel G = cauchy_kernel (_node_kernel) serves n = 3
-and generic_kernel_operator.
+is kept.  For n = 3 a block of G(u) = u / |u|^3 (_surface_rows) times a
+vector is a closed-form sum of the blocks B(e_l e_k) (_vector_blocks); C and
+A come from one row-blocked pass that evaluates G once (_surface_operators).
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -48,6 +49,7 @@ import numpy as np
 from .algebra import (
     Multivector,
     NullVectorError,
+    OddDimensionComplexError,
     algebra,
     cauchy_kernel,
     is_null_planar,
@@ -343,31 +345,6 @@ def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
 # -- assembly ---------------------------------------------------------------------
 
 
-def _node_kernel(mesh: BoundaryMesh, points: np.ndarray, skip, kernel=None) -> np.ndarray:
-    """kernel(p_m - z_j) components (M, N, n) at (M, n) points, 0 at the pairs (m, skip[m]).
-
-    kernel maps difference vectors (..., n) to grade-1 components (..., n);
-    None means cauchy_kernel.  The skipped pairs are parked off the null
-    cone before the kernel sees them.
-    """
-    diffs = points[:, None, :] - mesh.nodes[None, :, :]
-    pairs = (np.arange(points.shape[0]), skip)
-    if skip is not None:
-        diffs[pairs] = np.eye(mesh.n)[0]  # placeholder off the null cone
-    K = np.asarray((cauchy_kernel if kernel is None else kernel)(diffs), dtype=complex)
-    if K.shape != diffs.shape:
-        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
-    if skip is not None:
-        K[pairs] = 0.0
-    return K
-
-
-@per_mesh
-def _pair_kernel(mesh: BoundaryMesh) -> np.ndarray:
-    """G(z_i - z_j) components for all node pairs, 0 on the diagonal (n = 3 assembly, oracles)."""
-    return _node_kernel(mesh, mesh.nodes, np.arange(mesh.size))
-
-
 def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
     """Rows (a slice or an index array) of the quadrature weight matrix for singular kernels.
 
@@ -384,23 +361,6 @@ def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
     W = np.tile(mesh.sigma, (i.size, 1))
     W[np.arange(i.size), i] = 0.0
     return W
-
-
-def _quad_weights(mesh: BoundaryMesh) -> np.ndarray:
-    """(N, N) quadrature weight matrix for singular kernels: every row of _weight_rows."""
-    return _weight_rows(mesh, slice(None))
-
-
-def _vector_kernel_blocks(mesh: BoundaryMesh, K: np.ndarray, W) -> np.ndarray:
-    """Spinor blocks (blocks, M s, N s) of (1/omega) L(K_mj) L(n_j) W_mj, K grade-1 (M, N, n)."""
-    sp = algebra(mesh.n).spinor
-    Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
-    return _stack(np.einsum("ijl,jlrpq->ripjq", K * np.expand_dims(W, -1), Kn) / omega(mesh.n))
-
-
-def _stack(blocks: np.ndarray) -> np.ndarray:
-    r, M, s, N = blocks.shape[:4]
-    return blocks.reshape(r, M * s, N * s)
 
 
 def _off_null(dz: np.ndarray) -> np.ndarray:
@@ -438,6 +398,56 @@ def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W) -> np.ndarray:
     return out
 
 
+def _check_real_pairs(points: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise OddDimensionComplexError unless cauchy_kernel takes every p_m - z_j as real (n = 3):
+    max |Im| <= 1e-14 (1 + max |Re|), from the coordinates' extremes (rounding is monotone)."""
+    a, b = (np.stack([x.real, x.imag]) for x in (points, nodes))
+    # max |a_m - b_j| over the pairs and components, of the real and of the imaginary parts
+    re, im = np.max(np.maximum(a.max(axis=1) - b.min(axis=1), b.max(axis=1) - a.min(axis=1)), axis=1)
+    if not im <= 1e-14 * (1.0 + re):
+        raise OddDimensionComplexError("complex Cauchy kernel is single-valued only for even n")
+
+
+def _surface_rows(mesh: BoundaryMesh, points: np.ndarray, skip, W) -> np.ndarray:
+    """(1/omega) G(p_m - z_j) W_mj, G(x) = x / |x|^3, component first (3, M, N) at (M, 3) points, 0 at (m, skip[m]).
+
+    The caller has found the differences x real (_check_real_pairs).  The origin test is
+    cauchy_kernel's, |x|^2 <= null_tolerance(x), with the skipped pairs parked off it.
+    """
+    p, z = (np.ascontiguousarray(a.real.T) for a in (points, mesh.nodes))
+    x = p[:, :, None] - z[:, None, :]  # component first in memory too
+    r2 = np.sum(x * x, axis=0)
+    pairs = (np.arange(points.shape[0]), skip)
+    if skip is not None:
+        r2[pairs] = 1.0  # placeholder off the origin
+    if np.any(r2 <= 1e-12 * (1.0 + r2)):
+        raise NullVectorError("Cauchy kernel evaluated at the origin")
+    scale = (W / omega(3)) * (1.0 / (r2 * np.sqrt(r2)))
+    if skip is not None:
+        scale[pairs] = 0.0
+    return x * scale
+
+
+def _vector_blocks(K: np.ndarray, vectors: np.ndarray, left: bool = False) -> np.ndarray:
+    """Spinor blocks (blocks, M, s, N, s) of K_mj v_j, or of v_m K_mj when left, for a grade-1 field K (n, M, N).
+
+    K is component first and v is (N, n), or (M, n) when left.  Entry (p, q) of a block is
+    sum_l K_l B(e_l v)[p, q], B(e_l v) = sum_k v_k B(e_l e_k) (B(e_k e_l) when left) with the
+    blocks B of algebra.SpinorReduction.vector_pairs, summed on a contiguous (M, N) plane.
+    """
+    n, M, N = K.shape
+    pairs = algebra(n).spinor.vector_pairs
+    X = np.ascontiguousarray(np.einsum("jk,klbpq->lbpqj" if left else "jk,lkbpq->lbpqj", vectors, pairs))
+    X = X[..., None] if left else X[..., None, :]
+    out = np.empty((X.shape[1], M, X.shape[2], N, X.shape[3]), dtype=complex)
+    for b, p, q in np.ndindex(X.shape[1:4]):
+        plane = K[0] * X[0, b, p, q]
+        for l in range(1, n):
+            plane += K[l] * X[l, b, p, q]
+        out[b, :, p, :, q] = plane
+    return out
+
+
 def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> np.ndarray:
     """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j W_mj at (M, n) points, 0 at the pairs (m, skip[m]).
 
@@ -445,14 +455,15 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> 
     or the scalar 1.0.  For n = 2 block rho is the planar Cauchy kernel
     of the zeta_rho plane, R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 =
     zeta and zeta_1 = eta (algebra.null_coordinates), from the reciprocal
-    null pairs R of _null_rows by C's own arithmetic (_cauchy_rows).  For
-    n = 3 the blocks come from cauchy_kernel (_node_kernel).  Raises
-    NullVectorError wherever cauchy_kernel(p_m - z_j) does on a pair that
-    is not skipped.
+    null pairs R of _null_rows by C's own arithmetic (_cauchy_rows); for
+    n = 3 from _surface_rows and _vector_blocks.  Raises NullVectorError
+    wherever cauchy_kernel(p_m - z_j) does on a pair that is not skipped,
+    and OddDimensionComplexError on complex n = 3 points.
     """
     if mesh.n == 2:
         return _cauchy_rows(_null_rows(mesh, points, skip), null_coordinates(mesh.normals).T, W)
-    return _vector_kernel_blocks(mesh, _node_kernel(mesh, points, skip), W)
+    _check_real_pairs(points, mesh.nodes)
+    return _vector_blocks(_surface_rows(mesh, points, skip, W), mesh.normals).reshape(1, 2 * len(points), -1)
 
 
 @per_mesh
@@ -487,6 +498,27 @@ def _curve_operators(mesh: BoundaryMesh) -> tuple:
 
 
 @per_mesh
+def _surface_operators(mesh: BoundaryMesh) -> tuple:
+    """C with its diagonal blocks still open, and A, for n = 3: (1, 2N, 2N) each, from one row-blocked pass.
+
+    The differences are found real once for the whole pass (_check_real_pairs).
+    Each row block takes G(z_i - z_j) sigma_j / omega once (_surface_rows):
+    C's rows are the blocks of G n_j, and A's rows those of G n_j + n_i G
+    (_vector_blocks).  The punctured rule's weights are sigma_j wherever G is not 0.
+    """
+    N = mesh.size
+    _check_real_pairs(mesh.nodes, mesh.nodes)
+    C, A = np.empty((2, 1, N, 2, N, 2), dtype=complex)
+    idx = np.arange(N)
+    for rows in row_blocks(N, N):
+        G = _surface_rows(mesh, mesh.nodes[rows], idx[rows], mesh.sigma)
+        C[:, rows] = _vector_blocks(G, mesh.normals)
+        A[:, rows] = C[:, rows] + _vector_blocks(G, mesh.normals[rows], left=True)
+    A[:, idx, :, idx, :] = 0.0
+    return C.reshape(1, 2 * N, 2 * N), A.reshape(1, 2 * N, 2 * N)
+
+
+@per_mesh
 def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """Principal-value Cauchy operator C with the constant-calibrated diagonal.
 
@@ -494,16 +526,13 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     diagonal absorbs the quadrature's principal-value defect through
     diag_i = I/2 - sum_{j != i} block_ij, which makes C(const) = const/2
     exact for every constant multivector.  All of it is done on the
-    spinor blocks of the even kernel G n, which for n = 2 are planar Cauchy
-    kernels (_kernel_blocks).  Raises ValidationFailedError on a mesh that
-    fails validate_domain_manifold.
+    spinor blocks of the even kernel G n, from the row-blocked pass that
+    builds A too (_curve_operators, _surface_operators).  Raises
+    ValidationFailedError on a mesh that fails validate_domain_manifold.
     """
     _validated(mesh)
     sp, N = algebra(mesh.n).spinor, mesh.size
-    if mesh.n == 2:
-        matrix = _curve_operators(mesh)[0]
-    else:
-        matrix = _vector_kernel_blocks(mesh, _pair_kernel(mesh), _quad_weights(mesh))
+    matrix = (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[0]
     idx = np.arange(N)
     blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
     blocks[:, idx, :, idx, :] = 0.0
@@ -519,32 +548,19 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     C* is the transpose of C with respect to the bilinear pairing
     <f, g> = integral bar(f) g dsigma, which is the reading under which the
     singularities cancel (and A vanishes identically on the circle).  The
-    kernel G(w - z) n(z) + n(w) G(w - z) is assembled in the cancelled form
-    G (n(z) - n(w)) - 2 <G, n(w)> (u v + v u = -2 <u, v> for vectors), and
-    its diagonal blocks are 0, the kernel's limit on every shipped geometry:
-    on a closed curve the 1/(theta_i - theta_j) parts cancel and so do the
-    O(1) parts i mu'/mu^2 and -i mu'/mu^2 (mu^2 = z'.z'), and on the sphere
-    n(z) = z makes the whole kernel vanish.  A continuous periodic kernel
-    needs nothing beyond the trapezoid rule, so the weights are sigma_j
+    kernel is G(w - z) n(z) + n(w) G(w - z), and its diagonal blocks are 0,
+    the kernel's limit on every shipped geometry: on a closed curve the
+    1/(theta_i - theta_j) parts cancel and so do the O(1) parts
+    i mu'/mu^2 and -i mu'/mu^2 (mu^2 = z'.z'), and on the sphere n(z) = z
+    makes the whole kernel vanish.  A continuous periodic kernel needs
+    nothing beyond the trapezoid rule, so the weights are sigma_j
     everywhere.  The kernel is scalar plus bivector, so it is stored as its
-    spinor blocks; for n = 2 they come from the row-blocked pass that
-    builds C (_curve_operators), by multiplications only.  Raises
-    ValidationFailedError on a mesh that fails validate_domain_manifold.
+    spinor blocks, from the row-blocked pass that builds C (_curve_operators,
+    _surface_operators).  Raises ValidationFailedError on a mesh that fails
+    validate_domain_manifold.
     """
     _validated(mesh)
-    if mesh.n == 2:
-        return BlockOperator(mesh, _curve_operators(mesh)[1], "A")
-    sp, N, n = algebra(mesh.n).spinor, mesh.size, mesh.n
-    G = _pair_kernel(mesh) * (mesh.sigma / omega(n))[None, :, None]  # trapezoid weights
-    # sum_lm G_l (n_j - n_i)_m B(e_l e_m) as one GEMM, then -2 <G, n_i> on the block diagonals
-    delta = mesh.normals[None, :, :] - mesh.normals[:, None, :]
-    outer = (G[..., :, None] * delta[..., None, :]).reshape(1, N * N, n * n)
-    K = matmul(outer, sp.vector_pairs.reshape(1, n * n, -1)).reshape(N, N, sp.blocks, sp.size, sp.size)
-    rows = np.arange(sp.size)
-    K[..., rows, rows] -= 2.0 * np.sum(G * mesh.normals[:, None, :], axis=-1)[..., None, None]
-    idx = np.arange(N)
-    K[idx, idx] = 0.0
-    return BlockOperator(mesh, _stack(K.transpose(2, 0, 3, 1, 4)), "A")
+    return BlockOperator(mesh, (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[1], "A")
 
 
 def assemble_adjoint_cauchy(mesh: BoundaryMesh) -> BlockOperator:
@@ -567,9 +583,10 @@ def plemelj_projection(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
 
 @per_mesh
 def _projection(mesh: BoundaryMesh, sign: str) -> BlockOperator:
-    C = assemble_singular_cauchy(mesh)
     c0, c1 = PROJECTION_COEFFS[sign]
-    return BlockOperator(mesh, c0 * BlockOperator.identity(mesh).matrix + c1 * C.matrix, f"S{sign}")
+    S = c1 * assemble_singular_cauchy(mesh).matrix
+    S.reshape(S.shape[0], -1)[:, :: S.shape[-1] + 1] += c0  # c0 on the diagonal
+    return BlockOperator(mesh, S, f"S{sign}")
 
 
 def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
@@ -580,10 +597,19 @@ def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
     matches the Cauchy operator except that diagonal blocks are zero (the
     principal value of an odd kernel over a symmetric neighborhood).
     """
-    K = _node_kernel(mesh, mesh.nodes, np.arange(mesh.size), kernel)
+    diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
+    idx = np.arange(mesh.size)
+    diffs[idx, idx] = np.eye(mesh.n)[0]  # placeholder off the null cone
+    K = np.asarray(kernel(diffs), dtype=complex)
+    if K.shape != diffs.shape:
+        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
+    K[idx, idx] = 0.0
     if not np.all(np.isfinite(K)):
         raise ValueError("kernel returned non-finite values on mesh differences")
-    return BlockOperator(mesh, _vector_kernel_blocks(mesh, K, _quad_weights(mesh)), "T_K")
+    sp = algebra(mesh.n).spinor
+    Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
+    blocks = np.einsum("ijl,jlrpq->ripjq", K * _weight_rows(mesh, idx)[..., None], Kn) / omega(mesh.n)
+    return BlockOperator(mesh, blocks.reshape(sp.blocks, idx.size * sp.size, -1), "T_K")
 
 
 # -- off-boundary transforms -------------------------------------------------------

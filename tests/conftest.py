@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plemelj.algebra import cauchy_kernel
 from plemelj.mesh import make_circle, make_deformed_curve, make_sphere
 from plemelj.operators import BoundaryFunction
 
@@ -69,3 +70,28 @@ def monogenic_linear(mesh):
     vals[:, 1] = mesh.nodes[:, 1]
     vals[:, 2] = mesh.nodes[:, 0]
     return BoundaryFunction(mesh, vals)
+
+
+def pair_kernel(mesh):
+    """Oracle: cauchy_kernel(z_i - z_j) components (N, N, n) for every node pair, 0 on the diagonal."""
+    diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
+    idx = np.arange(mesh.size)
+    diffs[idx, idx] = np.eye(mesh.n)[0]  # placeholder off the null cone
+    G = cauchy_kernel(diffs)
+    G[idx, idx] = 0.0
+    return G
+
+
+def quad_weights(mesh):
+    """Oracle: (N, N) singular quadrature weights w_ij.
+
+    Closed curves with even N take odd offsets i - j with weights 2 sigma_j;
+    other meshes take the punctured rule, sigma_j off the diagonal.
+    """
+    N = mesh.size
+    idx = np.arange(N)
+    if mesh.curve_order and N % 2 == 0:
+        return ((idx[:, None] - idx[None, :]) % 2) * (2.0 * mesh.sigma)[None, :]
+    W = np.tile(mesh.sigma, (N, 1))
+    W[idx, idx] = 0.0
+    return W

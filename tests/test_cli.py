@@ -118,15 +118,22 @@ def test_invalid_input_exit_code(tmp_path, args):
 
 def test_maximal_does_not_import_scipy_stats(tmp_path):
     # the cone samples' Halton draw is computed in numpy; importing
-    # scipy.stats would cost a fresh maximal or limits run about a second
+    # scipy.stats would cost a fresh maximal or limits run about a second.
+    # linsolve imports scipy.linalg on first use, so maximal, mesh and mobius
+    # on a curve, which take no dense solve, load none of scipy.linalg,
+    # scipy.spatial or scipy.stats
     env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
+    runs = [
+        f"main(['--command', {command!r}, '--geometry', 'circle', '--N', '64', '--out', {str(tmp_path / command)!r}])"
+        for command in ("maximal", "mesh", "mobius")
+    ]
     code = (
         "import sys; from plemelj.cli import main; "
-        f"rc = main(['--command', 'maximal', '--geometry', 'circle', '--N', '64', '--out', {str(tmp_path)!r}]); "
-        "print(rc, 'scipy.stats' in sys.modules)"
+        f"rc = [{', '.join(runs)}]; "
+        "print(*rc, *(name in sys.modules for name in ('scipy.stats', 'scipy.linalg', 'scipy.spatial')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.split()[-6:] == ["0", "0", "0", "False", "False", "False"]
 
 
 def test_decompose_constant(tmp_path):

@@ -272,6 +272,41 @@ class TestVerifyIdentities:
         assert null_shapes == [(2, 128, 128)]
         assert (128, 128, 2) not in kernel_shapes
 
+    def test_sphere_kernel_evaluated_once_per_pair(self, monkeypatch, tmp_path):
+        # a szego job on the sphere builds C and A from one pass over the node
+        # pairs, and no (N, N, 3) array of kernel values is evaluated or kept
+        import plemelj.cli as cli_mod
+        import plemelj.operators as operators_mod
+
+        meshes, kernel_shapes, surface_rows = [], [], []
+        build, kernel, rows = cli_mod.build_mesh, operators_mod.cauchy_kernel, operators_mod._surface_rows
+
+        def keeping_build(cfg, N=None):
+            meshes.append(build(cfg, N))
+            return meshes[-1]
+
+        def counting_kernel(z):
+            kernel_shapes.append(np.shape(z))
+            return kernel(z)
+
+        def counting_rows(mesh, points, skip, W):
+            out = rows(mesh, points, skip, W)
+            surface_rows.append(out.shape)
+            return out
+
+        monkeypatch.setattr(cli_mod, "build_mesh", keeping_build)
+        monkeypatch.setattr(operators_mod, "cauchy_kernel", counting_kernel)
+        monkeypatch.setattr(operators_mod, "_surface_rows", counting_rows)
+        args = ["--command", "szego", "--geometry", "sphere", "--N", "162", "--out", str(tmp_path)]
+        assert cli_mod.main(args) == 0
+        (mesh,) = meshes
+        N = mesh.size
+        assert sum(shape[1] for shape in surface_rows) == N and {shape[::2] for shape in surface_rows} == {(3, N)}
+        assert (N, N, 3) not in kernel_shapes
+        kept = [v for value in mesh.cache.values() for v in (value if isinstance(value, tuple) else (value,))]
+        arrays = [getattr(v, "matrix", v) for v in kept]
+        assert not any(np.shape(a) == (N, N, 3) for a in arrays if isinstance(a, np.ndarray))
+
     def test_curve_verify_takes_no_pair_square_and_no_svd(self, monkeypatch):
         # on a curve, validation takes the pair ratios |square(u)| / |u|^2 from
         # null coordinates, with no (rows, N, 2) array of differences, and the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited
+from conftest import band_limited, pair_kernel
 from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import cone_parameters, make_circle, make_deformed_curve
 from plemelj.maximal import (
@@ -170,10 +170,9 @@ class TestBoundDiagnostics:
         # radius masks applied to the kernel blocks once for the family, against
         # the Clifford kernel contraction of one function at a time
         from plemelj.maximal import _family_truncated_sup, _pair_distances, band_limited_family
-        from plemelj.operators import _pair_kernel
 
         def per_function(mesh, f, radii):
-            G = _pair_kernel(mesh)
+            G = pair_kernel(mesh)
             pre = _clifford_transform_weights(mesh, f.values)
             out = np.zeros(mesh.size)
             for eps in radii:

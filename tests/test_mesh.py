@@ -188,6 +188,23 @@ class TestValidation:
             else:
                 assert max(got.pair_margin, want.pair_margin) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["sphere42", "sphere162"])
+    def test_surface_pair_check_matches_one_shot(self, name, request):
+        # n = 3 takes |square(u)| and |u|^2 from the component-first differences;
+        # the ratios, margins and witness are those of the (N, N, 3) array, bit
+        # for bit, on the real sphere (every ratio 1, so margin 2 makes the first
+        # pair the witness) and on a complex copy that passes at the default margin
+        import dataclasses
+
+        mesh = request.getfixturevalue(name)
+        shifted = mesh.nodes + 0.02j * np.random.default_rng(5).normal(size=mesh.nodes.shape)
+        for m in (mesh, dataclasses.replace(mesh, nodes=shifted, cache={})):
+            for margin in (0.1, 2.0):
+                got = validate_domain_manifold(m, margin)
+                assert repr(got) == repr(self._one_shot(m, null=False, margin=margin))
+        assert repr(validate_domain_manifold(mesh)) == repr(ValidationReport(True, "ok", None, 1.0, 1.0))
+        assert validate_domain_manifold(mesh, 2.0).witness == (0, 1)
+
     def test_flat_patch_tangent_margin_one(self):
         rep = validate_domain_manifold(make_flat_patch(64))
         assert rep.passed

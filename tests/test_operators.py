@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, monogenic_linear
+from conftest import band_limited, monogenic_linear, pair_kernel, quad_weights
 from plemelj.algebra import Multivector, algebra, cauchy_kernel
 from plemelj.mesh import make_circle, make_deformed_curve, make_flat_patch, make_sphere
 from plemelj.operators import (
@@ -23,30 +23,31 @@ from plemelj.operators import (
 )
 
 
-def _dense_oracle(mesh):
-    """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, P+-."""
-    from plemelj.operators import _pair_kernel, _quad_weights
-
+def _clifford_oracle(mesh):
+    """The Clifford block assembly of C and A as (N, N, d, d) node blocks."""
     alg = algebra(mesh.n)
     N, d = mesh.size, alg.dim
     idx = np.arange(N)
-
-    def flat(blocks):
-        return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
-
-    G = _pair_kernel(mesh)
+    G = pair_kernel(mesh)
     LG, Ln = alg.left_vector_matrix(G), alg.left_vector_matrix(mesh.normals)
-    blocks = np.einsum("ijab,jbc,ij->ijac", LG, Ln, _quad_weights(mesh)) / omega(mesh.n)
-    blocks[idx, idx] = 0.0
-    blocks[idx, idx] = 0.5 * np.eye(d) - blocks.sum(axis=1)
-    C = flat(blocks)
-
+    C = np.einsum("ijab,jbc,ij->ijac", LG, Ln, quad_weights(mesh)) / omega(mesh.n)
+    C[idx, idx] = 0.0
+    C[idx, idx] = 0.5 * np.eye(d) - C.sum(axis=1)
     # the uncancelled kernel L(G) L(n_j) + L(n_i) L(G), with its diagonal limit 0
     KA = np.einsum("ijab,jbc->ijac", LG, Ln) + np.einsum("iab,ijbc->ijac", Ln, LG)
     KA[idx, idx] = 0.0
-    A = flat(KA * mesh.sigma[None, :, None, None] / omega(mesh.n))
+    return C, KA * mesh.sigma[None, :, None, None] / omega(mesh.n)
 
-    eye = np.eye(N * d)
+
+def _flat(blocks):
+    N, d = blocks.shape[0], blocks.shape[-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(N * d, N * d)
+
+
+def _dense_oracle(mesh):
+    """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, P+-."""
+    C, A = (_flat(blocks) for blocks in _clifford_oracle(mesh))
+    eye = np.eye(C.shape[0])
     out = {"C": C, "A": A, "C*": C - A, "S+": 0.5 * eye + C, "S-": 0.5 * eye - C}
     for sign in "+-":
         out["P" + sign] = np.linalg.solve((eye + A).T, out["S" + sign].T).T
@@ -72,6 +73,26 @@ class TestSpinorStorage:
         for key, op in got.items():
             assert np.abs(op.dense() - want[key]).max() <= 1e-13, key
 
+    def test_surface_operators_match_clifford_oracle_on_sphere162(self, sphere162):
+        # the closed-form n = 3 blocks against the Clifford einsum, to the
+        # kernel's own scale: A is a cancellation to rounding on the sphere
+        C, A = (_flat(blocks) for blocks in _clifford_oracle(sphere162))
+        scale = np.abs(C).max()
+        assert np.abs(assemble_singular_cauchy(sphere162).dense() - C).max() <= 1e-14 * scale
+        assert np.abs(assemble_kerzman_stein(sphere162).dense() - A).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", ["circle128", "deformed128", "sphere42"])
+    def test_projection_is_c0_identity_plus_c1_C(self, name, request):
+        # S+- is c1 C with c0 added on its diagonal, with no dense identity, and
+        # equals c0 I + c1 C value for value
+        from plemelj.operators import PROJECTION_COEFFS
+
+        mesh = request.getfixturevalue(name)
+        C = assemble_singular_cauchy(mesh).matrix
+        for sign, (c0, c1) in PROJECTION_COEFFS.items():
+            want = c0 * BlockOperator.identity(mesh).matrix + c1 * C
+            assert np.array_equal(plemelj_projection(mesh, sign).matrix, want)
+
     @pytest.mark.parametrize("name", ["circle128", "sphere42"])
     def test_stored_matrix_is_the_reduced_blocks(self, name, request):
         mesh = request.getfixturevalue(name)
@@ -94,6 +115,33 @@ class TestSpinorStorage:
         mesh = make_deformed_curve(128, 0.1, 2)
         A0, A1 = mesh.sigma[None, :, None] * assemble_kerzman_stein(mesh).matrix
         assert np.abs(A0 + A1.T).max() <= 1e-15 * np.abs(A0).max()
+
+
+class TestSurfaceKernelBlocks:
+    def test_blocks_raise_where_cauchy_kernel_does(self, sphere42):
+        # the n = 3 blocks take cauchy_kernel's real-or-complex decision on the
+        # whole argument and its origin test; a skipped pair raises nothing
+        import dataclasses
+
+        from plemelj.algebra import NullVectorError, OddDimensionComplexError
+        from plemelj.operators import _kernel_blocks
+
+        def outcome(fn):
+            try:
+                fn()
+            except (NullVectorError, OddDimensionComplexError) as exc:
+                return type(exc)
+            return None
+
+        mesh = sphere42
+        inside = np.array([0.1, 0.2, 0.3])
+        for p in (inside, inside + 1e-16j, inside + 1e-3j, mesh.nodes[5], mesh.nodes[5] + 1e-7):
+            want = outcome(lambda: cauchy_kernel(p - mesh.nodes))
+            assert outcome(lambda: _kernel_blocks(mesh, np.asarray(p, dtype=complex)[None, :])) is want, p
+        assert outcome(lambda: _kernel_blocks(mesh, mesh.nodes[5:6], np.array([5]))) is None
+        offset = 1e-3j * np.random.default_rng(0).normal(size=mesh.nodes.shape)
+        complex_sphere = dataclasses.replace(mesh, nodes=mesh.nodes + offset, cache={})
+        assert outcome(lambda: assemble_singular_cauchy(complex_sphere)) is OddDimensionComplexError
 
 
 class TestPlanarKernelBlocks:
