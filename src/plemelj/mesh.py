@@ -1,11 +1,14 @@
 """Discretized boundary manifolds in C^n.
 
 A BoundaryMesh carries quadrature nodes, complex normals and the complex
-line/surface measure sigma together with its absolute value |sigma|.  For
-real-embedded geometries (circle, sphere, flat patch) sigma is real and
-positive and the normals are the usual outward unit normals; the deformed
-curve family pushes the circle into genuinely complex territory while
-keeping every node and tangent off the null cones.
+line/surface measure sigma together with its absolute value |sigma|.  Every
+mesh is a reference mesh (the circle, the icosahedral sphere) pushed forward
+by a map F: its measure and normals follow from the cofactor of DF by
+Nanson's formula, in one step (_pushforward).  For real-embedded geometries
+(circle, sphere, flat patch) sigma is real and positive and the normals are
+the usual outward unit normals; the deformed curve family pushes the circle
+into genuinely complex territory while keeping every node and tangent off
+the null cones.
 
 Region membership is decided by an index.  For n = 2, square(u) = -zeta eta
 with zeta = u1 + i u2 and eta = u1 - i u2, so a point is Interior when its
@@ -21,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,100 +161,86 @@ class BoundaryMesh:
 
 
 # -- builders -----------------------------------------------------------------
+#
+# Every mesh is a reference mesh pushed forward by a map F: the circle at
+# theta_j = 2 pi j / N for curves, the unit icosahedral sphere for surfaces.
+# A builder gives the image nodes F(x_j), the area vectors a_j = cof(DF_j) nu_j
+# and the reference weights |sigma_ref|; _pushforward derives the rest.
 
 
-def make_circle(N: int, radius: float = 1.0) -> BoundaryMesh:
-    """Uniform trapezoid mesh of the circle of given radius in R^2 c C^2."""
-    if N < 8:
-        raise ValueError("need at least 8 nodes on the circle")
-    if N % 2:
-        raise ValueError("closed-curve meshes require even N")
-    theta = 2 * np.pi * np.arange(N) / N
-    nodes = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
-    normals = nodes / radius
-    sigma = np.full(N, 2 * np.pi * radius / N, dtype=complex)
-    mesh = BoundaryMesh(
-        n=2,
-        nodes=nodes,
-        normals=normals,
-        sigma=sigma,
-        sigma_abs=np.abs(sigma),
-        interior_seed=np.zeros(2, dtype=complex),
-        exterior_seed=np.array([3.0 * radius, 0.0], dtype=complex),
-        h=float(2 * radius * np.sin(np.pi / N)),
-        theta=theta,
-        builder=lambda m: make_circle(m, radius),
-    )
-    return mesh
+def _pushforward(nodes, area, weights, edges, interior_seed, exterior_seed, builder, theta=None) -> BoundaryMesh:
+    """The mesh on the image nodes, with sigma and normals by Nanson's formula.
 
-
-def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
-    """Unit circle pushed along i * eps * cos(k theta) times the real normal.
-
-    Nodes are (1 + i eps cos(k theta)) (cos theta, sin theta); the complex
-    measure comes from the bilinear line element of the parametrization and
-    the complex normal is the bilinear-orthogonal rotation of the tangent.
-    Raises ValidationFailedError when the deformation meets the null cones.
-    The refined meshes of its builder are not validated here; every
-    assembler validates the mesh it is given.
+    sigma = sqrt(a.a) |sigma_ref| and the normal is a / sqrt(a.a), with the
+    principal square root of the bilinear square a.a; h is the longest edge.
+    A mesh with a curve parameter theta is in curve order, and edges None
+    means the closed curve through its nodes in turn.
     """
-    mesh = _deformed_curve(N, eps, k)
-    _validated(mesh)
+    mu = np.sqrt(np.sum(area * area, axis=1))
+    sigma = mu * weights
+    mesh = BoundaryMesh(
+        nodes.shape[1], nodes, area / mu[:, None], sigma, np.abs(sigma), interior_seed, exterior_seed,
+        h=0.0, curve_order=theta is not None, theta=theta, edges=edges, builder=builder,
+    )
+    e = mesh.edge_list()
+    mesh.h = float(np.max(np.sqrt(np.sum(np.abs(nodes[e[:, 1]] - nodes[e[:, 0]]) ** 2, axis=1))))
     return mesh
 
 
-def _deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
-    """make_deformed_curve without the validation."""
+def _check_radius(radius) -> None:
+    if not isinstance(radius, numbers.Real) or not 0 < radius < np.inf:
+        raise ValueError(f"radius must be a finite number above 0, not {radius!r}")
+
+
+def _curve(N: int, eps: float, k: int, radius: float = 1.0) -> BoundaryMesh:
+    """The curve F(theta) = radius (1 + i eps cos k theta)(cos theta, sin theta), unvalidated; eps = 0 is the circle.
+
+    Its area vectors are the exact tangents dF/dtheta turned by -90 degrees.
+    """
+    _check_radius(radius)
     if N < 8:
         raise ValueError("need at least 8 nodes on the curve")
     if N % 2:
         raise ValueError("closed-curve meshes require even N")
     theta = 2 * np.pi * np.arange(N) / N
     q = 1.0 + 1j * eps * np.cos(k * theta)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    nodes = q[:, None] * u
-    # exact parametrization derivative
     dq = -1j * eps * k * np.sin(k * theta)
-    du = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+    u = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    du = radius * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
     tang = dq[:, None] * u + q[:, None] * du
-    mu = np.sqrt(np.sum(tang * tang, axis=1))  # principal branch; ~1 for small eps
-    sigma = mu * (2 * np.pi / N)
-    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / mu[:, None]
-    gaps = np.abs(np.diff(nodes, axis=0, append=nodes[:1]))
-    return BoundaryMesh(
-        n=2,
-        nodes=nodes,
-        normals=normals,
-        sigma=sigma,
-        sigma_abs=np.abs(sigma),
-        interior_seed=np.zeros(2, dtype=complex),
-        exterior_seed=np.array([3.0, 0.0], dtype=complex),
-        h=float(np.max(np.sqrt(np.sum(gaps**2, axis=1)))),
-        theta=theta,
-        builder=lambda m: _deformed_curve(m, eps, k),
+    return _pushforward(
+        q[:, None] * u, np.stack([tang[:, 1], -tang[:, 0]], axis=1), 2 * np.pi / N, None,
+        np.zeros(2, dtype=complex), np.array([3.0 * radius, 0.0], dtype=complex),
+        lambda m: _curve(m, eps, k, radius), theta,
     )
 
 
+def make_circle(N: int, radius: float = 1.0) -> BoundaryMesh:
+    """Uniform trapezoid mesh of the circle of given radius in R^2 c C^2."""
+    return _curve(N, 0.0, 0, radius)
+
+
+def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
+    """Unit circle pushed along i * eps * cos(k theta) times the real normal (_curve), validated.
+
+    Raises ValidationFailedError when the deformation meets the null cones.
+    The refined meshes of its builder are not validated here; every
+    assembler validates the mesh it is given.
+    """
+    mesh = _curve(N, eps, k)
+    _validated(mesh)
+    return mesh
+
+
 def make_flat_patch(N: int) -> BoundaryMesh:
-    """Periodic straight-line mesh of length 2 pi (flat-patch boundedness tests)."""
-    length = 2 * np.pi
+    """Periodic straight-line mesh of length 2 pi, normal (0, 1) and open chain of edges (flat-patch boundedness tests)."""
     if N < 8 or N % 2:
         raise ValueError("need even N >= 8")
-    x = length * np.arange(N) / N
-    nodes = np.stack([x, np.zeros(N)], axis=1).astype(complex)
-    normals = np.tile(np.array([0.0, 1.0], dtype=complex), (N, 1))
-    sigma = np.full(N, length / N, dtype=complex)
-    return BoundaryMesh(
-        n=2,
-        nodes=nodes,
-        normals=normals,
-        sigma=sigma,
-        sigma_abs=np.abs(sigma),
-        interior_seed=np.array([length / 2, -1.0], dtype=complex),
-        exterior_seed=np.array([length / 2, 1.0], dtype=complex),
-        h=float(length / N),
-        theta=2 * np.pi * np.arange(N) / N,
-        builder=make_flat_patch,
+    theta = 2 * np.pi * np.arange(N) / N
+    return _pushforward(
+        np.stack([theta, np.zeros(N)], axis=1).astype(complex), np.tile(np.array([0.0, 1.0], dtype=complex), (N, 1)),
+        2 * np.pi / N, np.stack([np.arange(N - 1), np.arange(1, N)], axis=1),
+        np.array([np.pi, -1.0], dtype=complex), np.array([np.pi, 1.0], dtype=complex), make_flat_patch, theta,
     )
 
 
@@ -277,27 +267,38 @@ def _icosahedron():
     return verts, faces
 
 
+def _face_edges(faces):
+    """The edges ab, bc, ca of every face (a, b, c) in turn, as sorted vertex pairs (3 F, 2)."""
+    return np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+
+
 def _subdivide(verts, faces):
-    verts = verts.tolist()
-    midpoints = {}
+    """Split every face into four at its edges' midpoints, projected to the unit sphere.
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoints:
-            v = np.asarray(verts[i]) + np.asarray(verts[j])
-            verts.append((v / np.linalg.norm(v)).tolist())
-            midpoints[key] = len(verts) - 1
-        return midpoints[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.asarray(verts), np.asarray(out, dtype=np.int64)
+    The old vertices keep their numbers, and the midpoints follow in the
+    order in which _face_edges first meets their edges, so the meshes nest.
+    """
+    pairs = _face_edges(faces)
+    # a pair (a, b)'s key a V + b sorts as the pair does
+    _, first, inverse = np.unique(pairs @ [len(verts), 1], return_index=True, return_inverse=True)
+    mid = pairs[np.sort(first)]  # the edges in order of first encounter
+    s = verts[mid[:, 0]] + verts[mid[:, 1]]
+    s /= np.sqrt(s[:, None, :] @ s[:, :, None])[:, 0]  # as np.linalg.norm of one vector, bit for bit
+    ab, bc, ca = (len(verts) + np.argsort(np.argsort(first))[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.concatenate([verts, s]), out
 
 
 def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
-    """Icosahedral sphere mesh with spherical-Voronoi node weights (n = 3)."""
+    """Icosahedral sphere mesh with spherical-Voronoi node weights (n = 3).
+
+    The unit sphere's icosahedral mesh, subdivided until it has N_target
+    nodes or more, pushed forward by F = radius id: the nodes are radius nu,
+    the area vectors radius^2 nu and the weights the unit sphere's Voronoi
+    areas.
+    """
+    _check_radius(radius)
     if N_target < 12:
         raise ValueError("need at least 12 nodes on the sphere")
     from scipy.spatial import SphericalVoronoi
@@ -305,29 +306,12 @@ def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
     verts, faces = _icosahedron()
     while verts.shape[0] < N_target:
         verts, faces = _subdivide(verts, faces)
-    xyz = verts * radius
-    sv = SphericalVoronoi(xyz, radius=radius, center=np.zeros(3))
-    sv.sort_vertices_of_regions()
-    areas = sv.calculate_areas()
-
-    edges = set()
-    for a, b, c in faces:
-        edges |= {(min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(a, c), max(a, c))}
-    edges = np.array(sorted(edges), dtype=np.int64)
-    h = float(np.max(np.linalg.norm(xyz[edges[:, 0]] - xyz[edges[:, 1]], axis=1)))
-
-    return BoundaryMesh(
-        n=3,
-        nodes=xyz.astype(complex),
-        normals=(verts).astype(complex),
-        sigma=areas.astype(complex),
-        sigma_abs=areas.astype(float),
-        interior_seed=np.zeros(3, dtype=complex),
-        exterior_seed=np.array([3.0 * radius, 0.0, 0.0], dtype=complex),
-        h=h,
-        curve_order=False,
-        edges=edges,
-        builder=lambda m: make_sphere(m, radius),
+    nodes, pairs = (radius * verts).astype(complex), _face_edges(faces)
+    return _pushforward(
+        nodes, radius * nodes, SphericalVoronoi(verts).calculate_areas(),
+        pairs[np.unique(pairs @ [len(verts), 1], return_index=True)[1]],
+        np.zeros(3, dtype=complex), np.array([3.0 * radius, 0.0, 0.0], dtype=complex),
+        lambda m: make_sphere(m, radius),
     )
 
 

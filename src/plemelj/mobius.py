@@ -2,10 +2,12 @@
 
 The map is psi(z) = (z + a)^{-1} for a constant vector a; a boundary
 function g on dM transplants to G(z + a) g(psi(z)) on the pulled-back
-boundary.  The pulled-back mesh recomputes its normals and measure from
-central differences of the transported nodes, so isometry and covariance
-gaps measure honest two-sided quadrature convergence (O(h^2) from the
-differencing) rather than an algebraic identity.
+boundary.  The pulled-back mesh is pushed forward like every other mesh
+(mesh._pushforward), but its area vectors are central differences of the
+transported nodes turned by -90 degrees, not the map's exact Jacobian, so
+isometry and covariance gaps measure honest two-sided quadrature
+convergence (O(h^2) from the differencing) rather than an algebraic
+identity.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector, algebra, cauchy_kernel, vector_inverse
-from .mesh import BoundaryMesh
+from .mesh import BoundaryMesh, _pushforward
 from .operators import BoundaryFunction, l2_norm
 
 __all__ = [
@@ -35,31 +37,14 @@ class KelvinMap:
     domain_mesh: BoundaryMesh   # d psi^{-1}(M) (z-space)
 
 
-def _curve_mesh_from_nodes(n: int, nodes: np.ndarray, theta: np.ndarray, builder=None) -> BoundaryMesh:
-    """Closed-curve mesh with geometry from central differences of the nodes."""
-    N = nodes.shape[0]
-    dtheta = 2 * np.pi / N
+def _curve_mesh_from_nodes(nodes: np.ndarray, theta: np.ndarray, builder=None) -> BoundaryMesh:
+    """Closed-curve mesh whose area vectors are central-difference tangents of the nodes, turned by -90 degrees."""
+    dtheta = 2 * np.pi / nodes.shape[0]
     tang = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) / (2 * dtheta)
-    mu = np.sqrt(np.sum(tang * tang, axis=1))
-    sigma = mu * dtheta
-    normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / mu[:, None]
-    gaps = np.sqrt(np.sum(np.abs(np.roll(nodes, -1, axis=0) - nodes) ** 2, axis=1))
     center = np.mean(nodes.real, axis=0).astype(complex)
-    half_diam = 0.5 * float(np.max(np.sqrt(np.sum(np.abs(nodes - nodes[0]) ** 2, axis=1))))
-    ext = center.copy()
-    ext[0] += 3.0 * half_diam
-    return BoundaryMesh(
-        n=n,
-        nodes=nodes,
-        normals=normals,
-        sigma=sigma,
-        sigma_abs=np.abs(sigma),
-        interior_seed=center,
-        exterior_seed=ext,
-        h=float(gaps.max()),
-        theta=theta,
-        builder=builder,
-    )
+    mesh = _pushforward(nodes, np.stack([tang[:, 1], -tang[:, 0]], axis=1), dtheta, None, center, center.copy(), builder, theta)
+    mesh.exterior_seed[0] += 3.0 * mesh.half_diameter()
+    return mesh
 
 
 def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
@@ -71,13 +56,8 @@ def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
     if mesh.n != 2 or not mesh.curve_order:
         raise ValueError("Kelvin maps are implemented for closed curves in C^2")
     a = np.asarray(a, dtype=complex)
-    z_nodes = vector_inverse(mesh.nodes) - a
-
-    def builder(m):
-        return kelvin_map(mesh.builder(m), a).domain_mesh
-
-    domain = _curve_mesh_from_nodes(mesh.n, z_nodes, mesh.theta,
-                                    builder=builder if mesh.builder else None)
+    builder = (lambda m: kelvin_map(mesh.builder(m), a).domain_mesh) if mesh.builder else None
+    domain = _curve_mesh_from_nodes(vector_inverse(mesh.nodes) - a, mesh.theta, builder)
     return KelvinMap(a=a, image_mesh=mesh, domain_mesh=domain)
 
 

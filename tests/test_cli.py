@@ -105,6 +105,11 @@ def test_no_valid_cone_exit_code(tmp_path, capsys):
     ],
 )
 def test_invalid_input_exit_code(tmp_path, args):
+    _invalid_input_message(tmp_path, args)
+
+
+def _invalid_input_message(tmp_path, args):
+    """stderr of the CLI run as a program, after checking that it is one line of invalid input with exit code 6."""
     # run as a program, so an uncaught exception would show its traceback on stderr
     env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
     proc = subprocess.run(
@@ -114,6 +119,19 @@ def test_invalid_input_exit_code(tmp_path, args):
     assert proc.returncode == 6
     assert proc.stderr.startswith("invalid input: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "NaN"])
+@pytest.mark.parametrize("geometry", ["circle", "sphere"])
+def test_invalid_radius_exit_code(tmp_path, geometry, radius):
+    # on the circle 0 and NaN warned before they failed (maximal with a
+    # traceback) and -1 turned the normals inwards; on the sphere scipy's
+    # messages leaked out.  Each is now one line of invalid input
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"radius": {radius}}}')
+    args = ["--config", str(cfg_path), "--command", "maximal", "--geometry", geometry, "--N", "42"]
+    assert "radius must be a finite number above 0" in _invalid_input_message(tmp_path, args)
 
 
 def test_maximal_does_not_import_scipy_stats(tmp_path):

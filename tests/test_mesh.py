@@ -9,7 +9,7 @@ from plemelj.mesh import (
     Region,
     ValidationFailedError,
     ValidationReport,
-    _deformed_curve,
+    _curve,
     approach_path,
     cone_parameters,
     load_mesh,
@@ -72,11 +72,13 @@ class TestSphere:
 
 class TestDeformedCurve:
     def test_zero_deformation_is_circle(self):
+        # the circle and the deformed curve are one map, so eps = 0 gives the circle bit for bit
         d = make_deformed_curve(64, 0.0, 2)
         c = make_circle(64)
-        assert np.abs(d.nodes - c.nodes).max() < 1e-14
-        assert np.abs(d.sigma - c.sigma).max() < 1e-14
-        assert np.abs(d.normals - c.normals).max() < 1e-14
+        assert np.array_equal(d.nodes, c.nodes)
+        assert np.array_equal(d.sigma, c.sigma)
+        assert np.array_equal(d.normals, c.normals)
+        assert d.h == c.h
 
     def test_small_deformation_validates(self, deformed128):
         report = validate_domain_manifold(deformed128)
@@ -98,6 +100,32 @@ class TestDeformedCurve:
         e1 = abs(make_deformed_curve(128, 0.05, 2).total_measure() - exact)
         e2 = abs(make_deformed_curve(256, 0.05, 2).total_measure() - exact)
         assert e2 < 0.3 * e1 or e1 < 1e-12
+
+
+class TestPushforward:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf"), "1"])
+    @pytest.mark.parametrize("build", [make_circle, make_sphere], ids=["circle", "sphere"])
+    def test_radius_must_be_finite_and_positive(self, build, radius):
+        # a negative radius would turn the normals inwards, and 0 would divide by 0
+        with pytest.raises(ValueError, match="radius"):
+            build(16, radius)
+
+    def test_sphere_refinement_keeps_old_vertices_first(self):
+        assert np.array_equal(make_sphere(642).nodes[:162], make_sphere(162).nodes)
+
+    def test_curve_refinement_keeps_every_other_node(self):
+        assert np.array_equal(make_deformed_curve(256, 0.1, 2).nodes[::2], make_deformed_curve(128, 0.1, 2).nodes)
+
+    def test_sphere_radius_scales_the_unit_sphere(self):
+        unit, big = make_sphere(42), make_sphere(42, 2.0)
+        assert np.array_equal(big.nodes, 2.0 * unit.nodes)
+        assert np.array_equal(big.normals, unit.normals)
+        assert np.abs(big.sigma - 4.0 * unit.sigma).max() < 1e-15
+
+    def test_flat_patch_h_is_the_node_spacing(self):
+        m = make_flat_patch(64)
+        assert abs(m.h - 2 * np.pi / 64) < 1e-15
+        assert m.edge_list().shape == (63, 2)
 
 
 class TestValidation:
@@ -228,7 +256,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: make_circle(16), lambda: _deformed_curve(16, 0.05, 2), lambda: make_sphere(42)],
+        [lambda: make_circle(16), lambda: _curve(16, 0.05, 2), lambda: make_sphere(42)],
         ids=["circle16", "deformed16", "sphere42"],
     )
     def test_coincident_nodes_rejected(self, build):

@@ -50,6 +50,25 @@ def test_kernel_sums_stay_on_spinor_blocks():
     assert not set(_references(tree)) & {"generator_left", "left_vector_matrix", "left_matrix"}
 
 
+def test_meshes_are_built_by_the_pushforward_step():
+    # every builder is a map whose normals, measure and h come from one step
+    # (mesh._pushforward); only load_mesh takes them from a file
+    src = Path(plemelj.__file__).parent
+    callers = []
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one is kept
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                owner.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        callers += [
+            (path.name, owner.get(node, "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "BoundaryMesh" in _references(node.func)
+        ]
+    assert sorted(callers) == [("mesh.py", "_pushforward"), ("mesh.py", "load_mesh")]
+
+
 def test_every_private_function_is_referenced():
     # a module-level helper whose last caller was deleted shows up here
     src = Path(plemelj.__file__).parent
