@@ -16,7 +16,11 @@ zeta and its eta wind around the zeta- and eta-images of dM, Exterior when
 neither does, and Mixed when one does; there the transform of 1 is the
 idempotent (1 +- i e12)/2.  For real points at n = 3 the Gauss solid-angle
 sum (the transform of 1) rounds to 1 or 0.  Points on the null cone of a
-node, to the Cauchy kernel's tolerance, are NearBoundary.
+node, to the Cauchy kernel's tolerance, are NearBoundary.  For n = 2 a
+point inside both seed disks (about the seed's image in each null plane,
+missing the image of dM) takes the seed's region with no sum over the
+nodes: a winding number is constant on a disk that misses the polygon,
+and the disks' margins keep |square(p - z_j)| over twice the null test.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .algebra import (
     cauchy_kernel,
     is_null,
     is_null_planar,
+    null_coordinates,
     null_differences,
     null_magnitudes,
     vector_square,
@@ -77,9 +82,8 @@ class EmptyBallError(ValueError):
 
 
 # Node pairs per row block of every (rows, width) pass.  A complex (rows,
-# width) array of this many pairs is 512 KiB, so a block's few temporaries
-# stay near a 2 MiB L2 cache, and the blocks keep the memory of a pass
-# independent of its row count.
+# width) array of this many pairs is 512 KiB, and the blocks keep the
+# memory of a pass independent of its row count.
 PAIR_BLOCK = 1 << 15
 
 
@@ -223,10 +227,14 @@ def make_circle(N: int, radius: float = 1.0) -> BoundaryMesh:
 def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     """Unit circle pushed along i * eps * cos(k theta) times the real normal (_curve), validated.
 
-    Raises ValidationFailedError when the deformation meets the null cones.
-    The refined meshes of its builder are not validated here; every
-    assembler validates the mesh it is given.
+    Raises ValueError for an eps that is not finite or a k that is not an
+    integer >= 1, and ValidationFailedError when the deformation meets the
+    null cones.  Its builder's refined meshes are validated by the assemblers.
     """
+    if not isinstance(eps, numbers.Real) or not np.isfinite(eps):
+        raise ValueError(f"eps must be a finite number, not {eps!r}")
+    if not isinstance(k, numbers.Real) or not (k >= 1 and float(k).is_integer()):
+        raise ValueError(f"mode must be an integer of at least 1, not {k!r}")
     mesh = _curve(N, eps, k)
     _validated(mesh)
     return mesh
@@ -435,11 +443,9 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     NearBoundary means that some node pair fails the Cauchy kernel's own
     null test |square(p - z_j)| <= 1e-12 (1 + |p - z_j|^2), so a point is
     NearBoundary exactly where the kernel refuses it.  Every other point is
-    classified by index (module docstring): for n = 2 by the winding
-    numbers of its zeta and eta, for real points at n = 3 by the rounded
-    Gauss solid-angle sum.  The points go in row_blocks of PAIR_BLOCK pairs,
-    so the (rows, N) arrays stay cache-sized; every row is classified on its
-    own, so the blocks do not change a region.
+    classified by index (module docstring), or by the seed disks that
+    certify it (_seed_disks).  The points go in row_blocks of PAIR_BLOCK
+    pairs, and every row is classified on its own.
 
     No region exists for complex points at odd n (OddDimensionComplexError)
     or on a mesh that does not enclose its interior seed, such as the open
@@ -462,14 +468,33 @@ def _region_blocks(points: np.ndarray, mesh: BoundaryMesh):
         yield rows, _regions(points[rows], mesh)
 
 
+@per_mesh
+def _seed_disks(mesh: BoundaryMesh):
+    """(c, rad, far) of the seed disk in each null plane rho of a curve, and the seed's exact region.
+
+    c_rho = zeta_rho(seed), rad_rho is just below the distance from c_rho to the closed polygon of
+    _winding_numbers (a zero-length edge counts as its endpoint), far_rho = max_j |zeta_rho(z_j) - c_rho|."""
+    c = null_coordinates(mesh.interior_seed)
+    a = null_coordinates(mesh.nodes).T - c[:, None]
+    e = np.roll(a, -1, axis=1) - a
+    e2 = np.abs(e) ** 2
+    t = np.clip(np.divide(-np.real(np.conj(a) * e), e2, out=np.zeros_like(e2), where=e2 > 0), 0.0, 1.0)
+    rad = (1 - 1e-9) * np.min(np.abs(a + t * e), axis=1)
+    return c, rad, np.max(np.abs(a), axis=1), _planar_regions(mesh.interior_seed[None, :], mesh)[0]
+
+
 def _regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """NearBoundary by the kernel's null test, the region by index (module docstring) elsewhere."""
+    """The seed's region inside both seed disks, else _planar_regions (n = 2); the null test and Gauss sum (n = 3)."""
     out = np.full(points.shape[0], Region.NEAR_BOUNDARY, dtype=object)
     if mesh.n == 2:
-        d = null_differences(points, mesh.nodes)
-        far = ~np.any(is_null_planar(d), axis=1)
-        zeta, eta = (_winding_numbers(dk if far.all() else dk[far]) != 0 for dk in d)
-        out[far] = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
+        c, rad, far, seed = _seed_disks(mesh)
+        q = np.abs(null_coordinates(points) - c)
+        g = rad - q
+        # |zeta_0(p - z_j) zeta_1(p - z_j)| >= g_0 g_1 and |p - z_j|^2 <= the bracket
+        inside = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] > 2e-12 * (1 + np.sum((q + far) ** 2, axis=1) / 2))
+        out[inside] = seed
+        if not inside.all():
+            out[~inside] = _planar_regions(points[~inside], mesh)
         return out
     u = points[:, None, :] - mesh.nodes[None, :, :]
     far = ~np.any(is_null(u), axis=1)
@@ -477,6 +502,16 @@ def _regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     G = cauchy_kernel(u[far])
     gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
     out[far] = np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
+    return out
+
+
+def _planar_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """The exact n = 2 path: NearBoundary by the kernel's null test, the winding numbers elsewhere."""
+    out = np.full(points.shape[0], Region.NEAR_BOUNDARY, dtype=object)
+    d = null_differences(points, mesh.nodes)
+    far = ~np.any(is_null_planar(d), axis=1)
+    zeta, eta = (_winding_numbers(dk if far.all() else dk[far]) != 0 for dk in d)
+    out[far] = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
     return out
 
 

@@ -134,6 +134,22 @@ def test_invalid_radius_exit_code(tmp_path, geometry, radius):
     assert "radius must be a finite number above 0" in _invalid_input_message(tmp_path, args)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "nan", "eps must be a finite number"),
+        ("--eps", "inf", "eps must be a finite number"),
+        ("--mode", "0", "mode must be an integer of at least 1"),
+        ("--mode", "-2", "mode must be an integer of at least 1"),
+    ],
+)
+def test_invalid_deformation_exit_code(tmp_path, flag, value, message):
+    # a non-finite eps printed RuntimeWarnings before "validation failed"
+    # (exit 2), and mode 0 or -2 ran silently (exit 0)
+    args = ["--command", "verify", "--geometry", "deformed", "--N", "64", f"{flag}={value}"]
+    assert message in _invalid_input_message(tmp_path, args)
+
+
 def test_maximal_does_not_import_scipy_stats(tmp_path):
     # the cone samples' Halton draw is computed in numpy; importing
     # scipy.stats would cost a fresh maximal or limits run about a second.

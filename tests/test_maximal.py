@@ -215,6 +215,23 @@ class TestBoundDiagnostics:
         assert len(draws) == 1
         assert classified == [1, 512, 512, 512] + [1] + [512] * 8
 
+    def test_seed_disks_spare_the_winding_sum(self, monkeypatch):
+        # a cone sample inside both seed disks takes the seed's region, so
+        # only the seed and the first rejected rows of the 5634 rows the walk
+        # classifies reach the winding sum
+        import plemelj.mesh as mesh_mod
+
+        rows = []  # per call, alternately plane zeta and plane eta
+        winding = mesh_mod._winding_numbers
+
+        def counting(d):
+            rows.append(d.shape[0])
+            return winding(d)
+
+        monkeypatch.setattr(mesh_mod, "_winding_numbers", counting)
+        bound_diagnostics(make_circle(64), family_size=2)
+        assert 0 < sum(rows[0::2]) <= 10 and 0 < sum(rows[1::2]) <= 10
+
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)

@@ -468,19 +468,23 @@ class TestCones:
 
 
 def _schedule_oracle(mesh, samples_per_cone=64):
-    """cone_parameters' schedule walked with full region_membership_many calls.
+    """cone_parameters' schedule walked with one exact-path call per entry.
 
-    Returns the number of entries tried and the accepted (alpha, r), or None.
+    On curves the exact path is _planar_regions (the null test and the
+    winding numbers, without the seed disks), on the sphere
+    region_membership_many.  Returns the number of entries tried and the
+    accepted (alpha, r), or None.
     """
-    from plemelj.mesh import _DEFAULT_ALPHAS, _DEFAULT_RADIUS_FACTORS, _cone_samples
+    from plemelj.mesh import _DEFAULT_ALPHAS, _DEFAULT_RADIUS_FACTORS, _cone_samples, _planar_regions
 
+    classify = _planar_regions if mesh.n == 2 else region_membership_many
     tried = 0
     for alpha in _DEFAULT_ALPHAS:
         for fac in _DEFAULT_RADIUS_FACTORS:
             r = fac * mesh.half_diameter()
             pts = _cone_samples(mesh, np.arange(mesh.size), alpha, r, samples_per_cone)
             tried += 1
-            if np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
+            if np.all(classify(pts, mesh) == Region.INTERIOR):
                 return tried, (float(alpha), float(r))
     return tried, None
 
@@ -528,6 +532,93 @@ class TestConeSchedule:
         if want is not None:
             blocks = len(list(mesh_mod.row_blocks(64 * mesh.size, mesh.size)))
             assert walks[-1] == [True] * blocks
+
+
+def _region_families(mesh, count=8):
+    """Points on which the seed disks must agree with the exact path.
+
+    Cone samples of four schedule entries, their mirror images through the
+    nodes and their turns into imaginary directions, box points (a quarter
+    real), points planted 1e-3 ... 1e-12 off the edge midpoints on both
+    sides, the nodes, points near the seed and a far point on a null
+    direction.
+    """
+    from plemelj.mesh import _cone_samples
+
+    rng = np.random.default_rng(17)
+    size = mesh.half_diameter()
+    entries = [(np.pi / 4, 1.0), (np.pi / 4, 0.5), (np.pi / 6, 1.0), (np.pi / 12, 0.1)]
+    cones = np.concatenate([_cone_samples(mesh, np.arange(mesh.size), a, f * size, count) for a, f in entries])
+    apex = np.tile(np.repeat(mesh.nodes, count, axis=0), (len(entries), 1))
+    box = size * (rng.uniform(-2, 2, (20000, 2)) + 1j * rng.normal(scale=0.5, size=(20000, 2)))
+    box[:5000] = box[:5000].real
+    mid = (mesh.nodes + np.roll(mesh.nodes, -1, axis=0)) / 2
+    offset = np.concatenate([10.0 ** -np.arange(3, 13), -(10.0 ** -np.arange(3, 13))])
+    planted = (mid[None] + offset[:, None, None] * mesh.normals[None]).reshape(-1, 2)
+    near_seed = mesh.interior_seed + 1e-3 * size * (rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2)))
+    far = np.array([[1e12, 0.3 + 1e12j]])
+    return np.concatenate(
+        [cones, 2 * apex - cones, apex + 1j * (cones - apex), box, planted, mesh.nodes, near_seed, far]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_circle(16),
+        lambda: make_circle(64, 0.8),
+        lambda: make_circle(256, 1.25),
+        lambda: make_deformed_curve(128, 0.05, 2),
+        lambda: make_deformed_curve(512, 0.05, 2),
+        lambda: make_deformed_curve(256, 0.3, 3),
+        lambda: make_deformed_curve(64, 0.4, 16),
+    ],
+    ids=["circle16", "circle64r0.8", "circle256r1.25", "deformed128", "deformed512", "twisted256", "bulged64"],
+)
+def test_seed_disks_agree_with_the_exact_path(build):
+    from plemelj.mesh import _planar_regions, _regions, row_blocks
+
+    mesh = build()
+    pts = _region_families(mesh)
+    got, want = np.empty(len(pts), dtype=object), np.empty(len(pts), dtype=object)
+    for rows in row_blocks(len(pts), mesh.size):
+        got[rows], want[rows] = _regions(pts[rows], mesh), _planar_regions(pts[rows], mesh)
+    assert set(want) == set(Region)
+    assert np.array_equal(got, want)
+
+
+def test_seed_disks_of_a_repeated_node():
+    # a zero-length edge counts as its endpoint: a finite radius, no warning
+    from dataclasses import replace
+
+    from plemelj.mesh import _planar_regions, _regions, _seed_disks
+
+    circle = make_circle(64)
+    mesh = replace(circle, nodes=np.insert(circle.nodes, 5, circle.nodes[5], axis=0), cache={})
+    pts = _region_families(circle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rad = _seed_disks(mesh)[1]
+        got = _regions(pts, mesh)
+    assert np.all((0.99 < rad) & (rad < 1))
+    assert np.array_equal(got, _planar_regions(pts, mesh))
+
+
+def test_seed_disks_defer_points_near_a_notch():
+    # node 10 pulled halfway to the seed is the nearest point of both null
+    # polygons, so points just inside it lie in both disks; those near its
+    # null cone must go to the exact path, which finds them NearBoundary
+    from dataclasses import replace
+
+    from plemelj.mesh import _planar_regions, _regions
+
+    circle = make_circle(64)
+    mesh = replace(circle, nodes=circle.nodes.copy(), cache={})
+    mesh.nodes[10] *= 0.5
+    pts = mesh.nodes[10] * (1 - 10.0 ** -np.arange(1, 13))[:, None]
+    want = _planar_regions(pts, mesh)
+    assert Region.NEAR_BOUNDARY in set(want) and Region.INTERIOR in set(want)
+    assert np.array_equal(_regions(pts, mesh), want)
 
 
 @pytest.mark.parametrize("dim", [5, 7])
