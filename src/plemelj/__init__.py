@@ -8,12 +8,10 @@ operator identities and boundary-limit behavior checked numerically.
 
 from .algebra import (
     CliffordAlgebra,
-    Multivector,
     NullVectorError,
     OddDimensionComplexError,
     algebra,
     cauchy_kernel,
-    dirac_residual,
     is_null,
     vector_inverse,
     vector_square,
@@ -27,21 +25,16 @@ from .hardy import (
     verify_identities,
 )
 from .linsolve import IllConditionedError
-from .maximal import bound_diagnostics, maximal_function, nontangential_maximal
+from .maximal import bound_diagnostics, maximal_function
 from .mesh import (
-    ApproachPath,
     BoundaryMesh,
-    Cone,
     EmptyBallError,
     NoValidConeError,
     Region,
     ValidationFailedError,
-    approach_path,
     cone_parameters,
-    load_mesh,
     make_circle,
     make_deformed_curve,
-    make_flat_patch,
     make_sphere,
     region_membership,
     save_mesh,
@@ -59,15 +52,12 @@ from .operators import (
     BlockOperator,
     BoundaryFunction,
     NearBoundaryError,
-    assemble_adjoint_cauchy,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform,
     cauchy_transform_points,
-    generic_kernel_operator,
     l2_norm,
     omega,
-    pairing,
     plemelj_projection,
 )
 

@@ -5,10 +5,9 @@ so every basis vector squares to -1.  Elements are stored as coefficient
 vectors of length 2**n over the blades, ordered by grade and
 lexicographically within each grade (scalar, e_1..e_n, e_12, e_13, ...).
 
-Products, the bar antiautomorphism, the star conjugation, left/right
-multiplication matrices and the vector-valued Cauchy kernel are all driven
-by small precomputed tables; everything is branch-free and vectorizes over
-leading array axes.
+Products, the bar antiautomorphism, left/right multiplication matrices and
+the vector-valued Cauchy kernel are all driven by small precomputed tables;
+everything is branch-free and vectorizes over leading array axes.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ import numpy as np
 
 __all__ = [
     "CliffordAlgebra",
-    "Multivector",
     "NullVectorError",
     "OddDimensionComplexError",
     "algebra",
     "cauchy_kernel",
-    "dirac_residual",
     "is_null",
     "is_null_planar",
     "null_coordinates",
@@ -97,9 +94,6 @@ class CliffordAlgebra:
         self.generator_left = np.stack(
             [self.left_matrix(self._unit_coeffs(s)) for s in self.vector_slots]
         )
-        self.generator_right = np.stack(
-            [self.right_matrix(self._unit_coeffs(s)) for s in self.vector_slots]
-        )
 
         g = self.grades
         self.bar_signs = np.where((g * (g + 1) // 2) % 2 == 0, 1.0, -1.0)
@@ -118,13 +112,6 @@ class CliffordAlgebra:
     def bar(self, a: np.ndarray) -> np.ndarray:
         """The grade-signed antiautomorphism: e_j1..e_jr -> (-1)^r e_jr..e_j1."""
         return a * self.bar_signs
-
-    def star(self, a: np.ndarray) -> np.ndarray:
-        """Componentwise complex conjugation composed with bar."""
-        return np.conj(a) * self.bar_signs
-
-    def scalar_part(self, a: np.ndarray):
-        return a[..., 0]
 
     def norm(self, a: np.ndarray):
         return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
@@ -150,10 +137,6 @@ class CliffordAlgebra:
 
     def vector_part(self, a: np.ndarray) -> np.ndarray:
         return np.asarray(a, dtype=complex)[..., self.vector_slots]
-
-    def blade_name(self, index: int) -> str:
-        bits = self.blades[index]
-        return "1" if not bits else "e" + "".join(str(b) for b in bits)
 
     @functools.cached_property
     def spinor(self) -> "SpinorReduction":
@@ -238,99 +221,6 @@ def _bits(mask: int):
 def algebra(n: int) -> CliffordAlgebra:
     """Shared per-dimension algebra instance."""
     return CliffordAlgebra(n)
-
-
-class Multivector:
-    """A single element of Cl_n(C): thin wrapper over a coefficient vector."""
-
-    __slots__ = ("alg", "coeffs")
-
-    def __init__(self, alg: CliffordAlgebra, coeffs):
-        self.alg = alg
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (alg.dim,):
-            raise ValueError(f"expected {alg.dim} coefficients, got shape {c.shape}")
-        self.coeffs = c
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def scalar(cls, n: int, value=1.0) -> "Multivector":
-        alg = algebra(n)
-        c = np.zeros(alg.dim, dtype=complex)
-        c[0] = value
-        return cls(alg, c)
-
-    @classmethod
-    def from_vector(cls, components) -> "Multivector":
-        components = np.asarray(components, dtype=complex)
-        alg = algebra(components.shape[-1])
-        return cls(alg, alg.embed_vector(components))
-
-    @classmethod
-    def basis(cls, n: int, *indices: int) -> "Multivector":
-        alg = algebra(n)
-        mask = 0
-        for k in indices:
-            mask ^= 1 << (k - 1)
-        c = np.zeros(alg.dim, dtype=complex)
-        c[alg.blade_index[mask]] = 1.0
-        return cls(alg, c)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "Multivector"):
-        if self.alg.n != other.alg.n:
-            raise ValueError("dimension mismatch between multivectors")
-
-    def __add__(self, other):
-        if isinstance(other, Multivector):
-            self._check(other)
-            return Multivector(self.alg, self.coeffs + other.coeffs)
-        return Multivector(self.alg, self.coeffs + Multivector.scalar(self.alg.n, other).coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return (-1) * self + other
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            self._check(other)
-            return Multivector(self.alg, self.alg.product(self.coeffs, other.coeffs))
-        return Multivector(self.alg, self.coeffs * other)
-
-    def __rmul__(self, other):
-        # scalars commute; multivector * multivector goes through __mul__
-        return Multivector(self.alg, self.coeffs * other)
-
-    def __neg__(self):
-        return Multivector(self.alg, -self.coeffs)
-
-    # -- involutions and parts ----------------------------------------------
-
-    def bar(self) -> "Multivector":
-        return Multivector(self.alg, self.alg.bar(self.coeffs))
-
-    def star(self) -> "Multivector":
-        return Multivector(self.alg, self.alg.star(self.coeffs))
-
-    def norm(self) -> float:
-        return float(self.alg.norm(self.coeffs))
-
-    @property
-    def scalar_part(self) -> complex:
-        return complex(self.coeffs[0])
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if abs(c) > 1e-14:
-                terms.append(f"({c:.4g})*{self.alg.blade_name(i)}")
-        return " + ".join(terms) if terms else "0"
 
 
 # -- vector helpers (components of grade-1 elements, shape (..., n)) ---------
@@ -418,51 +308,3 @@ def cauchy_kernel(z: np.ndarray) -> np.ndarray:
     if np.any(np.abs(s) <= null_tolerance(z)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
     return (-1.0) ** (n // 2) * z * s[..., None] ** (-(n // 2))
-
-
-def dirac_residual(
-    f,
-    n: int,
-    half_width: float = 0.5,
-    points: int = 7,
-    side: str = "left",
-    complex_step: bool = False,
-):
-    """Max norm of the finite-difference Dirac derivative over a grid.
-
-    f maps a coordinate array (..., n) to coefficient arrays (..., 2**n).
-    The grid is the real box [-half_width, half_width]^n with `points`
-    nodes per axis; derivatives are centered differences (complex_step
-    samples the holomorphic extension along imaginary offsets instead).
-    side selects sum e_j d_j f (left) or sum (d_j f) e_j (right).
-    """
-    if points < 3:
-        raise ValueError("grid too small: need at least 3 points per axis")
-    alg = algebra(n)
-    axes = [np.linspace(-half_width, half_width, points)] * n
-    h = axes[0][1] - axes[0][0]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-    mats = alg.generator_left if side == "left" else alg.generator_right
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-
-    interior = tuple(slice(1, -1) for _ in range(n))
-    total = None
-    if complex_step:
-        base = grid.astype(complex)
-    else:
-        vals = np.asarray(f(grid), dtype=complex)
-    for k in range(n):
-        if complex_step:
-            step = np.zeros(n, dtype=complex)
-            step[k] = 1j * h
-            dk = (np.asarray(f(base + step)) - np.asarray(f(base - step))) / (2j * h)
-            dk = dk[interior]
-        else:
-            up = tuple(slice(2, None) if j == k else slice(1, -1) for j in range(n))
-            dn = tuple(slice(0, -2) if j == k else slice(1, -1) for j in range(n))
-            dk = (vals[up] - vals[dn]) / (2 * h)
-        term = np.einsum("ab,...b->...a", mats[k], dk)
-        total = term if total is None else total + term
-    return float(np.max(alg.norm(total)))

@@ -130,11 +130,8 @@ def cmd_verify(cfg) -> int:
         by_name = {}
         for row in results:
             by_name.setdefault(row["identity"], []).append(row["residual_N"])
-        for name, vals in by_name.items():
-            ok = all(
-                b < a or max(a, b) <= hardy.RESIDUAL_FLOOR for a, b in zip(vals, vals[1:])
-            )
-            all_pass &= ok
+        for vals in by_name.values():
+            all_pass &= all(hardy.residual_decreases(a, b) for a, b in zip(vals, vals[1:]))
     _write_json(cfg, "verify.json", {"results": results, "pass": all_pass})
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
@@ -168,13 +165,9 @@ def cmd_decompose(cfg) -> int:
 def cmd_szego(cfg) -> int:
     mesh = build_mesh(cfg)
     f = _test_function(mesh, cfg["seed"])
-    try:
-        ks = hardy.kerzman_stein_factor(mesh, cfg["cond_limit"])
-        p = hardy.szego_project(f, "+", cond_limit=cfg["cond_limit"])
-        pp = hardy.szego_project(p, "+", cond_limit=cfg["cond_limit"])
-    except IllConditionedError as exc:
-        print(f"ill-conditioned Kerzman-Stein system: {exc}", file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
+    ks = hardy.kerzman_stein_factor(mesh, cfg["cond_limit"])
+    p = hardy.szego_project(f, "+", cond_limit=cfg["cond_limit"])
+    pp = hardy.szego_project(p, "+", cond_limit=cfg["cond_limit"])
     _write_json(
         cfg,
         "szego.json",

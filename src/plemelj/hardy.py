@@ -44,12 +44,18 @@ __all__ = [
     "boundary_limit_test",
     "decompose",
     "kerzman_stein_factor",
+    "residual_decreases",
     "szego_matrix",
     "szego_project",
     "verify_identities",
 ]
 
 RESIDUAL_FLOOR = 1e-10  # below this, residuals are rounding noise
+
+
+def residual_decreases(r: float, r2: float) -> bool:
+    """The pass rule of a refined residual r2 against r: smaller, or both at the rounding floor."""
+    return r2 < r or max(r, r2) <= RESIDUAL_FLOOR
 
 
 @dataclass
@@ -112,7 +118,7 @@ def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8)
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """P = S (I + A)^{-1} as spinor blocks (for tests and oracles)."""
     inv = kerzman_stein_factor(mesh).solve(BlockOperator.identity(mesh).matrix)
-    return BlockOperator(mesh, matmul(plemelj_projection(mesh, sign).matrix, inv), f"P{sign}")
+    return BlockOperator(mesh, matmul(plemelj_projection(mesh, sign).matrix, inv))
 
 
 @dataclass
@@ -197,7 +203,7 @@ def verify_identities(
             r2 = refined[name]
             rep.residual_refined = r2
             rep.ratio = r2 / r if r > 0 else float("nan")
-            ok = ok and (r2 < r or max(r, r2) <= RESIDUAL_FLOOR)
+            ok = ok and residual_decreases(r, r2)
         rep.passed = bool(ok)
         reports.append(rep)
     return reports

@@ -2,8 +2,8 @@
 
 The sup over ball radii is replaced by a geometric schedule (the discrete
 average only changes when a node enters the ball); the sup over approach
-cones is replaced by a deterministic low-discrepancy sample, giving a
-reproducible lower bound that is monotone in the sample count.
+cones is replaced by a fixed deterministic low-discrepancy sample of the
+cones of cone_parameters, giving a reproducible lower bound.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from .mesh import (
     _CONE_SAMPLES,
     BoundaryMesh,
     EmptyBallError,
-    Region,
     _cone_samples,
     cone_parameters,
     per_mesh,
-    region_membership_many,
     row_blocks,
 )
 from .operators import (
@@ -38,7 +36,6 @@ __all__ = [
     "bound_diagnostics",
     "default_radii",
     "maximal_function",
-    "nontangential_maximal",
 ]
 
 
@@ -79,18 +76,6 @@ def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.
     return out
 
 
-def nontangential_maximal(mesh: BoundaryMesh, f: BoundaryFunction, samples_per_cone: int = _CONE_SAMPLES):
-    """Per-node max of the transform norm over the sampled cones of cone_parameters.
-
-    The transform is taken at samples_per_cone samples per node
-    (_family_nontangential).  A sampled sup is a lower bound for the true
-    one and never decreases as samples_per_cone grows.  Raises ValueError
-    when a sample does not classify Interior, which the cone of
-    cone_parameters guarantees for its own 64 samples only.
-    """
-    return _family_nontangential(mesh, [f], samples_per_cone)[0]
-
-
 def _family_columns(mesh: BoundaryMesh, family) -> np.ndarray:
     """Spinor columns (blocks, N s, copies F) of sigma_j f_j for every function f of the family."""
     cols = np.stack([_to_spinor(f.values * mesh.sigma[:, None], mesh) for f in family], axis=-1)
@@ -107,24 +92,23 @@ def _family_norms(mesh: BoundaryMesh, vals: np.ndarray, count: int) -> np.ndarra
     return np.sqrt(sq.sum(axis=(0, 2, 3))).T
 
 
-def _family_nontangential(mesh: BoundaryMesh, family, count: int = _CONE_SAMPLES):
-    """nontangential_maximal of every function of the family, (F, N), from one kernel pass.
+def _family_nontangential(mesh: BoundaryMesh, family):
+    """Per-node max of the transform norm over the sampled cones, for every function of the family: (F, N).
 
-    The samples are count per node in the cones of cone_parameters.  The
-    kernel blocks of each row block of samples (row_blocks) multiply the
-    spinor columns of the whole family at once (_cone_block), and the
-    products are reduced to their norms block by block.
+    The samples are the _CONE_SAMPLES per node of cone_parameters, all
+    Interior by its own check.  A sampled sup is a lower bound for the
+    true one.  The kernel blocks of each row block of samples (row_blocks)
+    multiply the spinor columns of the whole family at once (_cone_block),
+    and the products are reduced to their norms block by block.
     """
-    pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), count)
-    if count != _CONE_SAMPLES and not np.all(region_membership_many(pts, mesh) == Region.INTERIOR):
-        raise ValueError(f"a cone sample of {count} per node does not classify interior")
+    pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), _CONE_SAMPLES)
     if mesh.n == 2:
         family = [plemelj_projection(mesh, "+").apply(f) for f in family]
     cols = _family_columns(mesh, family)
     norms = np.empty((len(family), pts.shape[0]))
     for rows in row_blocks(pts.shape[0], mesh.size):
         norms[:, rows] = _family_norms(mesh, _cone_block(mesh, pts[rows], cols), len(family))
-    return norms.reshape(len(family), mesh.size, count).max(axis=2)
+    return norms.reshape(len(family), mesh.size, _CONE_SAMPLES).max(axis=2)
 
 
 def _cone_block(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray) -> np.ndarray:

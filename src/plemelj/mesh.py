@@ -5,7 +5,7 @@ line/surface measure sigma together with its absolute value |sigma|.  Every
 mesh is a reference mesh (the circle, the icosahedral sphere) pushed forward
 by a map F: its measure and normals follow from the cofactor of DF by
 Nanson's formula, in one step (_pushforward).  For real-embedded geometries
-(circle, sphere, flat patch) sigma is real and positive and the normals are
+(circle, sphere) sigma is real and positive and the normals are
 the usual outward unit normals; the deformed curve family pushes the circle
 into genuinely complex territory while keeping every node and tangent off
 the null cones.
@@ -45,20 +45,15 @@ from .algebra import (
 )
 
 __all__ = [
-    "ApproachPath",
     "BoundaryMesh",
-    "Cone",
     "EmptyBallError",
     "NoValidConeError",
     "Region",
     "ValidationFailedError",
     "ValidationReport",
-    "approach_path",
     "cone_parameters",
-    "load_mesh",
     "make_circle",
     "make_deformed_curve",
-    "make_flat_patch",
     "make_sphere",
     "region_membership",
     "region_membership_many",
@@ -130,8 +125,7 @@ class BoundaryMesh:
     interior_seed: np.ndarray
     exterior_seed: np.ndarray
     h: float
-    curve_order: bool = True          # nodes are consecutive on a closed curve
-    theta: np.ndarray | None = None   # curve parameter per node, if any
+    theta: np.ndarray | None = None   # curve parameter per node: the nodes are in curve order
     edges: np.ndarray | None = None   # (E, 2) adjacency for tangent probes
     builder: object = None            # N -> BoundaryMesh, for refinement
     cache: dict = field(default_factory=dict, repr=False)  # per_mesh results
@@ -143,8 +137,8 @@ class BoundaryMesh:
     def edge_list(self) -> np.ndarray:
         if self.edges is not None:
             return self.edges
-        if not self.curve_order:
-            raise ValueError("mesh has no edges and its nodes are not consecutive on a curve")
+        if self.theta is None:
+            raise ValueError("mesh has no edges and no curve parameter")
         N = self.size
         i = np.arange(N)
         return np.stack([i, (i + 1) % N], axis=1)
@@ -178,16 +172,21 @@ def _pushforward(nodes, area, weights, edges, interior_seed, exterior_seed, buil
     sigma = sqrt(a.a) |sigma_ref| and the normal is a / sqrt(a.a), with the
     principal square root of the bilinear square a.a; h is the longest edge.
     A mesh with a curve parameter theta is in curve order, and edges None
-    means the closed curve through its nodes in turn.
+    means the closed curve through its nodes in turn.  Raises ValueError
+    when sigma, the normals or h is not finite: a huge radius or deformation
+    overflows, and a zero area vector has no normal.
     """
-    mu = np.sqrt(np.sum(area * area, axis=1))
-    sigma = mu * weights
-    mesh = BoundaryMesh(
-        nodes.shape[1], nodes, area / mu[:, None], sigma, np.abs(sigma), interior_seed, exterior_seed,
-        h=0.0, curve_order=theta is not None, theta=theta, edges=edges, builder=builder,
-    )
-    e = mesh.edge_list()
-    mesh.h = float(np.max(np.sqrt(np.sum(np.abs(nodes[e[:, 1]] - nodes[e[:, 0]]) ** 2, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sqrt(np.sum(area * area, axis=1))
+        sigma = mu * weights
+        mesh = BoundaryMesh(
+            nodes.shape[1], nodes, area / mu[:, None], sigma, np.abs(sigma), interior_seed, exterior_seed,
+            h=0.0, theta=theta, edges=edges, builder=builder,
+        )
+        e = mesh.edge_list()
+        mesh.h = float(np.max(np.sqrt(np.sum(np.abs(nodes[e[:, 1]] - nodes[e[:, 0]]) ** 2, axis=1))))
+    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(mesh.normals)) and np.isfinite(mesh.h)):
+        raise ValueError("the mesh's measure, normals or edge length is not finite: the geometry is too large or degenerate")
     return mesh
 
 
@@ -207,13 +206,15 @@ def _curve(N: int, eps: float, k: int, radius: float = 1.0) -> BoundaryMesh:
     if N % 2:
         raise ValueError("closed-curve meshes require even N")
     theta = 2 * np.pi * np.arange(N) / N
-    q = 1.0 + 1j * eps * np.cos(k * theta)
-    dq = -1j * eps * k * np.sin(k * theta)
-    u = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    du = radius * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    tang = dq[:, None] * u + q[:, None] * du
+    with np.errstate(over="ignore", invalid="ignore"):  # _pushforward refuses what overflows
+        q = 1.0 + 1j * eps * np.cos(k * theta)
+        dq = -1j * eps * k * np.sin(k * theta)
+        u = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        du = radius * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+        tang = dq[:, None] * u + q[:, None] * du
+        nodes = q[:, None] * u
     return _pushforward(
-        q[:, None] * u, np.stack([tang[:, 1], -tang[:, 0]], axis=1), 2 * np.pi / N, None,
+        nodes, np.stack([tang[:, 1], -tang[:, 0]], axis=1), 2 * np.pi / N, None,
         np.zeros(2, dtype=complex), np.array([3.0 * radius, 0.0], dtype=complex),
         lambda m: _curve(m, eps, k, radius), theta,
     )
@@ -238,18 +239,6 @@ def make_deformed_curve(N: int, eps: float, k: int) -> BoundaryMesh:
     mesh = _curve(N, eps, k)
     _validated(mesh)
     return mesh
-
-
-def make_flat_patch(N: int) -> BoundaryMesh:
-    """Periodic straight-line mesh of length 2 pi, normal (0, 1) and open chain of edges (flat-patch boundedness tests)."""
-    if N < 8 or N % 2:
-        raise ValueError("need even N >= 8")
-    theta = 2 * np.pi * np.arange(N) / N
-    return _pushforward(
-        np.stack([theta, np.zeros(N)], axis=1).astype(complex), np.tile(np.array([0.0, 1.0], dtype=complex), (N, 1)),
-        2 * np.pi / N, np.stack([np.arange(N - 1), np.arange(1, N)], axis=1),
-        np.array([np.pi, -1.0], dtype=complex), np.array([np.pi, 1.0], dtype=complex), make_flat_patch, theta,
-    )
 
 
 def _icosahedron():
@@ -315,8 +304,10 @@ def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
     while verts.shape[0] < N_target:
         verts, faces = _subdivide(verts, faces)
     nodes, pairs = (radius * verts).astype(complex), _face_edges(faces)
+    with np.errstate(over="ignore"):  # _pushforward refuses what overflows
+        area = radius * nodes
     return _pushforward(
-        nodes, radius * nodes, SphericalVoronoi(verts).calculate_areas(),
+        nodes, area, SphericalVoronoi(verts).calculate_areas(),
         pairs[np.unique(pairs @ [len(verts), 1], return_index=True)[1]],
         np.zeros(3, dtype=complex), np.array([3.0 * radius, 0.0, 0.0], dtype=complex),
         lambda m: make_sphere(m, radius),
@@ -448,8 +439,8 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     pairs, and every row is classified on its own.
 
     No region exists for complex points at odd n (OddDimensionComplexError)
-    or on a mesh that does not enclose its interior seed, such as the open
-    flat patch (ValueError).
+    or on a mesh that does not enclose its interior seed, such as an open
+    chain of edges (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     out = np.empty(points.shape[0], dtype=object)
@@ -520,34 +511,7 @@ def region_membership(u, mesh: BoundaryMesh) -> Region:
     return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh)[0]
 
 
-# -- cones and approach paths ---------------------------------------------------
-
-
-@dataclass
-class Cone:
-    """Truncated non-tangential approach cone in C^n = R^{2n}.
-
-    Membership: 0 < |z - apex| < r and the R^{2n} angle between z - apex
-    and the axis is below alpha.
-    """
-
-    apex: np.ndarray
-    axis: np.ndarray
-    alpha: float
-    r: float
-
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        d = z - self.apex
-        dist = np.sqrt(np.sum(np.abs(d) ** 2, axis=-1))
-        axis = self.axis / np.sqrt(np.sum(np.abs(self.axis) ** 2))
-        proj = np.real(np.sum(d * np.conj(axis), axis=-1))
-        return (dist > 0) & (dist < self.r) & (proj > dist * np.cos(self.alpha))
-
-
-def _interior_axis(mesh: BoundaryMesh, i) -> np.ndarray:
-    nrm = mesh.normals[i]
-    return -nrm / np.sqrt(np.sum(np.abs(nrm) ** 2, axis=-1, keepdims=True))
+# -- approach cones -------------------------------------------------------------
 
 
 def _cone_samples(mesh: BoundaryMesh, i, alpha: float, r: float, count: int):
@@ -593,7 +557,8 @@ def _cone_frame(mesh: BoundaryMesh, count: int):
     """
     n2 = 2 * mesh.n
     raw = _halton(count, n2 + 1)
-    axis = _interior_axis(mesh, np.arange(mesh.size))[:, None, :]
+    nrm = mesh.normals
+    axis = (-nrm / np.sqrt(np.sum(np.abs(nrm) ** 2, axis=-1, keepdims=True)))[:, None, :]
     # direction orthogonal to the axis in R^{2n}, from the remaining coords
     g = raw[:, 2:] - 0.5
     perp_r = g[:, : mesh.n]
@@ -641,46 +606,6 @@ def cone_parameters(mesh: BoundaryMesh):
     raise NoValidConeError("no schedule entry produced all-interior cone samples")
 
 
-@dataclass
-class ApproachPath:
-    """Dyadic straight-line approach to a boundary node."""
-
-    target: np.ndarray
-    direction: np.ndarray
-    s_values: np.ndarray
-    points: np.ndarray
-    region: Region
-
-
-def approach_path(
-    mesh: BoundaryMesh,
-    node: int,
-    region: str = "interior",
-    depth: int = 8,
-    r: float = None,
-) -> ApproachPath:
-    """Path w -+ s_k * unit normal with s_k = r 2^-k, k = 0..depth.
-
-    Raises ValueError when a path point classifies otherwise (Mixed too).
-    """
-    want = Region.INTERIOR if region == "interior" else Region.EXTERIOR
-    if r is None:
-        _, r = cone_parameters(mesh)
-    axis = _interior_axis(mesh, node)
-    if want is Region.EXTERIOR:
-        axis = -axis
-    s = r * 0.5 ** np.arange(depth + 1)
-    pts = mesh.nodes[node] + s[:, None] * axis
-    regs = region_membership_many(pts, mesh)
-    bad = np.nonzero(regs != want)[0]
-    if bad.size:
-        raise ValueError(
-            f"path sample {int(bad[0])} at s={s[bad[0]]:.3g} classifies "
-            f"{regs[bad[0]].value}, wanted {want.value}"
-        )
-    return ApproachPath(mesh.nodes[node], axis, s, pts, want)
-
-
 # -- serialization ----------------------------------------------------------------
 
 
@@ -703,31 +628,3 @@ def save_mesh(mesh: BoundaryMesh, path: str):
         doc["edges"] = mesh.edges.tolist()
     with open(path, "w") as fh:
         json.dump(doc, fh)
-
-
-def _unpack_vecs(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def load_mesh(path: str) -> BoundaryMesh:
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = int(doc["n"])
-    if n != 2 and "edges" not in doc:
-        raise ValueError(f"{path}: a surface mesh file needs its edges")
-    nodes = _unpack_vecs(doc["nodes"])
-    sig = np.asarray(doc["sigma"], dtype=float)
-    return BoundaryMesh(
-        n=n,
-        nodes=nodes,
-        normals=_unpack_vecs(doc["normals"]),
-        sigma=sig[:, 0] + 1j * sig[:, 1],
-        sigma_abs=np.asarray(doc["sigma_abs"], dtype=float),
-        interior_seed=_unpack_vecs(doc["interior_seed"]),
-        exterior_seed=_unpack_vecs(doc["exterior_seed"]),
-        h=float(doc["h"]),
-        curve_order=(n == 2),
-        theta=2 * np.pi * np.arange(nodes.shape[0]) / nodes.shape[0] if n == 2 else None,
-        edges=np.asarray(doc["edges"], dtype=np.int64) if "edges" in doc else None,
-    )

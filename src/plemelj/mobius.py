@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, algebra, cauchy_kernel, vector_inverse
+from .algebra import algebra, cauchy_kernel, vector_inverse
 from .mesh import BoundaryMesh, _pushforward
 from .operators import BoundaryFunction, l2_norm
 
@@ -53,7 +53,7 @@ def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
     The pulled-back nodes are z_i = u_i^{-1} - a; raises NullVectorError
     when some u_i is on the null cone (the map is invalid there).
     """
-    if mesh.n != 2 or not mesh.curve_order:
+    if mesh.n != 2 or mesh.theta is None:
         raise ValueError("Kelvin maps are implemented for closed curves in C^2")
     a = np.asarray(a, dtype=complex)
     builder = (lambda m: kelvin_map(mesh.builder(m), a).domain_mesh) if mesh.builder else None
@@ -80,7 +80,10 @@ def isometry_check(g: BoundaryFunction, kmap: KelvinMap):
 
 
 def covariance_check(f: BoundaryFunction, g: BoundaryFunction, kmap: KelvinMap):
-    """Two-sided evaluation of the transformation rule for integral f n g dsigma."""
+    """Two-sided evaluation of the transformation rule for integral f n g dsigma.
+
+    Returns both sides as coefficient arrays (d,) and the norm of their gap.
+    """
     mesh = kmap.image_mesh
     dom = kmap.domain_mesh
     alg = algebra(mesh.n)
@@ -94,7 +97,7 @@ def covariance_check(f: BoundaryFunction, g: BoundaryFunction, kmap: KelvinMap):
     rhs_terms = alg.product(f.values, inner)
     rhs = np.sum(rhs_terms * dom.sigma[:, None], axis=0)
     gap = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)))
-    return Multivector(alg, lhs), Multivector(alg, rhs), gap
+    return lhs, rhs, gap
 
 
 def _kernel_mv(alg, v):

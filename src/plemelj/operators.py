@@ -47,7 +47,6 @@ import math
 import numpy as np
 
 from .algebra import (
-    Multivector,
     NullVectorError,
     OddDimensionComplexError,
     algebra,
@@ -64,19 +63,15 @@ __all__ = [
     "BoundaryFunction",
     "NearBoundaryError",
     "PROJECTION_COEFFS",
-    "assemble_adjoint_cauchy",
     "assemble_kerzman_stein",
     "assemble_singular_cauchy",
     "cauchy_transform",
     "cauchy_transform_points",
-    "generic_kernel_operator",
     "l2_norm",
     "omega",
-    "pairing",
     "plemelj_projection",
     "smooth_family",
     "smooth_matrix_norm",
-    "smooth_test_basis",
     "weighted_norm",
 ]
 
@@ -106,13 +101,10 @@ class BoundaryFunction:
 
     @classmethod
     def constant(cls, mesh: BoundaryMesh, value=1.0) -> "BoundaryFunction":
-        alg = algebra(mesh.n)
-        if isinstance(value, Multivector):
-            coeffs = value.coeffs
-        else:
-            coeffs = np.zeros(alg.dim, dtype=complex)
-            coeffs[0] = value
-        return cls(mesh, np.tile(coeffs, (mesh.size, 1)))
+        """The scalar value at every node."""
+        values = np.zeros((mesh.size, algebra(mesh.n).dim), dtype=complex)
+        values[:, 0] = value
+        return cls(mesh, values)
 
     @classmethod
     def kernel_trace(cls, mesh: BoundaryMesh, pole: np.ndarray) -> "BoundaryFunction":
@@ -120,9 +112,6 @@ class BoundaryFunction:
         alg = algebra(mesh.n)
         pole = np.asarray(pole, dtype=complex)
         return cls(mesh, alg.embed_vector(cauchy_kernel(mesh.nodes - pole)))
-
-    def copy(self) -> "BoundaryFunction":
-        return BoundaryFunction(self.mesh, self.values.copy())
 
     def __add__(self, other: "BoundaryFunction") -> "BoundaryFunction":
         self._check(other)
@@ -149,22 +138,8 @@ class BoundaryFunction:
 
 
 def l2_norm(f: BoundaryFunction) -> float:
-    """Weighted L^2 norm: identity part of sum star(f) f |sigma|."""
+    """Weighted L^2 norm sqrt(sum_j |f_j|^2 |sigma_j|), |f_j| the Euclidean norm of the coefficients."""
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2 * f.mesh.sigma_abs[:, None])))
-
-
-def pairing(f: BoundaryFunction, g: BoundaryFunction) -> Multivector:
-    """Clifford-bilinear pairing sum_j bar(f_j) g_j sigma_j."""
-    f._check(g)
-    alg = algebra(f.mesh.n)
-    prod = alg.product(alg.bar(f.values), g.values)
-    return Multivector(alg, np.sum(prod * f.mesh.sigma[:, None], axis=0))
-
-
-def hermitian_inner(f: BoundaryFunction, g: BoundaryFunction) -> complex:
-    """Positive inner product sum_j <f_j, g_j>_C |sigma|_j (test oracle use)."""
-    f._check(g)
-    return complex(np.sum(np.conj(f.values) * g.values * f.mesh.sigma_abs[:, None]))
 
 
 # -- block operators -------------------------------------------------------------
@@ -195,21 +170,15 @@ class BlockOperator:
     n = 2, one (2N) x (2N) matrix for n = 3.  `dense()` expands it.
     """
 
-    def __init__(self, mesh: BoundaryMesh, matrix: np.ndarray, label: str = "custom"):
+    def __init__(self, mesh: BoundaryMesh, matrix: np.ndarray):
         self.mesh = mesh
         self.matrix = matrix
-        self.label = label
 
     @classmethod
     def identity(cls, mesh: BoundaryMesh) -> "BlockOperator":
         sp = algebra(mesh.n).spinor
         eye = np.eye(mesh.size * sp.size, dtype=complex)
-        return cls(mesh, np.repeat(eye[None], sp.blocks, axis=0), "I")
-
-    @property
-    def block_dim(self) -> int:
-        """d, the size of a node block of the dense matrix."""
-        return algebra(self.mesh.n).dim
+        return cls(mesh, np.repeat(eye[None], sp.blocks, axis=0))
 
     def apply(self, f: BoundaryFunction) -> BoundaryFunction:
         if f.mesh.size != self.mesh.size:
@@ -218,21 +187,10 @@ class BlockOperator:
         return BoundaryFunction(f.mesh, _from_spinor(out, self.mesh))
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.mesh, self.matrix @ other.matrix, f"{self.label}*{other.label}")
+        return BlockOperator(self.mesh, self.matrix @ other.matrix)
 
     def __matmul__(self, other):
         return self.compose(other)
-
-    def __add__(self, other):
-        return BlockOperator(self.mesh, self.matrix + other.matrix, f"{self.label}+{other.label}")
-
-    def __sub__(self, other):
-        return BlockOperator(self.mesh, self.matrix - other.matrix, f"{self.label}-{other.label}")
-
-    def __mul__(self, scalar):
-        return BlockOperator(self.mesh, self.matrix * scalar, self.label)
-
-    __rmul__ = __mul__
 
     def _weighted(self) -> np.ndarray:
         w = _node_weights(self.mesh, algebra(self.mesh.n).spinor.size)
@@ -305,22 +263,18 @@ def _scalar_smooth_basis(mesh: BoundaryMesh) -> np.ndarray:
     return q[:, diag > 1e-10 * diag.max()]
 
 
-def smooth_test_basis(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
-    """Weighted-orthonormal basis Q_s (x) I_size of a fixed smooth subspace, as columns.
+def smooth_family(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
+    """Coefficient columns Y = W^{-1} Q of a fixed smooth subspace, so ||W R Y||_2 is R's norm on it.
 
-    The scalar traces of _scalar_smooth_basis tensored with all size
-    coefficients of a node: size = d (the default) gives node coefficients,
-    size = s one spinor block.  Nystrom discretizations of singular
-    operators converge strongly, not in norm, so identity residuals are
-    measured on this family.
+    Q = Q_s (x) I_size is weighted-orthonormal: the scalar traces of
+    _scalar_smooth_basis tensored with all size coefficients of a node,
+    size = d (the default) for node coefficients, size = s for one spinor
+    block.  Nystrom discretizations of singular operators converge
+    strongly, not in norm, so identity residuals are measured on this
+    family.
     """
     size = algebra(mesh.n).dim if size is None else size
-    return np.kron(_scalar_smooth_basis(mesh), np.eye(size))
-
-
-def smooth_family(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
-    """The smooth basis as coefficients, Y = W^{-1} Q, so ||W R Y||_2 is R's norm on it."""
-    return smooth_test_basis(mesh, size) / _node_weights(mesh, size)[:, None]
+    return np.kron(_scalar_smooth_basis(mesh), np.eye(size)) / _node_weights(mesh, size)[:, None]
 
 
 def weighted_norm(columns: np.ndarray, mesh: BoundaryMesh) -> float:
@@ -355,7 +309,7 @@ def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
     N = mesh.size
     j = np.arange(N)
     i = j[rows]
-    if mesh.curve_order and N % 2 == 0:
+    if mesh.theta is not None and N % 2 == 0:
         parity = ((i[:, None] - j[None, :]) % 2).astype(float)
         return parity * (2.0 * mesh.sigma)[None, :]
     W = np.tile(mesh.sigma, (i.size, 1))
@@ -538,7 +492,7 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     blocks[:, idx, :, idx, :] = 0.0
     rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
     blocks[:, idx, :, idx, :] = 0.5 * np.eye(sp.size) - rowsum
-    return BlockOperator(mesh, matrix, "C")
+    return BlockOperator(mesh, matrix)
 
 
 @per_mesh
@@ -560,14 +514,7 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     validate_domain_manifold.
     """
     _validated(mesh)
-    return BlockOperator(mesh, (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[1], "A")
-
-
-def assemble_adjoint_cauchy(mesh: BoundaryMesh) -> BlockOperator:
-    """C* = C - A: the bilinear-pairing transpose of C."""
-    op = assemble_singular_cauchy(mesh) - assemble_kerzman_stein(mesh)
-    op.label = "C*"
-    return op
+    return BlockOperator(mesh, (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[1])
 
 
 # S+- = c0 I + c1 C, as coefficients of the powers of C
@@ -586,30 +533,7 @@ def _projection(mesh: BoundaryMesh, sign: str) -> BlockOperator:
     c0, c1 = PROJECTION_COEFFS[sign]
     S = c1 * assemble_singular_cauchy(mesh).matrix
     S.reshape(S.shape[0], -1)[:, :: S.shape[-1] + 1] += c0  # c0 on the diagonal
-    return BlockOperator(mesh, S, f"S{sign}")
-
-
-def generic_kernel_operator(mesh: BoundaryMesh, kernel) -> BlockOperator:
-    """Nystrom operator for a user kernel K(w - z), odd-symmetry zero diagonal.
-
-    kernel maps difference vectors (..., n) to grade-1 components (..., n),
-    so K n is even and the operator is stored as spinor blocks.  Assembly
-    matches the Cauchy operator except that diagonal blocks are zero (the
-    principal value of an odd kernel over a symmetric neighborhood).
-    """
-    diffs = mesh.nodes[:, None, :] - mesh.nodes[None, :, :]
-    idx = np.arange(mesh.size)
-    diffs[idx, idx] = np.eye(mesh.n)[0]  # placeholder off the null cone
-    K = np.asarray(kernel(diffs), dtype=complex)
-    if K.shape != diffs.shape:
-        raise ValueError(f"kernel must return grade-1 components {diffs.shape}, got {K.shape}")
-    K[idx, idx] = 0.0
-    if not np.all(np.isfinite(K)):
-        raise ValueError("kernel returned non-finite values on mesh differences")
-    sp = algebra(mesh.n).spinor
-    Kn = np.einsum("jm,lmrpq->jlrpq", mesh.normals, sp.vector_pairs)  # blocks of e_l n_j
-    blocks = np.einsum("ijl,jlrpq->ripjq", K * _weight_rows(mesh, idx)[..., None], Kn) / omega(mesh.n)
-    return BlockOperator(mesh, blocks.reshape(sp.blocks, idx.size * sp.size, -1), "T_K")
+    return BlockOperator(mesh, S)
 
 
 # -- off-boundary transforms -------------------------------------------------------
@@ -626,8 +550,8 @@ def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray
     return _from_spinor(out, mesh)
 
 
-def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> Multivector:
-    """Off-boundary Cauchy transform of f at the point w.
+def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> np.ndarray:
+    """Off-boundary Cauchy transform of f at the point w, as a coefficient array (d,).
 
     Refuses points classified NearBoundary.  Mixed points are evaluated:
     the transform is defined everywhere off the null cones of dM.  The naive
@@ -638,8 +562,7 @@ def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> Multivector:
     w = np.asarray(w, dtype=complex)
     if region_membership(w, mesh) is Region.NEAR_BOUNDARY:
         raise NearBoundaryError("evaluation point is numerically on the boundary")
-    alg = algebra(mesh.n)
-    return Multivector(alg, _transform_points(mesh, f.values, w[None, :])[0])
+    return _transform_points(mesh, f.values, w[None, :])[0]
 
 
 def cauchy_transform_points(

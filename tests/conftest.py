@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from plemelj.algebra import cauchy_kernel
-from plemelj.mesh import make_circle, make_deformed_curve, make_sphere
+from plemelj.algebra import algebra, cauchy_kernel
+from plemelj.mesh import _pushforward, make_circle, make_deformed_curve, make_sphere
 from plemelj.operators import BoundaryFunction
 
 
@@ -90,8 +90,25 @@ def quad_weights(mesh):
     """
     N = mesh.size
     idx = np.arange(N)
-    if mesh.curve_order and N % 2 == 0:
+    if mesh.theta is not None and N % 2 == 0:
         return ((idx[:, None] - idx[None, :]) % 2) * (2.0 * mesh.sigma)[None, :]
     W = np.tile(mesh.sigma, (N, 1))
     W[idx, idx] = 0.0
     return W
+
+
+def pairing(f, g):
+    """Oracle: the Clifford-bilinear pairing sum_j bar(f_j) g_j sigma_j, as coefficients (d,)."""
+    f._check(g)
+    alg = algebra(f.mesh.n)
+    return np.sum(alg.product(alg.bar(f.values), g.values) * f.mesh.sigma[:, None], axis=0)
+
+
+def make_flat_patch(N):
+    """Periodic straight line of length 2 pi, normal (0, 1), with an open chain of edges (flat-patch boundedness)."""
+    theta = 2 * np.pi * np.arange(N) / N
+    return _pushforward(
+        np.stack([theta, np.zeros(N)], axis=1).astype(complex), np.tile(np.array([0.0, 1.0], dtype=complex), (N, 1)),
+        2 * np.pi / N, np.stack([np.arange(N - 1), np.arange(1, N)], axis=1),
+        np.array([np.pi, -1.0], dtype=complex), np.array([np.pi, 1.0], dtype=complex), make_flat_patch, theta,
+    )

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from plemelj.algebra import (
-    Multivector,
     NullVectorError,
     OddDimensionComplexError,
     algebra,
     cauchy_kernel,
-    dirac_residual,
     is_null,
     vector_inverse,
     vector_square,
@@ -48,17 +46,18 @@ def test_unit_of_algebra():
 
 
 def test_null_vector_squares_to_zero():
-    z = Multivector.from_vector([1.0, 1j])
-    assert (z * z).norm() == 0.0
+    alg = algebra(2)
+    z = alg.embed_vector(np.array([1.0, 1j]))
+    assert alg.norm(alg.product(z, z)) == 0.0
 
 
 def test_bar_examples():
-    e1 = Multivector.basis(2, 1)
-    e12 = Multivector.basis(2, 1, 2)
-    one = Multivector.scalar(2, 1.0)
-    assert np.allclose(one.bar().coeffs, one.coeffs)
-    assert np.allclose(e1.bar().coeffs, -e1.coeffs)
-    assert np.allclose(e12.bar().coeffs, -e12.coeffs)
+    # coefficients over the blades 1, e1, e2, e12
+    alg = algebra(2)
+    one, e1, e12 = np.eye(4)[[0, 1, 3]]
+    assert np.allclose(alg.bar(one), one)
+    assert np.allclose(alg.bar(e1), -e1)
+    assert np.allclose(alg.bar(e12), -e12)
 
 
 def test_bar_antiautomorphism_and_involution():
@@ -70,26 +69,17 @@ def test_bar_antiautomorphism_and_involution():
     assert np.abs(alg.bar(alg.bar(a)) - a).max() == 0.0
 
 
-def test_star_examples():
-    e1 = Multivector.basis(2, 1)
-    e12 = Multivector.basis(2, 1, 2)
-    assert np.allclose(Multivector.scalar(2, 1.0).star().coeffs, [1, 0, 0, 0])
-    assert np.allclose((1j * e1).star().coeffs, (1j * e1).coeffs)
-    assert np.allclose(e12.star().coeffs, -e12.coeffs)
-
-
 def test_norm_examples():
-    e1 = Multivector.basis(2, 1)
-    assert e1.norm() == 1.0
-    m = Multivector.scalar(2, 3.0) + 4.0 * Multivector.basis(2, 1, 2)
-    assert m.norm() == 5.0
+    alg = algebra(2)
+    assert alg.norm(np.eye(4)[1]) == 1.0
+    assert alg.norm(np.array([3.0, 0.0, 0.0, 4.0])) == 5.0
 
 
 def test_scalar_part_of_a_abar_is_norm_squared():
     alg = algebra(3)
     rng = np.random.default_rng(3)
     for a in rng.normal(size=(100, alg.dim)):
-        val = alg.scalar_part(alg.product(a + 0j, alg.bar(a + 0j)))
+        val = alg.product(a + 0j, alg.bar(a + 0j))[0]
         assert abs(val - np.sum(a**2)) < 1e-12
 
 
@@ -209,48 +199,3 @@ def test_spinor_frame_block_diagonalises_even_elements(n):
                 o = (rho * sp.copies + k) * sp.size
                 want[o : o + sp.size, o : o + sp.size] = B
         assert np.abs(got - want).max() < 1e-13
-
-
-class TestDiracResidual:
-    def test_monogenic_linear(self):
-        def f(x):
-            out = np.zeros(x.shape[:-1] + (4,), dtype=complex)
-            out[..., 1] = x[..., 1]
-            out[..., 2] = x[..., 0]
-            return out
-
-        assert dirac_residual(f, 2, points=9) < 1e-13
-
-    def test_constant(self):
-        def f(x):
-            out = np.zeros(x.shape[:-1] + (4,), dtype=complex)
-            out[..., 0] = 2.0
-            return out
-
-        assert dirac_residual(f, 2) == 0.0
-
-    def test_kernel_translate_second_order(self):
-        y0 = np.array([3.0, 0.0])
-        alg = algebra(2)
-
-        def f(x):
-            return alg.embed_vector(cauchy_kernel((x - y0).astype(complex)))
-
-        r9 = dirac_residual(f, 2, points=9, half_width=0.5)
-        r17 = dirac_residual(f, 2, points=17, half_width=0.5)
-        assert r9 < 1e-2
-        assert r17 < 0.3 * r9  # ~ h^2
-
-    def test_right_side_and_complex_step(self):
-        y0 = np.array([0.0, 2.5])
-        alg = algebra(2)
-
-        def f(x):
-            return alg.embed_vector(cauchy_kernel((np.asarray(x, dtype=complex) - y0)))
-
-        assert dirac_residual(f, 2, points=9, side="right") < 1e-2
-        assert dirac_residual(f, 2, points=9, complex_step=True) < 1e-2
-
-    def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            dirac_residual(lambda x: np.zeros(x.shape[:-1] + (4,)), 2, points=2)

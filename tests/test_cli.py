@@ -139,15 +139,42 @@ def test_invalid_radius_exit_code(tmp_path, geometry, radius):
     [
         ("--eps", "nan", "eps must be a finite number"),
         ("--eps", "inf", "eps must be a finite number"),
+        ("--eps", "1e300", "normals or edge length is not finite"),
         ("--mode", "0", "mode must be an integer of at least 1"),
         ("--mode", "-2", "mode must be an integer of at least 1"),
     ],
 )
 def test_invalid_deformation_exit_code(tmp_path, flag, value, message):
-    # a non-finite eps printed RuntimeWarnings before "validation failed"
-    # (exit 2), and mode 0 or -2 ran silently (exit 0)
+    # a non-finite or huge eps printed RuntimeWarnings before "validation
+    # failed" (exit 2), and mode 0 or -2 ran silently (exit 0)
     args = ["--command", "verify", "--geometry", "deformed", "--N", "64", f"{flag}={value}"]
     assert message in _invalid_input_message(tmp_path, args)
+
+
+@pytest.mark.parametrize("geometry", ["circle", "sphere"])
+def test_huge_radius_exit_code(tmp_path, geometry):
+    # a finite but huge radius overflowed into RuntimeWarnings, "validation
+    # failed" (exit 2) and, from the mesh command, a total |sigma| of inf
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"radius": 1e300}')
+    args = ["--config", str(cfg_path), "--command", "mesh", "--geometry", geometry, "--N", "64"]
+    assert "normals or edge length is not finite" in _invalid_input_message(tmp_path, args)
+
+
+def test_large_finite_deformation_builds(tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, "--command", "mesh", "--geometry", "deformed", "--N", "64", "--eps", "1e150")
+    assert rc == 0
+    assert "pair margin 1," in capsys.readouterr().out
+
+
+def test_szego_ill_conditioned_exit_code(tmp_path, capsys):
+    # the circle's Kerzman-Stein system is I, condition estimate 1 > 0.5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cond_limit": 0.5}))
+    rc, _ = run_cli(tmp_path, "--config", str(cfg_path), "--command", "szego", "--N", "64")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ill-conditioned solve: ") and err.count("\n") == 1
 
 
 def test_maximal_does_not_import_scipy_stats(tmp_path):

@@ -6,10 +6,10 @@ from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import cone_parameters, make_circle, make_deformed_curve
 from plemelj.maximal import (
     _cone_block,
+    _family_nontangential,
     bound_diagnostics,
     default_radii,
     maximal_function,
-    nontangential_maximal,
 )
 from plemelj.operators import BoundaryFunction, l2_norm, omega
 
@@ -80,20 +80,14 @@ class TestMaximalFunction:
 class TestNontangentialMaximal:
     def test_constants(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
-        N = nontangential_maximal(circle128, one)
+        N = _family_nontangential(circle128, [one])[0]
         assert np.abs(N - 1.0).max() < 1e-6
 
     def test_kernel_trace_peaks_toward_pole(self, circle128):
         pole = np.array([3.0, 0.0])
         f = BoundaryFunction.kernel_trace(circle128, pole)
-        N = nontangential_maximal(circle128, f)
+        N = _family_nontangential(circle128, [f])[0]
         assert N[0] > np.median(N)  # node nearest the segment to the pole
-
-    def test_monotone_in_sample_count(self, circle128):
-        f = band_limited(circle128, seed=4)
-        N1 = nontangential_maximal(circle128, f, samples_per_cone=64)
-        N2 = nontangential_maximal(circle128, f, samples_per_cone=128)
-        assert np.all(N2 >= N1 - 1e-12)
 
     @pytest.mark.parametrize(
         "build",
@@ -117,14 +111,6 @@ class TestNontangentialMaximal:
             got = _from_spinor(_cone_block(mesh, pts[rows], cols), mesh)
             want = algebra(2).embed_vector(cauchy_kernel(pts[rows] - a))
             assert _relative_gap(got, want) <= 1e-12
-
-    def test_samples_outside_the_interior_are_refused(self):
-        # the interior form holds at interior points only, and the cone of
-        # cone_parameters guarantees them for its own 64 samples alone: on
-        # circle 32, 2 of 256 samples per cone leave the interior
-        mesh = make_circle(32)
-        with pytest.raises(ValueError, match="interior"):
-            nontangential_maximal(mesh, band_limited(mesh, seed=4), samples_per_cone=256)
 
 
 class TestBoundDiagnostics:
@@ -164,7 +150,6 @@ class TestBoundDiagnostics:
         for rep, f in zip(reps, band_limited_family(circle64, 4, seed=2)):
             want = per_function(circle64, f)
             assert _relative_gap(rep.nontangential, want) <= 1e-13
-            assert _relative_gap(nontangential_maximal(circle64, f), want) <= 1e-13
 
     def test_truncated_family_pass_matches_per_function(self, circle64, deformed128):
         # radius masks applied to the kernel blocks once for the family, against
@@ -235,7 +220,7 @@ class TestBoundDiagnostics:
     def test_constant_diagnostics(self, circle64):
         one = BoundaryFunction.constant(circle64, 1.0)
         M = maximal_function(circle64, one)
-        Nf = nontangential_maximal(circle64, one)
+        Nf = _family_nontangential(circle64, [one])[0]
         # C_N on constants is 1 up to the cone-sample quadrature floor
         cn = float(np.sqrt(np.sum(Nf**2 * circle64.sigma_abs))) / l2_norm(one)
         assert cn >= 1 - 1e-6

@@ -116,7 +116,7 @@ class TestCovariance:
         lhs, rhs, gap = covariance_check(one, one, km)
         # both sides are integrals of monogenic data: ~ 0 by the closed-
         # surface vanishing statement
-        assert lhs.norm() < 1e-12 and rhs.norm() < 1e-12
+        assert np.linalg.norm(lhs) < 1e-12 and np.linalg.norm(rhs) < 1e-12
 
     def test_random_data_gap_refines(self, circle256, circle512):
         gaps = []
@@ -136,8 +136,8 @@ class TestCovariance:
         # trace of left/right monogenic G(. - pole), pole outside
         f = BoundaryFunction.kernel_trace(circle256, np.array([0.0, 3.0]))
         lhs, rhs, gap = covariance_check(f, f, km)
-        assert lhs.norm() < 1e-8
-        assert rhs.norm() < 1e-3  # quadrature-level on the pulled-back side
+        assert np.linalg.norm(lhs) < 1e-8
+        assert np.linalg.norm(rhs) < 1e-3  # quadrature-level on the pulled-back side
 
 
 class TestIntertwining:

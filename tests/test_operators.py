@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, monogenic_linear, pair_kernel, quad_weights
-from plemelj.algebra import Multivector, algebra, cauchy_kernel
-from plemelj.mesh import make_circle, make_deformed_curve, make_flat_patch, make_sphere
+from conftest import band_limited, make_flat_patch, monogenic_linear, pair_kernel, pairing, quad_weights
+from plemelj.algebra import algebra, cauchy_kernel
+from plemelj.mesh import make_circle, make_deformed_curve, make_sphere
 from plemelj.operators import (
     BlockOperator,
     BoundaryFunction,
     NearBoundaryError,
-    assemble_adjoint_cauchy,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform,
     cauchy_transform_points,
-    generic_kernel_operator,
-    hermitian_inner,
     l2_norm,
     omega,
-    pairing,
     plemelj_projection,
     smooth_matrix_norm,
 )
@@ -61,10 +57,11 @@ class TestSpinorStorage:
 
         mesh = request.getfixturevalue(name)
         want = _dense_oracle(mesh)
+        C, A = assemble_singular_cauchy(mesh), assemble_kerzman_stein(mesh)
         got = {
-            "C": assemble_singular_cauchy(mesh),
-            "A": assemble_kerzman_stein(mesh),
-            "C*": assemble_adjoint_cauchy(mesh),
+            "C": C,
+            "A": A,
+            "C*": BlockOperator(mesh, C.matrix - A.matrix),
             "S+": plemelj_projection(mesh, "+"),
             "S-": plemelj_projection(mesh, "-"),
             "P+": szego_matrix(mesh, "+"),
@@ -315,17 +312,17 @@ class TestCauchyTransform:
     def test_constant_interior(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
         v = cauchy_transform(circle128, one, np.zeros(2))
-        assert np.abs(v.coeffs - [1, 0, 0, 0]).max() < 1e-10
+        assert np.abs(v - [1, 0, 0, 0]).max() < 1e-10
 
     def test_monogenic_reproduction(self, circle128):
         f = monogenic_linear(circle128)
         v = cauchy_transform(circle128, f, np.array([0.3, 0.0]))
-        assert np.abs(v.coeffs - [0, 0, 0.3, 0]).max() < 1e-8
+        assert np.abs(v - [0, 0, 0.3, 0]).max() < 1e-8
 
     def test_constant_exterior_vanishes(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
         v = cauchy_transform(circle128, one, np.array([3.0, 0.0]))
-        assert v.norm() < 1e-10
+        assert np.linalg.norm(v) < 1e-10
 
     def test_near_boundary_refused(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
@@ -335,7 +332,7 @@ class TestCauchyTransform:
     def test_deformed_reproduces_constants(self, deformed128):
         one = BoundaryFunction.constant(deformed128, 1.0)
         v = cauchy_transform(deformed128, one, np.zeros(2))
-        assert np.abs(v.coeffs - [1, 0, 0, 0]).max() < 1e-10
+        assert np.abs(v - [1, 0, 0, 0]).max() < 1e-10
 
 
 class TestSingularCauchy:
@@ -344,9 +341,7 @@ class TestSingularCauchy:
         one = BoundaryFunction.constant(circle128, 1.0)
         assert np.abs(C.apply(one).values - 0.5 * one.values).max() < 1e-14
         # any constant multivector
-        b = BoundaryFunction.constant(
-            circle128, Multivector(algebra(2), np.array([0.3, 1.0, -2.0, 0.5j]))
-        )
+        b = BoundaryFunction(circle128, np.tile([0.3, 1.0, -2.0, 0.5j], (circle128.size, 1)))
         assert np.abs(C.apply(b).values - 0.5 * b.values).max() < 1e-13
 
     def test_squares_to_quarter_identity(self, circle128, circle256):
@@ -375,15 +370,6 @@ class TestSingularCauchy:
         C = assemble_singular_cauchy(circle128)
         assert np.abs(C.dense().imag).max() < 1e-12
 
-    def test_kernel_negation_flips_sign(self, circle128):
-        C = assemble_singular_cauchy(circle128)
-        T = generic_kernel_operator(circle128, lambda d: -cauchy_kernel(d))
-        offdiag = C.dense()
-        d = C.block_dim
-        for i in range(circle128.size):
-            offdiag[i * d : (i + 1) * d, i * d : (i + 1) * d] = 0.0
-        assert np.abs(T.dense() + offdiag).max() < 1e-12
-
 
 class TestKerzmanStein:
     def test_circle_vanishes(self, circle128):
@@ -406,26 +392,14 @@ class TestKerzmanStein:
         assert k2 < 2 * k1
 
     def test_adjoint_of_cauchy_wrt_pairing(self, circle128):
+        # C* = C - A is the pairing transpose of C
         C = assemble_singular_cauchy(circle128)
-        Cs = assemble_adjoint_cauchy(circle128)
+        Cs = BlockOperator(circle128, C.matrix - assemble_kerzman_stein(circle128).matrix)
         f = band_limited(circle128, seed=1)
         g = band_limited(circle128, seed=2)
-        lhs = pairing(C.apply(f), g).coeffs
-        rhs = pairing(f, Cs.apply(g)).coeffs
+        lhs = pairing(C.apply(f), g)
+        rhs = pairing(f, Cs.apply(g))
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
-
-    def test_difference_identity_exact(self, circle128):
-        C = assemble_singular_cauchy(circle128)
-        A = assemble_kerzman_stein(circle128)
-        Cs = assemble_adjoint_cauchy(circle128)
-        assert np.abs(C.dense() - Cs.dense() - A.dense()).max() < 1e-15
-
-    def test_cstar_of_constants(self, circle128):
-        Cs = assemble_adjoint_cauchy(circle128)
-        A = assemble_kerzman_stein(circle128)
-        one = BoundaryFunction.constant(circle128, 1.0)
-        want = 0.5 * one.values - A.apply(one).values
-        assert np.abs(Cs.apply(one).values - want).max() < 1e-13
 
 
 class TestPlemeljProjections:
@@ -463,8 +437,8 @@ class TestPairingAndNorm:
         f = BoundaryFunction(circle128, fv)
         p = pairing(f, f)
         # bar(e1) e1 = -e1 e1 = 1, weighted by sigma_3
-        assert abs(p.coeffs[0] - circle128.sigma[3]) < 1e-14
-        assert np.abs(p.coeffs[1:]).max() < 1e-14
+        assert abs(p[0] - circle128.sigma[3]) < 1e-14
+        assert np.abs(p[1:]).max() < 1e-14
 
     def test_norm_positive_definite(self, circle128):
         f = band_limited(circle128, seed=3)
@@ -477,49 +451,6 @@ class TestPairingAndNorm:
         g = BoundaryFunction.constant(circle256, 1.0)
         with pytest.raises(ValueError):
             pairing(f, g)
-
-
-class TestGenericKernel:
-    def test_cauchy_kernel_reproduces_C(self, circle128):
-        C = assemble_singular_cauchy(circle128)
-        T = generic_kernel_operator(circle128, cauchy_kernel)
-        # differ only by the diagonal rule
-        diff = BlockOperator(circle128, C.matrix - T.matrix)
-        assert diff.max_block_norm(off_diagonal_only=True) < 1e-13
-        assert smooth_matrix_norm(C.dense() - T.dense(), circle128) < 1e-3
-
-    def test_zero_kernel(self, circle128):
-        T = generic_kernel_operator(circle128, lambda d: np.zeros_like(d))
-        assert np.abs(T.dense()).max() == 0.0
-
-    def test_scaled_odd_kernel_bounded(self):
-        # K(z) = G(z) * sqrt(z^2): odd, homogeneous of degree -(n-2)
-        def kern(d):
-            from plemelj.algebra import vector_square
-
-            s = np.sqrt(vector_square(d).astype(complex))
-            return cauchy_kernel(d) * s[..., None]
-
-        norms = [
-            generic_kernel_operator(make_circle(N), kern).operator_norm() for N in (64, 128, 256)
-        ]
-        for a, b in zip(norms, norms[1:]):
-            assert b <= 1.2 * a
-
-    def test_full_coefficient_kernel_rejected(self, circle128):
-        # only grade-1 kernels: K n must be even to be stored as spinor blocks
-        alg = algebra(2)
-        with pytest.raises(ValueError):
-            generic_kernel_operator(circle128, lambda d: alg.embed_vector(cauchy_kernel(d)))
-
-    def test_nonfinite_kernel_rejected(self, circle128):
-        def bad(d):
-            out = np.asarray(cauchy_kernel(d)).copy()
-            out[..., 0] = np.inf
-            return out
-
-        with pytest.raises(ValueError):
-            generic_kernel_operator(circle128, bad)
 
 
 class TestNearEvaluation:
@@ -611,10 +542,3 @@ def test_block_operator_algebra(circle128):
     assert np.abs(comp.values - seq.values).max() < 1e-12
     # the stored composition expands to the dense block-matrix product
     assert np.abs((Sp @ C).dense() - Sp.dense() @ C.dense()).max() < 1e-12
-
-
-def test_hermitian_inner_matches_weighted_dot(circle128):
-    f = band_limited(circle128, seed=6)
-    g = band_limited(circle128, seed=7)
-    want = np.sum(np.conj(f.values) * g.values * circle128.sigma_abs[:, None])
-    assert abs(hermitian_inner(f, g) - want) < 1e-12

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import plemelj
@@ -36,6 +37,11 @@ def test_kerzman_stein_path_runs_on_one_blas():
     assert importers == {"linsolve.py"}
 
 
+def _readme_python_blocks():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
 def _references(node, skip=None):
     for sub in ast.walk(node):
         name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
@@ -52,7 +58,7 @@ def test_kernel_sums_stay_on_spinor_blocks():
 
 def test_meshes_are_built_by_the_pushforward_step():
     # every builder is a map whose normals, measure and h come from one step
-    # (mesh._pushforward); only load_mesh takes them from a file
+    # (mesh._pushforward)
     src = Path(plemelj.__file__).parent
     callers = []
     for path in src.glob("*.py"):
@@ -66,19 +72,36 @@ def test_meshes_are_built_by_the_pushforward_step():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and "BoundaryMesh" in _references(node.func)
         ]
-    assert sorted(callers) == [("mesh.py", "_pushforward"), ("mesh.py", "load_mesh")]
+    assert callers == [("mesh.py", "_pushforward")]
 
 
 def test_every_private_function_is_referenced():
-    # a module-level helper whose last caller was deleted shows up here
+    # every module-level function, public or private, has a caller: another
+    # module of the package (not __init__), the acceptance suite or a python
+    # block of the README; a function whose last caller was deleted, or that
+    # only other tests call, shows up here.  Classes are exempt
     src = Path(plemelj.__file__).parent
     defined, used = set(), set()
     for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
         for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") and not stmt.name.endswith("__"):
-                defined.add(stmt.name)
-                own = stmt.name
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if own is not None:
+                defined.add(own)
             used.update(_references(stmt, skip=own))
+    for code in [(Path(__file__).parent / "test_acceptance.py").read_text(), *_readme_python_blocks()]:
+        used.update(_references(ast.parse(code)))
     orphans = sorted(defined - used)
     assert defined and not orphans, orphans
+
+
+def test_readme_quick_start_runs():
+    # the README's python blocks run as written; the transform at a point is
+    # its coefficient array
+    blocks = _readme_python_blocks()
+    assert blocks
+    for code in blocks:
+        namespace = {}
+        exec(code, namespace)
+    assert namespace["value"].shape == (4,)
