@@ -36,7 +36,7 @@ from .mesh import (
     make_circle,
     make_deformed_curve,
     make_sphere,
-    region_membership,
+    region_membership_many,
     save_mesh,
     validate_domain_manifold,
 )
@@ -51,7 +51,6 @@ from .mobius import (
 from .operators import (
     BlockOperator,
     BoundaryFunction,
-    NearBoundaryError,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform,

@@ -8,6 +8,13 @@ lexicographically within each grade (scalar, e_1..e_n, e_12, e_13, ...).
 Products, the bar antiautomorphism, left/right multiplication matrices and
 the vector-valued Cauchy kernel are all driven by small precomputed tables;
 everything is branch-free and vectorizes over leading array axes.
+
+The Cauchy kernel's domain is decided here alone: it refuses u with
+|square(u)| <= NULL_TOL (1 + |u|^2), and for odd n it takes only real u,
+max |Im u| <= REAL_TOL (1 + max |Re u|) (_check_real_pairs).  The n = 2
+operators and regions take the null test from null coordinates
+(is_null_planar), the n = 3 ones take differences, real test and origin
+test from _real_differences.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ __all__ = [
     "vector_inverse",
     "vector_square",
 ]
+
+
+NULL_TOL = 1e-12  # the kernel refuses u with |square(u)| <= NULL_TOL (1 + |u|^2)
+REAL_TOL = 1e-14  # and takes u as real when max |Im u| <= REAL_TOL (1 + max |Re u|)
 
 
 class NullVectorError(ValueError):
@@ -63,7 +74,6 @@ class CliffordAlgebra:
         self.dim = 1 << n
 
         masks = sorted(range(self.dim), key=lambda m: (bin(m).count("1"), _bits(m)))
-        self.blade_masks = tuple(masks)
         self.blade_index = {m: i for i, m in enumerate(masks)}
         self.blades = tuple(_bits(m) for m in masks)
         self.grades = np.array([len(b) for b in self.blades], dtype=np.int64)
@@ -79,8 +89,6 @@ class CliffordAlgebra:
                     s = -s
                 sign[i, j] = s
                 target[i, j] = self.blade_index[mi ^ mj]
-        self.sign_table = sign
-        self.index_table = target
 
         structure = np.zeros((d, d, d))
         ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -233,9 +241,9 @@ def vector_square(z: np.ndarray):
 
 
 def null_tolerance(z: np.ndarray):
-    """Scale-invariant null-cone tolerance 1e-12 * (1 + |z|^2)."""
+    """The kernel's null-cone tolerance NULL_TOL * (1 + |z|^2)."""
     z = np.asarray(z, dtype=complex)
-    return 1e-12 * (1.0 + np.sum(np.abs(z) ** 2, axis=-1))
+    return NULL_TOL * (1.0 + np.sum(np.abs(z) ** 2, axis=-1))
 
 
 def is_null(z: np.ndarray):
@@ -271,9 +279,9 @@ def null_magnitudes(d: np.ndarray):
 
 
 def is_null_planar(d: np.ndarray) -> np.ndarray:
-    """is_null of n = 2 vectors given by their null coordinates d, plane first: |square(u)| <= 1e-12 (1 + |u|^2)."""
+    """is_null of n = 2 vectors given by their null coordinates d, plane first: |square(u)| <= NULL_TOL (1 + |u|^2)."""
     sq, r2 = null_magnitudes(d)
-    return sq <= 1e-12 * (1.0 + r2)
+    return sq <= NULL_TOL * (1.0 + r2)
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:
@@ -285,25 +293,56 @@ def vector_inverse(z: np.ndarray) -> np.ndarray:
     return z / s[..., None]
 
 
+def _check_real_pairs(points: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether the kernel takes every difference p_m - z_j of (M, n) points and (N, n) nodes as real.
+
+    Real means max |Im| <= REAL_TOL (1 + max |Re|) over the pairs and
+    components, taken from the coordinates' extremes (rounding is
+    monotone), so no difference is formed.  Complex differences raise
+    OddDimensionComplexError for odd n, where the kernel has no complex
+    values, and give False for even n.
+    """
+    if points.size == 0 or nodes.size == 0:
+        return True  # no pairs
+    a, b = (np.stack([x.real, x.imag]) for x in (points, nodes))
+    # max |a_m - b_j| over the pairs and components, of the real and of the imaginary parts
+    re, im = np.max(np.maximum(a.max(axis=1) - b.min(axis=1), b.max(axis=1) - a.min(axis=1)), axis=1)
+    if im <= REAL_TOL * (1.0 + re):
+        return True
+    if points.shape[-1] % 2:
+        raise OddDimensionComplexError("complex Cauchy kernel is single-valued only for even n")
+    return False
+
+
+def _real_differences(points: np.ndarray, nodes: np.ndarray):
+    """The kernel's n = 3 arguments x = p_m - z_j, component first (3, M, N), |x|^2 (M, N), and the pairs it refuses.
+
+    The refused pairs are those at the origin, |x|^2 <= NULL_TOL (1 + |x|^2).
+    Raises OddDimensionComplexError unless the differences are real
+    (_check_real_pairs); their imaginary parts are dropped.
+    """
+    _check_real_pairs(points, nodes)
+    p, z = (np.ascontiguousarray(a.real.T) for a in (points, nodes))
+    x = p[:, :, None] - z[:, None, :]  # component first in memory too
+    r2 = np.sum(x * x, axis=0)
+    return x, r2, r2 <= NULL_TOL * (1.0 + r2)
+
+
 def cauchy_kernel(z: np.ndarray) -> np.ndarray:
     """Vector-valued Cauchy kernel, as grade-1 components.
 
-    Real arguments use x / |x|^n for any n in 2..5.  Complex arguments
-    require even n, where (-1)^(n/2) * z * (z^2)^(-n/2) is a rational,
-    single-valued function of z off the null cone.
+    Real arguments (_check_real_pairs) use x / |x|^n for any n in 2..5.
+    Complex arguments require even n, where (-1)^(n/2) * z * (z^2)^(-n/2) is
+    a rational, single-valued function of z off the null cone.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    if np.max(np.abs(z.imag), initial=0.0) <= 1e-14 * (1.0 + np.max(np.abs(z.real), initial=0.0)):
+    if _check_real_pairs(z.reshape(-1, n), np.zeros((1, n))):
         x = z.real
         r2 = np.sum(x * x, axis=-1)
         if np.any(r2 <= null_tolerance(z)):
             raise NullVectorError("Cauchy kernel evaluated at the origin")
         return (x / r2[..., None] ** (n / 2)).astype(complex)
-    if n % 2:
-        raise OddDimensionComplexError(
-            "complex Cauchy kernel is single-valued only for even n"
-        )
     s = vector_square(z)
     if np.any(np.abs(s) <= null_tolerance(z)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra
-from .linsolve import BlockFactorization, factor_blocks, matmul
+from .linsolve import Factorization, factor, matmul
 from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
     BlockOperator,
@@ -86,7 +86,7 @@ def decompose(f: BoundaryFunction) -> HardyDecomposition:
     )
 
 
-def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> BlockFactorization:
+def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization:
     """LU factors of the spinor blocks of I - (C* - C) = I + A, computed once
     per mesh and kept next to A.
 
@@ -98,14 +98,14 @@ def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> BlockFa
 
 
 @per_mesh
-def _kerzman_stein_lu(mesh: BoundaryMesh) -> BlockFactorization:
+def _kerzman_stein_lu(mesh: BoundaryMesh) -> Factorization:
     # I + A in private column-major copies of A's blocks, which LAPACK
     # overwrites with their factors
     systems = [np.array(block, order="F") for block in assemble_kerzman_stein(mesh).matrix]
     idx = np.arange(systems[0].shape[0])
     for system in systems:
         system[idx, idx] += 1.0
-    return factor_blocks(systems)
+    return factor(systems)
 
 
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:

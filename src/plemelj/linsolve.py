@@ -1,10 +1,10 @@
 """Dense LU factorizations with condition monitoring, and the dense products
 and QR of the Kerzman-Stein path.
 
-factor LU-factors one matrix and estimates its 1-norm condition number
-(LAPACK gecon); factor_blocks does the same for every distinct spinor block
-of a block-diagonal system.  A factorization's check raises
-IllConditionedError when the estimate exceeds the caller's limit.
+factor LU-factors square matrices, such as the distinct spinor blocks of a
+block-diagonal system, and estimates each one's 1-norm condition number
+(LAPACK gecon).  Its record keeps the largest estimate, and its check
+raises IllConditionedError when that exceeds the caller's limit.
 
 This is the only module that imports scipy.linalg (on first use, so a
 command with no dense solve loads no scipy), and every threaded dense BLAS
@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BlockFactorization",
     "Factorization",
     "IllConditionedError",
     "factor",
-    "factor_blocks",
     "matmul",
     "qr",
 ]
@@ -42,10 +40,9 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Factorization:
-    """LU factors of a square matrix and its 1-norm condition estimate."""
+    """LU factors (lu, piv) of square matrices, one pair per matrix, and their largest 1-norm condition estimate."""
 
-    lu: np.ndarray
-    piv: np.ndarray
+    blocks: tuple
     cond: float
 
     def check(self, cond_limit: float) -> "Factorization":
@@ -55,57 +52,34 @@ class Factorization:
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve matrix by matrix; rhs is a stack (matrices, n, ...)."""
         import scipy.linalg
-        return scipy.linalg.lu_solve((self.lu, self.piv), np.asarray(rhs, dtype=complex))
+        return np.stack([scipy.linalg.lu_solve(f, np.asarray(b, dtype=complex)) for f, b in zip(self.blocks, rhs)])
 
 
-def factor(matrix: np.ndarray, cond_limit: float = 1e8) -> Factorization:
-    """LU-factor a dense matrix, which is left untouched; its 1-norm
-    condition estimate (LAPACK gecon) must not exceed cond_limit."""
-    return _factor_in_place(np.array(matrix, order="F"), cond_limit)
+def factor(matrices) -> Factorization:
+    """LU-factor square matrices and estimate their 1-norm condition numbers (LAPACK gecon).
 
-
-def _factor_in_place(matrix: np.ndarray, cond_limit: float) -> Factorization:
-    """factor, overwriting matrix with its LU factors when it is column-major."""
+    A column-major matrix is overwritten by its LU factors; any other is
+    copied first.  No limit is applied here: the caller applies its own
+    with Factorization.check.
+    """
     import scipy.linalg
-    # LAPACK lange sums each column in row order, as numpy's 1-norm of a
-    # row-major matrix does, and it is taken before getrf overwrites matrix
-    (lange,) = scipy.linalg.get_lapack_funcs(("lange",), (matrix,))
-    anorm = lange("1", matrix)
-    lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=True)
-    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
-    if info != 0:
-        raise RuntimeError(f"zgecon failed with info={info}")
-    return Factorization(lu, piv, float(1.0 / max(rcond, np.finfo(float).tiny))).check(cond_limit)
-
-
-@dataclass(frozen=True)
-class BlockFactorization:
-    """Factorizations of the distinct diagonal blocks of a block-diagonal system."""
-
-    blocks: tuple
-
-    @property
-    def cond(self) -> float:
-        """The largest 1-norm condition estimate over the blocks."""
-        return max(f.cond for f in self.blocks)
-
-    def check(self, cond_limit: float) -> "BlockFactorization":
-        """Raise IllConditionedError when the estimate exceeds cond_limit."""
-        if self.cond > cond_limit:
-            raise IllConditionedError(self.cond)
-        return self
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve block by block; rhs is a stack (blocks, n, ...)."""
-        return np.stack([f.solve(b) for f, b in zip(self.blocks, rhs)])
-
-
-def factor_blocks(matrices) -> BlockFactorization:
-    """LU-factor square matrices that the caller gives up, one factor call
-    each: a column-major matrix is overwritten by its LU factors.  The
-    caller applies its condition limit with BlockFactorization.check."""
-    return BlockFactorization(tuple(_factor_in_place(m, np.inf) for m in matrices))
+    blocks, conds = [], []
+    for matrix in matrices:
+        if not matrix.flags.f_contiguous:
+            matrix = np.array(matrix, order="F")
+        # LAPACK lange sums each column in row order, as numpy's 1-norm of a
+        # row-major matrix does, and it is taken before getrf overwrites matrix
+        (lange,) = scipy.linalg.get_lapack_funcs(("lange",), (matrix,))
+        anorm = lange("1", matrix)
+        lu, piv = scipy.linalg.lu_factor(matrix, overwrite_a=True)
+        rcond, info = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
+        if info != 0:
+            raise RuntimeError(f"zgecon failed with info={info}")
+        blocks.append((lu, piv))
+        conds.append(float(1.0 / max(rcond, np.finfo(float).tiny)))
+    return Factorization(tuple(blocks), max(conds))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

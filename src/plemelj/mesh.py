@@ -14,9 +14,11 @@ Region membership is decided by an index.  For n = 2, square(u) = -zeta eta
 with zeta = u1 + i u2 and eta = u1 - i u2, so a point is Interior when its
 zeta and its eta wind around the zeta- and eta-images of dM, Exterior when
 neither does, and Mixed when one does; there the transform of 1 is the
-idempotent (1 +- i e12)/2.  For real points at n = 3 the Gauss solid-angle
-sum (the transform of 1) rounds to 1 or 0.  Points on the null cone of a
-node, to the Cauchy kernel's tolerance, are NearBoundary.  For n = 2 a
+idempotent (1 +- i e12)/2.  For n = 3 the Gauss solid-angle sum (the
+transform of 1) rounds to 1 or 0.  The kernel's domain is algebra's
+(is_null_planar, _real_differences): a point is NearBoundary exactly where
+the kernel refuses a node pair, and at n = 3 has no region exactly where
+the kernel has no value.  For n = 2 a
 point inside both seed disks (about the seed's image in each null plane,
 missing the image of dM) takes the seed's region with no sum over the
 nodes: a winding number is constant on a disk that misses the polygon,
@@ -34,9 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    OddDimensionComplexError,
-    cauchy_kernel,
-    is_null,
+    NULL_TOL,
+    _real_differences,
     is_null_planar,
     null_coordinates,
     null_differences,
@@ -55,7 +56,6 @@ __all__ = [
     "make_circle",
     "make_deformed_curve",
     "make_sphere",
-    "region_membership",
     "region_membership_many",
     "save_mesh",
     "validate_domain_manifold",
@@ -432,15 +432,17 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     """Vectorized region classification; returns an object array of Region.
 
     NearBoundary means that some node pair fails the Cauchy kernel's own
-    null test |square(p - z_j)| <= 1e-12 (1 + |p - z_j|^2), so a point is
+    null test |square(p - z_j)| <= NULL_TOL (1 + |p - z_j|^2), so a point is
     NearBoundary exactly where the kernel refuses it.  Every other point is
     classified by index (module docstring), or by the seed disks that
     certify it (_seed_disks).  The points go in row_blocks of PAIR_BLOCK
     pairs, and every row is classified on its own.
 
-    No region exists for complex points at odd n (OddDimensionComplexError)
-    or on a mesh that does not enclose its interior seed, such as an open
-    chain of edges (ValueError).
+    No region exists at odd n for a row block whose differences with the
+    nodes the kernel does not take as real (OddDimensionComplexError, as
+    cauchy_transform_points raises on the same points), or on a mesh that
+    does not enclose its interior seed, such as an open chain of edges
+    (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     out = np.empty(points.shape[0], dtype=object)
@@ -451,8 +453,6 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
 
 def _region_blocks(points: np.ndarray, mesh: BoundaryMesh):
     """Yield (rows, regions of points[rows]) per row block of (P, n) points, in order."""
-    if mesh.n % 2 and np.any(points.imag):
-        raise OddDimensionComplexError("complex points have no region for odd n")
     if _regions(mesh.interior_seed[None, :], mesh)[0] is not Region.INTERIOR:
         raise ValueError("the boundary does not enclose its interior seed")
     for rows in row_blocks(points.shape[0], mesh.size):
@@ -482,16 +482,17 @@ def _regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
         q = np.abs(null_coordinates(points) - c)
         g = rad - q
         # |zeta_0(p - z_j) zeta_1(p - z_j)| >= g_0 g_1 and |p - z_j|^2 <= the bracket
-        inside = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] > 2e-12 * (1 + np.sum((q + far) ** 2, axis=1) / 2))
+        inside = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] > 2 * NULL_TOL * (1 + np.sum((q + far) ** 2, axis=1) / 2))
         out[inside] = seed
         if not inside.all():
             out[~inside] = _planar_regions(points[~inside], mesh)
         return out
-    u = points[:, None, :] - mesh.nodes[None, :, :]
-    far = ~np.any(is_null(u), axis=1)
-    # the scalar part of G(p - z) n is -G.n: the Gauss solid-angle sum
-    G = cauchy_kernel(u[far])
-    gauss = -np.real(np.einsum("pjk,jk,j->p", G, mesh.normals, mesh.sigma)) / (4 * np.pi)
+    x, r2, refused = _real_differences(points, mesh.nodes)
+    far = ~np.any(refused, axis=1)
+    # the scalar part of G(p - z) n is -G.n, G(x) = x / |x|^3: the Gauss solid-angle sum
+    r2 = r2[far]
+    G = x[:, far] / (r2 * np.sqrt(r2))
+    gauss = -np.einsum("kpj,jk->p", G, np.real(mesh.normals * mesh.sigma[:, None])) / (4 * np.pi)
     out[far] = np.where(gauss > 0.5, Region.INTERIOR, Region.EXTERIOR)
     return out
 
@@ -504,11 +505,6 @@ def _planar_regions(points: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
     zeta, eta = (_winding_numbers(dk if far.all() else dk[far]) != 0 for dk in d)
     out[far] = np.select([zeta & eta, zeta | eta], [Region.INTERIOR, Region.MIXED], Region.EXTERIOR)
     return out
-
-
-def region_membership(u, mesh: BoundaryMesh) -> Region:
-    """Classify one point as Interior, Exterior, Mixed or NearBoundary."""
-    return region_membership_many(np.asarray(u, dtype=complex)[None, :], mesh)[0]
 
 
 # -- approach cones -------------------------------------------------------------

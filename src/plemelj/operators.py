@@ -26,6 +26,9 @@ a vector swaps the null planes.  No (N, N) array of reciprocals or weights
 is kept.  For n = 3 a block of G(u) = u / |u|^3 (_surface_rows) times a
 vector is a closed-form sum of the blocks B(e_l e_k) (_vector_blocks); C and
 A come from one row-blocked pass that evaluates G once (_surface_operators).
+The kernel's domain is algebra's: _null_rows takes its null test
+(is_null_planar), _surface_rows its real differences and origin test
+(_real_differences).
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -48,7 +51,7 @@ import numpy as np
 
 from .algebra import (
     NullVectorError,
-    OddDimensionComplexError,
+    _real_differences,
     algebra,
     cauchy_kernel,
     is_null_planar,
@@ -56,12 +59,11 @@ from .algebra import (
     null_differences,
 )
 from .linsolve import matmul, qr
-from .mesh import BoundaryMesh, Region, _validated, per_mesh, region_membership, row_blocks
+from .mesh import BoundaryMesh, _validated, per_mesh, row_blocks
 
 __all__ = [
     "BlockOperator",
     "BoundaryFunction",
-    "NearBoundaryError",
     "PROJECTION_COEFFS",
     "assemble_kerzman_stein",
     "assemble_singular_cauchy",
@@ -74,10 +76,6 @@ __all__ = [
     "smooth_matrix_norm",
     "weighted_norm",
 ]
-
-
-class NearBoundaryError(ValueError):
-    """Transform evaluation requested on or numerically on the boundary."""
 
 
 def omega(n: int) -> float:
@@ -205,15 +203,12 @@ class BlockOperator:
         sv = np.linalg.svd(self._weighted(), compute_uv=False)
         return -np.sort(-np.repeat(sv.reshape(-1), algebra(self.mesh.n).spinor.copies))
 
-    def max_block_norm(self, off_diagonal_only: bool = False) -> float:
+    def max_block_norm(self) -> float:
         """Largest Frobenius norm of a d x d node block (T is unitary, so copies add up)."""
         sp = algebra(self.mesh.n).spinor
         N = self.mesh.size
         blocks = self.matrix.reshape(sp.blocks, N, sp.size, N, sp.size)
-        norms = np.sqrt(sp.copies * np.sum(np.abs(blocks) ** 2, axis=(0, 2, 4)))
-        if off_diagonal_only:
-            np.fill_diagonal(norms, 0.0)
-        return float(norms.max())
+        return float(np.sqrt(sp.copies * np.sum(np.abs(blocks) ** 2, axis=(0, 2, 4))).max())
 
     def dense(self) -> np.ndarray:
         """The (N d) x (N d) Clifford block matrix (for tests and oracles)."""
@@ -232,9 +227,9 @@ class BlockOperator:
 # -- smooth test family ----------------------------------------------------------
 
 
-def _node_weights(mesh: BoundaryMesh, size: int = None) -> np.ndarray:
-    """Diagonal of W = sqrt|sigma|, size entries per node (default d, one per coefficient)."""
-    return np.repeat(np.sqrt(mesh.sigma_abs), algebra(mesh.n).dim if size is None else size)
+def _node_weights(mesh: BoundaryMesh, size: int) -> np.ndarray:
+    """Diagonal of W = sqrt|sigma|, size entries per node."""
+    return np.repeat(np.sqrt(mesh.sigma_abs), size)
 
 
 @per_mesh
@@ -317,18 +312,11 @@ def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
     return W
 
 
-def _off_null(dz: np.ndarray) -> np.ndarray:
-    """Null differences (2, M, N), checked as cauchy_kernel checks square(u) = -zeta eta."""
-    if np.any(is_null_planar(dz)):
-        raise NullVectorError("Cauchy kernel evaluated on the null cone")
-    return dz
-
-
 def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
     """Reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N) at (M, 2) points (n = 2), 0 at the pairs (m, skip[m]).
 
-    The differences are checked against the null cones first (_off_null),
-    with the skipped pairs parked off them, so this raises NullVectorError
+    The differences take the kernel's null test first (algebra.is_null_planar),
+    with the skipped pairs parked off the cones, so this raises NullVectorError
     wherever cauchy_kernel does on a pair that is not skipped.  At the
     nodes, each skipping itself, the rows of all blocks make an
     antisymmetric R, bit for bit.
@@ -337,8 +325,10 @@ def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
     pairs = (slice(None), np.arange(points.shape[0]), skip)
     if skip is not None:
         dz[pairs] = 1.0  # placeholder off the null cones
+    if np.any(is_null_planar(dz)):
+        raise NullVectorError("Cauchy kernel evaluated on the null cone")
     R = np.empty(dz.shape, dtype=complex)  # plane first in memory too, unlike dz
-    np.reciprocal(_off_null(dz), out=R)
+    np.reciprocal(dz, out=R)
     if skip is not None:
         R[pairs] = 0.0
     return R
@@ -352,29 +342,18 @@ def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W) -> np.ndarray:
     return out
 
 
-def _check_real_pairs(points: np.ndarray, nodes: np.ndarray) -> None:
-    """Raise OddDimensionComplexError unless cauchy_kernel takes every p_m - z_j as real (n = 3):
-    max |Im| <= 1e-14 (1 + max |Re|), from the coordinates' extremes (rounding is monotone)."""
-    a, b = (np.stack([x.real, x.imag]) for x in (points, nodes))
-    # max |a_m - b_j| over the pairs and components, of the real and of the imaginary parts
-    re, im = np.max(np.maximum(a.max(axis=1) - b.min(axis=1), b.max(axis=1) - a.min(axis=1)), axis=1)
-    if not im <= 1e-14 * (1.0 + re):
-        raise OddDimensionComplexError("complex Cauchy kernel is single-valued only for even n")
-
-
 def _surface_rows(mesh: BoundaryMesh, points: np.ndarray, skip, W) -> np.ndarray:
     """(1/omega) G(p_m - z_j) W_mj, G(x) = x / |x|^3, component first (3, M, N) at (M, 3) points, 0 at (m, skip[m]).
 
-    The caller has found the differences x real (_check_real_pairs).  The origin test is
-    cauchy_kernel's, |x|^2 <= null_tolerance(x), with the skipped pairs parked off it.
+    The differences x, their real test and their origin test are the
+    kernel's (algebra._real_differences); the skipped pairs are let through.
     """
-    p, z = (np.ascontiguousarray(a.real.T) for a in (points, mesh.nodes))
-    x = p[:, :, None] - z[:, None, :]  # component first in memory too
-    r2 = np.sum(x * x, axis=0)
+    x, r2, refused = _real_differences(points, mesh.nodes)
     pairs = (np.arange(points.shape[0]), skip)
     if skip is not None:
+        refused[pairs] = False
         r2[pairs] = 1.0  # placeholder off the origin
-    if np.any(r2 <= 1e-12 * (1.0 + r2)):
+    if np.any(refused):
         raise NullVectorError("Cauchy kernel evaluated at the origin")
     scale = (W / omega(3)) * (1.0 / (r2 * np.sqrt(r2)))
     if skip is not None:
@@ -412,11 +391,10 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> 
     null pairs R of _null_rows by C's own arithmetic (_cauchy_rows); for
     n = 3 from _surface_rows and _vector_blocks.  Raises NullVectorError
     wherever cauchy_kernel(p_m - z_j) does on a pair that is not skipped,
-    and OddDimensionComplexError on complex n = 3 points.
+    and OddDimensionComplexError where the n = 3 differences are complex.
     """
     if mesh.n == 2:
         return _cauchy_rows(_null_rows(mesh, points, skip), null_coordinates(mesh.normals).T, W)
-    _check_real_pairs(points, mesh.nodes)
     return _vector_blocks(_surface_rows(mesh, points, skip, W), mesh.normals).reshape(1, 2 * len(points), -1)
 
 
@@ -455,13 +433,11 @@ def _curve_operators(mesh: BoundaryMesh) -> tuple:
 def _surface_operators(mesh: BoundaryMesh) -> tuple:
     """C with its diagonal blocks still open, and A, for n = 3: (1, 2N, 2N) each, from one row-blocked pass.
 
-    The differences are found real once for the whole pass (_check_real_pairs).
     Each row block takes G(z_i - z_j) sigma_j / omega once (_surface_rows):
     C's rows are the blocks of G n_j, and A's rows those of G n_j + n_i G
     (_vector_blocks).  The punctured rule's weights are sigma_j wherever G is not 0.
     """
     N = mesh.size
-    _check_real_pairs(mesh.nodes, mesh.nodes)
     C, A = np.empty((2, 1, N, 2, N, 2), dtype=complex)
     idx = np.arange(N)
     for rows in row_blocks(N, N):
@@ -553,16 +529,14 @@ def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray
 def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> np.ndarray:
     """Off-boundary Cauchy transform of f at the point w, as a coefficient array (d,).
 
-    Refuses points classified NearBoundary.  Mixed points are evaluated:
-    the transform is defined everywhere off the null cones of dM.  The naive
-    quadrature is spectrally accurate away from dM and degrades like h/dist
-    close to it; use cauchy_transform_points(..., subtract_node=...) for
-    controlled near-boundary evaluation.
+    Raises NullVectorError where the kernel refuses a node pair, exactly at
+    the points region_membership_many classifies NearBoundary.  Mixed points
+    are evaluated: the transform is defined everywhere off the null cones of
+    dM.  The naive quadrature is spectrally accurate away from dM and
+    degrades like h/dist close to it; use cauchy_transform_points(...,
+    subtract_node=...) for controlled near-boundary evaluation.
     """
-    w = np.asarray(w, dtype=complex)
-    if region_membership(w, mesh) is Region.NEAR_BOUNDARY:
-        raise NearBoundaryError("evaluation point is numerically on the boundary")
-    return _transform_points(mesh, f.values, w[None, :])[0]
+    return _transform_points(mesh, f.values, np.asarray(w, dtype=complex)[None, :])[0]
 
 
 def cauchy_transform_points(

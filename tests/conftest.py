@@ -51,19 +51,6 @@ def sphere162():
     return make_sphere(162)
 
 
-def band_limited(mesh, seed=0, modes=8, count=1):
-    """Random trigonometric test functions on a curve mesh."""
-    rng = np.random.default_rng(seed)
-    ms = np.arange(-modes, modes + 1)
-    d = 1 << mesh.n
-    out = []
-    for _ in range(count):
-        coef = rng.normal(size=(ms.size, d)) + 1j * rng.normal(size=(ms.size, d))
-        vals = np.exp(1j * np.outer(mesh.theta, ms)) @ coef / np.sqrt(ms.size)
-        out.append(BoundaryFunction(mesh, vals))
-    return out if count > 1 else out[0]
-
-
 def monogenic_linear(mesh):
     """Trace of x1 e2 + x2 e1, a two-sided monogenic polynomial (n = 2)."""
     vals = np.zeros((mesh.size, 4), dtype=complex)

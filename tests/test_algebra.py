@@ -119,6 +119,7 @@ class TestCauchyKernel:
             g = cauchy_kernel(x.astype(complex))
             ref = x / np.sum(x * x, axis=1)[:, None] ** (n / 2)
             assert np.abs(g - ref).max() < 1e-12
+            assert cauchy_kernel(np.zeros((0, n))).shape == (0, n)
 
     def test_complex_matches_vector_inverse_powers(self):
         # (-1)^(n/2) z (z^2)^(-n/2) equals repeated multiplication by z^{-1}

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, pair_kernel
+from conftest import pair_kernel
 from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import cone_parameters, make_circle, make_deformed_curve
 from plemelj.maximal import (
     _cone_block,
     _family_nontangential,
+    band_limited_family,
     bound_diagnostics,
     default_radii,
     maximal_function,
@@ -42,7 +43,7 @@ class TestMaximalFunction:
         assert M[0] > 10 * M[64]
 
     def test_lower_bound_at_smallest_radius(self, circle128):
-        f = band_limited(circle128, seed=0)
+        f = band_limited_family(circle128, 1, seed=0)[0]
         from plemelj.algebra import algebra
 
         norms = algebra(2).norm(f.values)
@@ -51,8 +52,8 @@ class TestMaximalFunction:
         assert np.all(M >= norms - 0.2 * np.abs(norms).max())
 
     def test_sublinear_and_homogeneous(self, circle128):
-        f = band_limited(circle128, seed=1)
-        g = band_limited(circle128, seed=2)
+        f = band_limited_family(circle128, 1, seed=1)[0]
+        g = band_limited_family(circle128, 1, seed=2)[0]
         Mf = maximal_function(circle128, f)
         Mg = maximal_function(circle128, g)
         Mfg = maximal_function(circle128, f + g)
@@ -60,7 +61,7 @@ class TestMaximalFunction:
         assert np.abs(maximal_function(circle128, (2.5j) * f) - 2.5 * Mf).max() < 1e-12
 
     def test_monotone_under_schedule_extension(self, circle128):
-        f = band_limited(circle128, seed=3)
+        f = band_limited_family(circle128, 1, seed=3)[0]
         radii = default_radii(circle128)
         M1 = maximal_function(circle128, f, radii[:3])
         M2 = maximal_function(circle128, f, radii)
@@ -132,7 +133,6 @@ class TestBoundDiagnostics:
         # contraction of one function at a time, in the barycentric form
         # num(1)^-1 num(S+ f) with num(g) = sum_j G(p - z_j) n_j sigma_j g_j;
         # the summation order differs, so the bound is complex128 rounding
-        from plemelj.maximal import band_limited_family
         from plemelj.mesh import _cone_samples
         from plemelj.operators import plemelj_projection
 
@@ -154,7 +154,7 @@ class TestBoundDiagnostics:
     def test_truncated_family_pass_matches_per_function(self, circle64, deformed128):
         # radius masks applied to the kernel blocks once for the family, against
         # the Clifford kernel contraction of one function at a time
-        from plemelj.maximal import _family_truncated_sup, _pair_distances, band_limited_family
+        from plemelj.maximal import _family_truncated_sup, _pair_distances
 
         def per_function(mesh, f, radii):
             G = pair_kernel(mesh)

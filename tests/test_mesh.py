@@ -15,7 +15,6 @@ from plemelj.mesh import (
     make_circle,
     make_deformed_curve,
     make_sphere,
-    region_membership,
     region_membership_many,
     save_mesh,
     validate_domain_manifold,
@@ -303,9 +302,9 @@ def _boundary_distance(points, mesh):
 class TestRegionMembership:
     def test_seeds_and_nodes(self, circle128):
         m = circle128
-        assert region_membership(np.zeros(2), m) is Region.INTERIOR
-        assert region_membership(np.array([3.0, 0.0]), m) is Region.EXTERIOR
-        assert region_membership(m.nodes[1], m) is Region.NEAR_BOUNDARY
+        assert region_membership_many(np.zeros(2), m)[0] is Region.INTERIOR
+        assert region_membership_many(np.array([3.0, 0.0]), m)[0] is Region.EXTERIOR
+        assert region_membership_many(m.nodes[1], m)[0] is Region.NEAR_BOUNDARY
 
     def test_random_ring_points(self, circle512):
         rng = np.random.default_rng(3)
@@ -320,12 +319,12 @@ class TestRegionMembership:
     def test_near_boundary_both_sides(self, circle256):
         m = circle256
         for s in (0.05, 1e-3, 1e-5):
-            assert region_membership(m.nodes[10] * (1 - s), m) is Region.INTERIOR
-            assert region_membership(m.nodes[10] * (1 + s), m) is Region.EXTERIOR
+            assert region_membership_many(m.nodes[10] * (1 - s), m)[0] is Region.INTERIOR
+            assert region_membership_many(m.nodes[10] * (1 + s), m)[0] is Region.EXTERIOR
 
     def test_sphere(self, sphere162):
-        assert region_membership(np.zeros(3), sphere162) is Region.INTERIOR
-        assert region_membership(np.array([3.0, 0, 0]), sphere162) is Region.EXTERIOR
+        assert region_membership_many(np.zeros(3), sphere162)[0] is Region.INTERIOR
+        assert region_membership_many(np.array([3.0, 0, 0]), sphere162)[0] is Region.EXTERIOR
 
     @pytest.mark.parametrize("fixture", ["circle128", "deformed128"])
     def test_mixed_points(self, fixture, request):
@@ -374,22 +373,31 @@ class TestRegionMembership:
         assert m.n == 3 or Region.MIXED in set(expected)
         assert np.array_equal(regs, expected)
 
-    @pytest.mark.parametrize("fixture", ["circle128", "deformed128"])
+    @pytest.mark.parametrize("fixture", ["circle128", "deformed128", "sphere162"])
     def test_near_boundary_exactly_where_the_kernel_refuses(self, fixture, request):
         from plemelj.algebra import NullVectorError
         from plemelj.operators import _kernel_blocks
 
         m = request.getfixturevalue(fixture)
         rng = np.random.default_rng(11)
-        pts = rng.uniform(-1.6, 1.6, (100, 2)) + 1j * rng.normal(scale=0.5, size=(100, 2))
-        # planted on the null cone of a node, t (1, i) away from it, then
-        # moved off it by delta (1, -i): |square| = 4 |delta t| against the
-        # tolerance 1e-12 (1 + |u|^2), so the plants straddle the test
         j = rng.integers(0, m.size, 200)
-        t = rng.uniform(0.01, 2.0, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
-        delta = 10.0 ** rng.uniform(-15, -10, 200)
-        planted = m.nodes[j] + t[:, None] * np.array([1, 1j]) + delta[:, None] * np.array([1, -1j])
-        far = np.array([[1e12, 0.3 + 1e12j]])  # far out along a null direction
+        if m.n == 2:
+            pts = rng.uniform(-1.6, 1.6, (100, 2)) + 1j * rng.normal(scale=0.5, size=(100, 2))
+            # planted on the null cone of a node, t (1, i) away from it, then
+            # moved off it by delta (1, -i): |square| = 4 |delta t| against the
+            # tolerance 1e-12 (1 + |u|^2), so the plants straddle the test
+            t = rng.uniform(0.01, 2.0, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+            delta = 10.0 ** rng.uniform(-15, -10, 200)
+            planted = m.nodes[j] + t[:, None] * np.array([1, 1j]) + delta[:, None] * np.array([1, -1j])
+            far = np.array([[1e12, 0.3 + 1e12j]])  # far out along a null direction
+        else:
+            pts = rng.uniform(-1.6, 1.6, (100, 3))
+            # planted r = 1e-7 ... 1e-5 from a node: r^2 against the origin
+            # test's tolerance 1e-12 (1 + r^2), so the plants straddle it
+            u = rng.normal(size=(200, 3))
+            u *= (10.0 ** rng.uniform(-7, -5, 200) / np.linalg.norm(u, axis=1))[:, None]
+            planted = m.nodes[j] + u
+            far = np.empty((0, 3))  # a real direction is never null
         pts = np.concatenate([pts, planted, m.nodes[:5], far])
         refused = []
         for p in pts:
@@ -402,13 +410,29 @@ class TestRegionMembership:
         assert np.array_equal(near, refused)
         assert 20 < near[100:300].sum() < 180 and near[300:].all() and not near[:100].any()
 
+    def test_odd_n_regions_and_transforms_take_the_kernels_real_test(self, sphere42):
+        # a point the kernel takes as real has a region and a transform, and
+        # one it refuses has neither
+        from plemelj.algebra import OddDimensionComplexError
+        from plemelj.operators import BoundaryFunction, cauchy_transform, cauchy_transform_points
+
+        one = BoundaryFunction.constant(sphere42)
+        p = np.array([0.1, 0.0, 1e-20j])
+        assert region_membership_many(p, sphere42)[0] is Region.INTERIOR
+        assert np.array_equal(cauchy_transform(sphere42, one, p), cauchy_transform_points(sphere42, one, p)[0])
+        q = np.array([0.1j, 0.0, 0.0])
+        with pytest.raises(OddDimensionComplexError):
+            region_membership_many(q, sphere42)
+        with pytest.raises(OddDimensionComplexError):
+            cauchy_transform(sphere42, one, q)
+
     def test_undefined_regions_raise(self, sphere162):
         from plemelj.algebra import OddDimensionComplexError
 
         with pytest.raises(ValueError, match="interior seed"):
-            region_membership(np.array([3.0, 0.0]), make_flat_patch(64))
+            region_membership_many(np.array([3.0, 0.0]), make_flat_patch(64))
         with pytest.raises(OddDimensionComplexError):
-            region_membership(np.array([0.1j, 0.0, 0.0]), sphere162)
+            region_membership_many(np.array([0.1j, 0.0, 0.0]), sphere162)
 
 
 class TestCones:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited
 from plemelj.algebra import NullVectorError, algebra, cauchy_kernel, vector_inverse
+from plemelj.maximal import band_limited_family
 from plemelj.mesh import make_circle
 from plemelj.mobius import (
     covariance_check,
@@ -49,8 +49,8 @@ class TestTransplant:
 
     def test_linear_in_g(self, circle128):
         km = kelvin_map(circle128, A_DEFAULT)
-        f = band_limited(circle128, seed=1)
-        g = band_limited(circle128, seed=2)
+        f = band_limited_family(circle128, 1, seed=1)[0]
+        g = band_limited_family(circle128, 1, seed=2)[0]
         lhs = transplant(f + (0.5 - 2j) * g, km)
         rhs = transplant(f, km) + (0.5 - 2j) * transplant(g, km)
         assert np.abs(lhs.values - rhs.values).max() < 1e-12
@@ -86,7 +86,7 @@ class TestIsometry:
         for N in (128, 256, 512):
             m = make_circle(N)
             km = kelvin_map(m, A_DEFAULT)
-            g = band_limited(m, seed=3)
+            g = band_limited_family(m, 1, seed=3)[0]
             gaps.append(isometry_check(g, km)["relative_gap"])
         assert gaps[1] < 1e-3
         assert gaps[2] <= 0.5 * gaps[1]
@@ -122,8 +122,8 @@ class TestCovariance:
         gaps = []
         for m in (circle256, circle512):
             km = kelvin_map(m, A_DEFAULT)
-            f = band_limited(m, seed=4)
-            g = band_limited(m, seed=5)
+            f = band_limited_family(m, 1, seed=4)[0]
+            g = band_limited_family(m, 1, seed=5)[0]
             f = (1.0 / l2_norm(f)) * f
             g = (1.0 / l2_norm(g)) * g
             _, _, gap = covariance_check(f, g, km)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, make_flat_patch, monogenic_linear, pair_kernel, pairing, quad_weights
-from plemelj.algebra import algebra, cauchy_kernel
+from conftest import make_flat_patch, monogenic_linear, pair_kernel, pairing, quad_weights
+from plemelj.algebra import NullVectorError, algebra, cauchy_kernel
+from plemelj.maximal import band_limited_family
 from plemelj.mesh import make_circle, make_deformed_curve, make_sphere
 from plemelj.operators import (
     BlockOperator,
     BoundaryFunction,
-    NearBoundaryError,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform,
@@ -120,7 +120,7 @@ class TestSurfaceKernelBlocks:
         # whole argument and its origin test; a skipped pair raises nothing
         import dataclasses
 
-        from plemelj.algebra import NullVectorError, OddDimensionComplexError
+        from plemelj.algebra import OddDimensionComplexError
         from plemelj.operators import _kernel_blocks
 
         def outcome(fn):
@@ -165,7 +165,7 @@ class TestPlanarKernelBlocks:
         # The reciprocal rows see p as node k, across the curve from node 5.
         import dataclasses
 
-        from plemelj.algebra import NullVectorError, null_tolerance
+        from plemelj.algebra import null_tolerance
         from plemelj.operators import _kernel_blocks, _null_rows
 
         def raises(fn):
@@ -326,7 +326,7 @@ class TestCauchyTransform:
 
     def test_near_boundary_refused(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
-        with pytest.raises(NearBoundaryError):
+        with pytest.raises(NullVectorError):
             cauchy_transform(circle128, one, circle128.nodes[0])
 
     def test_deformed_reproduces_constants(self, deformed128):
@@ -352,7 +352,7 @@ class TestSingularCauchy:
 
     def test_apply_squared_to_random(self, circle128):
         C = assemble_singular_cauchy(circle128)
-        f = band_limited(circle128, seed=11)
+        f = band_limited_family(circle128, 1, seed=11)[0]
         g = C.apply(C.apply(f))
         assert l2_norm(g - 0.25 * f) / l2_norm(f) < 1e-3
 
@@ -395,8 +395,8 @@ class TestKerzmanStein:
         # C* = C - A is the pairing transpose of C
         C = assemble_singular_cauchy(circle128)
         Cs = BlockOperator(circle128, C.matrix - assemble_kerzman_stein(circle128).matrix)
-        f = band_limited(circle128, seed=1)
-        g = band_limited(circle128, seed=2)
+        f = band_limited_family(circle128, 1, seed=1)[0]
+        g = band_limited_family(circle128, 1, seed=2)[0]
         lhs = pairing(C.apply(f), g)
         rhs = pairing(f, Cs.apply(g))
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
@@ -441,7 +441,7 @@ class TestPairingAndNorm:
         assert np.abs(p[1:]).max() < 1e-14
 
     def test_norm_positive_definite(self, circle128):
-        f = band_limited(circle128, seed=3)
+        f = band_limited_family(circle128, 1, seed=3)[0]
         assert l2_norm(f) > 0
         zero = BoundaryFunction.constant(circle128, 0.0)
         assert l2_norm(zero) == 0.0
@@ -464,7 +464,7 @@ class TestNearEvaluation:
         assert np.abs(vals - target.values).max() < 1e-6
 
     def test_exterior_subtracted_limit(self, circle256):
-        f = band_limited(circle256, seed=5)
+        f = band_limited_family(circle256, 1, seed=5)[0]
         Sm = plemelj_projection(circle256, "-")
         target = -1.0 * Sm.apply(f)
         idx = np.arange(circle256.size)
@@ -477,7 +477,6 @@ class TestNearEvaluation:
         # sum_j G(p - z_j) n_j W_ij (f_j - f_i) / omega + chi f_i as Clifford
         # coefficient contractions, against the spinor-block sum, at points
         # along the normals on both sides
-        from plemelj.maximal import band_limited_family
         from plemelj.operators import _weight_rows
 
         mesh = {
@@ -507,7 +506,6 @@ class TestNearEvaluation:
     def test_weighted_null_pair_raises(self, circle64):
         # the point is node 1; in node 0's row its pair carries the weight
         # 2 sigma, so it cannot be dropped
-        from plemelj.algebra import NullVectorError
         from plemelj.operators import _weight_rows
 
         assert _weight_rows(circle64, np.array([0]))[0, 1] != 0.0
@@ -530,8 +528,8 @@ def test_block_singular_values_match_dense_svd():
 def test_block_operator_algebra(circle128):
     C = assemble_singular_cauchy(circle128)
     Sp = plemelj_projection(circle128, "+")
-    f = band_limited(circle128, seed=9)
-    g = band_limited(circle128, seed=10)
+    f = band_limited_family(circle128, 1, seed=9)[0]
+    g = band_limited_family(circle128, 1, seed=10)[0]
     # linearity of application
     lhs = C.apply(f + 2j * g)
     rhs = C.apply(f) + 2j * C.apply(g)

@@ -56,6 +56,20 @@ def test_kernel_sums_stay_on_spinor_blocks():
     assert not set(_references(tree)) & {"generator_left", "left_vector_matrix", "left_matrix"}
 
 
+def test_kernel_tolerances_are_defined_only_in_algebra():
+    # the Cauchy kernel's domain (its null and real tests) is decided in
+    # algebra; the modules that evaluate the kernel or classify regions
+    # write no tolerance of their own
+    src = Path(plemelj.__file__).parent
+    found = [
+        (name, node.lineno, node.value)
+        for name in ("mesh.py", "operators.py")
+        for node in ast.walk(ast.parse((src / name).read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value in (1e-12, 2e-12, 1e-14)
+    ]
+    assert not found, found
+
+
 def test_meshes_are_built_by_the_pushforward_step():
     # every builder is a map whose normals, measure and h come from one step
     # (mesh._pushforward)
