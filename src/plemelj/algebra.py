@@ -11,7 +11,8 @@ everything is branch-free and vectorizes over leading array axes.
 
 The Cauchy kernel's domain is decided here alone: it refuses u with
 |square(u)| <= NULL_TOL (1 + |u|^2), and for odd n it takes only real u,
-max |Im u| <= REAL_TOL (1 + max |Re u|) (_check_real_pairs).  The n = 2
+max |Im u| <= REAL_TOL (1 + max |Re u|), the maxima over the differences
+u = p - z_j of each point p (_check_real_pairs).  The n = 2
 operators and regions take the null test from null coordinates
 (is_null_planar), the n = 3 ones take differences, real test and origin
 test from _real_differences.
@@ -296,18 +297,20 @@ def vector_inverse(z: np.ndarray) -> np.ndarray:
 def _check_real_pairs(points: np.ndarray, nodes: np.ndarray) -> bool:
     """Whether the kernel takes every difference p_m - z_j of (M, n) points and (N, n) nodes as real.
 
-    Real means max |Im| <= REAL_TOL (1 + max |Re|) over the pairs and
-    components, taken from the coordinates' extremes (rounding is
-    monotone), so no difference is formed.  Complex differences raise
+    Real means max |Im| <= REAL_TOL (1 + max |Re|) for every point, the
+    maxima over its pairs and components, taken from the nodes' extremes
+    (rounding is monotone), so no difference is formed and no point's
+    decision depends on the others.  Complex differences raise
     OddDimensionComplexError for odd n, where the kernel has no complex
     values, and give False for even n.
     """
     if points.size == 0 or nodes.size == 0:
         return True  # no pairs
     a, b = (np.stack([x.real, x.imag]) for x in (points, nodes))
-    # max |a_m - b_j| over the pairs and components, of the real and of the imaginary parts
-    re, im = np.max(np.maximum(a.max(axis=1) - b.min(axis=1), b.max(axis=1) - a.min(axis=1)), axis=1)
-    if im <= REAL_TOL * (1.0 + re):
+    # max_j |a_m - b_j| over the components for each point m, of the real and of the imaginary parts
+    lo, hi = b.min(axis=1, keepdims=True), b.max(axis=1, keepdims=True)
+    re, im = np.max(np.maximum(a - lo, hi - a), axis=2)
+    if np.all(im <= REAL_TOL * (1.0 + re)):
         return True
     if points.shape[-1] % 2:
         raise OddDimensionComplexError("complex Cauchy kernel is single-valued only for even n")

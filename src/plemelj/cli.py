@@ -143,11 +143,8 @@ def cmd_decompose(cfg) -> int:
     from .algebra import algebra
 
     alg = algebra(mesh.n)
-    rows = [
-        (i, float(alg.norm(dec.f.values[i])), float(alg.norm(dec.f_plus.values[i])),
-         float(alg.norm(dec.f_minus.values[i])))
-        for i in range(mesh.size)
-    ]
+    norms = (alg.norm(g.values).tolist() for g in (dec.f, dec.f_plus, dec.f_minus))
+    rows = zip(range(mesh.size), *norms)
     _write_csv(cfg, "decompose.csv", ["node", "f", "f_plus", "f_minus"], rows)
     _write_json(
         cfg,

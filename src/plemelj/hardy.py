@@ -2,11 +2,13 @@
 
 The splitting f = f+ + f- comes from the boundary projections S+/S-; the
 Szego projections P+/P- are recovered from them through the operator
-identity P (I - (C* - C)) = S, i.e. a solve against I + A followed by one
-projection application; the LU factors of I + A, one per distinct spinor
-block, are computed once per mesh and shared by every solve.  The identity
-route is the only production path; an orthogonal-projector construction
-from a monogenic basis exists solely as an independent oracle in the tests.
+identity P (I - (S* - S)) = S, that is P+ (I + A) = S+ and P- (I - A) = S-:
+a solve against I +- A followed by one projection application.  The LU
+factors of I + A, one per distinct spinor block, are computed once per mesh
+and shared by every solve, and those of I - A once P- is asked for.  The
+identity route is the only production path; an orthogonal-projector
+construction from a monogenic basis exists solely as an independent oracle
+in the tests.
 
 Every dense product here goes through linsolve.matmul, so a verify or
 szego job runs its products, LU and solves on scipy's OpenBLAS alone:
@@ -24,6 +26,7 @@ from .algebra import algebra
 from .linsolve import Factorization, factor, matmul
 from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
+    PROJECTION_COEFFS,
     BlockOperator,
     BoundaryFunction,
     _from_spinor,
@@ -94,14 +97,15 @@ def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factori
     the blocks; IllConditionedError is raised whenever it exceeds this
     call's cond_limit.
     """
-    return _kerzman_stein_lu(mesh).check(cond_limit)
+    return _kerzman_stein_lu(mesh, "+").check(cond_limit)
 
 
 @per_mesh
-def _kerzman_stein_lu(mesh: BoundaryMesh) -> Factorization:
-    # I + A in private column-major copies of A's blocks, which LAPACK
-    # overwrites with their factors
-    systems = [np.array(block, order="F") for block in assemble_kerzman_stein(mesh).matrix]
+def _kerzman_stein_lu(mesh: BoundaryMesh, sign: str) -> Factorization:
+    # I +- A, the sign of C in S+-, in private column-major copies of A's
+    # blocks, which LAPACK overwrites with their factors
+    c1 = PROJECTION_COEFFS[sign][1]
+    systems = [np.multiply(block, c1, order="F") for block in assemble_kerzman_stein(mesh).matrix]
     idx = np.arange(systems[0].shape[0])
     for system in systems:
         system[idx, idx] += 1.0
@@ -109,16 +113,18 @@ def _kerzman_stein_lu(mesh: BoundaryMesh) -> Factorization:
 
 
 def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
-    """Szego projection via the Kerzman-Stein equation: solve then project."""
+    """Szego projection via the Kerzman-Stein equation: solve against I +- A, then project with S+-."""
     mesh = f.mesh
-    x = kerzman_stein_factor(mesh, cond_limit).solve(_to_spinor(f.values, mesh))
-    return BoundaryFunction(mesh, _from_spinor(matmul(plemelj_projection(mesh, sign).matrix, x), mesh))
+    S = plemelj_projection(mesh, sign).matrix
+    x = _kerzman_stein_lu(mesh, sign).check(cond_limit).solve(_to_spinor(f.values, mesh))
+    return BoundaryFunction(mesh, _from_spinor(matmul(S, x), mesh))
 
 
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
-    """P = S (I + A)^{-1} as spinor blocks (for tests and oracles)."""
-    inv = kerzman_stein_factor(mesh).solve(BlockOperator.identity(mesh).matrix)
-    return BlockOperator(mesh, matmul(plemelj_projection(mesh, sign).matrix, inv))
+    """P+- = S+- (I +- A)^{-1} as spinor blocks (for tests and oracles)."""
+    S = plemelj_projection(mesh, sign).matrix
+    inv = _kerzman_stein_lu(mesh, sign).check(1e8).solve(BlockOperator.identity(mesh).matrix)
+    return BlockOperator(mesh, matmul(S, inv))
 
 
 @dataclass
@@ -150,8 +156,11 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
     exact zero:
       - S+^2 - S+, S-^2 - S-, S+S-, S-S+ and C^2 - I/4 all equal +-(C^2 - I/4),
         measured as ||C^2 Y - Y/4||;
-      - with X = (I + A)^{-1} Y one has P+- Y = S+- X, so both
-        P+- - S+-P+- rows are -(C^2 - I/4) X, measured as ||C^2 X - X/4||;
+      - with X = (I + A)^{-1} Y one has P+ Y = S+ X, so the P+ - S+P+ row
+        is -(C^2 - I/4) X, measured as ||C^2 X - X/4||.  The P- - S-P- row
+        repeats it: it holds for any S- X, so it is not the residual of
+        P- = S- (I - A)^{-1} and no wrong P- fails it.  Mending it changes
+        verify.json; it is left for the rows a wrong P fails (P^2 - P, PS - S);
       - the Kerzman-Stein row applies S+ to D = (I + A)^{-1} (I + A) Y - Y,
         measured as ||D/2 + C D||;
       - S+ + S- - I is 0 by construction.

@@ -438,11 +438,11 @@ def region_membership_many(points: np.ndarray, mesh: BoundaryMesh):
     certify it (_seed_disks).  The points go in row_blocks of PAIR_BLOCK
     pairs, and every row is classified on its own.
 
-    No region exists at odd n for a row block whose differences with the
-    nodes the kernel does not take as real (OddDimensionComplexError, as
-    cauchy_transform_points raises on the same points), or on a mesh that
-    does not enclose its interior seed, such as an open chain of edges
-    (ValueError).
+    No region exists at odd n for a row block holding a point whose
+    differences with the nodes the kernel does not take as real
+    (OddDimensionComplexError, as cauchy_transform_points raises on the
+    same points), or on a mesh that does not enclose its interior seed,
+    such as an open chain of edges (ValueError).
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
     out = np.empty(points.shape[0], dtype=object)
@@ -605,19 +605,20 @@ def cone_parameters(mesh: BoundaryMesh):
 # -- serialization ----------------------------------------------------------------
 
 
-def _pack_vec(v: np.ndarray):
-    return [[float(c.real), float(c.imag)] for c in v]
+def _pack(a: np.ndarray) -> list:
+    """Nested lists of [real, imaginary] pairs, one per entry of a."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def save_mesh(mesh: BoundaryMesh, path: str):
     doc = {
         "n": mesh.n,
-        "nodes": [_pack_vec(z) for z in mesh.nodes],
-        "normals": [_pack_vec(z) for z in mesh.normals],
-        "sigma": [[float(s.real), float(s.imag)] for s in mesh.sigma],
-        "sigma_abs": [float(s) for s in mesh.sigma_abs],
-        "interior_seed": _pack_vec(mesh.interior_seed),
-        "exterior_seed": _pack_vec(mesh.exterior_seed),
+        "nodes": _pack(mesh.nodes),
+        "normals": _pack(mesh.normals),
+        "sigma": _pack(mesh.sigma),
+        "sigma_abs": mesh.sigma_abs.tolist(),
+        "interior_seed": _pack(mesh.interior_seed),
+        "exterior_seed": _pack(mesh.exterior_seed),
         "h": mesh.h,
     }
     if mesh.edges is not None:

@@ -18,24 +18,26 @@ With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
 zeta_1 = eta).  A block of rows takes its reciprocals R_rho = 1 /
 zeta_rho(p_m - z_j) (_null_rows) once, and the kernel follows by
 multiplications only: block rho is R_rho (-zeta_rho(n_j) W_mj / 2 pi)
-(_cauchy_rows).  Between the nodes themselves C and A are built in one pass
-over row blocks (_curve_operators) from the same reciprocals: block rho of
-the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
+(_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3 (_surface_rows)
+times a vector is a closed-form sum of the blocks B(e_l e_k)
+(_vector_blocks).  The kernel's domain is algebra's: _null_rows takes its
+null test (is_null_planar), _surface_rows its real differences and origin
+test (_real_differences).
+
+Between the nodes themselves C and A are built in one pass over row blocks
+on every mesh (_operators).  Each block evaluates its kernel once, R for
+n = 2 and G for n = 3, and writes C's rows and A's rows from it; for n = 2
+block rho of the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
 zeta_rhobar(n_i) R_rhobar (rhobar = 1 - rho), since left multiplication by
-a vector swaps the null planes.  No (N, N) array of reciprocals or weights
-is kept.  For n = 3 a block of G(u) = u / |u|^3 (_surface_rows) times a
-vector is a closed-form sum of the blocks B(e_l e_k) (_vector_blocks); C and
-A come from one row-blocked pass that evaluates G once (_surface_operators).
-The kernel's domain is algebra's: _null_rows takes its null test
-(is_null_planar), _surface_rows its real differences and origin test
-(_real_differences).
+a vector swaps the null planes.  No (N, N) array of kernel values or
+weights is kept.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
 off-boundary transform of the constant function 1 equals 1 at interior
 points and 0 at exterior points, and the principal-value operator C maps
-constants to 1/2 exactly (its diagonal blocks are defined by that row-sum
-rule).
+constants to 1/2 exactly: the pass writes each row block's diagonal blocks
+by that row-sum rule as soon as the block's rows are built.
 
 On closed curves with even N the singular quadrature uses odd offsets only
 with doubled weights; this reproduces the band-exact discrete conjugation
@@ -399,56 +401,50 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> 
 
 
 @per_mesh
-def _curve_operators(mesh: BoundaryMesh) -> tuple:
-    """C with its diagonal blocks still open, and A, for n = 2: (2, N, N) each, from one row-blocked pass.
+def _operators(mesh: BoundaryMesh) -> tuple:
+    """C and A as BlockOperators, from one pass over row blocks of the node pairs.
 
-    Each row block takes its reciprocal null pairs R (_null_rows) and its
-    singular weights (_weight_rows) once and drops them: C's rows are
-    R_rho (-zeta_rho(n_j) w_ij / omega) (_cauchy_rows), and A's rows are the
-    cancelled kernel of assemble_kerzman_stein with the trapezoid weights
-    sigma_j.  assemble_singular_cauchy writes C's diagonal blocks into the
-    first array, so the cache keeps each operator once.
+    Each row block evaluates its kernel once and drops it: for n = 2 the
+    reciprocal null pairs R (_null_rows), for n = 3 G(z_i - z_j) sigma_j /
+    omega (_surface_rows).  C's rows are the blocks of G n_j with the
+    singular weights (_weight_rows), A's rows those of the cancelled kernel
+    G n_j + n_i G with the trapezoid weights sigma_j; A's diagonal blocks
+    are its limit 0 (assemble_kerzman_stein).  C's diagonal blocks are then
+    written from the rows just built, I/2 - sum_{j != i} block_ij
+    (assemble_singular_cauchy).  Raises ValidationFailedError on a mesh that
+    fails validate_domain_manifold.
     """
-    N = mesh.size
-    zn = np.ascontiguousarray(null_coordinates(mesh.normals).T)
-    w = mesh.sigma / -omega(2)
-    C = np.empty((2, N, N), dtype=complex)
-    A = np.empty_like(C)
+    _validated(mesh)
+    sp, N = algebra(mesh.n).spinor, mesh.size
+    C, A = np.empty((2, sp.blocks, N, sp.size, N, sp.size), dtype=complex)
     idx = np.arange(N)
     for rows in row_blocks(N, N):
-        R = _null_rows(mesh, mesh.nodes[rows], idx[rows])
-        C[:, rows] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
-        # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
-        # by the vector n_i swaps the null planes, so it is
-        # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
-        # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
-        # K holds minus the kernel; the sign goes into the weights.
-        K = zn[:, None, :] * R
-        K += zn[::-1, rows, None] * R[::-1]
-        A[:, rows] = K * w
-    return C, A
+        i = idx[rows]
+        if mesh.n == 2:
+            R = _null_rows(mesh, mesh.nodes[rows], i)
+            zn = null_coordinates(mesh.normals).T
+            C[:, rows, 0, :, 0] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
+            # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
+            # by the vector n_i swaps the null planes, so it is
+            # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
+            # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
+            # K holds minus the kernel; the sign goes into the weights.
+            K = zn[:, None, :] * R
+            K += zn[::-1, rows, None] * R[::-1]
+            K *= mesh.sigma / -omega(2)
+            A[:, rows, 0, :, 0] = K
+        else:
+            # the punctured rule's weights are sigma_j wherever G is not 0
+            G = _surface_rows(mesh, mesh.nodes[rows], i, mesh.sigma)
+            C[:, rows] = _vector_blocks(G, mesh.normals)
+            A[:, rows] = _vector_blocks(G, mesh.normals[rows], left=True)
+            A[:, rows] += C[:, rows]
+            A[:, i, :, i, :] = 0.0
+        C[:, i, :, i, :] = 0.0
+        C[:, i, :, i, :] = 0.5 * np.eye(sp.size) - C[:, rows].sum(axis=3).transpose(1, 0, 2, 3)
+    return tuple(BlockOperator(mesh, X.reshape(sp.blocks, N * sp.size, N * sp.size)) for X in (C, A))
 
 
-@per_mesh
-def _surface_operators(mesh: BoundaryMesh) -> tuple:
-    """C with its diagonal blocks still open, and A, for n = 3: (1, 2N, 2N) each, from one row-blocked pass.
-
-    Each row block takes G(z_i - z_j) sigma_j / omega once (_surface_rows):
-    C's rows are the blocks of G n_j, and A's rows those of G n_j + n_i G
-    (_vector_blocks).  The punctured rule's weights are sigma_j wherever G is not 0.
-    """
-    N = mesh.size
-    C, A = np.empty((2, 1, N, 2, N, 2), dtype=complex)
-    idx = np.arange(N)
-    for rows in row_blocks(N, N):
-        G = _surface_rows(mesh, mesh.nodes[rows], idx[rows], mesh.sigma)
-        C[:, rows] = _vector_blocks(G, mesh.normals)
-        A[:, rows] = C[:, rows] + _vector_blocks(G, mesh.normals[rows], left=True)
-    A[:, idx, :, idx, :] = 0.0
-    return C.reshape(1, 2 * N, 2 * N), A.reshape(1, 2 * N, 2 * N)
-
-
-@per_mesh
 def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     """Principal-value Cauchy operator C with the constant-calibrated diagonal.
 
@@ -456,22 +452,13 @@ def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
     diagonal absorbs the quadrature's principal-value defect through
     diag_i = I/2 - sum_{j != i} block_ij, which makes C(const) = const/2
     exact for every constant multivector.  All of it is done on the
-    spinor blocks of the even kernel G n, from the row-blocked pass that
-    builds A too (_curve_operators, _surface_operators).  Raises
-    ValidationFailedError on a mesh that fails validate_domain_manifold.
+    spinor blocks of the even kernel G n, in the pass that builds A too
+    (_operators).  Raises ValidationFailedError on a mesh that fails
+    validate_domain_manifold.
     """
-    _validated(mesh)
-    sp, N = algebra(mesh.n).spinor, mesh.size
-    matrix = (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[0]
-    idx = np.arange(N)
-    blocks = matrix.reshape(sp.blocks, N, sp.size, N, sp.size)  # a view
-    blocks[:, idx, :, idx, :] = 0.0
-    rowsum = blocks.sum(axis=3).transpose(1, 0, 2, 3)  # (N, blocks, s, s)
-    blocks[:, idx, :, idx, :] = 0.5 * np.eye(sp.size) - rowsum
-    return BlockOperator(mesh, matrix)
+    return _operators(mesh)[0]
 
 
-@per_mesh
 def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     """Kerzman-Stein operator A = C - C* (continuous, singularity-cancelled kernel).
 
@@ -485,12 +472,10 @@ def assemble_kerzman_stein(mesh: BoundaryMesh) -> BlockOperator:
     makes the whole kernel vanish.  A continuous periodic kernel needs
     nothing beyond the trapezoid rule, so the weights are sigma_j
     everywhere.  The kernel is scalar plus bivector, so it is stored as its
-    spinor blocks, from the row-blocked pass that builds C (_curve_operators,
-    _surface_operators).  Raises ValidationFailedError on a mesh that fails
-    validate_domain_manifold.
+    spinor blocks, from the pass that builds C (_operators).  Raises
+    ValidationFailedError on a mesh that fails validate_domain_manifold.
     """
-    _validated(mesh)
-    return BlockOperator(mesh, (_curve_operators if mesh.n == 2 else _surface_operators)(mesh)[1])
+    return _operators(mesh)[1]
 
 
 # S+- = c0 I + c1 C, as coefficients of the powers of C

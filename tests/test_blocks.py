@@ -21,6 +21,7 @@ from plemelj.mesh import (
     cone_parameters,
     make_circle,
     make_deformed_curve,
+    make_sphere,
     region_membership_many,
     row_blocks,
     validate_domain_manifold,
@@ -126,11 +127,11 @@ def _cached_arrays(value, seen):
 
 
 def test_verify_caches_no_pair_array_beside_c_and_a():
-    # the reciprocal null pairs live one row block at a time; the LU factors
-    # of I + A are one (N, N) array per block
-    mesh = make_deformed_curve(128, 0.05, 2)
-    verify_identities(mesh)
-    C, A = assemble_singular_cauchy(mesh).matrix, assemble_kerzman_stein(mesh).matrix
-    pairs = [a for a in _cached_arrays(mesh.cache, set()) if a.shape == C.shape]
-    assert any(a is C for a in pairs) and any(a is A for a in pairs)
-    assert all(np.shares_memory(a, C) or np.shares_memory(a, A) for a in pairs)
+    # the kernel (R for n = 2, G for n = 3) lives one row block at a time;
+    # the LU factors of I + A are one array per spinor block
+    for mesh in (make_deformed_curve(128, 0.05, 2), make_sphere(42)):
+        verify_identities(mesh)
+        C, A = assemble_singular_cauchy(mesh).matrix, assemble_kerzman_stein(mesh).matrix
+        pairs = [a for a in _cached_arrays(mesh.cache, set()) if a.shape == C.shape]
+        assert any(a is C for a in pairs) and any(a is A for a in pairs)
+        assert all(np.shares_memory(a, C) or np.shares_memory(a, A) for a in pairs)

@@ -169,6 +169,11 @@ class TestSzego:
         eye = np.eye(Pp.dense().shape[0])
         assert smooth_matrix_norm(Pp.dense() + Pm.dense() - eye, circle128) < 1e-6
 
+    def test_p_minus_is_idempotent_on_deformed128(self, deformed128):
+        # P-(I - A) = S-: the exterior projection solves against I - A, not I + A
+        Pm = szego_matrix(deformed128, "-").dense()
+        assert smooth_matrix_norm(Pm @ Pm - Pm, deformed128) <= 1e-6
+
     def test_deformed_p_plus_p_minus_gap_tracks_A(self, deformed128):
         # on complex-deformed boundaries the two orthogonal projectors do
         # NOT sum to the identity; the defect is of the size of A

@@ -426,6 +426,19 @@ class TestRegionMembership:
         with pytest.raises(OddDimensionComplexError):
             cauchy_transform(sphere42, one, q)
 
+    def test_odd_n_real_test_is_taken_point_by_point(self, sphere42):
+        # a real point far away in the same call does not make a complex one real
+        from plemelj.algebra import OddDimensionComplexError
+        from plemelj.operators import BoundaryFunction, cauchy_transform_points
+
+        one = BoundaryFunction.constant(sphere42)
+        p = np.array([0.1, 0.0, 3e-14j])
+        for points in (p[None, :], np.array([p, [100.0, 0.0, 0.0]])):
+            with pytest.raises(OddDimensionComplexError):
+                region_membership_many(points, sphere42)
+            with pytest.raises(OddDimensionComplexError):
+                cauchy_transform_points(sphere42, one, points)
+
     def test_undefined_regions_raise(self, sphere162):
         from plemelj.algebra import OddDimensionComplexError
 

@@ -41,12 +41,12 @@ def _flat(blocks):
 
 
 def _dense_oracle(mesh):
-    """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, P+-."""
+    """The Clifford block assembly: (N d)^2 matrices of C, A, C*, S+-, and P+- from P+-(I +- A) = S+-."""
     C, A = (_flat(blocks) for blocks in _clifford_oracle(mesh))
     eye = np.eye(C.shape[0])
     out = {"C": C, "A": A, "C*": C - A, "S+": 0.5 * eye + C, "S-": 0.5 * eye - C}
-    for sign in "+-":
-        out["P" + sign] = np.linalg.solve((eye + A).T, out["S" + sign].T).T
+    for sign, system in (("+", eye + A), ("-", eye - A)):
+        out["P" + sign] = np.linalg.solve(system.T, out["S" + sign].T).T
     return out
 
 
@@ -70,13 +70,26 @@ class TestSpinorStorage:
         for key, op in got.items():
             assert np.abs(op.dense() - want[key]).max() <= 1e-13, key
 
-    def test_surface_operators_match_clifford_oracle_on_sphere162(self, sphere162):
+    def test_closed_form_blocks_match_clifford_oracle_on_sphere162(self, sphere162):
         # the closed-form n = 3 blocks against the Clifford einsum, to the
         # kernel's own scale: A is a cancellation to rounding on the sphere
         C, A = (_flat(blocks) for blocks in _clifford_oracle(sphere162))
         scale = np.abs(C).max()
         assert np.abs(assemble_singular_cauchy(sphere162).dense() - C).max() <= 1e-14 * scale
         assert np.abs(assemble_kerzman_stein(sphere162).dense() - A).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
+    def test_diagonal_is_calibrated_by_whole_rows(self, name, request):
+        # the pass calibrates each row block as soon as it is built: bit for
+        # bit I/2 minus the sum of the row's other blocks over the whole matrix
+        mesh = request.getfixturevalue(name)
+        sp, N = algebra(mesh.n).spinor, mesh.size
+        blocks = assemble_singular_cauchy(mesh).matrix.reshape(sp.blocks, N, sp.size, N, sp.size)
+        idx = np.arange(N)
+        off = blocks.copy()
+        off[:, idx, :, idx, :] = 0.0
+        want = 0.5 * np.eye(sp.size) - off.sum(axis=3).transpose(1, 0, 2, 3)
+        assert np.array_equal(blocks[:, idx, :, idx, :], want)
 
     @pytest.mark.parametrize("name", ["circle128", "deformed128", "sphere42"])
     def test_projection_is_c0_identity_plus_c1_C(self, name, request):
