@@ -264,25 +264,34 @@ def null_coordinates(z: np.ndarray) -> np.ndarray:
 
 
 def null_differences(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """zeta_rho(p_m - z_j) of (M, 2) points p and (N, 2) points z, plane first: (2, M, N)."""
+    """zeta_rho(p_m - z_j) of (M, 2) points p and (N, 2) points z, plane first and contiguous: (2, M, N).
+
+    Every use is elementwise (the null test, reciprocals, products), so each
+    plane is one contiguous (M, N) array for the operations that follow.
+    """
     cp, cz = (np.ascontiguousarray(null_coordinates(x).T) for x in (p, z))
-    # planes subtracted one at a time from contiguous operands into the
-    # (M, N, 2) memory order that downstream sums and products round by
-    out = np.empty((cp.shape[1], cz.shape[1], 2), dtype=complex)
+    out = np.empty((2, cp.shape[1], cz.shape[1]), dtype=complex)
     for k in range(2):
-        np.subtract(cp[k][:, None], cz[k][None, :], out=out[:, :, k])
-    return np.moveaxis(out, -1, 0)
+        np.subtract(cp[k][:, None], cz[k][None, :], out=out[k])
+    return out
 
 
 def null_magnitudes(d: np.ndarray):
     """|square(u)| and |u|^2 of n = 2 vectors u given by their null coordinates d = (zeta(u), eta(u)), plane first."""
-    return np.abs(d[0] * d[1]), 0.5 * (np.abs(d[0]) ** 2 + np.abs(d[1]) ** 2)
+    sq = np.abs(d[0] * d[1])
+    a = np.abs(d)  # |u|^2 from the squared magnitudes of both planes, not from re^2 + im^2
+    np.square(a, out=a)
+    r2 = np.add(a[0], a[1], out=a[0])
+    r2 *= 0.5
+    return sq, r2
 
 
 def is_null_planar(d: np.ndarray) -> np.ndarray:
     """is_null of n = 2 vectors given by their null coordinates d, plane first: |square(u)| <= NULL_TOL (1 + |u|^2)."""
-    sq, r2 = null_magnitudes(d)
-    return sq <= NULL_TOL * (1.0 + r2)
+    sq, tol = null_magnitudes(d)
+    tol += 1.0
+    tol *= NULL_TOL
+    return sq <= tol
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ too short); every failure ends in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,7 +288,9 @@ COMMANDS = {
 }
 
 
-def parse_args(argv=None):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(prog="plemelj", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON config file; flags override its entries")
@@ -298,7 +301,11 @@ def parse_args(argv=None):
     p.add_argument("--mode", type=int, help="deformation mode number")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory")
-    return p.parse_args(argv)
+    return p
+
+
+def parse_args(argv=None):
+    return _parser().parse_args(argv)
 
 
 def load_config(args) -> dict:

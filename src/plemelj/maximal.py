@@ -4,6 +4,13 @@ The sup over ball radii is replaced by a geometric schedule (the discrete
 average only changes when a node enters the ball); the sup over approach
 cones is replaced by a fixed deterministic low-discrepancy sample of the
 cones of cone_parameters, giving a reproducible lower bound.
+
+bound_diagnostics runs each pass once for its whole family: one ball mask
+per radius for the maximal functions of every f and C f (_family_maximal),
+one walk over row blocks of cone samples (_family_nontangential), whose
+kernel rows skip the null test the samples passed as Interior (_cone_rows),
+and one walk over row blocks of nodes for the truncated sums
+(_family_truncated_sup).  Every row keeps the bits of a one-function pass.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra
+from .algebra import algebra, null_coordinates, null_differences
 from .mesh import (
     _CONE_SAMPLES,
     BoundaryMesh,
@@ -24,6 +31,7 @@ from .mesh import (
 )
 from .operators import (
     BoundaryFunction,
+    _cauchy_rows,
     _kernel_blocks,
     _to_spinor,
     assemble_singular_cauchy,
@@ -54,25 +62,34 @@ def _pair_distances(mesh: BoundaryMesh) -> np.ndarray:
 
 def maximal_function(mesh: BoundaryMesh, f: BoundaryFunction, radii=None) -> np.ndarray:
     """Max over the schedule of |sigma|-weighted ball averages of ||f||."""
-    if radii is None:
-        radii = default_radii(mesh)
+    return _family_maximal(mesh, [f], default_radii(mesh) if radii is None else radii)[0]
+
+
+def _family_maximal(mesh: BoundaryMesh, family, radii) -> np.ndarray:
+    """(F, N) maximal functions of every function of the family, as maximal_function defines them.
+
+    Each radius builds its ball mask, checks that no ball is empty and takes
+    the balls' measures once for the whole family; the weighted sums are
+    then one matrix-vector product per function, so every row has the bits
+    of a single-function call.
+    """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("radius schedule is empty")
     if np.any(radii < 2 * mesh.h):
         raise ValueError("every radius must be at least 2h")
     alg = algebra(mesh.n)
-    norms = alg.norm(f.values)
+    weighted = [alg.norm(f.values) * mesh.sigma_abs for f in family]
     dist = _pair_distances(mesh)
-    out = np.zeros(mesh.size)
+    out = np.zeros((len(family), mesh.size))
     for r in radii:
         mask = dist < r
-        counts = mask.sum(axis=1)
-        if np.any(counts < 2):
+        if np.any(mask.sum(axis=1) < 2):
             raise EmptyBallError(f"ball of radius {r:.3g} captures no node beyond its center")
+        mask = mask.astype(float)
         meas = mask @ mesh.sigma_abs
-        avg = (mask @ (norms * mesh.sigma_abs)) / meas
-        out = np.maximum(out, avg)
+        for row, w in zip(out, weighted):
+            np.maximum(row, (mask @ w) / meas, out=row)
     return out
 
 
@@ -111,22 +128,35 @@ def _family_nontangential(mesh: BoundaryMesh, family):
     return norms.reshape(len(family), mesh.size, _CONE_SAMPLES).max(axis=2)
 
 
+def _cone_rows(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
+    """The kernel blocks of _kernel_blocks(mesh, points) at (M, 2) Interior points, without its null test.
+
+    An Interior point is one the kernel accepts at every node pair
+    (region_membership_many), and cone_parameters has classified every
+    cone sample Interior, so the test is not taken a second time: the
+    reciprocal null pairs and the rows follow from the differences alone.
+    """
+    dz = null_differences(points, mesh.nodes)
+    return _cauchy_rows(np.reciprocal(dz, out=dz), null_coordinates(mesh.normals).T, 1.0)
+
+
 def _cone_block(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Spinor columns (blocks, M s, copies F) of the transforms at Interior (M, n) points.
 
     cols are the _family_columns of S+ f on curves and of f on the sphere.
     On curves each null plane takes the interior barycentric form
     num(S+ f) / num(1) of the Cauchy integral, num(g) = sum_j K(p, z_j)
-    sigma_j g_j with the planar kernel blocks K of _kernel_blocks: near a
+    sigma_j g_j with the planar kernel blocks K of _cone_rows: near a
     node the quadrature error is a common factor of both sums and cancels
     (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the sphere, whose S+
     is first order, the transform is the plain sum num(f).
     """
-    K = _kernel_blocks(mesh, points)
-    vals = K @ cols
     if mesh.n == 2:
+        K = _cone_rows(mesh, points)
+        vals = K @ cols
         vals /= (K @ mesh.sigma)[..., None]
-    return vals
+        return vals
+    return _kernel_blocks(mesh, points) @ cols
 
 
 def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
@@ -176,12 +206,14 @@ def band_limited_family(mesh: BoundaryMesh, count: int, seed: int = 0):
     """Random smooth test functions; Fourier modes |m| <= 8 on curves, degree <= 1 otherwise."""
     rng = np.random.default_rng(seed)
     alg = algebra(mesh.n)
+    if mesh.theta is not None:
+        ms = np.arange(-8, 9)
+        modes = np.exp(1j * np.outer(mesh.theta, ms))
     out = []
     for _ in range(count):
         if mesh.theta is not None:
-            ms = np.arange(-8, 9)
             coef = rng.normal(size=(ms.size, alg.dim)) + 1j * rng.normal(size=(ms.size, alg.dim))
-            vals = np.exp(1j * np.outer(mesh.theta, ms)) @ coef / np.sqrt(ms.size)
+            vals = modes @ coef / np.sqrt(ms.size)
         else:
             x = mesh.nodes.real
             coef = rng.normal(size=(1 + mesh.n, alg.dim)) + 1j * rng.normal(size=(1 + mesh.n, alg.dim))
@@ -196,18 +228,17 @@ def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
     For each test function reports C_M = ||M f|| / ||f||, C_N = ||N f|| /
     ||f|| and the per-node Cotlar ratio sup_eps ||truncated C f|| /
     (M(Cf) + M(f)).  The constants are estimates, not proofs; stability
-    under refinement is what the acceptance checks.
+    under refinement is what the acceptance checks.  Each pass runs once
+    for the whole family (module docstring).
     """
     radii = default_radii(mesh)
     C = assemble_singular_cauchy(mesh)
     family = band_limited_family(mesh, family_size, seed)
     nontangential = _family_nontangential(mesh, family)
     truncated = _family_truncated_sup(mesh, family, radii)
+    sups = _family_maximal(mesh, family + [C.apply(f) for f in family], radii)
     reports = []
-    for f, Nf, trunc in zip(family, nontangential, truncated):
-        Mf = maximal_function(mesh, f, radii)
-        Cf = C.apply(f)
-        MCf = maximal_function(mesh, Cf, radii)
+    for f, Nf, trunc, Mf, MCf in zip(family, nontangential, truncated, sups, sups[len(family) :]):
         cotlar = trunc / (MCf + Mf)
         reports.append(
             MaximalReport(

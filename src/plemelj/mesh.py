@@ -77,9 +77,11 @@ class EmptyBallError(ValueError):
 
 
 # Node pairs per row block of every (rows, width) pass.  A complex (rows,
-# width) array of this many pairs is 512 KiB, and the blocks keep the
-# memory of a pass independent of its row count.
-PAIR_BLOCK = 1 << 15
+# width) array of this many pairs is 256 KiB, and the blocks keep the
+# memory of a pass independent of its row count.  The size was measured on
+# the benchmark's jobs (README): none is slower at 2^14 than at 2^13 or
+# 2^15, and the maximal job faults in an eighth of the pages it did at 2^15.
+PAIR_BLOCK = 1 << 14
 
 
 def row_blocks(count: int, width: int):

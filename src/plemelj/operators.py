@@ -17,12 +17,14 @@ With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
 -zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
 zeta_1 = eta).  A block of rows takes its reciprocals R_rho = 1 /
 zeta_rho(p_m - z_j) (_null_rows) once, and the kernel follows by
-multiplications only: block rho is R_rho (-zeta_rho(n_j) W_mj / 2 pi)
-(_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3 (_surface_rows)
-times a vector is a closed-form sum of the blocks B(e_l e_k)
-(_vector_blocks).  The kernel's domain is algebra's: _null_rows takes its
-null test (is_null_planar), _surface_rows its real differences and origin
-test (_real_differences).
+multiplications only: block rho is R_rho (-zeta_rho(n_j) W_mj / 2 pi),
+written over R (_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3
+(_surface_rows) times a vector is a closed-form sum of the blocks
+B(e_l e_k) (_vector_blocks).  The kernel's domain is algebra's: _null_rows
+takes its null test (is_null_planar), _surface_rows its real differences
+and origin test (_real_differences).  Only the maximal cone pass takes
+n = 2 rows without the null test, at samples already classified Interior
+(maximal._cone_rows).
 
 Between the nodes themselves C and A are built in one pass over row blocks
 on every mesh (_operators).  Each block evaluates its kernel once, R for
@@ -329,19 +331,16 @@ def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
         dz[pairs] = 1.0  # placeholder off the null cones
     if np.any(is_null_planar(dz)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
-    R = np.empty(dz.shape, dtype=complex)  # plane first in memory too, unlike dz
-    np.reciprocal(dz, out=R)
+    R = np.reciprocal(dz, out=dz)
     if skip is not None:
         R[pairs] = 0.0
     return R
 
 
 def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W) -> np.ndarray:
-    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), from reciprocal rows R and weights W (rows or 1.0)."""
-    out = np.empty(R.shape, dtype=complex)
-    np.multiply(zn[:, None, :], W / -omega(2), out=out)
-    out *= R  # in this order at every size, not as numpy's temporary elision picks it
-    return out
+    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R; W is rows or 1.0."""
+    # the weighted normals first and R second, in this order at every size
+    return np.multiply(zn[:, None, :] * (W / -omega(2)), R, out=R)
 
 
 def _surface_rows(mesh: BoundaryMesh, points: np.ndarray, skip, W) -> np.ndarray:
@@ -423,7 +422,6 @@ def _operators(mesh: BoundaryMesh) -> tuple:
         if mesh.n == 2:
             R = _null_rows(mesh, mesh.nodes[rows], i)
             zn = null_coordinates(mesh.normals).T
-            C[:, rows, 0, :, 0] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
             # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
             # by the vector n_i swaps the null planes, so it is
             # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
@@ -433,6 +431,8 @@ def _operators(mesh: BoundaryMesh) -> tuple:
             K += zn[::-1, rows, None] * R[::-1]
             K *= mesh.sigma / -omega(2)
             A[:, rows, 0, :, 0] = K
+            # C's rows last: _cauchy_rows writes them over R
+            C[:, rows, 0, :, 0] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
         else:
             # the punctured rule's weights are sigma_j wherever G is not 0
             G = _surface_rows(mesh, mesh.nodes[rows], i, mesh.sigma)

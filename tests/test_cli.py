@@ -270,6 +270,18 @@ def test_config_file_and_round_trip(tmp_path):
     assert json.loads(json.dumps(cfg)) == cfg
 
 
+def test_parser_built_once_and_left_unchanged():
+    # one parser serves every parse_args call of the process, and a parse
+    # carries nothing into the next
+    from plemelj.cli import _parser, parse_args
+
+    first = parse_args(["--command", "maximal", "--N", "64", "--seed", "3"])
+    second = parse_args(["--geometry", "sphere"])
+    assert _parser() is _parser()
+    assert (first.command, first.N, first.seed, first.geometry) == ("maximal", "64", 3, None)
+    assert (second.command, second.N, second.seed, second.geometry) == (None, None, None, "sphere")
+
+
 def test_config_defaults_complete():
     for field in ("command", "geometry", "N", "eps", "mode", "seed", "out"):
         assert field in DEFAULT_CONFIG

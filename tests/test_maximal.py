@@ -3,16 +3,19 @@ import pytest
 
 from conftest import pair_kernel
 from plemelj.algebra import algebra, cauchy_kernel
-from plemelj.mesh import cone_parameters, make_circle, make_deformed_curve
+from plemelj.mesh import EmptyBallError, cone_parameters, make_circle, make_deformed_curve
 from plemelj.maximal import (
     _cone_block,
+    _cone_rows,
+    _family_maximal,
     _family_nontangential,
+    _pair_distances,
     band_limited_family,
     bound_diagnostics,
     default_radii,
     maximal_function,
 )
-from plemelj.operators import BoundaryFunction, l2_norm, omega
+from plemelj.operators import BoundaryFunction, assemble_singular_cauchy, l2_norm, omega
 
 
 def _clifford_transform_weights(mesh, values):
@@ -77,12 +80,80 @@ class TestMaximalFunction:
         with pytest.raises(ValueError):
             maximal_function(circle128, one, [])
 
+    @staticmethod
+    def _per_function(mesh, f, radii):
+        # one function at a time, each radius's mask, measures and sums built afresh
+        norms = algebra(mesh.n).norm(f.values)
+        dist = _pair_distances(mesh)
+        out = np.zeros(mesh.size)
+        for r in radii:
+            mask = dist < r
+            meas = mask @ mesh.sigma_abs
+            out = np.maximum(out, (mask @ (norms * mesh.sigma_abs)) / meas)
+        return out
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128"])
+    def test_family_rows_equal_per_function_oracle(self, name, request):
+        mesh = request.getfixturevalue(name)
+        C = assemble_singular_cauchy(mesh)
+        family = band_limited_family(mesh, 4, seed=6)
+        family += [C.apply(f) for f in family]
+        radii = default_radii(mesh)
+        got = _family_maximal(mesh, family, radii)
+        assert got.shape == (len(family), mesh.size)
+        for row, f in zip(got, family):
+            assert np.array_equal(row, self._per_function(mesh, f, radii))
+        assert np.array_equal(maximal_function(mesh, family[1]), got[1])
+
+    def test_empty_ball_rejected(self):
+        # a mesh whose h understates its spacing: the ball of radius 2h holds its center alone
+        mesh = make_circle(64)
+        mesh.h /= 4
+        one = BoundaryFunction.constant(mesh, 1.0)
+        with pytest.raises(EmptyBallError):
+            maximal_function(mesh, one)
+        with pytest.raises(EmptyBallError):
+            _family_maximal(mesh, [one, one], default_radii(mesh))
+
+
+class TestBandLimitedFamily:
+    @staticmethod
+    def _per_function(mesh, count, seed):
+        # the Fourier matrix evaluated once per function
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(count):
+            ms = np.arange(-8, 9)
+            coef = rng.normal(size=(ms.size, 4)) + 1j * rng.normal(size=(ms.size, 4))
+            out.append(np.exp(1j * np.outer(mesh.theta, ms)) @ coef / np.sqrt(ms.size))
+        return out
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128"])
+    def test_family_equals_per_function_loop(self, name, request):
+        mesh = request.getfixturevalue(name)
+        family = band_limited_family(mesh, 5, seed=3)
+        want = self._per_function(mesh, 5, 3)
+        assert len(family) == 5
+        assert all(np.array_equal(f.values, w) for f, w in zip(family, want))
+
 
 class TestNontangentialMaximal:
     def test_constants(self, circle128):
         one = BoundaryFunction.constant(circle128, 1.0)
         N = _family_nontangential(circle128, [one])[0]
         assert np.abs(N - 1.0).max() < 1e-6
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128"])
+    def test_cone_rows_equal_kernel_blocks(self, name, request):
+        # the cone pass takes its rows without the null test that the
+        # samples, all Interior, have passed in cone_parameters
+        from plemelj.mesh import _cone_samples, row_blocks
+        from plemelj.operators import _kernel_blocks
+
+        mesh = request.getfixturevalue(name)
+        pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
+        for rows in row_blocks(pts.shape[0], mesh.size):
+            assert np.array_equal(_cone_rows(mesh, pts[rows]), _kernel_blocks(mesh, pts[rows]))
 
     def test_kernel_trace_peaks_toward_pole(self, circle128):
         pole = np.array([3.0, 0.0])
@@ -154,7 +225,7 @@ class TestBoundDiagnostics:
     def test_truncated_family_pass_matches_per_function(self, circle64, deformed128):
         # radius masks applied to the kernel blocks once for the family, against
         # the Clifford kernel contraction of one function at a time
-        from plemelj.maximal import _family_truncated_sup, _pair_distances
+        from plemelj.maximal import _family_truncated_sup
 
         def per_function(mesh, f, radii):
             G = pair_kernel(mesh)
@@ -175,12 +246,14 @@ class TestBoundDiagnostics:
                 assert _relative_gap(got[k], per_function(mesh, f, radii)) <= 1e-13
 
     def test_accepted_cone_samples_cleared_once(self, monkeypatch):
-        # the first entry is rejected at its third block of 512 rows, and the
-        # accepted entry's 4096 samples are classified once, in 8 blocks, by
+        # the first entry is rejected at the row block of its first sample of
+        # another region, and the accepted second entry's 4096 samples are
+        # classified once, in row blocks of PAIR_BLOCK // N rows, by
         # cone_parameters and not again by the nontangential pass; each walk
         # checks the interior seed (1 row) first, and every entry rescales
         # one draw of the Halton sequence
         import plemelj.mesh as mesh_mod
+        from plemelj.mesh import Region, _cone_samples, region_membership_many
 
         classified, draws = [], []
         regions, halton = mesh_mod._regions, mesh_mod._halton
@@ -197,8 +270,14 @@ class TestBoundDiagnostics:
         monkeypatch.setattr(mesh_mod, "_halton", counting)
         mesh = make_circle(64)
         bound_diagnostics(mesh, family_size=2)
+        monkeypatch.undo()
         assert len(draws) == 1
-        assert classified == [1, 512, 512, 512] + [1] + [512] * 8
+        step = mesh_mod.PAIR_BLOCK // mesh.size
+        half = mesh.half_diameter()
+        assert cone_parameters(mesh) == (mesh_mod._DEFAULT_ALPHAS[0], mesh_mod._DEFAULT_RADIUS_FACTORS[1] * half)
+        first = _cone_samples(mesh, np.arange(mesh.size), mesh_mod._DEFAULT_ALPHAS[0], half, 64)
+        bad = np.flatnonzero(region_membership_many(first, mesh) != Region.INTERIOR)[0]
+        assert classified == [1] + [step] * (bad // step + 1) + [1] + [step] * (64 * mesh.size // step)
 
     def test_seed_disks_spare_the_winding_sum(self, monkeypatch):
         # a cone sample inside both seed disks takes the seed's region, so

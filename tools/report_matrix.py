@@ -1,8 +1,8 @@
 """Digest the reports of a fixed matrix of CLI jobs, to show that a change keeps them byte for byte.
 
 Each job runs ``python -m plemelj.cli`` in its own subprocess with
-OPENBLAS_NUM_THREADS=1, on the sources of the tree given (default: this
-repository), and writes into a fresh directory.  One line is printed per
+OPENBLAS_NUM_THREADS set to ``--threads`` (default 1), on the sources of the
+tree given (default: this repository), and writes into a fresh directory.  One line is printed per
 job with its exit code, then one line per report file, per stdout and per
 stderr with its sha256; the stderr lines that carry wall times are dropped
 first.  Run it on two trees and diff the outputs:
@@ -10,6 +10,9 @@ first.  Run it on two trees and diff the outputs:
     python3 tools/report_matrix.py /path/to/other/tree > before.txt
     python3 tools/report_matrix.py > after.txt
     diff before.txt after.txt
+
+and again with ``--threads 2``, the BLAS threads the benchmark runs with on
+a two-core machine.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ TIMING = re.compile(r"^(verify|converge) N=\d+: [0-9.]+s$")
 
 
 def jobs():
-    """(name, config) of the 32 jobs: every command on small curves and spheres, sweeps, and larger meshes."""
+    """(name, config) of the 33 jobs: every command on small curves and spheres, sweeps, and larger meshes."""
     out = []
     for geometry in ("circle", "deformed"):
         out += [(f"{c}-{geometry}-64", {"command": c, "geometry": geometry, "N": 64}) for c in CURVE_COMMANDS]
@@ -42,6 +45,7 @@ def jobs():
         ("verify-deformed-512", {"command": "verify", "geometry": "deformed", "N": 512}),
         ("mobius-sphere-42", {"command": "mobius", "geometry": "sphere", "N": 42}),
         ("maximal-sphere-162-r1.25", {"command": "maximal", "geometry": "sphere", "N": 162, "radius": 1.25}),
+        ("maximal-circle-128-r0.8", {"command": "maximal", "geometry": "circle", "N": 128, "radius": 0.8}),
         ("limits-sphere-642", {"command": "limits", "geometry": "sphere", "N": 642}),
     ]
     return out
@@ -51,12 +55,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(tree: Path, work: Path, name: str, config: dict) -> list:
-    """Run one job in work/name and return its digest lines."""
+def run(tree: Path, work: Path, name: str, config: dict, threads: int) -> list:
+    """Run one job in work/name with threads BLAS threads and return its digest lines."""
     out = work / name
     out.mkdir()
     (work / f"{name}.json").write_text(json.dumps({**config, "out": str(out)}))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "plemelj.cli", "--config", str(work / f"{name}.json")],
         capture_output=True, env=env, cwd=work,
@@ -74,10 +78,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1], type=Path,
                    help="source tree whose src/ is run (default: this repository)")
+    p.add_argument("--threads", type=int, default=1, help="OPENBLAS_NUM_THREADS of every job (default: 1)")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         for name, config in jobs():
-            for line in run(args.tree.resolve(), Path(work), name, config):
+            for line in run(args.tree.resolve(), Path(work), name, config, args.threads):
                 print(line, flush=True)
     return 0
 
