@@ -8,7 +8,7 @@ is recorded in every report; identical config and seed give byte-identical
 output files (runtimes go to stderr only).
 
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
-solve, 4 check failure, 5 no approach cone fits inside the mesh (the
+solve (or a GMRES solve that misses its tolerance), 4 check failure, 5 no approach cone fits inside the mesh (the
 maximal and limits commands need one), 6 invalid input (a node count the
 geometry does not take, a command the geometry does not support, a sweep
 too short); every failure ends in one line on stderr.

@@ -3,15 +3,16 @@
 The splitting f = f+ + f- comes from the boundary projections S+/S-; the
 Szego projections P+/P- are recovered from them through the operator
 identity P (I - (S* - S)) = S, that is P+ (I + A) = S+ and P- (I - A) = S-:
-a solve against I +- A followed by one projection application.  The LU
-factors of I + A, one per distinct spinor block, are computed once per mesh
-and shared by every solve, and those of I - A once P- is asked for.  The
-identity route is the only production path; an orthogonal-projector
-construction from a monogenic basis exists solely as an independent oracle
-in the tests.
+a solve against I +- A followed by one projection application.  The solver
+of I + A is built once per mesh and shared by every solve, and that of
+I - A once P- is asked for.  On curves it is the LU factors of the distinct
+spinor blocks; on surfaces it is GMRES on A's stored block, which takes one
+product per solve on the sphere, where A vanishes.  The identity route is
+the only production path; an orthogonal-projector construction from a
+monogenic basis exists solely as an independent oracle in the tests.
 
 Every dense product here goes through linsolve.matmul, so a verify or
-szego job runs its products, LU and solves on scipy's OpenBLAS alone:
+szego job runs its products, LU, GMRES and solves on scipy's OpenBLAS alone:
 numpy's @ would run on numpy's own OpenBLAS, whose thread pool spins on
 after each call and fights scipy's pool for the cores.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra
-from .linsolve import Factorization, factor, matmul
+from .linsolve import Factorization, GMRESSolver, factor, gmres, matmul
 from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
     PROJECTION_COEFFS,
@@ -89,22 +90,30 @@ def decompose(f: BoundaryFunction) -> HardyDecomposition:
     )
 
 
-def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization:
-    """LU factors of the spinor blocks of I - (C* - C) = I + A, computed once
-    per mesh and kept next to A.
+def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization | GMRESSolver:
+    """The solver of I - (C* - C) = I + A, built once per mesh and kept next to A.
 
-    The returned record carries the largest 1-norm condition estimate over
-    the blocks; IllConditionedError is raised whenever it exceeds this
-    call's cond_limit.
+    On curves the LU factors of the spinor blocks (linsolve.factor), on
+    surfaces GMRES on A's stored block (linsolve.gmres), with the same
+    interface.  The returned record carries the largest 1-norm condition
+    estimate over the blocks; IllConditionedError is raised whenever it
+    exceeds this call's cond_limit, and whenever a GMRES solve misses its
+    tolerance.
     """
     return _kerzman_stein_lu(mesh, "+").check(cond_limit)
 
 
 @per_mesh
-def _kerzman_stein_lu(mesh: BoundaryMesh, sign: str) -> Factorization:
-    # I +- A, the sign of C in S+-, in private column-major copies of A's
-    # blocks, which LAPACK overwrites with their factors
+def _kerzman_stein_lu(mesh: BoundaryMesh, sign: str) -> Factorization | GMRESSolver:
+    # I +- A, the sign of C in S+-.  Surfaces solve it by GMRES on A's own
+    # blocks, whose diagonal blocks are 0; on the sphere A is 0 to rounding
+    # and every solve takes one product.  Curves LU-factor private
+    # column-major copies of A's blocks, which LAPACK overwrites with their
+    # factors: on a deformed curve at N = 512 GMRES takes 4-10 products per
+    # solve, and its condition estimate and solves cost more than the LU
     c1 = PROJECTION_COEFFS[sign][1]
+    if mesh.n == 3:
+        return gmres(assemble_kerzman_stein(mesh).matrix, c1)
     systems = [np.multiply(block, c1, order="F") for block in assemble_kerzman_stein(mesh).matrix]
     idx = np.arange(systems[0].shape[0])
     for system in systems:

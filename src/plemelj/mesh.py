@@ -289,19 +289,48 @@ def _subdivide(verts, faces):
     return np.concatenate([verts, s]), out
 
 
+def _solid_angles(a, b, c):
+    """Signed solid angles of the spherical triangles (a, b, c) of unit vectors, component first (3, ...).
+
+    Van Oosterom and Strackee (IEEE Trans. Biomed. Eng. 30, 1983):
+    tan(omega / 2) = a.(b x c) / (1 + a.b + b.c + c.a), positive when a, b, c
+    turn anticlockwise seen from outside.
+    """
+    triple = np.sum(a * np.cross(b, c, axis=0), axis=0)
+    return 2.0 * np.arctan2(triple, 1.0 + np.sum(a * b + b * c + c * a, axis=0))
+
+
+def _voronoi_areas(verts, faces):
+    """Areas of the spherical Voronoi cells of the unit vectors verts (V, 3), from their triangulation faces.
+
+    The cells' corners are the faces' circumcentres p.  Each face (a, b, c),
+    anticlockwise seen from outside, splits into three kites at p, such as
+    (a, mid(ab), p, mid(ca)) for a, with mid the arcs' midpoints, and a
+    cell is the sum of its node's kites.  The solid angles are signed, so a
+    circumcentre outside its face still adds up to the cell.
+    """
+    def unit(x):
+        return x / np.sqrt(np.sum(x * x, axis=0))
+
+    corner = np.moveaxis(verts[faces.T], -1, 0)  # (3, corner, F), corners a, b, c in turn
+    a, b, c = corner.transpose(1, 0, 2)
+    p = unit(np.cross(b - a, c - a, axis=0))[:, None]
+    mid = unit(corner + np.roll(corner, -1, axis=1))  # mid(ab), mid(bc), mid(ca)
+    kites = _solid_angles(corner, mid, p) + _solid_angles(corner, p, np.roll(mid, 1, axis=1))
+    return np.bincount(faces.T.ravel(), kites.ravel(), minlength=len(verts))
+
+
 def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
     """Icosahedral sphere mesh with spherical-Voronoi node weights (n = 3).
 
     The unit sphere's icosahedral mesh, subdivided until it has N_target
     nodes or more, pushed forward by F = radius id: the nodes are radius nu,
     the area vectors radius^2 nu and the weights the unit sphere's Voronoi
-    areas.
+    areas, summed from the faces' kites (_voronoi_areas).
     """
     _check_radius(radius)
     if N_target < 12:
         raise ValueError("need at least 12 nodes on the sphere")
-    from scipy.spatial import SphericalVoronoi
-
     verts, faces = _icosahedron()
     while verts.shape[0] < N_target:
         verts, faces = _subdivide(verts, faces)
@@ -309,7 +338,7 @@ def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
     with np.errstate(over="ignore"):  # _pushforward refuses what overflows
         area = radius * nodes
     return _pushforward(
-        nodes, area, SphericalVoronoi(verts).calculate_areas(),
+        nodes, area, _voronoi_areas(verts, faces),
         pairs[np.unique(pairs @ [len(verts), 1], return_index=True)[1]],
         np.zeros(3, dtype=complex), np.array([3.0 * radius, 0.0, 0.0], dtype=complex),
         lambda m: make_sphere(m, radius),
@@ -353,26 +382,30 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     elementwise, and the witness is the first minimal pair in row-major
     order, as for one (N, N) array.  A ratio that is not a number (0 / 0
     for coincident nodes or a zero tangent) fails its check and is the
-    witness.
+    witness.  A block of rows i >= s takes the columns j >= s only: z_j - z_i
+    is the exact negation of z_i - z_j, in null coordinates too, so the
+    ratios are symmetric bit for bit, and the first minimal or NaN pair of
+    the (N, N) array has i < j.
     """
     z = mesh.nodes
     N = z.shape[0]
     firsts = []  # (ratio, i, j) of the first minimum of each row block
     for rows in row_blocks(N, N):
+        s = rows.start
         if mesh.n == 2:
-            sq, r2 = null_magnitudes(null_differences(z[rows], z))
+            sq, r2 = null_magnitudes(null_differences(z[rows], z[s:]))
         else:
             zt = np.ascontiguousarray(z.T)  # so that D is component first in memory too
-            D = zt[:, rows, None] - zt[:, None, :]
+            D = zt[:, rows, None] - zt[:, None, s:]
             sq = np.abs(np.sum(D * D, axis=0))
             r2 = np.sum(np.abs(D) ** 2, axis=0)
-        diag = np.arange(rows.start, rows.stop)
-        sq[diag - rows.start, diag] = np.inf
-        r2[diag - rows.start, diag] = 1.0
+        diag = np.arange(rows.stop - s)
+        sq[diag, diag] = np.inf
+        r2[diag, diag] = 1.0
         with np.errstate(invalid="ignore"):
             ratios = sq / r2
         i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-        firsts.append((float(ratios[i, j]), rows.start + int(i), int(j)))
+        firsts.append((float(ratios[i, j]), s + int(i), s + int(j)))
     pair_margin, i, j = firsts[int(np.argmin([f[0] for f in firsts]))]
     if not pair_margin > margin:  # argmin returns a NaN ratio first
         return ValidationReport(

@@ -441,7 +441,15 @@ def _operators(mesh: BoundaryMesh) -> tuple:
             A[:, rows] += C[:, rows]
             A[:, i, :, i, :] = 0.0
         C[:, i, :, i, :] = 0.0
-        C[:, i, :, i, :] = 0.5 * np.eye(sp.size) - C[:, rows].sum(axis=3).transpose(1, 0, 2, 3)
+        if mesh.n == 2:
+            # the block column axis is contiguous here, and numpy sums it pairwise
+            sums = C[:, rows].sum(axis=3)
+        else:
+            # numpy sums this strided axis in order, in inner loops of two
+            # entries; the running sum's last entry is that sum, bit for bit,
+            # in one sweep along the axis
+            sums = np.cumsum(C[:, rows], axis=3)[:, :, :, -1]
+        C[:, i, :, i, :] = 0.5 * np.eye(sp.size) - sums.transpose(1, 0, 2, 3)
     return tuple(BlockOperator(mesh, X.reshape(sp.blocks, N * sp.size, N * sp.size)) for X in (C, A))
 
 

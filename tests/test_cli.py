@@ -197,6 +197,35 @@ def test_maximal_does_not_import_scipy_stats(tmp_path):
     assert proc.stdout.split()[-6:] == ["0", "0", "0", "False", "False", "False"]
 
 
+def test_sphere_runs_do_not_import_scipy_spatial(tmp_path):
+    # make_sphere sums its Voronoi areas from the icosahedral faces, so a
+    # sphere run loads no convex hull code
+    env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
+    runs = [
+        f"main(['--command', {command!r}, '--geometry', 'sphere', '--N', '42', '--out', {str(tmp_path / command)!r}])"
+        for command in ("szego", "verify")
+    ]
+    code = (
+        "import sys; from plemelj.cli import main; "
+        f"rc = [{', '.join(runs)}]; "
+        "print(*rc, 'scipy.spatial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    # verify on sphere 42 exits 4: its residuals sit above the default cap
+    assert proc.stdout.split()[-3:] == ["0", "4", "False"]
+
+
+def test_sphere_gmres_that_misses_its_tolerance_exits_3(tmp_path, monkeypatch, capsys):
+    # a surface solve that cannot reach its tolerance is ill-conditioned, as
+    # an LU beyond cond_limit is
+    from plemelj import linsolve
+
+    monkeypatch.setattr(linsolve, "GMRES_TOL", -1.0)
+    rc, _ = run_cli(tmp_path, "--command", "szego", "--geometry", "sphere", "--N", "42")
+    assert rc == 3
+    assert "GMRES" in capsys.readouterr().err
+
+
 def test_decompose_constant(tmp_path):
     rc, out = run_cli(tmp_path, "--command", "decompose", "--N", "64")
     assert rc == 0

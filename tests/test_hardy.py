@@ -10,11 +10,13 @@ from plemelj.hardy import (
     szego_project,
     verify_identities,
 )
-from plemelj.linsolve import IllConditionedError, factor
+from plemelj.linsolve import Factorization, IllConditionedError, factor
 from plemelj.maximal import band_limited_family
 from plemelj.mesh import make_circle, make_deformed_curve
 from plemelj.operators import (
     BoundaryFunction,
+    _from_spinor,
+    _to_spinor,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     l2_norm,
@@ -161,6 +163,27 @@ class TestSzego:
             assert np.array_equal(lu, ref.blocks[0][0]) and np.array_equal(piv, ref.blocks[0][1])
             conds.append(ref.cond)
         assert ks.cond == max(conds)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_surfaces_solve_by_gmres_and_curves_by_lu(self, sign, deformed128, sphere162):
+        # the fork is the dimension: on the sphere every solve takes one
+        # product, and P+- f is the LU route's to rounding
+        from plemelj.hardy import _kerzman_stein_lu
+        from plemelj.linsolve import GMRESSolver
+
+        assert type(_kerzman_stein_lu(deformed128, sign)) is Factorization
+        solver = _kerzman_stein_lu(sphere162, sign)
+        assert type(solver) is GMRESSolver
+        f = band_limited_family(sphere162, 1, seed=2)[0]
+        A = assemble_kerzman_stein(sphere162).matrix
+        c1 = 1.0 if sign == "+" else -1.0
+        lu = factor([np.eye(A.shape[1]) + c1 * A[0]])
+        S = plemelj_projection(sphere162, sign).matrix
+        want = BoundaryFunction(sphere162, _from_spinor(S @ lu.solve(_to_spinor(f.values, sphere162)), sphere162))
+        got = szego_project(f, sign)
+        assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+        assert abs(solver.cond - lu.cond) <= 1e-14
+        assert set(solver.iterations) == {1}
 
     def test_plus_plus_minus_reproduces_on_circle(self, circle128):
         # orthogonal + oblique projectors coincide where A = 0

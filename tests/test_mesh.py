@@ -66,6 +66,18 @@ class TestSphere:
         with pytest.raises(ValueError):
             make_sphere(11)
 
+    @pytest.mark.parametrize("N", [42, 162, 642])
+    def test_face_built_weights_are_the_spherical_voronoi_areas(self, N):
+        # the kites of the faces sum to the cells scipy's convex hull finds,
+        # and the cells tile the sphere
+        from scipy.spatial import SphericalVoronoi
+
+        mesh = make_sphere(N)
+        want = SphericalVoronoi(np.real(mesh.nodes)).calculate_areas()
+        assert np.abs(mesh.sigma_abs / want - 1).max() <= 1e-12
+        assert abs(mesh.total_measure() - 4 * np.pi) <= 1e-13 * 4 * np.pi
+        assert np.array_equal(mesh.sigma, mesh.sigma_abs)
+
 
 class TestDeformedCurve:
     def test_zero_deformation_is_circle(self):
@@ -229,6 +241,23 @@ class TestValidation:
                 assert repr(got) == repr(self._one_shot(m, null=False, margin=margin))
         assert repr(validate_domain_manifold(mesh)) == repr(ValidationReport(True, "ok", None, 1.0, 1.0))
         assert validate_domain_manifold(mesh, 2.0).witness == (0, 1)
+
+    @pytest.mark.parametrize("name", ["deformed1024", "sphere162"])
+    def test_pairs_above_the_diagonal_keep_the_row_major_witness(self, name, request):
+        # each row block takes the pairs j >= i only; coincident nodes far
+        # apart make a NaN pair in two row blocks, and the witness is still
+        # the first in row-major order of the whole array
+        import dataclasses
+
+        mesh = request.getfixturevalue(name)
+        nodes = mesh.nodes.copy()
+        nodes[mesh.size - 2] = nodes[mesh.size - 60] = nodes[7]
+        bad = dataclasses.replace(mesh, nodes=nodes, cache={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_domain_manifold(bad)
+        # the NaN pairs are (7, N - 60), (7, N - 2), (N - 60, N - 2) and their mirrors
+        assert not rep.passed and rep.witness == (7, mesh.size - 60) and np.isnan(rep.pair_margin)
 
     def test_flat_patch_tangent_margin_one(self):
         rep = validate_domain_manifold(make_flat_patch(64))

@@ -33,7 +33,7 @@ TIMING = re.compile(r"^(verify|converge) N=\d+: [0-9.]+s$")
 
 
 def jobs():
-    """(name, config) of the 33 jobs: every command on small curves and spheres, sweeps, and larger meshes."""
+    """(name, config) of the 34 jobs: every command on small curves and spheres, sweeps, and larger meshes."""
     out = []
     for geometry in ("circle", "deformed"):
         out += [(f"{c}-{geometry}-64", {"command": c, "geometry": geometry, "N": 64}) for c in CURVE_COMMANDS]
@@ -47,6 +47,7 @@ def jobs():
         ("maximal-sphere-162-r1.25", {"command": "maximal", "geometry": "sphere", "N": 162, "radius": 1.25}),
         ("maximal-circle-128-r0.8", {"command": "maximal", "geometry": "circle", "N": 128, "radius": 0.8}),
         ("limits-sphere-642", {"command": "limits", "geometry": "sphere", "N": 642}),
+        ("szego-sphere-642", {"command": "szego", "geometry": "sphere", "N": 642}),
     ]
     return out
 
