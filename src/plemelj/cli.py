@@ -8,10 +8,13 @@ is recorded in every report; identical config and seed give byte-identical
 output files (runtimes go to stderr only).
 
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
-solve (or a GMRES solve that misses its tolerance), 4 check failure, 5 no approach cone fits inside the mesh (the
-maximal and limits commands need one), 6 invalid input (a node count the
-geometry does not take, a command the geometry does not support, a sweep
-too short); every failure ends in one line on stderr.
+solve (or a GMRES solve that misses its tolerance), 4 check failure, 5 no
+approach cone fits inside the mesh (maximal and limits need one), 6
+invalid input (a config file that cannot be read or is not one JSON
+object of DEFAULT_CONFIG's keys, each value of its default's kind, an
+unknown command, an --out that cannot be made a directory or written, a
+node count the geometry or command does not take, a command the geometry
+does not support); every failure ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import time
 import numpy as np
 
 from . import hardy, maximal, mobius
-from .linsolve import IllConditionedError
+from .algebra import algebra
+from .linsolve import COND_LIMIT, IllConditionedError
 from .mesh import (
     NoValidConeError,
     ValidationFailedError,
@@ -50,8 +54,8 @@ DEFAULT_CONFIG = {
     "depth": 8,
     "family_size": 20,
     "translation": [2.0, 0.0],
-    "identity_cap": 1e-3,
-    "cond_limit": 1e8,
+    "identity_cap": hardy.IDENTITY_CAP,
+    "cond_limit": COND_LIMIT,
 }
 
 EXIT_OK = 0
@@ -63,7 +67,9 @@ EXIT_INVALID_INPUT = 6
 
 
 def build_mesh(cfg, N=None):
-    N = int(N if N is not None else cfg["N"])
+    N = cfg["N"] if N is None else N
+    if isinstance(N, list):
+        raise ValueError(f"the {cfg['command']} command takes one N, not a sweep")
     geom = cfg["geometry"]
     if geom == "circle":
         return make_circle(N, cfg["radius"])
@@ -75,27 +81,19 @@ def build_mesh(cfg, N=None):
 
 
 def _n_list(cfg):
-    N = cfg["N"]
-    return [int(x) for x in N] if isinstance(N, (list, tuple)) else [int(N)]
+    return cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
 
 
 def _write_json(cfg, name, doc):
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], name)
-    doc = {"seed": cfg["seed"], **doc}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    return path
+    with open(os.path.join(cfg["out"], name), "w") as fh:
+        json.dump({"seed": cfg["seed"], **doc}, fh, indent=2)
 
 
 def _write_csv(cfg, name, header, rows):
-    os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], name)
-    with open(path, "w") as fh:
+    with open(os.path.join(cfg["out"], name), "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row) + "\n")
-    return path
 
 
 def _test_function(mesh, seed) -> BoundaryFunction:
@@ -141,8 +139,6 @@ def cmd_decompose(cfg) -> int:
     mesh = build_mesh(cfg)
     f = BoundaryFunction.constant(mesh, 1.0)
     dec = hardy.decompose(f)
-    from .algebra import algebra
-
     alg = algebra(mesh.n)
     norms = (alg.norm(g.values).tolist() for g in (dec.f, dec.f_plus, dec.f_minus))
     rows = zip(range(mesh.size), *norms)
@@ -308,17 +304,41 @@ def parse_args(argv=None):
     return _parser().parse_args(argv)
 
 
+def _of_kind(value, default) -> bool:
+    """Whether value has default's kind: a string, an integer, a number, or a list of those."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_of_kind(x, default[0]) for x in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default)) and not isinstance(value, bool)
+
+
 def load_config(args) -> dict:
+    """DEFAULT_CONFIG, updated by the --config file's JSON object and then by the flags.
+
+    Raises ValueError unless every key of the file is DEFAULT_CONFIG's with
+    a value of its default's kind (N may be a sweep, a list of integers)
+    and the command is one of COMMANDS.
+    """
     cfg = dict(DEFAULT_CONFIG)
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
+        for key, value in doc.items():
+            if key not in DEFAULT_CONFIG:
+                raise ValueError(f"unknown config key {key!r}")
+            default = DEFAULT_CONFIG[key]
+            if not (_of_kind(value, default) or (key == "N" and value and _of_kind(value, [default]))):
+                raise ValueError(f"config {key!r} must be of the kind of its default {default!r}, not {value!r}")
+        cfg.update(doc)
     for name in ("command", "geometry", "eps", "mode", "seed", "out"):
         val = getattr(args, name)
         if val is not None:
             cfg[name] = val
     if args.N is not None:
         cfg["N"] = [int(x) for x in args.N.split(",")] if "," in args.N else int(args.N)
+    if cfg["command"] not in COMMANDS:
+        raise ValueError(f"unknown command {cfg['command']!r}")
     return cfg
 
 
@@ -337,7 +357,7 @@ def main(argv=None) -> int:
     except NoValidConeError as exc:
         print(f"no approach cone: {exc}", file=sys.stderr)
         return EXIT_NO_CONE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a config that cannot be read, an --out that cannot be written
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

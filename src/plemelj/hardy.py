@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra
-from .linsolve import Factorization, GMRESSolver, factor, gmres, matmul
+from .linsolve import COND_LIMIT, Factorization, GMRESSolver, factor, gmres, matmul
 from .mesh import BoundaryMesh, cone_parameters, per_mesh
 from .operators import (
     PROJECTION_COEFFS,
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-10  # below this, residuals are rounding noise
+IDENTITY_CAP = 1e-3  # the default cap an identity residual must meet
 
 
 def residual_decreases(r: float, r2: float) -> bool:
@@ -90,7 +91,7 @@ def decompose(f: BoundaryFunction) -> HardyDecomposition:
     )
 
 
-def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = 1e8) -> Factorization | GMRESSolver:
+def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = COND_LIMIT) -> Factorization | GMRESSolver:
     """The solver of I - (C* - C) = I + A, built once per mesh and kept next to A.
 
     On curves the LU factors of the spinor blocks (linsolve.factor), on
@@ -121,7 +122,7 @@ def _kerzman_stein_lu(mesh: BoundaryMesh, sign: str) -> Factorization | GMRESSol
     return factor(systems)
 
 
-def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8) -> BoundaryFunction:
+def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = COND_LIMIT) -> BoundaryFunction:
     """Szego projection via the Kerzman-Stein equation: solve against I +- A, then project with S+-."""
     mesh = f.mesh
     S = plemelj_projection(mesh, sign).matrix
@@ -132,7 +133,7 @@ def szego_project(f: BoundaryFunction, sign: str = "+", cond_limit: float = 1e8)
 def szego_matrix(mesh: BoundaryMesh, sign: str = "+") -> BlockOperator:
     """P+- = S+- (I +- A)^{-1} as spinor blocks (for tests and oracles)."""
     S = plemelj_projection(mesh, sign).matrix
-    inv = _kerzman_stein_lu(mesh, sign).check(1e8).solve(BlockOperator.identity(mesh).matrix)
+    inv = _kerzman_stein_lu(mesh, sign).check(COND_LIMIT).solve(BlockOperator.identity(mesh).matrix)
     return BlockOperator(mesh, matmul(S, inv))
 
 
@@ -141,7 +142,7 @@ class IdentityReport:
     identity: str
     residual: float
     residual_refined: float | None = None
-    ratio: float | None = None
+    ratio: float | None = None  # residual_refined / residual; None (JSON null) when residual is 0
     passed: bool = True
 
     def as_dict(self):
@@ -200,7 +201,7 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
 
 
 def verify_identities(
-    mesh: BoundaryMesh, refine: bool = True, cap: float = 1e-3, cond_limit: float = 1e8
+    mesh: BoundaryMesh, refine: bool = True, cap: float = IDENTITY_CAP, cond_limit: float = COND_LIMIT
 ):
     """Residuals of the projection-algebra identities at N and (optionally) 2N.
 
@@ -220,7 +221,7 @@ def verify_identities(
         if refined is not None:
             r2 = refined[name]
             rep.residual_refined = r2
-            rep.ratio = r2 / r if r > 0 else float("nan")
+            rep.ratio = r2 / r if r > 0 else None
             ok = ok and residual_decreases(r, r2)
         rep.passed = bool(ok)
         reports.append(rep)

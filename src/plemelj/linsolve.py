@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 
+COND_LIMIT = 1e8  # the default limit on a Kerzman-Stein system's condition estimate
+
 # GMRES stops when every column's relative residual is at most GMRES_TOL,
 # well below hardy.RESIDUAL_FLOOR, and gives up after GMRES_MAX_ITERATIONS
 GMRES_TOL = 1e-14

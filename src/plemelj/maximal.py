@@ -203,23 +203,16 @@ def _weighted_l2(mesh: BoundaryMesh, values: np.ndarray) -> float:
 
 
 def band_limited_family(mesh: BoundaryMesh, count: int, seed: int = 0):
-    """Random smooth test functions; Fourier modes |m| <= 8 on curves, degree <= 1 otherwise."""
-    rng = np.random.default_rng(seed)
-    alg = algebra(mesh.n)
-    if mesh.theta is not None:
-        ms = np.arange(-8, 9)
-        modes = np.exp(1j * np.outer(mesh.theta, ms))
-    out = []
-    for _ in range(count):
-        if mesh.theta is not None:
-            coef = rng.normal(size=(ms.size, alg.dim)) + 1j * rng.normal(size=(ms.size, alg.dim))
-            vals = modes @ coef / np.sqrt(ms.size)
-        else:
-            x = mesh.nodes.real
-            coef = rng.normal(size=(1 + mesh.n, alg.dim)) + 1j * rng.normal(size=(1 + mesh.n, alg.dim))
-            vals = coef[0][None, :] + x @ coef[1:]
-        out.append(BoundaryFunction(mesh, vals))
-    return out
+    """Random smooth test functions; Fourier modes |m| <= 8 on curves, degree <= 1 otherwise.
+
+    One normal draw (count, 2, k, d) gives each function its real, then its imaginary coefficients.
+    """
+    modes = None if mesh.theta is None else np.exp(1j * np.outer(mesh.theta, np.arange(-8, 9)))
+    k = 1 + mesh.n if modes is None else modes.shape[1]
+    draw = np.random.default_rng(seed).normal(size=(count, 2, k, algebra(mesh.n).dim))
+    coef = draw[:, 0] + 1j * draw[:, 1]
+    vals = coef[:, :1] + mesh.nodes.real @ coef[:, 1:] if modes is None else modes @ coef / np.sqrt(k)
+    return [BoundaryFunction(mesh, v) for v in vals]
 
 
 def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):

@@ -102,24 +102,73 @@ def test_no_valid_cone_exit_code(tmp_path, capsys):
         ["--command", "mobius", "--geometry", "sphere", "--N", "42"],
         ["--command", "converge", "--N", "64"],
         ["--N", "63"],
+        ["--command", "mesh", "--N", "64,128"],
     ],
 )
 def test_invalid_input_exit_code(tmp_path, args):
     _invalid_input_message(tmp_path, args)
 
 
-def _invalid_input_message(tmp_path, args):
+def _invalid_input_message(tmp_path, args, out=None):
     """stderr of the CLI run as a program, after checking that it is one line of invalid input with exit code 6."""
     # run as a program, so an uncaught exception would show its traceback on stderr
     env = dict(os.environ, PYTHONPATH=str(Path(plemelj.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "plemelj.cli", *args, "--out", str(tmp_path)],
+        [sys.executable, "-m", "plemelj.cli", *args, "--out", str(out or tmp_path)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 6
     assert proc.stderr.startswith("invalid input: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     return proc.stderr
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"N": null}', "config 'N' must be of the kind of its default"),
+        ('{"identity_cap": "big"}', "config 'identity_cap' must be"),
+        ('{"cond_limit": null, "command": "szego"}', "config 'cond_limit' must be"),
+        ('{"family_size": "3", "command": "maximal"}', "config 'family_size' must be"),
+        ('{"seed": "x"}', "config 'seed' must be"),
+        ('{"command": "nope"}', "unknown command 'nope'"),
+        ('{"bogus": 1}', "unknown config key 'bogus'"),
+    ],
+    ids=["array", "N-null", "cap-string", "cond-null", "family-string", "seed-string", "command", "key"],
+)
+def test_invalid_config_exit_code(tmp_path, config, message):
+    # each of these ended in a traceback (exit 1), or, for the seed, wrote
+    # "x" as the report's seed (exit 0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config)
+    assert message in _invalid_input_message(tmp_path, ["--config", str(cfg_path), "--N", "64"])
+
+
+def test_unreadable_config_and_unmakeable_out_exit_code(tmp_path):
+    assert "No such file" in _invalid_input_message(tmp_path, ["--config", str(tmp_path / "missing.json")])
+    regular = tmp_path / "file"
+    regular.write_text("")
+    assert "Not a directory" in _invalid_input_message(tmp_path, ["--N", "64"], out=regular / "sub")
+
+
+def test_reports_are_strict_json(tmp_path):
+    # a refined verify wrote its S+ + S- - I ratio, 0 / 0, as a bare NaN
+    runs = [
+        ["--command", command, "--geometry", geometry, "--N", N]
+        for geometry, N in (("circle", "64"), ("deformed", "64"), ("sphere", "42"))
+        for command in ("verify", "mobius", "szego", "decompose", "limits")
+        if not (command == "mobius" and geometry == "sphere")
+    ] + [["--command", "converge", "--N", "64,128"]]
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for i, args in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(args + ["--out", str(out)]) in (0, 4)  # verify on sphere 42 exits 4
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("radius", ["0", "-1", "NaN"])

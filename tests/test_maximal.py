@@ -119,16 +119,22 @@ class TestMaximalFunction:
 class TestBandLimitedFamily:
     @staticmethod
     def _per_function(mesh, count, seed):
-        # the Fourier matrix evaluated once per function
+        # one draw of the real and one of the imaginary coefficients per
+        # function, and on curves the Fourier matrix evaluated once per function
         rng = np.random.default_rng(seed)
+        dim = algebra(mesh.n).dim
         out = []
         for _ in range(count):
+            if mesh.theta is None:
+                coef = rng.normal(size=(1 + mesh.n, dim)) + 1j * rng.normal(size=(1 + mesh.n, dim))
+                out.append(coef[0][None, :] + mesh.nodes.real @ coef[1:])
+                continue
             ms = np.arange(-8, 9)
-            coef = rng.normal(size=(ms.size, 4)) + 1j * rng.normal(size=(ms.size, 4))
+            coef = rng.normal(size=(ms.size, dim)) + 1j * rng.normal(size=(ms.size, dim))
             out.append(np.exp(1j * np.outer(mesh.theta, ms)) @ coef / np.sqrt(ms.size))
         return out
 
-    @pytest.mark.parametrize("name", ["circle64", "deformed128"])
+    @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
     def test_family_equals_per_function_loop(self, name, request):
         mesh = request.getfixturevalue(name)
         family = band_limited_family(mesh, 5, seed=3)

@@ -156,3 +156,59 @@ class TestIntertwining:
     def test_higher_even_dimension(self):
         rep = kernel_intertwining_check(4, None, num_samples=50)
         assert rep["gaps"]["shifted_reversed"] <= 1e-10
+
+
+def _per_sample_gaps(n, a, num_samples, seed):
+    """The four readings' gaps taken sample by sample, and the number of rejected draws."""
+    alg = algebra(n)
+    a = np.asarray(a, dtype=complex)
+    rng = np.random.default_rng(seed)
+    gaps = dict.fromkeys(("literal", "shifted", "literal_reversed", "shifted_reversed"), 0.0)
+    rejected = 0
+
+    def G(x):
+        return alg.embed_vector(cauchy_kernel(x))
+
+    def Ginv(x):
+        return alg.embed_vector(vector_inverse(cauchy_kernel(x)))
+
+    while num_samples:
+        w, z = rng.normal(size=n) * 1.5, rng.normal(size=n) * 1.5
+        if min(abs(np.sum(x * x)) for x in (w, z, w + a, z + a, w - z)) < 1e-3:
+            rejected += 1
+            continue
+        v, u = vector_inverse(w + a), vector_inverse(z + a)
+        if abs(np.sum((v - u) ** 2)) < 1e-12:
+            rejected += 1
+            continue
+        num_samples -= 1
+        lhs = {"": G(v - u), "_reversed": G(u - v)}
+        rhs = {
+            "literal": alg.product(Ginv(w), alg.product(G(w - z), Ginv(z))),
+            "shifted": alg.product(Ginv(w + a), alg.product(G(w - z), Ginv(z + a))),
+        }
+        scale = max(alg.norm(lhs[""]), 1e-300)
+        for side in lhs:
+            for reading in rhs:
+                gap = float(alg.norm(lhs[side] - rhs[reading]) / scale)
+                gaps[reading + side] = max(gaps[reading + side], gap)
+    return gaps, rejected
+
+
+class TestIntertwiningBatch:
+    @pytest.mark.parametrize("a, seed, rejected", [((2.0, 0.0), 34, 1), ((0.0, 0.0), 2, 0)])
+    def test_equals_per_sample_evaluation_at_n2(self, a, seed, rejected):
+        want, skipped = _per_sample_gaps(2, a, 100, seed)
+        assert skipped == rejected  # seed 34 takes the rejection masks
+        assert kernel_intertwining_check(2, a, seed=seed)["gaps"] == want
+
+    def test_agrees_with_per_sample_evaluation_at_n4(self):
+        want, _ = _per_sample_gaps(4, (2.0, 0.0, 0.0, 0.0), 50, 2)
+        got = kernel_intertwining_check(4, None, num_samples=50)["gaps"]
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-14)
+
+    def test_no_samples_give_zero_gaps(self):
+        rep = kernel_intertwining_check(2, A_DEFAULT, num_samples=0)
+        assert rep["gaps"] == dict.fromkeys(("literal", "shifted", "literal_reversed", "shifted_reversed"), 0.0)
