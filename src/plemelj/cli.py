@@ -10,11 +10,12 @@ output files (runtimes go to stderr only).
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
 solve (or a GMRES solve that misses its tolerance), 4 check failure, 5 no
 approach cone fits inside the mesh (maximal and limits need one), 6
-invalid input (a config file that cannot be read or is not one JSON
-object of DEFAULT_CONFIG's keys, each value of its default's kind, an
+invalid input (a config file that cannot be read or is not one JSON object
+of DEFAULT_CONFIG's keys, each value of its default's kind and range, an
 unknown command, an --out that cannot be made a directory or written, a
-node count the geometry or command does not take, a command the geometry
-does not support); every failure ends in one line on stderr.
+node count the geometry or command does not take, an N sweep that does not
+strictly increase, a command the geometry does not support); every failure
+ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -84,6 +85,17 @@ def _n_list(cfg):
     return cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
 
 
+def _sweep(cfg):
+    """Yield (N, mesh) over the N sweep, which must strictly increase; each N's wall time goes to stderr."""
+    sweep = _n_list(cfg)
+    if any(b <= a for a, b in zip(sweep, sweep[1:])):
+        raise ValueError(f"the N sweep must strictly increase, not {sweep}")
+    for N in sweep:
+        t0 = time.time()
+        yield N, build_mesh(cfg, N)
+        print(f"{cfg['command']} N={N}: {time.time() - t0:.2f}s", file=sys.stderr)
+
+
 def _write_json(cfg, name, doc):
     with open(os.path.join(cfg["out"], name), "w") as fh:
         json.dump({"seed": cfg["seed"], **doc}, fh, indent=2)
@@ -113,9 +125,7 @@ def cmd_verify(cfg) -> int:
     sweep = _n_list(cfg)
     all_pass = True
     results = []
-    for N in sweep:
-        t0 = time.time()
-        mesh = build_mesh(cfg, N)
+    for N, mesh in _sweep(cfg):
         refine = len(sweep) == 1 and mesh.builder is not None and N <= 256
         reports = hardy.verify_identities(
             mesh, refine=refine, cap=cfg["identity_cap"], cond_limit=cfg["cond_limit"]
@@ -123,7 +133,6 @@ def cmd_verify(cfg) -> int:
         for rep in reports:
             all_pass &= rep.passed
             results.append({"N": N, **rep.as_dict()})
-        print(f"verify N={N}: {time.time() - t0:.2f}s", file=sys.stderr)
     if len(sweep) > 1:
         # decreasing across the sweep, identity by identity
         by_name = {}
@@ -246,17 +255,13 @@ def cmd_converge(cfg) -> int:
     if len(sweep) < 2:
         raise ValueError("convergence sweep needs at least 2 mesh sizes")
     columns = {}
-    for N in sweep:
-        t0 = time.time()
-        mesh = build_mesh(cfg, N)
+    for N, mesh in _sweep(cfg):
         for rep in hardy.verify_identities(mesh, refine=False, cond_limit=cfg["cond_limit"]):
             columns.setdefault(rep.identity, []).append(rep.residual)
-        a = np.asarray(cfg["translation"], dtype=complex)
         if mesh.n == 2:
-            km = mobius.kelvin_map(mesh, a)
+            km = mobius.kelvin_map(mesh, cfg["translation"])
             iso = mobius.isometry_check(_test_function(mesh, cfg["seed"]), km)
             columns.setdefault("isometry_gap", []).append(iso["relative_gap"])
-        print(f"converge N={N}: {time.time() - t0:.2f}s", file=sys.stderr)
     orders = {}
     logN = np.log(np.asarray(sweep, dtype=float))
     for name, vals in columns.items():

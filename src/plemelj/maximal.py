@@ -7,10 +7,9 @@ cones of cone_parameters, giving a reproducible lower bound.
 
 bound_diagnostics runs each pass once for its whole family: one ball mask
 per radius for the maximal functions of every f and C f (_family_maximal),
-one walk over row blocks of cone samples (_family_nontangential), whose
-kernel rows skip the null test the samples passed as Interior (_cone_rows),
-and one walk over row blocks of nodes for the truncated sums
-(_family_truncated_sup).  Every row keeps the bits of a one-function pass.
+and the row blocks of the kernel sums of operators (_transform_blocks at
+the cone samples, _truncated_blocks at the nodes) reduced to norms and
+maxima.  Every row keeps the bits of a one-function pass.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import algebra, null_coordinates, null_differences
+from .algebra import algebra
 from .mesh import (
     _CONE_SAMPLES,
     BoundaryMesh,
@@ -27,13 +26,13 @@ from .mesh import (
     _cone_samples,
     cone_parameters,
     per_mesh,
-    row_blocks,
 )
 from .operators import (
     BoundaryFunction,
-    _cauchy_rows,
-    _kernel_blocks,
-    _to_spinor,
+    _spinor_norms,
+    _transform_blocks,
+    _truncated_blocks,
+    _weighted_columns,
     assemble_singular_cauchy,
     l2_norm,
     plemelj_projection,
@@ -93,90 +92,29 @@ def _family_maximal(mesh: BoundaryMesh, family, radii) -> np.ndarray:
     return out
 
 
-def _family_columns(mesh: BoundaryMesh, family) -> np.ndarray:
-    """Spinor columns (blocks, N s, copies F) of sigma_j f_j for every function f of the family."""
-    cols = np.stack([_to_spinor(f.values * mesh.sigma[:, None], mesh) for f in family], axis=-1)
-    return cols.reshape(cols.shape[0], cols.shape[1], -1)
-
-
-def _family_norms(mesh: BoundaryMesh, vals: np.ndarray, count: int) -> np.ndarray:
-    """(count, M) norms of the transforms whose spinor columns are vals (blocks, M s, copies count).
-
-    T is unitary, so the norm of a multivector is that of its spinor coordinates.
-    """
-    sp = algebra(mesh.n).spinor
-    sq = np.abs(vals.reshape(sp.blocks, -1, sp.size, sp.copies, count)) ** 2
-    return np.sqrt(sq.sum(axis=(0, 2, 3))).T
-
-
 def _family_nontangential(mesh: BoundaryMesh, family):
     """Per-node max of the transform norm over the sampled cones, for every function of the family: (F, N).
 
     The samples are the _CONE_SAMPLES per node of cone_parameters, all
-    Interior by its own check.  A sampled sup is a lower bound for the
-    true one.  The kernel blocks of each row block of samples (row_blocks)
-    multiply the spinor columns of the whole family at once (_cone_block),
-    and the products are reduced to their norms block by block.
+    Interior by its own check, so the transforms take the interior form of
+    _transform_blocks.  A sampled sup is a lower bound for the true one.
     """
     pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), _CONE_SAMPLES)
     if mesh.n == 2:
         family = [plemelj_projection(mesh, "+").apply(f) for f in family]
-    cols = _family_columns(mesh, family)
+    cols = _weighted_columns(mesh, [f.values for f in family])
     norms = np.empty((len(family), pts.shape[0]))
-    for rows in row_blocks(pts.shape[0], mesh.size):
-        norms[:, rows] = _family_norms(mesh, _cone_block(mesh, pts[rows], cols), len(family))
+    for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
+        norms[:, rows] = _spinor_norms(mesh, vals)
     return norms.reshape(len(family), mesh.size, _CONE_SAMPLES).max(axis=2)
 
 
-def _cone_rows(mesh: BoundaryMesh, points: np.ndarray) -> np.ndarray:
-    """The kernel blocks of _kernel_blocks(mesh, points) at (M, 2) Interior points, without its null test.
-
-    An Interior point is one the kernel accepts at every node pair
-    (region_membership_many), and cone_parameters has classified every
-    cone sample Interior, so the test is not taken a second time: the
-    reciprocal null pairs and the rows follow from the differences alone.
-    """
-    dz = null_differences(points, mesh.nodes)
-    return _cauchy_rows(np.reciprocal(dz, out=dz), null_coordinates(mesh.normals).T, 1.0)
-
-
-def _cone_block(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Spinor columns (blocks, M s, copies F) of the transforms at Interior (M, n) points.
-
-    cols are the _family_columns of S+ f on curves and of f on the sphere.
-    On curves each null plane takes the interior barycentric form
-    num(S+ f) / num(1) of the Cauchy integral, num(g) = sum_j K(p, z_j)
-    sigma_j g_j with the planar kernel blocks K of _cone_rows: near a
-    node the quadrature error is a common factor of both sums and cancels
-    (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the sphere, whose S+
-    is first order, the transform is the plain sum num(f).
-    """
-    if mesh.n == 2:
-        K = _cone_rows(mesh, points)
-        vals = K @ cols
-        vals /= (K @ mesh.sigma)[..., None]
-        return vals
-    return _kernel_blocks(mesh, points) @ cols
-
-
 def _family_truncated_sup(mesh: BoundaryMesh, family, radii) -> np.ndarray:
-    """(F, N) sup over the schedule of ||integral over dM minus B(w, eps) of G n f||, per function.
-
-    Each row block of nodes takes its kernel blocks once, each node's own
-    pair skipped (_kernel_blocks), and every radius masks them for the
-    whole family.
-    """
-    sp = algebra(mesh.n).spinor
-    N = mesh.size
-    cols = _family_columns(mesh, family)
-    dist = _pair_distances(mesh)
-    idx = np.arange(N)
-    out = np.zeros((len(family), N))
-    for rows in row_blocks(N, N):
-        K = _kernel_blocks(mesh, mesh.nodes[rows], idx[rows]).reshape(sp.blocks, -1, sp.size, N, sp.size)
-        for eps in radii:
-            vals = (K * (dist[rows] > eps)[:, None, :, None]).reshape(sp.blocks, -1, N * sp.size) @ cols
-            out[:, rows] = np.maximum(out[:, rows], _family_norms(mesh, vals, len(family)))
+    """(F, N) sup over the schedule of ||integral over dM minus B(w, eps) of G n f||, per function."""
+    cols = _weighted_columns(mesh, [f.values for f in family])
+    out = np.zeros((len(family), mesh.size))
+    for rows, vals in _truncated_blocks(mesh, cols, _pair_distances(mesh), radii):
+        out[:, rows] = np.maximum(out[:, rows], _spinor_norms(mesh, vals))
     return out
 
 
@@ -224,6 +162,8 @@ def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
     under refinement is what the acceptance checks.  Each pass runs once
     for the whole family (module docstring).
     """
+    if family_size < 1:
+        raise ValueError(f"family_size must be at least 1, not {family_size}")
     radii = default_radii(mesh)
     C = assemble_singular_cauchy(mesh)
     family = band_limited_family(mesh, family_size, seed)

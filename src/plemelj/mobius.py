@@ -50,12 +50,14 @@ def _curve_mesh_from_nodes(nodes: np.ndarray, theta: np.ndarray, builder=None) -
 def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
     """Build the map data for psi(z) = (z + a)^{-1} with image boundary dM.
 
-    The pulled-back nodes are z_i = u_i^{-1} - a; raises NullVectorError
-    when some u_i is on the null cone (the map is invalid there).
+    The pulled-back nodes are z_i = u_i^{-1} - a, a of n components; raises
+    NullVectorError when some u_i is on the null cone (the map is invalid there).
     """
     if mesh.n != 2 or mesh.theta is None:
         raise ValueError("Kelvin maps are implemented for closed curves in C^2")
     a = np.asarray(a, dtype=complex)
+    if a.shape != (mesh.n,):
+        raise ValueError(f"translation must have {mesh.n} components, not {a.size}")
     builder = (lambda m: kelvin_map(mesh.builder(m), a).domain_mesh) if mesh.builder else None
     domain = _curve_mesh_from_nodes(vector_inverse(mesh.nodes) - a, mesh.theta, builder)
     return KelvinMap(a=a, image_mesh=mesh, domain_mesh=domain)

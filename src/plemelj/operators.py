@@ -8,10 +8,11 @@ and applied as its irreducible spinor blocks (BlockOperator): two N x N
 matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
 Every weighted kernel sum over the nodes, sum_j G(p_m - z_j) n_j W_mj g_j,
-is a product with the spinor blocks of one primitive, _kernel_blocks(mesh,
-points, skip, W): the off-boundary transforms (W = 1), the truncated
-maximal pass and the subtracted near-boundary transform (the pair of each
-point with its node skipped).  For n = 2 the blocks are assembled directly.
+is formed here from the spinor blocks of one primitive, _kernel_blocks(mesh,
+points, skip, W): the off-boundary transforms (W = 1) and the truncated
+sums at the nodes in row blocks (_transform_blocks, _truncated_blocks), and
+the subtracted near-boundary transform (the pair of each point with its
+node skipped).  For n = 2 the blocks are assembled directly.
 With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
 -zeta eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
 -zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
@@ -22,9 +23,8 @@ written over R (_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3
 (_surface_rows) times a vector is a closed-form sum of the blocks
 B(e_l e_k) (_vector_blocks).  The kernel's domain is algebra's: _null_rows
 takes its null test (is_null_planar), _surface_rows its real differences
-and origin test (_real_differences).  Only the maximal cone pass takes
-n = 2 rows without the null test, at samples already classified Interior
-(maximal._cone_rows).
+and origin test (_real_differences).  Transforms at points classified
+Interior take n = 2 rows without the null test (_transform_blocks).
 
 Between the nodes themselves C and A are built in one pass over row blocks
 on every mesh (_operators).  Each block evaluates its kernel once, R for
@@ -508,14 +508,64 @@ def _projection(mesh: BoundaryMesh, sign: str) -> BlockOperator:
 # -- off-boundary transforms -------------------------------------------------------
 
 
+def _weighted_columns(mesh: BoundaryMesh, values) -> np.ndarray:
+    """Spinor columns (blocks, N s, copies F) of sigma_j g_j for each of the F node-value arrays g (N, d)."""
+    cols = np.stack([_to_spinor(g * mesh.sigma[:, None], mesh) for g in values], axis=-1)
+    return cols.reshape(cols.shape[0], cols.shape[1], -1)
+
+
+def _spinor_norms(mesh: BoundaryMesh, vals: np.ndarray) -> np.ndarray:
+    """(F, M) norms of the multivectors with spinor columns vals (blocks, M s, copies F); T is unitary."""
+    sp = algebra(mesh.n).spinor
+    sq = np.abs(vals.reshape(sp.blocks, -1, sp.size, sp.copies, vals.shape[-1] // sp.copies)) ** 2
+    return np.sqrt(sq.sum(axis=(0, 2, 3))).T
+
+
+def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, interior: bool = False):
+    """Yield (rows, spinor columns (blocks, M s, copies F)) of the transforms at the row blocks of (M, n) points.
+
+    A block is num(g) = sum_j K(p, z_j) sigma_j g_j, K the _kernel_blocks and
+    cols the _weighted_columns of g.  With interior the points are Interior
+    (the kernel accepts every pair) and on curves g is S+ f: the null test is
+    not taken again, and each null plane takes the barycentric form num(S+ f)
+    / num(1), whose quadrature error near a node is a common factor of both
+    sums and cancels (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the
+    sphere, whose S+ is first order, it is the plain sum num(f).
+    """
+    for rows in row_blocks(points.shape[0], mesh.size):
+        if interior and mesh.n == 2:
+            dz = null_differences(points[rows], mesh.nodes)
+            K = _cauchy_rows(np.reciprocal(dz, out=dz), null_coordinates(mesh.normals).T, 1.0)
+            vals = K @ cols
+            vals /= (K @ mesh.sigma)[..., None]
+        else:
+            vals = _kernel_blocks(mesh, points[rows]) @ cols
+        yield rows, vals
+
+
+def _truncated_blocks(mesh: BoundaryMesh, cols: np.ndarray, dist: np.ndarray, radii):
+    """Yield (rows, spinor columns) of the kernel sums over |z_m - z_j| > eps at the nodes, radius eps by radius.
+
+    Each row block of nodes takes its kernel blocks once, each node's own
+    pair skipped (_kernel_blocks), and every radius masks them by dist (N, N).
+    """
+    sp = algebra(mesh.n).spinor
+    N = mesh.size
+    idx = np.arange(N)
+    for rows in row_blocks(N, N):
+        K = _kernel_blocks(mesh, mesh.nodes[rows], idx[rows]).reshape(sp.blocks, -1, sp.size, N, sp.size)
+        for eps in radii:
+            yield rows, (K * (dist[rows] > eps)[:, None, :, None]).reshape(sp.blocks, -1, N * sp.size) @ cols
+
+
 def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, as spinor-block products in row_blocks."""
+    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, from the row blocks of _transform_blocks."""
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    columns = _to_spinor(values * mesh.sigma[:, None], mesh)
+    columns = _weighted_columns(mesh, [values])
     s = algebra(mesh.n).spinor.size
     out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
-    for rows in row_blocks(points.shape[0], mesh.size):
-        out[:, rows.start * s : rows.stop * s] = _kernel_blocks(mesh, points[rows]) @ columns
+    for rows, vals in _transform_blocks(mesh, points, columns):
+        out[:, rows.start * s : rows.stop * s] = vals
     return _from_spinor(out, mesh)
 
 

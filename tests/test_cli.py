@@ -145,6 +145,30 @@ def test_invalid_config_exit_code(tmp_path, config, message):
     assert message in _invalid_input_message(tmp_path, ["--config", str(cfg_path), "--N", "64"])
 
 
+@pytest.mark.parametrize(
+    "config, args, message",
+    [
+        ('{"translation": [2.0]}', ["--command", "mobius"], "translation must have 2 components, not 1"),
+        ('{"translation": [1.0, 2.0, 3.0]}', ["--command", "mobius"], "translation must have 2 components, not 3"),
+        ('{"translation": [2.0]}', ["--command", "converge", "--N", "64,128"], "translation must have 2 components"),
+        ('{"depth": -1}', ["--command", "limits"], "depth must be at least 1, not -1"),
+        ('{"depth": 0}', ["--command", "limits"], "depth must be at least 1, not 0"),
+        ('{"family_size": 0}', ["--command", "maximal"], "family_size must be at least 1, not 0"),
+        ('{"family_size": -3}', ["--command", "maximal"], "family_size must be at least 1, not -3"),
+        ("{}", ["--command", "converge", "--N", "64,64"], "the N sweep must strictly increase"),
+        ("{}", ["--command", "verify", "--N", "128,64"], "the N sweep must strictly increase"),
+    ],
+    ids=["translation-1", "translation-3", "converge-translation", "depth-negative", "depth-0",
+         "family-0", "family-negative", "converge-repeated", "verify-decreasing"],
+)
+def test_out_of_range_value_exit_code(tmp_path, config, args, message):
+    # each of these ran with a broadcast translation, an empty depth sweep or
+    # a fit over one mesh size (exit 0), or ended in a numpy message naming no input
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config)
+    assert message in _invalid_input_message(tmp_path, ["--config", str(cfg_path), "--N", "64", *args])
+
+
 def test_unreadable_config_and_unmakeable_out_exit_code(tmp_path):
     assert "No such file" in _invalid_input_message(tmp_path, ["--config", str(tmp_path / "missing.json")])
     regular = tmp_path / "file"

@@ -3,10 +3,8 @@ import pytest
 
 from conftest import pair_kernel
 from plemelj.algebra import algebra, cauchy_kernel
-from plemelj.mesh import EmptyBallError, cone_parameters, make_circle, make_deformed_curve
+from plemelj.mesh import EmptyBallError, cone_parameters, make_circle, make_deformed_curve, make_sphere
 from plemelj.maximal import (
-    _cone_block,
-    _cone_rows,
     _family_maximal,
     _family_nontangential,
     _pair_distances,
@@ -15,7 +13,14 @@ from plemelj.maximal import (
     default_radii,
     maximal_function,
 )
-from plemelj.operators import BoundaryFunction, assemble_singular_cauchy, l2_norm, omega
+from plemelj.operators import (
+    BoundaryFunction,
+    _transform_blocks,
+    _weighted_columns,
+    assemble_singular_cauchy,
+    l2_norm,
+    omega,
+)
 
 
 def _clifford_transform_weights(mesh, values):
@@ -149,17 +154,23 @@ class TestNontangentialMaximal:
         N = _family_nontangential(circle128, [one])[0]
         assert np.abs(N - 1.0).max() < 1e-6
 
-    @pytest.mark.parametrize("name", ["circle64", "deformed128"])
+    @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
     def test_cone_rows_equal_kernel_blocks(self, name, request):
         # the cone pass takes its rows without the null test that the
-        # samples, all Interior, have passed in cone_parameters
-        from plemelj.mesh import _cone_samples, row_blocks
+        # samples, all Interior, have passed in cone_parameters, and on
+        # curves divides by num(1); on the sphere it is the plain sum
+        from plemelj.mesh import _cone_samples
         from plemelj.operators import _kernel_blocks
 
         mesh = request.getfixturevalue(name)
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
-        for rows in row_blocks(pts.shape[0], mesh.size):
-            assert np.array_equal(_cone_rows(mesh, pts[rows]), _kernel_blocks(mesh, pts[rows]))
+        cols = _weighted_columns(mesh, [f.values for f in band_limited_family(mesh, 3, seed=1)])
+        for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
+            K = _kernel_blocks(mesh, pts[rows])
+            want = K @ cols
+            if mesh.n == 2:
+                want /= (K @ mesh.sigma)[..., None]
+            assert np.array_equal(vals, want)
 
     def test_kernel_trace_peaks_toward_pole(self, circle128):
         pole = np.array([3.0, 0.0])
@@ -176,17 +187,16 @@ class TestNontangentialMaximal:
         # f is G(. - a) plus G(. - b) with a outside and b inside: the
         # transform of f inside is G(p - a), at every cone sample, however
         # near its node; the plain quadrature sum misses it by 1e-7 to 0.7
-        from plemelj.maximal import _family_columns
-        from plemelj.mesh import _cone_samples, row_blocks
+        from plemelj.mesh import _cone_samples
         from plemelj.operators import _from_spinor, plemelj_projection
 
         mesh = build()
         a, b = np.array([2.5, 0.3]), np.array([0.2, -0.1])
         f = BoundaryFunction.kernel_trace(mesh, a) + BoundaryFunction.kernel_trace(mesh, b)
-        cols = _family_columns(mesh, [plemelj_projection(mesh, "+").apply(f)])
+        cols = _weighted_columns(mesh, [plemelj_projection(mesh, "+").apply(f).values])
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
-        for rows in row_blocks(pts.shape[0], mesh.size):
-            got = _from_spinor(_cone_block(mesh, pts[rows], cols), mesh)
+        for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
+            got = _from_spinor(vals, mesh)
             want = algebra(2).embed_vector(cauchy_kernel(pts[rows] - a))
             assert _relative_gap(got, want) <= 1e-12
 
@@ -204,6 +214,13 @@ class TestBoundDiagnostics:
         reps = bound_diagnostics(circle64, 5, seed=1)
         for r in reps:
             assert np.all(np.isfinite(r.cotlar_ratio))
+
+    def test_sphere_constants_are_finite(self):
+        # the sphere's cone pass takes the plain sum (n = 3)
+        reps = bound_diagnostics(make_sphere(42), 2)
+        assert len(reps) == 2
+        for r in reps:
+            assert np.isfinite([r.c_maximal, r.c_nontangential]).all() and np.isfinite(r.cotlar_ratio).all()
 
     def test_family_pass_matches_per_function_transforms(self, circle64):
         # one block product for the whole family against the Clifford kernel

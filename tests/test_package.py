@@ -56,6 +56,19 @@ def test_kernel_sums_stay_on_spinor_blocks():
     assert not set(_references(tree)) & {"generator_left", "left_vector_matrix", "left_matrix"}
 
 
+def test_kernel_sums_are_formed_only_in_operators():
+    # maximal reduces the row blocks of the operators generators to norms and
+    # maxima; it builds no kernel row and no spinor column itself, and
+    # operators calls back into no maximal function
+    src = Path(plemelj.__file__).parent
+    trees = {name: ast.parse((src / name).read_text()) for name in ("maximal.py", "operators.py")}
+    kernel = {"_kernel_blocks", "_cauchy_rows", "_null_rows", "null_differences", "null_coordinates", "_to_spinor"}
+    imported = {name.rsplit(".", 1)[-1] for name in _imported_names(trees["maximal.py"])}
+    assert not (set(_references(trees["maximal.py"])) | imported) & kernel
+    maximal_functions = {node.name for node in trees["maximal.py"].body if isinstance(node, ast.FunctionDef)}
+    assert maximal_functions and not set(_references(trees["operators.py"])) & maximal_functions
+
+
 def test_kernel_tolerances_are_defined_only_in_algebra():
     # the Cauchy kernel's domain (its null and real tests) is decided in
     # algebra; the modules that evaluate the kernel or classify regions
