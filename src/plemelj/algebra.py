@@ -288,10 +288,14 @@ def null_magnitudes(d: np.ndarray):
 
 def is_null_planar(d: np.ndarray) -> np.ndarray:
     """is_null of n = 2 vectors given by their null coordinates d, plane first: |square(u)| <= NULL_TOL (1 + |u|^2)."""
-    sq, tol = null_magnitudes(d)
-    tol += 1.0
-    tol *= NULL_TOL
-    return sq <= tol
+    return _on_null_cone(*null_magnitudes(d))
+
+
+def _on_null_cone(sq: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """The kernel's null test from sq = |square(u)| and r2 = |u|^2: sq <= NULL_TOL (1 + r2); r2 is overwritten."""
+    r2 += 1.0
+    r2 *= NULL_TOL
+    return sq <= r2
 
 
 def vector_inverse(z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ identity P (I - (S* - S)) = S, that is P+ (I + A) = S+ and P- (I - A) = S-:
 a solve against I +- A followed by one projection application.  The solver
 of I + A is built once per mesh and shared by every solve, and that of
 I - A once P- is asked for.  On curves it is the LU factors of the distinct
-spinor blocks; on surfaces it is GMRES on A's stored block, which takes one
-product per solve on the sphere, where A vanishes.  The identity route is
+spinor blocks, which operators stores column-major, as LAPACK reads them, so
+the copy each LU overwrites is a contiguous one; on surfaces it is GMRES on
+A's stored block, which takes one product per solve on the sphere, where A
+vanishes.  The identity route is
 the only production path; an orthogonal-projector construction from a
 monogenic basis exists solely as an independent oracle in the tests.
 
@@ -108,10 +110,11 @@ def kerzman_stein_factor(mesh: BoundaryMesh, cond_limit: float = COND_LIMIT) -> 
 def _kerzman_stein_lu(mesh: BoundaryMesh, sign: str) -> Factorization | GMRESSolver:
     # I +- A, the sign of C in S+-.  Surfaces solve it by GMRES on A's own
     # blocks, whose diagonal blocks are 0; on the sphere A is 0 to rounding
-    # and every solve takes one product.  Curves LU-factor private
-    # column-major copies of A's blocks, which LAPACK overwrites with their
-    # factors: on a deformed curve at N = 512 GMRES takes 4-10 products per
-    # solve, and its condition estimate and solves cost more than the LU
+    # and every solve takes one product.  Curves LU-factor private copies of
+    # A's blocks, which LAPACK overwrites with their factors; the blocks are
+    # column-major (operators._operators), so each copy is a contiguous one.
+    # On a deformed curve at N = 512 GMRES takes 4-10 products per solve,
+    # and its condition estimate and solves cost more than the LU
     c1 = PROJECTION_COEFFS[sign][1]
     if mesh.n == 3:
         return gmres(assemble_kerzman_stein(mesh).matrix, c1)

@@ -191,7 +191,8 @@ def _product(A: np.ndarray, scale: float, v: np.ndarray, adjoint: bool) -> np.nd
 
     As in matmul, zgemm forms the transposed product v^T op(A)^T, taking
     the row-major A as its column-major transpose; the conjugate flag on it
-    gives conj(A) = (A^H)^T.
+    gives conj(A) = (A^H)^T.  A must be row-major: GMRES serves surfaces
+    only, whose A operators stores row-major (a curve's is column-major).
     """
     from scipy.linalg.blas import zgemm
     vt = np.ascontiguousarray(v).T

@@ -37,6 +37,7 @@ import numpy as np
 
 from .algebra import (
     NULL_TOL,
+    _on_null_cone,
     _real_differences,
     is_null_planar,
     null_coordinates,
@@ -355,6 +356,7 @@ class ValidationReport:
     witness: tuple | None
     pair_margin: float
     tangent_margin: float
+    null_pair: bool = False  # some node pair i != j fails the kernel's null test
 
     def __str__(self):
         if self.passed:
@@ -386,10 +388,17 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     is the exact negation of z_i - z_j, in null coordinates too, so the
     ratios are symmetric bit for bit, and the first minimal or NaN pair of
     the (N, N) array has i < j.
+
+    The same pass records in null_pair whether some node pair fails the
+    kernel's null test (algebra._on_null_cone), whatever the verdict: two
+    nodes 1e-7 apart pass the margin but not that test.  For n = 2 both
+    sides of it are is_null_planar's, bit for bit, so operators._operators
+    raises NullVectorError from this record and takes no test of its own.
     """
     z = mesh.nodes
     N = z.shape[0]
     firsts = []  # (ratio, i, j) of the first minimum of each row block
+    null_pair = False
     for rows in row_blocks(N, N):
         s = rows.start
         if mesh.n == 2:
@@ -406,6 +415,7 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
             ratios = sq / r2
         i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
         firsts.append((float(ratios[i, j]), s + int(i), s + int(j)))
+        null_pair = null_pair or bool(np.any(_on_null_cone(sq, r2)))
     pair_margin, i, j = firsts[int(np.argmin([f[0] for f in firsts]))]
     if not pair_margin > margin:  # argmin returns a NaN ratio first
         return ValidationReport(
@@ -414,6 +424,7 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
             (i, j),
             pair_margin,
             float("nan"),
+            null_pair,
         )
 
     edges = mesh.edge_list()
@@ -431,8 +442,9 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
             (int(edges[jmin, 0]), int(edges[jmin, 1])),
             pair_margin,
             tangent_margin,
+            null_pair,
         )
-    return ValidationReport(True, "ok", None, pair_margin, tangent_margin)
+    return ValidationReport(True, "ok", None, pair_margin, tangent_margin, null_pair)
 
 
 def _ratio_text(ratio: float, margin: float) -> str:

@@ -32,7 +32,8 @@ n = 2 and G for n = 3, and writes C's rows and A's rows from it; for n = 2
 block rho of the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
 zeta_rhobar(n_i) R_rhobar (rhobar = 1 - rho), since left multiplication by
 a vector swaps the null planes.  No (N, N) array of kernel values or
-weights is kept.
+weights is kept.  For n = 2 the pass stores A's blocks column-major, as
+the LU reads them, and takes the node pairs' null test from validation.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -298,38 +299,53 @@ def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
 # -- assembly ---------------------------------------------------------------------
 
 
+@per_mesh
+def _alternate_rule(mesh: BoundaryMesh):
+    """The alternate-point rule's weight rows W (2, N) and weighted normals zeta_rho(n_j) W_pj / -omega (2, 2, N), or None.
+
+    Closed curves with even N use odd offsets with doubled weights (the
+    alternate-point trapezoid rule, exact on the circle's band), so node
+    i's row of weights is row i % 2 of W.  Other meshes use the punctured
+    rule, and this is None.
+    """
+    N = mesh.size
+    if mesh.theta is None or N % 2:
+        return None
+    W = ((np.arange(2)[:, None] - np.arange(N)[None, :]) % 2).astype(float) * (2.0 * mesh.sigma)[None, :]
+    return W, null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
+
+
 def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
     """Rows (a slice or an index array) of the quadrature weight matrix for singular kernels.
 
-    Closed curves with even N use odd offsets with doubled weights (the
-    alternate-point trapezoid rule, exact on the circle's band); other
-    meshes use the punctured rule.  Only the requested rows are built.
+    The alternate-point rule's rows are gathered from _alternate_rule; other
+    meshes use the punctured rule, sigma_j off the row's own node.  Only
+    the requested rows are built.
     """
-    N = mesh.size
-    j = np.arange(N)
-    i = j[rows]
-    if mesh.theta is not None and N % 2 == 0:
-        parity = ((i[:, None] - j[None, :]) % 2).astype(float)
-        return parity * (2.0 * mesh.sigma)[None, :]
+    i = np.arange(mesh.size)[rows]
+    rule = _alternate_rule(mesh)
+    if rule is not None:
+        return rule[0][i % 2]
     W = np.tile(mesh.sigma, (i.size, 1))
     W[np.arange(i.size), i] = 0.0
     return W
 
 
-def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
+def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) -> np.ndarray:
     """Reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N) at (M, 2) points (n = 2), 0 at the pairs (m, skip[m]).
 
     The differences take the kernel's null test first (algebra.is_null_planar),
     with the skipped pairs parked off the cones, so this raises NullVectorError
-    wherever cauchy_kernel does on a pair that is not skipped.  At the
-    nodes, each skipping itself, the rows of all blocks make an
-    antisymmetric R, bit for bit.
+    wherever cauchy_kernel does on a pair that is not skipped.  The node
+    pass passes test=False: validation took the same test on every node
+    pair (ValidationReport.null_pair).  At the nodes, each skipping itself,
+    the rows of all blocks make an antisymmetric R, bit for bit.
     """
     dz = null_differences(points, mesh.nodes)
     pairs = (slice(None), np.arange(points.shape[0]), skip)
     if skip is not None:
         dz[pairs] = 1.0  # placeholder off the null cones
-    if np.any(is_null_planar(dz)):
+    if test and np.any(is_null_planar(dz)):
         raise NullVectorError("Cauchy kernel evaluated on the null cone")
     R = np.reciprocal(dz, out=dz)
     if skip is not None:
@@ -337,10 +353,21 @@ def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip) -> np.ndarray:
     return R
 
 
-def _cauchy_rows(R: np.ndarray, zn: np.ndarray, W) -> np.ndarray:
-    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R; W is rows or 1.0."""
+def _cauchy_rows(R: np.ndarray, mesh: BoundaryMesh, rows=None) -> np.ndarray:
+    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R.
+
+    W is 1 when rows is None, else the singular weights of the nodes
+    `rows` (an index array, _weight_rows); the alternate-point rule's
+    weighted normals are gathered from its table (_alternate_rule).
+    """
+    rule = None if rows is None else _alternate_rule(mesh)
+    if rule is not None:
+        normals = rule[1][:, rows % 2]
+    else:
+        W = 1.0 if rows is None else _weight_rows(mesh, rows)
+        normals = null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
     # the weighted normals first and R second, in this order at every size
-    return np.multiply(zn[:, None, :] * (W / -omega(2)), R, out=R)
+    return np.multiply(normals, R, out=R)
 
 
 def _surface_rows(mesh: BoundaryMesh, points: np.ndarray, skip, W) -> np.ndarray:
@@ -382,11 +409,12 @@ def _vector_blocks(K: np.ndarray, vectors: np.ndarray, left: bool = False) -> np
     return out
 
 
-def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> np.ndarray:
+def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False) -> np.ndarray:
     """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j W_mj at (M, n) points, 0 at the pairs (m, skip[m]).
 
-    The one primitive for weighted kernel sums over the nodes; W is (M, N)
-    or the scalar 1.0.  For n = 2 block rho is the planar Cauchy kernel
+    The one primitive for weighted kernel sums over the nodes; W_mj is 1,
+    or with weighted the singular weights of node skip[m]'s row
+    (_weight_rows).  For n = 2 block rho is the planar Cauchy kernel
     of the zeta_rho plane, R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 =
     zeta and zeta_1 = eta (algebra.null_coordinates), from the reciprocal
     null pairs R of _null_rows by C's own arithmetic (_cauchy_rows); for
@@ -395,7 +423,8 @@ def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, W=1.0) -> 
     and OddDimensionComplexError where the n = 3 differences are complex.
     """
     if mesh.n == 2:
-        return _cauchy_rows(_null_rows(mesh, points, skip), null_coordinates(mesh.normals).T, W)
+        return _cauchy_rows(_null_rows(mesh, points, skip), mesh, skip if weighted else None)
+    W = _weight_rows(mesh, skip) if weighted else 1.0
     return _vector_blocks(_surface_rows(mesh, points, skip, W), mesh.normals).reshape(1, 2 * len(points), -1)
 
 
@@ -412,15 +441,25 @@ def _operators(mesh: BoundaryMesh) -> tuple:
     written from the rows just built, I/2 - sum_{j != i} block_ij
     (assemble_singular_cauchy).  Raises ValidationFailedError on a mesh that
     fails validate_domain_manifold.
+
+    For n = 2, A's blocks are stored column-major, the layout LAPACK reads
+    (hardy._kerzman_stein_lu).  A is skew-adjoint: K_rho[j, i] =
+    -K_rhobar[i, j] bit for bit, so column i of A_rho, K_rho[j, i] sigma_i /
+    -omega, is written as row i of its storage, K_rhobar[i, j] sigma_i /
+    omega.  Negation is exact, so only zeros may differ in sign from a
+    row-major build.  The node pairs' null test is validation's
+    (ValidationReport.null_pair).
     """
-    _validated(mesh)
+    report = _validated(mesh)
+    if mesh.n == 2 and report.null_pair:
+        raise NullVectorError("Cauchy kernel evaluated on the null cone")
     sp, N = algebra(mesh.n).spinor, mesh.size
     C, A = np.empty((2, sp.blocks, N, sp.size, N, sp.size), dtype=complex)
     idx = np.arange(N)
     for rows in row_blocks(N, N):
         i = idx[rows]
         if mesh.n == 2:
-            R = _null_rows(mesh, mesh.nodes[rows], i)
+            R = _null_rows(mesh, mesh.nodes[rows], i, test=False)
             zn = null_coordinates(mesh.normals).T
             # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
             # by the vector n_i swaps the null planes, so it is
@@ -429,10 +468,10 @@ def _operators(mesh: BoundaryMesh) -> tuple:
             # K holds minus the kernel; the sign goes into the weights.
             K = zn[:, None, :] * R
             K += zn[::-1, rows, None] * R[::-1]
-            K *= mesh.sigma / -omega(2)
-            A[:, rows, 0, :, 0] = K
+            # A_rho's columns i, K_rhobar[i, j] sigma_i / omega, as rows of its storage
+            np.multiply(K[::-1], (mesh.sigma[rows] / omega(2))[:, None], out=A[:, rows, 0, :, 0])
             # C's rows last: _cauchy_rows writes them over R
-            C[:, rows, 0, :, 0] = _cauchy_rows(R, zn, _weight_rows(mesh, rows))
+            C[:, rows, 0, :, 0] = _cauchy_rows(R, mesh, i)
         else:
             # the punctured rule's weights are sigma_j wherever G is not 0
             G = _surface_rows(mesh, mesh.nodes[rows], i, mesh.sigma)
@@ -450,7 +489,10 @@ def _operators(mesh: BoundaryMesh) -> tuple:
             # in one sweep along the axis
             sums = np.cumsum(C[:, rows], axis=3)[:, :, :, -1]
         C[:, i, :, i, :] = 0.5 * np.eye(sp.size) - sums.transpose(1, 0, 2, 3)
-    return tuple(BlockOperator(mesh, X.reshape(sp.blocks, N * sp.size, N * sp.size)) for X in (C, A))
+    C, A = (X.reshape(sp.blocks, N * sp.size, N * sp.size) for X in (C, A))
+    if mesh.n == 2:
+        A = A.transpose(0, 2, 1)  # the storage's rows are A's columns
+    return BlockOperator(mesh, C), BlockOperator(mesh, A)
 
 
 def assemble_singular_cauchy(mesh: BoundaryMesh) -> BlockOperator:
@@ -535,7 +577,7 @@ def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, 
     for rows in row_blocks(points.shape[0], mesh.size):
         if interior and mesh.n == 2:
             dz = null_differences(points[rows], mesh.nodes)
-            K = _cauchy_rows(np.reciprocal(dz, out=dz), null_coordinates(mesh.normals).T, 1.0)
+            K = _cauchy_rows(np.reciprocal(dz, out=dz), mesh)
             vals = K @ cols
             vals /= (K @ mesh.sigma)[..., None]
         else:
@@ -610,7 +652,7 @@ def cauchy_transform_points(
     out = np.empty((sp.blocks, points.shape[0], sp.size, sp.copies), dtype=complex)
     for rows in row_blocks(points.shape[0], mesh.size):
         i = subtract_node[rows]
-        K = _kernel_blocks(mesh, points[rows], i, _weight_rows(mesh, i))
+        K = _kernel_blocks(mesh, points[rows], i, weighted=True)
         K = K.reshape(sp.blocks, -1, sp.size, mesh.size, sp.size)
         # sum_j K_mj (f_j - f_i), the difference taken in the spinor frame
         out[:, rows] = np.einsum("bmpjq,bmjqc->bmpc", K, F[:, None] - F[:, i, None])

@@ -164,7 +164,10 @@ class TestValidation:
         # the whole (N, N) ratio array at once, |square(u)| / |u|^2 of the pairs
         # either from the null coordinates zeta = u1 + i u2, eta = u1 - i u2
         # (null=True, as validation forms it on curves) or from the Euclidean
-        # components; the tangents always from the Euclidean components
+        # components; the tangents always from the Euclidean components.  The
+        # null record is the kernel's null test on every pair i != j
+        from plemelj.algebra import NULL_TOL
+
         def euclidean(u):
             return np.abs(-np.sum(u * u, axis=-1)), np.sum(np.abs(u) ** 2, axis=-1)
 
@@ -180,6 +183,7 @@ class TestValidation:
         np.fill_diagonal(sq, np.inf)
         np.fill_diagonal(r2, 1.0)
         ratios = sq / r2
+        null_pair = bool(np.any(sq <= NULL_TOL * (1.0 + r2)))
         imin = np.unravel_index(np.argmin(ratios), ratios.shape)
         pair_margin = float(ratios[imin])
         if pair_margin <= margin:
@@ -189,8 +193,9 @@ class TestValidation:
                 (int(imin[0]), int(imin[1])),
                 pair_margin,
                 float("nan"),
+                null_pair,
             )
-        return ValidationReport(True, "ok", None, pair_margin, float((tsq / tr2).min()))
+        return ValidationReport(True, "ok", None, pair_margin, float((tsq / tr2).min()), null_pair)
 
     @staticmethod
     def _planted(mesh, i=767):

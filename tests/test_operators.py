@@ -415,6 +415,101 @@ class TestKerzmanStein:
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
 
 
+def _row_major_curve_operators(mesh):
+    """Oracle: a curve's C and A blocks (2, N, N), built row-major from _null_rows by the expressions of a row pass.
+
+    A_rho[i, j] = (zeta_rho(n_j) R_rho + zeta_rhobar(n_i) R_rhobar)[i, j] sigma_j / -omega, and C's
+    rows are the weighted normals zeta_rho(n_j) W_ij / -omega times R, with the alternate-point
+    weights W from the parity of i - j and the calibrated diagonal I/2 - sum_{j != i} C_ij.
+    """
+    from plemelj.algebra import null_coordinates
+    from plemelj.mesh import row_blocks
+    from plemelj.operators import _null_rows
+
+    N = mesh.size
+    idx = np.arange(N)
+    R = np.concatenate([_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(N, N)], axis=1)
+    zn = null_coordinates(mesh.normals).T
+    A = zn[:, None, :] * R
+    A += zn[::-1, :, None] * R[::-1]
+    A *= mesh.sigma / -omega(2)
+    W = ((idx[:, None] - idx[None, :]) % 2).astype(float) * (2.0 * mesh.sigma)[None, :]
+    C = np.multiply(zn[:, None, :] * (W / -omega(2)), R)
+    C[:, idx, idx] = 0.0
+    C[:, idx, idx] = 0.5 - C.sum(axis=2)
+    return C, A
+
+
+class TestColumnMajorKerzmanStein:
+    # a curve's pass writes A's blocks column-major, from the transposed
+    # kernel rows: every value is the row-major build's, so C, A and the LU
+    # factors of I +- A are unchanged; the sphere's blocks stay row-major
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_circle(64), lambda: make_deformed_curve(128, 0.1, 2), lambda: make_deformed_curve(512, 0.05, 2)],
+        ids=["circle64", "deformed128", "deformed512"],
+    )
+    def test_curve_blocks_equal_the_row_major_build(self, build):
+        mesh = build()
+        C, A = assemble_singular_cauchy(mesh).matrix, assemble_kerzman_stein(mesh).matrix
+        want_C, want_A = _row_major_curve_operators(mesh)
+        assert C.flags.c_contiguous and np.array_equal(C.view(np.uint64), want_C.view(np.uint64))
+        assert A.shape == want_A.shape and all(block.flags.f_contiguous for block in A)
+        # zeros may differ in sign, every other entry bit for bit
+        assert np.array_equal(A, want_A)
+
+    def test_lu_factors_equal_those_of_the_row_major_build(self):
+        from plemelj.hardy import _kerzman_stein_lu
+        from plemelj.linsolve import factor
+        from plemelj.operators import PROJECTION_COEFFS
+
+        mesh = make_deformed_curve(128, 0.1, 2)
+        _, A = _row_major_curve_operators(mesh)
+        idx = np.arange(mesh.size)
+        for sign, (_, c1) in PROJECTION_COEFFS.items():
+            systems = [np.multiply(block, c1, order="F") for block in A]
+            for system in systems:
+                system[idx, idx] += 1.0
+            want, got = factor(systems), _kerzman_stein_lu(mesh, sign)
+            assert got.cond == want.cond
+            for (lu, piv), (want_lu, want_piv) in zip(got.blocks, want.blocks):
+                assert np.array_equal(lu, want_lu) and np.array_equal(piv, want_piv)
+
+    def test_surface_blocks_stay_row_major(self, sphere42):
+        from plemelj.operators import _surface_rows, _vector_blocks
+
+        mesh, N = sphere42, sphere42.size
+        idx = np.arange(N)
+        G = _surface_rows(mesh, mesh.nodes, idx, mesh.sigma)
+        C = _vector_blocks(G, mesh.normals)
+        A = _vector_blocks(G, mesh.normals, left=True) + C
+        A[:, idx, :, idx, :] = 0.0
+        C[:, idx, :, idx, :] = 0.0
+        C[:, idx, :, idx, :] = 0.5 * np.eye(2) - np.cumsum(C, axis=3)[:, :, :, -1].transpose(1, 0, 2, 3)
+        for op, want in ((assemble_singular_cauchy(mesh), C), (assemble_kerzman_stein(mesh), A)):
+            assert op.matrix.flags.c_contiguous
+            assert np.array_equal(op.matrix.view(np.uint64), want.reshape(1, 2 * N, 2 * N).view(np.uint64))
+
+    def test_validation_takes_the_node_pairs_null_test(self):
+        # two nodes 1e-7 apart along a real direction pass the margin (|u.u| =
+        # |u|^2) but not the kernel's null test; the node pass raises from
+        # validation's record
+        import dataclasses
+
+        from plemelj.mesh import validate_domain_manifold
+
+        mesh = make_circle(64)
+        nodes = mesh.nodes.copy()
+        nodes[1] = nodes[0] + 1e-7 * np.array([0.6, 0.8])
+        planted = dataclasses.replace(mesh, nodes=nodes, cache={})
+        report = validate_domain_manifold(planted)
+        assert report.passed and report.pair_margin == pytest.approx(1.0) and report.null_pair
+        assert not validate_domain_manifold(mesh).null_pair
+        for assemble in (assemble_singular_cauchy, assemble_kerzman_stein):
+            with pytest.raises(NullVectorError):
+                assemble(planted)
+
+
 class TestPlemeljProjections:
     def test_partition_of_identity_exact(self, circle128):
         Sp = plemelj_projection(circle128, "+")

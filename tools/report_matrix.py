@@ -5,14 +5,16 @@ OPENBLAS_NUM_THREADS set to ``--threads`` (default 1), on the sources of the
 tree given (default: this repository), and writes into a fresh directory.  One line is printed per
 job with its exit code, then one line per report file, per stdout and per
 stderr with its sha256; the stderr lines that carry wall times are dropped
-first.  Run it on two trees and diff the outputs:
+first.  To compare two trees, run
 
-    python3 tools/report_matrix.py /path/to/other/tree > before.txt
-    python3 tools/report_matrix.py > after.txt
-    diff before.txt after.txt
+    python3 tools/report_matrix.py --compare /path/to/other/tree
+    python3 tools/report_matrix.py --compare /path/to/other/tree --threads 2
 
-and again with ``--threads 2``, the BLAS threads the benchmark runs with on
-a two-core machine.
+which runs each job on that tree and on the tree given (default: this
+repository), prints the digest lines of the jobs that differ only, each
+line of the other tree marked ``<`` and of the given tree ``>``, and exits 1
+if any job differs.  Run it at ``--threads 2`` too, the BLAS threads the
+benchmark runs with on a two-core machine.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def sha256(data: bytes) -> str:
 def run(tree: Path, work: Path, name: str, config: dict, threads: int) -> list:
     """Run one job in work/name with threads BLAS threads and return its digest lines."""
     out = work / name
-    out.mkdir()
+    out.mkdir(parents=True)
     (work / f"{name}.json").write_text(json.dumps({**config, "out": str(out)}))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
@@ -82,12 +84,23 @@ def main(argv=None) -> int:
     p.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1], type=Path,
                    help="source tree whose src/ is run (default: this repository)")
     p.add_argument("--threads", type=int, default=1, help="OPENBLAS_NUM_THREADS of every job (default: 1)")
+    p.add_argument("--compare", type=Path, metavar="TREE",
+                   help="run every job on TREE too; print only the jobs whose digests differ, and exit 1 if any do")
     args = p.parse_args(argv)
+    differ = 0
     with tempfile.TemporaryDirectory() as work:
         for name, config in jobs():
-            for line in run(args.tree.resolve(), Path(work), name, config, args.threads):
-                print(line, flush=True)
-    return 0
+            lines = run(args.tree.resolve(), Path(work, "tree"), name, config, args.threads)
+            if args.compare is None:
+                print(*lines, sep="\n", flush=True)
+                continue
+            other = run(args.compare.resolve(), Path(work, "compare"), name, config, args.threads)
+            if other != lines:
+                differ += 1
+                print(*(f"< {line}" for line in other), *(f"> {line}" for line in lines), sep="\n", flush=True)
+    if args.compare is not None:
+        print(f"{differ} of {len(jobs())} jobs differ at {args.threads} BLAS thread(s)")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
