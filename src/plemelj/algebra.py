@@ -144,9 +144,6 @@ class CliffordAlgebra:
         out[..., self.vector_slots] = v
         return out
 
-    def vector_part(self, a: np.ndarray) -> np.ndarray:
-        return np.asarray(a, dtype=complex)[..., self.vector_slots]
-
     @functools.cached_property
     def spinor(self) -> "SpinorReduction":
         """Block-diagonal frame of left multiplication by even elements (built on first use)."""

@@ -175,7 +175,9 @@ def _identity_residuals(mesh: BoundaryMesh, cond_limit: float) -> dict:
         is -(C^2 - I/4) X, measured as ||C^2 X - X/4||.  The P- - S-P- row
         repeats it: it holds for any S- X, so it is not the residual of
         P- = S- (I - A)^{-1} and no wrong P- fails it.  Mending it changes
-        verify.json; it is left for the rows a wrong P fails (P^2 - P, PS - S);
+        verify.json; it is left for the rows a wrong P fails, which are not
+        P^2 - P and PS - S (S+ passes both to rounding on the deformed
+        curve) but self-adjointness, P = P* (ROADMAP item 1);
       - the Kerzman-Stein row applies S+ to D = (I + A)^{-1} (I + A) Y - Y,
         measured as ||D/2 + C D||;
       - S+ + S- - I is 0 by construction.

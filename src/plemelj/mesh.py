@@ -397,6 +397,7 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
     """
     z = mesh.nodes
     N = z.shape[0]
+    zt = np.ascontiguousarray(z.T)  # so that the n = 3 differences are component first in memory too
     firsts = []  # (ratio, i, j) of the first minimum of each row block
     null_pair = False
     for rows in row_blocks(N, N):
@@ -404,7 +405,6 @@ def validate_domain_manifold(mesh: BoundaryMesh, margin: float = 0.1) -> Validat
         if mesh.n == 2:
             sq, r2 = null_magnitudes(null_differences(z[rows], z[s:]))
         else:
-            zt = np.ascontiguousarray(z.T)  # so that D is component first in memory too
             D = zt[:, rows, None] - zt[:, None, s:]
             sq = np.abs(np.sum(D * D, axis=0))
             r2 = np.sum(np.abs(D) ** 2, axis=0)

@@ -8,11 +8,12 @@ and applied as its irreducible spinor blocks (BlockOperator): two N x N
 matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
 Every weighted kernel sum over the nodes, sum_j G(p_m - z_j) n_j W_mj g_j,
-is formed here from the spinor blocks of one primitive, _kernel_blocks(mesh,
-points, skip, W): the off-boundary transforms (W = 1) and the truncated
-sums at the nodes in row blocks (_transform_blocks, _truncated_blocks), and
-the subtracted near-boundary transform (the pair of each point with its
-node skipped).  For n = 2 the blocks are assembled directly.
+is formed here from the row blocks of one generator, _kernel_rows(mesh,
+points, skip, weighted, test): the off-boundary transforms (W = 1) and the
+truncated sums at the nodes (_transform_blocks, _truncated_blocks), and the
+subtracted near-boundary transform (each point's pair with its node
+skipped, W the singular weights of that node's row).  For n = 2 the blocks
+are assembled directly.
 With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
 -zeta eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
 -zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
@@ -24,7 +25,7 @@ written over R (_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3
 B(e_l e_k) (_vector_blocks).  The kernel's domain is algebra's: _null_rows
 takes its null test (is_null_planar), _surface_rows its real differences
 and origin test (_real_differences).  Transforms at points classified
-Interior take n = 2 rows without the null test (_transform_blocks).
+Interior take n = 2 rows without the null test (test=False).
 
 Between the nodes themselves C and A are built in one pass over row blocks
 on every mesh (_operators).  Each block evaluates its kernel once, R for
@@ -189,11 +190,8 @@ class BlockOperator:
         out = self.matrix @ _to_spinor(f.values, self.mesh)
         return BoundaryFunction(f.mesh, _from_spinor(out, self.mesh))
 
-    def compose(self, other: "BlockOperator") -> "BlockOperator":
+    def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(self.mesh, self.matrix @ other.matrix)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def _weighted(self) -> np.ndarray:
         w = _node_weights(self.mesh, algebra(self.mesh.n).spinor.size)
@@ -300,35 +298,19 @@ def smooth_matrix_norm(op_matrix: np.ndarray, mesh: BoundaryMesh) -> float:
 
 
 @per_mesh
-def _alternate_rule(mesh: BoundaryMesh):
-    """The alternate-point rule's weight rows W (2, N) and weighted normals zeta_rho(n_j) W_pj / -omega (2, 2, N), or None.
+def _alternate_rule(mesh: BoundaryMesh) -> np.ndarray:
+    """The alternate-point rule's weighted normals zeta_rho(n_j) W_pj / -omega (2, 2, N), row p = i % 2 for node i.
 
-    Closed curves with even N use odd offsets with doubled weights (the
-    alternate-point trapezoid rule, exact on the circle's band), so node
-    i's row of weights is row i % 2 of W.  Other meshes use the punctured
-    rule, and this is None.
+    Every curve the package builds is closed with even N, and its singular
+    weights W_ij are 2 sigma_j at the odd offsets i - j and 0 at the even
+    ones (the alternate-point trapezoid rule, exact on the circle's band),
+    so node i's row of weights depends on i % 2 only.  Any other n = 2 mesh
+    raises ValueError.
     """
-    N = mesh.size
-    if mesh.theta is None or N % 2:
-        return None
-    W = ((np.arange(2)[:, None] - np.arange(N)[None, :]) % 2).astype(float) * (2.0 * mesh.sigma)[None, :]
-    return W, null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
-
-
-def _weight_rows(mesh: BoundaryMesh, rows) -> np.ndarray:
-    """Rows (a slice or an index array) of the quadrature weight matrix for singular kernels.
-
-    The alternate-point rule's rows are gathered from _alternate_rule; other
-    meshes use the punctured rule, sigma_j off the row's own node.  Only
-    the requested rows are built.
-    """
-    i = np.arange(mesh.size)[rows]
-    rule = _alternate_rule(mesh)
-    if rule is not None:
-        return rule[0][i % 2]
-    W = np.tile(mesh.sigma, (i.size, 1))
-    W[np.arange(i.size), i] = 0.0
-    return W
+    if mesh.theta is None or mesh.size % 2:
+        raise ValueError("singular weights need a closed curve with an even node count")
+    W = ((np.arange(2)[:, None] - np.arange(mesh.size)[None, :]) % 2).astype(float) * (2.0 * mesh.sigma)[None, :]
+    return null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
 
 
 def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) -> np.ndarray:
@@ -336,10 +318,11 @@ def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) 
 
     The differences take the kernel's null test first (algebra.is_null_planar),
     with the skipped pairs parked off the cones, so this raises NullVectorError
-    wherever cauchy_kernel does on a pair that is not skipped.  The node
-    pass passes test=False: validation took the same test on every node
-    pair (ValidationReport.null_pair).  At the nodes, each skipping itself,
-    the rows of all blocks make an antisymmetric R, bit for bit.
+    wherever cauchy_kernel does on a pair that is not skipped.  Callers that
+    took the same test already pass test=False: the node pass, whose pairs
+    validation tested (ValidationReport.null_pair), and the transforms at
+    Interior points (_transform_blocks).  At the nodes, each skipping
+    itself, the rows of all blocks make an antisymmetric R, bit for bit.
     """
     dz = null_differences(points, mesh.nodes)
     pairs = (slice(None), np.arange(points.shape[0]), skip)
@@ -357,15 +340,12 @@ def _cauchy_rows(R: np.ndarray, mesh: BoundaryMesh, rows=None) -> np.ndarray:
     """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R.
 
     W is 1 when rows is None, else the singular weights of the nodes
-    `rows` (an index array, _weight_rows); the alternate-point rule's
-    weighted normals are gathered from its table (_alternate_rule).
+    `rows` (an index array), gathered from _alternate_rule.
     """
-    rule = None if rows is None else _alternate_rule(mesh)
-    if rule is not None:
-        normals = rule[1][:, rows % 2]
+    if rows is None:
+        normals = null_coordinates(mesh.normals).T[:, None, :] * (1.0 / -omega(2))
     else:
-        W = 1.0 if rows is None else _weight_rows(mesh, rows)
-        normals = null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
+        normals = _alternate_rule(mesh)[:, rows % 2]
     # the weighted normals first and R second, in this order at every size
     return np.multiply(normals, R, out=R)
 
@@ -409,23 +389,31 @@ def _vector_blocks(K: np.ndarray, vectors: np.ndarray, left: bool = False) -> np
     return out
 
 
-def _kernel_blocks(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False) -> np.ndarray:
-    """Spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j W_mj at (M, n) points, 0 at the pairs (m, skip[m]).
+def _kernel_rows(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False, test: bool = True):
+    """Yield (rows, spinor blocks (blocks, M s, N s)) of (1/omega) G(p_m - z_j) n_j W_mj over the row blocks of (M, n) points.
 
-    The one primitive for weighted kernel sums over the nodes; W_mj is 1,
-    or with weighted the singular weights of node skip[m]'s row
-    (_weight_rows).  For n = 2 block rho is the planar Cauchy kernel
-    of the zeta_rho plane, R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 =
-    zeta and zeta_1 = eta (algebra.null_coordinates), from the reciprocal
-    null pairs R of _null_rows by C's own arithmetic (_cauchy_rows); for
-    n = 3 from _surface_rows and _vector_blocks.  Raises NullVectorError
-    wherever cauchy_kernel(p_m - z_j) does on a pair that is not skipped,
-    and OddDimensionComplexError where the n = 3 differences are complex.
+    The one generator of weighted kernel sums over the nodes; the pairs (m,
+    skip[m]) are 0.  W_mj is 1, or with weighted the singular weights of
+    node skip[m]'s row: the alternate-point rule's on curves
+    (_alternate_rule), sigma_j off the skipped pair on surfaces.  For n = 2
+    block rho is the planar Cauchy kernel of the zeta_rho plane, R_rho
+    (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 = zeta and zeta_1 = eta
+    (algebra.null_coordinates), from the reciprocal null pairs R of
+    _null_rows by C's own arithmetic (_cauchy_rows); for n = 3 from
+    _surface_rows and _vector_blocks.  Raises NullVectorError wherever
+    cauchy_kernel(p_m - z_j) does on a pair that is not skipped, unless
+    test is False (the n = 2 null test only; the n = 3 rows always take
+    their origin test), and OddDimensionComplexError where the n = 3
+    differences are complex.
     """
-    if mesh.n == 2:
-        return _cauchy_rows(_null_rows(mesh, points, skip), mesh, skip if weighted else None)
-    W = _weight_rows(mesh, skip) if weighted else 1.0
-    return _vector_blocks(_surface_rows(mesh, points, skip, W), mesh.normals).reshape(1, 2 * len(points), -1)
+    for rows in row_blocks(points.shape[0], mesh.size):
+        i = None if skip is None else skip[rows]
+        if mesh.n == 2:
+            K = _cauchy_rows(_null_rows(mesh, points[rows], i, test), mesh, i if weighted else None)
+        else:
+            G = _surface_rows(mesh, points[rows], i, mesh.sigma if weighted else 1.0)
+            K = _vector_blocks(G, mesh.normals).reshape(1, 2 * G.shape[1], -1)
+        yield rows, K
 
 
 @per_mesh
@@ -435,7 +423,8 @@ def _operators(mesh: BoundaryMesh) -> tuple:
     Each row block evaluates its kernel once and drops it: for n = 2 the
     reciprocal null pairs R (_null_rows), for n = 3 G(z_i - z_j) sigma_j /
     omega (_surface_rows).  C's rows are the blocks of G n_j with the
-    singular weights (_weight_rows), A's rows those of the cancelled kernel
+    singular weights (_alternate_rule on curves, sigma_j off the diagonal on
+    surfaces), A's rows those of the cancelled kernel
     G n_j + n_i G with the trapezoid weights sigma_j; A's diagonal blocks
     are its limit 0 (assemble_kerzman_stein).  C's diagonal blocks are then
     written from the rows just built, I/2 - sum_{j != i} block_ij
@@ -566,7 +555,7 @@ def _spinor_norms(mesh: BoundaryMesh, vals: np.ndarray) -> np.ndarray:
 def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, interior: bool = False):
     """Yield (rows, spinor columns (blocks, M s, copies F)) of the transforms at the row blocks of (M, n) points.
 
-    A block is num(g) = sum_j K(p, z_j) sigma_j g_j, K the _kernel_blocks and
+    A block is num(g) = sum_j K(p, z_j) sigma_j g_j, K the _kernel_rows and
     cols the _weighted_columns of g.  With interior the points are Interior
     (the kernel accepts every pair) and on curves g is S+ f: the null test is
     not taken again, and each null plane takes the barycentric form num(S+ f)
@@ -574,14 +563,10 @@ def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, 
     sums and cancels (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the
     sphere, whose S+ is first order, it is the plain sum num(f).
     """
-    for rows in row_blocks(points.shape[0], mesh.size):
+    for rows, K in _kernel_rows(mesh, points, test=not interior):
+        vals = K @ cols
         if interior and mesh.n == 2:
-            dz = null_differences(points[rows], mesh.nodes)
-            K = _cauchy_rows(np.reciprocal(dz, out=dz), mesh)
-            vals = K @ cols
             vals /= (K @ mesh.sigma)[..., None]
-        else:
-            vals = _kernel_blocks(mesh, points[rows]) @ cols
         yield rows, vals
 
 
@@ -589,13 +574,12 @@ def _truncated_blocks(mesh: BoundaryMesh, cols: np.ndarray, dist: np.ndarray, ra
     """Yield (rows, spinor columns) of the kernel sums over |z_m - z_j| > eps at the nodes, radius eps by radius.
 
     Each row block of nodes takes its kernel blocks once, each node's own
-    pair skipped (_kernel_blocks), and every radius masks them by dist (N, N).
+    pair skipped (_kernel_rows), and every radius masks them by dist (N, N).
     """
     sp = algebra(mesh.n).spinor
     N = mesh.size
-    idx = np.arange(N)
-    for rows in row_blocks(N, N):
-        K = _kernel_blocks(mesh, mesh.nodes[rows], idx[rows]).reshape(sp.blocks, -1, sp.size, N, sp.size)
+    for rows, K in _kernel_rows(mesh, mesh.nodes, np.arange(N)):
+        K = K.reshape(sp.blocks, -1, sp.size, N, sp.size)
         for eps in radii:
             yield rows, (K * (dist[rows] > eps)[:, None, :, None]).reshape(sp.blocks, -1, N * sp.size) @ cols
 
@@ -640,7 +624,7 @@ def cauchy_transform_points(
     quadrature blow-up near z_i, and the quadrature weights are those of
     node i's row in the singular operator, so the s -> 0 limit reproduces
     the Nystrom boundary projection exactly.  The sum runs on the kernel
-    blocks of _kernel_blocks with the pair (m, i) skipped; any other pair on
+    blocks of _kernel_rows with the pair (m, i) skipped; any other pair on
     the null cone raises NullVectorError, as the plain transform does.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
@@ -650,11 +634,9 @@ def cauchy_transform_points(
     sp = algebra(mesh.n).spinor
     F = _to_spinor(f.values, mesh).reshape(sp.blocks, mesh.size, sp.size, sp.copies)
     out = np.empty((sp.blocks, points.shape[0], sp.size, sp.copies), dtype=complex)
-    for rows in row_blocks(points.shape[0], mesh.size):
-        i = subtract_node[rows]
-        K = _kernel_blocks(mesh, points[rows], i, weighted=True)
+    for rows, K in _kernel_rows(mesh, points, subtract_node, weighted=True):
         K = K.reshape(sp.blocks, -1, sp.size, mesh.size, sp.size)
         # sum_j K_mj (f_j - f_i), the difference taken in the spinor frame
-        out[:, rows] = np.einsum("bmpjq,bmjqc->bmpc", K, F[:, None] - F[:, i, None])
+        out[:, rows] = np.einsum("bmpjq,bmjqc->bmpc", K, F[:, None] - F[:, subtract_node[rows], None])
     chi = 1.0 if interior else 0.0
     return _from_spinor(out.reshape(sp.blocks, -1, sp.copies), mesh) + chi * f.values[subtract_node]

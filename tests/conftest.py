@@ -3,7 +3,7 @@ import pytest
 
 from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import _pushforward, make_circle, make_deformed_curve, make_sphere
-from plemelj.operators import BoundaryFunction
+from plemelj.operators import BoundaryFunction, _kernel_rows
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +67,11 @@ def pair_kernel(mesh):
     G = cauchy_kernel(diffs)
     G[idx, idx] = 0.0
     return G
+
+
+def kernel_blocks(mesh, points, skip=None):
+    """The spinor blocks (blocks, M s, N s) of operators._kernel_rows at (M, n) points, its row blocks joined."""
+    return np.concatenate([K for _, K in _kernel_rows(mesh, points, skip)], axis=1)
 
 
 def quad_weights(mesh):

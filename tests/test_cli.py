@@ -398,3 +398,23 @@ def test_benchmark_job_shapes(tmp_path, name):
     rc, out = run_cli(tmp_path, *workload.args, "--N", str(workload.N))
     assert rc == 0
     check_benchmark_reports(name, out)
+
+
+def test_report_matrix_jobs_cover_every_command_with_valid_configs(tmp_path):
+    # tools/report_matrix.py's jobs: unique names, every CLI command, and
+    # configs the CLI accepts, so that no compared job exits 6 on both trees
+    from plemelj.cli import COMMANDS, load_config, parse_args
+
+    path = Path(__file__).parents[1] / "tools" / "report_matrix.py"
+    spec = importlib.util.spec_from_file_location("report_matrix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    jobs = module.jobs()
+    names = [name for name, _ in jobs]
+    assert len(names) == len(set(names))
+    assert {config["command"] for _, config in jobs} == set(COMMANDS)
+    for name, config in jobs:
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(config))
+        cfg = load_config(parse_args(["--config", str(cfg_path)]))
+        assert {key: cfg[key] for key in config} == config, name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pair_kernel
+from conftest import kernel_blocks, pair_kernel
 from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import EmptyBallError, cone_parameters, make_circle, make_deformed_curve, make_sphere
 from plemelj.maximal import (
@@ -160,13 +160,12 @@ class TestNontangentialMaximal:
         # samples, all Interior, have passed in cone_parameters, and on
         # curves divides by num(1); on the sphere it is the plain sum
         from plemelj.mesh import _cone_samples
-        from plemelj.operators import _kernel_blocks
 
         mesh = request.getfixturevalue(name)
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
         cols = _weighted_columns(mesh, [f.values for f in band_limited_family(mesh, 3, seed=1)])
         for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
-            K = _kernel_blocks(mesh, pts[rows])
+            K = kernel_blocks(mesh, pts[rows])
             want = K @ cols
             if mesh.n == 2:
                 want /= (K @ mesh.sigma)[..., None]

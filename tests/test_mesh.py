@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_flat_patch
+from conftest import kernel_blocks, make_flat_patch
 from plemelj.mesh import (
     NoValidConeError,
     Region,
@@ -410,7 +410,6 @@ class TestRegionMembership:
     @pytest.mark.parametrize("fixture", ["circle128", "deformed128", "sphere162"])
     def test_near_boundary_exactly_where_the_kernel_refuses(self, fixture, request):
         from plemelj.algebra import NullVectorError
-        from plemelj.operators import _kernel_blocks
 
         m = request.getfixturevalue(fixture)
         rng = np.random.default_rng(11)
@@ -436,7 +435,7 @@ class TestRegionMembership:
         refused = []
         for p in pts:
             try:
-                _kernel_blocks(m, p[None, :])
+                kernel_blocks(m, p[None, :])
                 refused.append(False)
             except NullVectorError:
                 refused.append(True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_flat_patch, monogenic_linear, pair_kernel, pairing, quad_weights
+from conftest import kernel_blocks, make_flat_patch, monogenic_linear, pair_kernel, pairing, quad_weights
 from plemelj.algebra import NullVectorError, algebra, cauchy_kernel
 from plemelj.maximal import band_limited_family
 from plemelj.mesh import make_circle, make_deformed_curve, make_sphere
@@ -134,7 +134,6 @@ class TestSurfaceKernelBlocks:
         import dataclasses
 
         from plemelj.algebra import OddDimensionComplexError
-        from plemelj.operators import _kernel_blocks
 
         def outcome(fn):
             try:
@@ -147,8 +146,8 @@ class TestSurfaceKernelBlocks:
         inside = np.array([0.1, 0.2, 0.3])
         for p in (inside, inside + 1e-16j, inside + 1e-3j, mesh.nodes[5], mesh.nodes[5] + 1e-7):
             want = outcome(lambda: cauchy_kernel(p - mesh.nodes))
-            assert outcome(lambda: _kernel_blocks(mesh, np.asarray(p, dtype=complex)[None, :])) is want, p
-        assert outcome(lambda: _kernel_blocks(mesh, mesh.nodes[5:6], np.array([5]))) is None
+            assert outcome(lambda: kernel_blocks(mesh, np.asarray(p, dtype=complex)[None, :])) is want, p
+        assert outcome(lambda: kernel_blocks(mesh, mesh.nodes[5:6], np.array([5]))) is None
         offset = 1e-3j * np.random.default_rng(0).normal(size=mesh.nodes.shape)
         complex_sphere = dataclasses.replace(mesh, nodes=mesh.nodes + offset, cache={})
         assert outcome(lambda: assemble_singular_cauchy(complex_sphere)) is OddDimensionComplexError
@@ -158,16 +157,14 @@ class TestPlanarKernelBlocks:
     @pytest.mark.parametrize("name", ["circle128", "deformed128"])
     def test_blocks_pair_zeta_and_eta_with_the_spinor_frame(self, name, request):
         # block rho of G n from the frame's own tables, against the planar
-        # kernels of _kernel_blocks: zeta with block 0, eta with block 1
-        from plemelj.operators import _kernel_blocks
-
+        # kernels of _kernel_rows: zeta with block 0, eta with block 1
         mesh = request.getfixturevalue(name)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-2.0, 2.0, (40, 2)) + 1j * rng.normal(scale=0.3, size=(40, 2))
         G = cauchy_kernel(pts[:, None, :] - mesh.nodes[None, :, :])
         pairs = algebra(2).spinor.vector_pairs[..., 0, 0]  # B_rho(e_l e_k)
         want = np.einsum("mjl,jk,lkr->rmj", G, mesh.normals, pairs) / omega(2)
-        got = _kernel_blocks(mesh, pts)
+        got = kernel_blocks(mesh, pts)
         assert got.shape == (2, 40, mesh.size)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -179,7 +176,7 @@ class TestPlanarKernelBlocks:
         import dataclasses
 
         from plemelj.algebra import null_tolerance
-        from plemelj.operators import _kernel_blocks, _null_rows
+        from plemelj.operators import _null_rows
 
         def raises(fn):
             try:
@@ -198,7 +195,7 @@ class TestPlanarKernelBlocks:
             probes.append((mesh.nodes[5] + t * np.array([1.0, 1j]) + delta * np.array([1.0, -1j]), on_cone))
         for p, on_cone in probes:
             kernel = raises(lambda: cauchy_kernel(p - mesh.nodes))
-            blocks = raises(lambda: _kernel_blocks(mesh, p[None, :]))
+            blocks = raises(lambda: kernel_blocks(mesh, p[None, :]))
             nodes = mesh.nodes.copy()
             nodes[k] = p
             planted = dataclasses.replace(mesh, nodes=nodes, cache={})
@@ -585,8 +582,6 @@ class TestNearEvaluation:
         # sum_j G(p - z_j) n_j W_ij (f_j - f_i) / omega + chi f_i as Clifford
         # coefficient contractions, against the spinor-block sum, at points
         # along the normals on both sides
-        from plemelj.operators import _weight_rows
-
         mesh = {
             "circle64": lambda: make_circle(64),
             "deformed128": lambda: make_deformed_curve(128, 0.1, 2),
@@ -599,7 +594,7 @@ class TestNearEvaluation:
         nf = np.einsum("jab,jb->ja", alg.left_vector_matrix(mesh.normals), f.values)
         pre_f = np.einsum("lab,jb->laj", alg.generator_left, nf)
         pre_1 = np.einsum("lab,jb->laj", alg.generator_left, alg.embed_vector(mesh.normals))
-        W = _weight_rows(mesh, idx)
+        W = quad_weights(mesh)
         for interior in (True, False):
             for s in (2 * mesh.h, mesh.h / 4, mesh.h / 32):
                 pts = mesh.nodes + (-s if interior else s) * nrm
@@ -611,12 +606,29 @@ class TestNearEvaluation:
                 got = cauchy_transform_points(mesh, f, pts, subtract_node=idx, interior=interior)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (interior, s)
 
+    def test_singular_weights_refuse_a_mesh_that_is_no_even_closed_curve(self, circle64):
+        # the alternate-point rule is the only n = 2 singular rule: a curve
+        # without its parameter, or with odd N, takes no weights at all
+        import dataclasses
+
+        m = circle64
+        bare = dataclasses.replace(m, theta=None, cache={})
+        odd = dataclasses.replace(
+            m, nodes=m.nodes[:63], normals=m.normals[:63], sigma=m.sigma[:63], sigma_abs=m.sigma_abs[:63],
+            theta=m.theta[:63], cache={},
+        )
+        for mesh in (bare, odd):
+            f = BoundaryFunction.constant(mesh, 1.0)
+            with pytest.raises(ValueError, match="even node count"):
+                cauchy_transform_points(mesh, f, 0.5 * mesh.nodes[:3], subtract_node=[0, 1, 2])
+        # the bare curve has no edges, so validation refuses it before assembly
+        with pytest.raises(ValueError, match="even node count"):
+            assemble_singular_cauchy(odd)
+
     def test_weighted_null_pair_raises(self, circle64):
         # the point is node 1; in node 0's row its pair carries the weight
         # 2 sigma, so it cannot be dropped
-        from plemelj.operators import _weight_rows
-
-        assert _weight_rows(circle64, np.array([0]))[0, 1] != 0.0
+        assert quad_weights(circle64)[0, 1] != 0.0
         f = BoundaryFunction.constant(circle64, 1.0)
         with pytest.raises(NullVectorError):
             cauchy_transform_points(circle64, f, circle64.nodes[1][None, :], subtract_node=[0])

@@ -51,7 +51,7 @@ def _references(node, skip=None):
 
 def test_kernel_sums_stay_on_spinor_blocks():
     # every weighted kernel sum in operators is a product with spinor blocks
-    # (_kernel_blocks); none contracts Clifford left-multiplication matrices
+    # (_kernel_rows); none contracts Clifford left-multiplication matrices
     tree = ast.parse((Path(plemelj.__file__).parent / "operators.py").read_text())
     assert not set(_references(tree)) & {"generator_left", "left_vector_matrix", "left_matrix"}
 
@@ -62,7 +62,7 @@ def test_kernel_sums_are_formed_only_in_operators():
     # operators calls back into no maximal function
     src = Path(plemelj.__file__).parent
     trees = {name: ast.parse((src / name).read_text()) for name in ("maximal.py", "operators.py")}
-    kernel = {"_kernel_blocks", "_cauchy_rows", "_null_rows", "null_differences", "null_coordinates", "_to_spinor"}
+    kernel = {"_kernel_rows", "_cauchy_rows", "_null_rows", "null_differences", "null_coordinates", "_to_spinor"}
     imported = {name.rsplit(".", 1)[-1] for name in _imported_names(trees["maximal.py"])}
     assert not (set(_references(trees["maximal.py"])) | imported) & kernel
     maximal_functions = {node.name for node in trees["maximal.py"].body if isinstance(node, ast.FunctionDef)}
