@@ -5,11 +5,16 @@ average only changes when a node enters the ball); the sup over approach
 cones is replaced by a fixed deterministic low-discrepancy sample of the
 cones of cone_parameters, giving a reproducible lower bound.
 
-bound_diagnostics runs each pass once for its whole family: one ball mask
-per radius for the maximal functions of every f and C f (_family_maximal),
-and the row blocks of the kernel sums of operators (_transform_blocks at
-the cone samples, _truncated_blocks at the nodes) reduced to norms and
-maxima.  Every row keeps the bits of a one-function pass.
+bound_diagnostics runs each pass once for its whole family: one product
+each for S+ f (the cone pass, on curves) and C f of every f
+(operators._apply_family), one ball mask per radius for the maximal
+functions of every f and C f (_family_maximal), and the row blocks of the
+kernel sums of operators (_transform_blocks at the cone samples,
+_truncated_blocks at the nodes) reduced to norms and maxima.  Each
+maximal function keeps the bits of a one-function pass over its input;
+the family products and the kernel sums (on curves their columns carry
+the node factors and, at the cone samples, num(1)) differ from
+one-function passes at rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .mesh import (
 )
 from .operators import (
     BoundaryFunction,
+    _apply_family,
     _spinor_norms,
     _transform_blocks,
     _truncated_blocks,
@@ -97,15 +103,16 @@ def _family_nontangential(mesh: BoundaryMesh, family):
 
     The samples are the _CONE_SAMPLES per node of cone_parameters, all
     Interior by its own check, so the transforms take the interior form of
-    _transform_blocks.  A sampled sup is a lower bound for the true one.
+    _transform_blocks and their norms that of _spinor_norms.  A sampled sup
+    is a lower bound for the true one.
     """
     pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), _CONE_SAMPLES)
     if mesh.n == 2:
-        family = [plemelj_projection(mesh, "+").apply(f) for f in family]
+        family = _apply_family(plemelj_projection(mesh, "+"), family)
     cols = _weighted_columns(mesh, [f.values for f in family])
     norms = np.empty((len(family), pts.shape[0]))
     for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
-        norms[:, rows] = _spinor_norms(mesh, vals)
+        norms[:, rows] = _spinor_norms(mesh, vals, interior=True)
     return norms.reshape(len(family), mesh.size, _CONE_SAMPLES).max(axis=2)
 
 
@@ -169,7 +176,7 @@ def bound_diagnostics(mesh: BoundaryMesh, family_size: int = 20, seed: int = 0):
     family = band_limited_family(mesh, family_size, seed)
     nontangential = _family_nontangential(mesh, family)
     truncated = _family_truncated_sup(mesh, family, radii)
-    sups = _family_maximal(mesh, family + [C.apply(f) for f in family], radii)
+    sups = _family_maximal(mesh, family + _apply_family(C, family), radii)
     reports = []
     for f, Nf, trunc, Mf, MCf in zip(family, nontangential, truncated, sups, sups[len(family) :]):
         cotlar = trunc / (MCf + Mf)

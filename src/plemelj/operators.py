@@ -9,23 +9,28 @@ matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
 Every weighted kernel sum over the nodes, sum_j G(p_m - z_j) n_j W_mj g_j,
 is formed here from the row blocks of one generator, _kernel_rows(mesh,
-points, skip, weighted, test): the off-boundary transforms (W = 1) and the
-truncated sums at the nodes (_transform_blocks, _truncated_blocks), and the
-subtracted near-boundary transform (each point's pair with its node
-skipped, W the singular weights of that node's row).  For n = 2 the blocks
-are assembled directly.
+points, skip, weighted, test), which validates the mesh first: the
+off-boundary transforms (W = 1) and the truncated sums at the nodes
+(_transform_blocks, _truncated_blocks), and the subtracted near-boundary
+transform (each point's pair with its node skipped, W the singular weights
+of that node's row).  For n = 2 the blocks are assembled directly.
 With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
 -zeta eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
 -zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
 zeta_1 = eta).  A block of rows takes its reciprocals R_rho = 1 /
-zeta_rho(p_m - z_j) (_null_rows) once, and the kernel follows by
-multiplications only: block rho is R_rho (-zeta_rho(n_j) W_mj / 2 pi),
-written over R (_cauchy_rows).  For n = 3 a block of G(u) = u / |u|^3
-(_surface_rows) times a vector is a closed-form sum of the blocks
-B(e_l e_k) (_vector_blocks).  The kernel's domain is algebra's: _null_rows
-takes its null test (is_null_planar), _surface_rows its real differences
-and origin test (_real_differences).  Transforms at points classified
-Interior take n = 2 rows without the null test (test=False).
+zeta_rho(p_m - z_j) once, from null coordinates of the points taken once
+per pass, and the kernel follows by multiplications only: block rho is R_rho
+(-zeta_rho(n_j) W_mj / 2 pi).  With W = 1 that factor depends on the node
+alone, so the sums multiply the bare rows R into spinor columns that carry
+it (_weighted_columns), and at Interior points num(1) is one more column of
+the same product; the subtracted transform's W depends on the row's parity,
+so C's own arithmetic writes it over R (_cauchy_rows).  For n = 3 a block
+of G(u) = u / |u|^3 (_surface_rows) times a vector is a closed-form sum of
+the blocks B(e_l e_k) (_vector_blocks), whose vector normal no spinor
+column can carry.  The kernel's domain is algebra's: the reciprocals take
+its null test (is_null_planar), _surface_rows its real differences and
+origin test (_real_differences).  Transforms at points classified Interior
+take n = 2 rows without the null test (test=False).
 
 Between the nodes themselves C and A are built in one pass over row blocks
 on every mesh (_operators).  Each block evaluates its kernel once, R for
@@ -187,8 +192,7 @@ class BlockOperator:
     def apply(self, f: BoundaryFunction) -> BoundaryFunction:
         if f.mesh.size != self.mesh.size:
             raise ValueError("operator and function live on different meshes")
-        out = self.matrix @ _to_spinor(f.values, self.mesh)
-        return BoundaryFunction(f.mesh, _from_spinor(out, self.mesh))
+        return _apply_family(self, [f])[0]
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(self.mesh, self.matrix @ other.matrix)
@@ -316,16 +320,24 @@ def _alternate_rule(mesh: BoundaryMesh) -> np.ndarray:
 def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) -> np.ndarray:
     """Reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N) at (M, 2) points (n = 2), 0 at the pairs (m, skip[m]).
 
+    The _reciprocals of algebra.null_differences.  At the nodes, each
+    skipping itself, the rows of all blocks make an antisymmetric R, bit for
+    bit.
+    """
+    return _reciprocals(null_differences(points, mesh.nodes), skip, test)
+
+
+def _reciprocals(dz: np.ndarray, skip, test: bool) -> np.ndarray:
+    """1 / dz (2, M, N), written over the null differences dz, 0 at the pairs (m, skip[m]).
+
     The differences take the kernel's null test first (algebra.is_null_planar),
     with the skipped pairs parked off the cones, so this raises NullVectorError
     wherever cauchy_kernel does on a pair that is not skipped.  Callers that
     took the same test already pass test=False: the node pass, whose pairs
     validation tested (ValidationReport.null_pair), and the transforms at
-    Interior points (_transform_blocks).  At the nodes, each skipping
-    itself, the rows of all blocks make an antisymmetric R, bit for bit.
+    Interior points (_transform_blocks).
     """
-    dz = null_differences(points, mesh.nodes)
-    pairs = (slice(None), np.arange(points.shape[0]), skip)
+    pairs = (slice(None), np.arange(dz.shape[1]), skip)
     if skip is not None:
         dz[pairs] = 1.0  # placeholder off the null cones
     if test and np.any(is_null_planar(dz)):
@@ -336,18 +348,19 @@ def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) 
     return R
 
 
-def _cauchy_rows(R: np.ndarray, mesh: BoundaryMesh, rows=None) -> np.ndarray:
+def _cauchy_rows(R: np.ndarray, mesh: BoundaryMesh, rows: np.ndarray) -> np.ndarray:
     """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R.
 
-    W is 1 when rows is None, else the singular weights of the nodes
-    `rows` (an index array), gathered from _alternate_rule.
+    W holds the singular weights of the nodes `rows` (an index array),
+    gathered from _alternate_rule.
     """
-    if rows is None:
-        normals = null_coordinates(mesh.normals).T[:, None, :] * (1.0 / -omega(2))
-    else:
-        normals = _alternate_rule(mesh)[:, rows % 2]
     # the weighted normals first and R second, in this order at every size
-    return np.multiply(normals, R, out=R)
+    return np.multiply(_alternate_rule(mesh)[:, rows % 2], R, out=R)
+
+
+def _node_factors(mesh: BoundaryMesh) -> np.ndarray:
+    """The node factors -zeta_rho(n_j) / omega (2, N) of the planar kernel (n = 2), plane first."""
+    return null_coordinates(mesh.normals).T * (1.0 / -omega(2))
 
 
 def _surface_rows(mesh: BoundaryMesh, points: np.ndarray, skip, W) -> np.ndarray:
@@ -390,26 +403,37 @@ def _vector_blocks(K: np.ndarray, vectors: np.ndarray, left: bool = False) -> np
 
 
 def _kernel_rows(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False, test: bool = True):
-    """Yield (rows, spinor blocks (blocks, M s, N s)) of (1/omega) G(p_m - z_j) n_j W_mj over the row blocks of (M, n) points.
+    """Yield (rows, spinor blocks (blocks, M s, N s)) of the kernel sums' rows over the row blocks of (M, n) points.
 
-    The one generator of weighted kernel sums over the nodes; the pairs (m,
-    skip[m]) are 0.  W_mj is 1, or with weighted the singular weights of
-    node skip[m]'s row: the alternate-point rule's on curves
-    (_alternate_rule), sigma_j off the skipped pair on surfaces.  For n = 2
-    block rho is the planar Cauchy kernel of the zeta_rho plane, R_rho
-    (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 = zeta and zeta_1 = eta
-    (algebra.null_coordinates), from the reciprocal null pairs R of
-    _null_rows by C's own arithmetic (_cauchy_rows); for n = 3 from
-    _surface_rows and _vector_blocks.  Raises NullVectorError wherever
-    cauchy_kernel(p_m - z_j) does on a pair that is not skipped, unless
-    test is False (the n = 2 null test only; the n = 3 rows always take
-    their origin test), and OddDimensionComplexError where the n = 3
-    differences are complex.
+    The one generator of weighted kernel sums over the nodes: the blocks of
+    (1/omega) G(p_m - z_j) n_j W_mj, with the pairs (m, skip[m]) 0, that a
+    sum multiplies into its columns.  W_mj is 1, or with weighted the
+    singular weights of node skip[m]'s row: the alternate-point rule's on
+    curves (_alternate_rule), sigma_j off the skipped pair on surfaces.
+    For n = 2 block rho is the planar Cauchy kernel of the zeta_rho plane,
+    R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 = zeta and zeta_1 = eta
+    (algebra.null_coordinates), from the reciprocal null pairs R:
+    weighted, C's own arithmetic writes the factors over R (_cauchy_rows);
+    otherwise the rows are R itself, and the node factors -zeta_rho(n_j) /
+    2 pi (_node_factors) ride in the columns (_weighted_columns).  The
+    points' null coordinates are taken once per pass, and each block
+    subtracts them as algebra.null_differences does.  For n = 3 the blocks
+    come from _surface_rows and _vector_blocks.  Raises
+    ValidationFailedError on a mesh that fails validate_domain_manifold,
+    NullVectorError wherever cauchy_kernel(p_m - z_j) does on a pair that
+    is not skipped, unless test is False (the n = 2 null test only; the n
+    = 3 rows always take their origin test), and OddDimensionComplexError
+    where the n = 3 differences are complex.
     """
+    _validated(mesh)
+    if mesh.n == 2:
+        cp, cz = (np.ascontiguousarray(null_coordinates(x).T) for x in (points, mesh.nodes))
     for rows in row_blocks(points.shape[0], mesh.size):
         i = None if skip is None else skip[rows]
         if mesh.n == 2:
-            K = _cauchy_rows(_null_rows(mesh, points[rows], i, test), mesh, i if weighted else None)
+            K = _reciprocals(cp[:, rows, None] - cz[:, None, :], i, test)
+            if weighted:
+                K = _cauchy_rows(K, mesh, i)
         else:
             G = _surface_rows(mesh, points[rows], i, mesh.sigma if weighted else 1.0)
             K = _vector_blocks(G, mesh.normals).reshape(1, 2 * G.shape[1], -1)
@@ -539,42 +563,84 @@ def _projection(mesh: BoundaryMesh, sign: str) -> BlockOperator:
 # -- off-boundary transforms -------------------------------------------------------
 
 
-def _weighted_columns(mesh: BoundaryMesh, values) -> np.ndarray:
-    """Spinor columns (blocks, N s, copies F) of sigma_j g_j for each of the F node-value arrays g (N, d)."""
-    cols = np.stack([_to_spinor(g * mesh.sigma[:, None], mesh) for g in values], axis=-1)
+def _spinor_columns(mesh: BoundaryMesh, values) -> np.ndarray:
+    """Spinor columns (blocks, N s, copies F) of the F node-value arrays g (N, d), column copy * F + function."""
+    cols = np.stack([_to_spinor(g, mesh) for g in values], axis=-1)
     return cols.reshape(cols.shape[0], cols.shape[1], -1)
 
 
-def _spinor_norms(mesh: BoundaryMesh, vals: np.ndarray) -> np.ndarray:
-    """(F, M) norms of the multivectors with spinor columns vals (blocks, M s, copies F); T is unitary."""
+def _weighted_columns(mesh: BoundaryMesh, values) -> np.ndarray:
+    """Spinor columns of sigma_j g_j for each of the F node-value arrays g, times the node factors for n = 2.
+
+    The rows of _kernel_rows carry G n_j / omega for n = 3; for n = 2 they
+    are the bare reciprocals R_rho, and plane rho of these columns carries
+    -zeta_rho(n_j) / omega (_node_factors).  Either way _kernel_rows @
+    columns is sum_j (1/omega) G(p - z_j) n_j sigma_j g_j.
+    """
+    cols = _spinor_columns(mesh, [g * mesh.sigma[:, None] for g in values])
+    if mesh.n == 2:
+        cols *= _node_factors(mesh)[:, :, None]
+    return cols
+
+
+def _apply_family(op: BlockOperator, family) -> list:
+    """op f for every f of the family, from one product of op's blocks with the family's spinor columns.
+
+    A family of one is BlockOperator.apply; a larger family differs from
+    one-function products at rounding.
+    """
+    cols = _spinor_columns(op.mesh, [f.values for f in family])
+    out = (op.matrix @ cols).reshape(cols.shape[0], cols.shape[1], -1, len(family))
+    return [BoundaryFunction(f.mesh, _from_spinor(out[..., k], op.mesh)) for k, f in enumerate(family)]
+
+
+def _spinor_norms(mesh: BoundaryMesh, vals: np.ndarray, interior: bool = False) -> np.ndarray:
+    """(F, M) norms of the multivectors with spinor columns vals (blocks, M s, copies F); T is unitary.
+
+    |v|^2 is re^2 + im^2.  With interior on a curve, vals are the interior
+    form of _transform_blocks, num(1) last, and the norms are those of
+    num(g) / num(1): each null plane's sum of squares is divided by
+    |num(1)|^2 once per row.
+    """
     sp = algebra(mesh.n).spinor
-    sq = np.abs(vals.reshape(sp.blocks, -1, sp.size, sp.copies, vals.shape[-1] // sp.copies)) ** 2
-    return np.sqrt(sq.sum(axis=(0, 2, 3))).T
+    barycentric = interior and mesh.n == 2
+    sq = np.square(vals.real)
+    sq += np.square(vals.imag)
+    F = (sq.shape[-1] - barycentric) // sp.copies
+    sq = sq.reshape(sp.blocks, -1, sp.size, sq.shape[-1])
+    # each block's sum over its rows and copies, slice by slice
+    planes = sum(sq[:, :, p, c * F : (c + 1) * F] for p in range(sp.size) for c in range(sp.copies))
+    if barycentric:
+        planes /= sq[:, :, 0, -1:]
+    return np.sqrt(planes.sum(axis=0)).T
 
 
 def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, interior: bool = False):
-    """Yield (rows, spinor columns (blocks, M s, copies F)) of the transforms at the row blocks of (M, n) points.
+    """Yield (rows, spinor columns (blocks, M s, copies F)) of the sums num(g) at the row blocks of (M, n) points.
 
-    A block is num(g) = sum_j K(p, z_j) sigma_j g_j, K the _kernel_rows and
-    cols the _weighted_columns of g.  With interior the points are Interior
-    (the kernel accepts every pair) and on curves g is S+ f: the null test is
-    not taken again, and each null plane takes the barycentric form num(S+ f)
-    / num(1), whose quadrature error near a node is a common factor of both
-    sums and cancels (Helsing & Ojala, J. Comput. Phys. 227, 2008).  On the
-    sphere, whose S+ is first order, it is the plain sum num(f).
+    num(g) = sum_j K(p, z_j) sigma_j g_j is one product of the _kernel_rows
+    with cols, the _weighted_columns of g.  With interior the points are
+    Interior (the kernel accepts every pair) and on curves g is S+ f: the
+    null test is not taken again, and the transform is the barycentric form
+    num(S+ f) / num(1) of each null plane, whose quadrature error near a
+    node is a common factor of both sums and cancels (Helsing & Ojala, J.
+    Comput. Phys. 227, 2008).  num(1) is then one more column of the same
+    product, the last; nothing is divided here (_spinor_norms divides the
+    norms).  On the sphere, whose S+ is first order, it is the plain sum
+    num(f).
     """
+    if interior and mesh.n == 2:
+        cols = np.concatenate([cols, (_node_factors(mesh) * mesh.sigma)[:, :, None]], axis=-1)
     for rows, K in _kernel_rows(mesh, points, test=not interior):
-        vals = K @ cols
-        if interior and mesh.n == 2:
-            vals /= (K @ mesh.sigma)[..., None]
-        yield rows, vals
+        yield rows, K @ cols
 
 
 def _truncated_blocks(mesh: BoundaryMesh, cols: np.ndarray, dist: np.ndarray, radii):
     """Yield (rows, spinor columns) of the kernel sums over |z_m - z_j| > eps at the nodes, radius eps by radius.
 
-    Each row block of nodes takes its kernel blocks once, each node's own
-    pair skipped (_kernel_rows), and every radius masks them by dist (N, N).
+    Each row block of nodes takes its kernel rows once, each node's own
+    pair skipped (_kernel_rows), and every radius masks them by dist (N, N);
+    cols are _weighted_columns.
     """
     sp = algebra(mesh.n).spinor
     N = mesh.size

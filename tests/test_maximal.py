@@ -157,19 +157,43 @@ class TestNontangentialMaximal:
     @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
     def test_cone_rows_equal_kernel_blocks(self, name, request):
         # the cone pass takes its rows without the null test that the
-        # samples, all Interior, have passed in cone_parameters, and on
-        # curves divides by num(1); on the sphere it is the plain sum
+        # samples, all Interior, have passed in cone_parameters; on curves
+        # the rows are the bare reciprocals, the columns carry the node
+        # factors and num(1) is their last column; on the sphere it is the
+        # plain sum
         from plemelj.mesh import _cone_samples
+        from plemelj.operators import _node_factors, _null_rows
 
         mesh = request.getfixturevalue(name)
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
         cols = _weighted_columns(mesh, [f.values for f in band_limited_family(mesh, 3, seed=1)])
+        folded = cols
+        if mesh.n == 2:
+            folded = np.concatenate([cols, (_node_factors(mesh) * mesh.sigma)[:, :, None]], axis=-1)
         for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
-            K = kernel_blocks(mesh, pts[rows])
-            want = K @ cols
-            if mesh.n == 2:
-                want /= (K @ mesh.sigma)[..., None]
-            assert np.array_equal(vals, want)
+            K = _null_rows(mesh, pts[rows], None) if mesh.n == 2 else kernel_blocks(mesh, pts[rows])
+            assert np.array_equal(vals, K @ folded)
+
+    @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])
+    def test_spinor_norms_equal_coefficient_norms(self, name, request):
+        # |v|^2 from the real and imaginary parts, and in the interior form
+        # each null plane's squares divided by |num(1)|^2, against the norms
+        # of the transforms' coefficients (num(g) / num(1) on curves)
+        from plemelj.mesh import _cone_samples
+        from plemelj.operators import _from_spinor, _spinor_norms
+
+        mesh = request.getfixturevalue(name)
+        pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
+        cols = _weighted_columns(mesh, [f.values for f in band_limited_family(mesh, 3, seed=4)])
+        for interior in (False, True):
+            for rows, vals in _transform_blocks(mesh, pts, cols, interior=interior):
+                got = _spinor_norms(mesh, vals, interior=interior)
+                if interior and mesh.n == 2:
+                    vals = vals[..., :-1] / vals[..., -1:]
+                per_function = vals.reshape(vals.shape[0], vals.shape[1], -1, 3)
+                want = np.stack([algebra(mesh.n).norm(_from_spinor(per_function[..., k], mesh)) for k in range(3)])
+                assert got.shape == want.shape == (3, rows.stop - rows.start)
+                assert np.all(np.abs(got - want) <= 1e-15 * want)
 
     def test_kernel_trace_peaks_toward_pole(self, circle128):
         pole = np.array([3.0, 0.0])
@@ -195,7 +219,7 @@ class TestNontangentialMaximal:
         cols = _weighted_columns(mesh, [plemelj_projection(mesh, "+").apply(f).values])
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
         for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
-            got = _from_spinor(vals, mesh)
+            got = _from_spinor(vals[..., :-1] / vals[..., -1:], mesh)  # num(S+ f) / num(1)
             want = algebra(2).embed_vector(cauchy_kernel(pts[rows] - a))
             assert _relative_gap(got, want) <= 1e-12
 

@@ -344,6 +344,22 @@ class TestCauchyTransform:
         v = cauchy_transform(deformed128, one, np.zeros(2))
         assert np.abs(v - [1, 0, 0, 0]).max() < 1e-10
 
+    def test_transforms_validate_their_mesh(self, circle64):
+        # a mesh that validate_domain_manifold refuses takes no transform, as
+        # it takes no assembly: this one has no edges and no curve parameter
+        import dataclasses
+
+        bare = dataclasses.replace(circle64, theta=None, cache={})
+        one = BoundaryFunction.constant(bare, 1.0)
+        p = np.array([0.1, 0.2], dtype=complex)
+        for transform in (
+            lambda: cauchy_transform(bare, one, p),
+            lambda: cauchy_transform_points(bare, one, p[None, :]),
+            lambda: assemble_singular_cauchy(bare),
+        ):
+            with pytest.raises(ValueError, match="no edges and no curve parameter"):
+                transform()
+
 
 class TestSingularCauchy:
     def test_constant_calibration_exact(self, circle128):
@@ -608,11 +624,12 @@ class TestNearEvaluation:
 
     def test_singular_weights_refuse_a_mesh_that_is_no_even_closed_curve(self, circle64):
         # the alternate-point rule is the only n = 2 singular rule: a curve
-        # without its parameter, or with odd N, takes no weights at all
+        # without its parameter (its edges given, so that it validates), or
+        # with odd N, takes no weights at all
         import dataclasses
 
         m = circle64
-        bare = dataclasses.replace(m, theta=None, cache={})
+        bare = dataclasses.replace(m, theta=None, edges=m.edge_list(), cache={})
         odd = dataclasses.replace(
             m, nodes=m.nodes[:63], normals=m.normals[:63], sigma=m.sigma[:63], sigma_abs=m.sigma_abs[:63],
             theta=m.theta[:63], cache={},
@@ -621,9 +638,8 @@ class TestNearEvaluation:
             f = BoundaryFunction.constant(mesh, 1.0)
             with pytest.raises(ValueError, match="even node count"):
                 cauchy_transform_points(mesh, f, 0.5 * mesh.nodes[:3], subtract_node=[0, 1, 2])
-        # the bare curve has no edges, so validation refuses it before assembly
-        with pytest.raises(ValueError, match="even node count"):
-            assemble_singular_cauchy(odd)
+            with pytest.raises(ValueError, match="even node count"):
+                assemble_singular_cauchy(mesh)
 
     def test_weighted_null_pair_raises(self, circle64):
         # the point is node 1; in node 0's row its pair carries the weight

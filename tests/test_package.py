@@ -37,6 +37,37 @@ def test_kerzman_stein_path_runs_on_one_blas():
     assert importers == {"linsolve.py"}
 
 
+def test_maximal_job_runs_on_one_blas():
+    # a maximal job's dense products are numpy's @ alone: maximal imports
+    # nothing from linsolve, whose matmul runs on scipy's OpenBLAS, and no
+    # operators function that maximal reaches (the kernel sums at points,
+    # the family products, the assembly) calls linsolve; two thread pools in
+    # one job fight over the cores
+    src = Path(plemelj.__file__).parent
+    trees = {name: ast.parse((src / name).read_text()) for name in ("maximal.py", "operators.py")}
+    imported = set(_imported_names(trees["maximal.py"])) | {
+        alias.name for node in ast.walk(trees["maximal.py"]) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not any("linsolve" in name.split(".") for name in imported)
+    functions = {node.name: node for node in trees["operators.py"].body if isinstance(node, ast.FunctionDef)}
+    linsolve = {
+        alias.asname or alias.name
+        for node in trees["operators.py"].body
+        if isinstance(node, ast.ImportFrom) and node.module == "linsolve"
+        for alias in node.names
+    }
+    assert "matmul" in linsolve
+    reached, todo = set(), sorted(imported & set(functions))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            refs = set(_references(functions[name]))
+            assert not refs & linsolve, (name, refs & linsolve)
+            todo += sorted(refs & set(functions))
+    assert {"_kernel_rows", "_transform_blocks", "_truncated_blocks", "_spinor_norms", "_apply_family"} <= reached
+
+
 def _readme_python_blocks():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -13,14 +13,20 @@ first.  To compare two trees, run
 which runs each job on that tree and on the tree given (default: this
 repository), prints the digest lines of the jobs that differ only, each
 line of the other tree marked ``<`` and of the given tree ``>``, and exits 1
-if any job differs.  Run it at ``--threads 2`` too, the BLAS threads the
-benchmark runs with on a two-core machine.
+if any job differs.  Under a differing job one ``=`` line per differing JSON
+or CSV report gives the largest relative difference over its numbers, or
+says "structure differs" when keys, strings or row counts differ (as it does
+for the job when the exit codes differ), so that a move at rounding is
+measured.  Run it at ``--threads 2`` too, the BLAS threads the benchmark
+runs with on a two-core machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -60,6 +66,72 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _gap(a, b):
+    """Largest relative difference over the numbers of two parsed reports; None when their structure differs."""
+    if _is_number(a) and _is_number(b):
+        if a == b or (a != a and b != b):  # equal, or both NaN
+            return 0.0
+        finite = all(abs(x) != float("inf") and x == x for x in (a, b))
+        return abs(a - b) / max(abs(a), abs(b)) if finite else float("inf")
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = list(zip(a, b))
+    else:
+        return 0.0 if type(a) is type(b) and a == b else None
+    gaps = [_gap(x, y) for x, y in pairs]
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def _parse(data: bytes, suffix: str):
+    """A JSON report as parsed, a CSV report as its rows with every cell that reads as a float made one."""
+    text = data.decode()
+    if suffix == ".json":
+        return json.loads(text)
+    rows = []
+    for row in csv.reader(io.StringIO(text)):
+        cells = []
+        for cell in row:
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return rows
+
+
+def report_gap(a: bytes, b: bytes, suffix: str):
+    """Largest relative difference over the numbers of two JSON or CSV reports; None when their structure differs."""
+    try:
+        return _gap(_parse(a, suffix), _parse(b, suffix))
+    except ValueError:  # not JSON, or not text
+        return None
+
+
+def report_gaps(other: Path, tree: Path) -> list:
+    """(report, gap) for every JSON or CSV report whose bytes differ between two output directories.
+
+    gap is report_gap's, None when the structure differs or the report is in one directory only.
+    """
+    out = []
+    files = {p.relative_to(d) for d in (other, tree) for p in d.rglob("*") if p.is_file()}
+    for rel in sorted(f for f in files if f.suffix in (".json", ".csv")):
+        a, b = (d / rel for d in (other, tree))
+        if not (a.is_file() and b.is_file()):
+            out.append((rel, None))
+        elif a.read_bytes() != b.read_bytes():
+            out.append((rel, report_gap(a.read_bytes(), b.read_bytes(), rel.suffix)))
+    return out
+
+
 def run(tree: Path, work: Path, name: str, config: dict, threads: int) -> list:
     """Run one job in work/name with threads BLAS threads and return its digest lines."""
     out = work / name
@@ -97,7 +169,12 @@ def main(argv=None) -> int:
             other = run(args.compare.resolve(), Path(work, "compare"), name, config, args.threads)
             if other != lines:
                 differ += 1
-                print(*(f"< {line}" for line in other), *(f"> {line}" for line in lines), sep="\n", flush=True)
+                print(*(f"< {line}" for line in other), *(f"> {line}" for line in lines), sep="\n")
+                if other[0] != lines[0]:  # the exit codes
+                    print(f"= {name} structure differs (exit codes)")
+                for rel, gap in report_gaps(Path(work, "compare", name), Path(work, "tree", name)):
+                    print(f"= {name} {rel}", "structure differs" if gap is None else f"largest relative difference {gap:.3g}")
+                sys.stdout.flush()
     if args.compare is not None:
         print(f"{differ} of {len(jobs())} jobs differ at {args.threads} BLAS thread(s)")
     return 1 if differ else 0
