@@ -13,9 +13,10 @@ approach cone fits inside the mesh (maximal and limits need one), 6
 invalid input (a config file that cannot be read or is not one JSON object
 of DEFAULT_CONFIG's keys, each value of its default's kind and range, an
 unknown command, an --out that cannot be made a directory or written, a
-node count the geometry or command does not take, an N sweep that does not
-strictly increase, a command the geometry does not support); every failure
-ends in one line on stderr.
+node count the geometry or command does not take, or one too large for
+the machine's memory to hold its arrays, an N sweep that does not strictly
+increase, a command the geometry does not support); every failure ends in
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -362,7 +363,9 @@ def main(argv=None) -> int:
     except NoValidConeError as exc:
         print(f"no approach cone: {exc}", file=sys.stderr)
         return EXIT_NO_CONE
-    except (ValueError, OSError) as exc:  # OSError: a config that cannot be read, an --out that cannot be written
+    # OSError: a config that cannot be read, an --out that cannot be written;
+    # MemoryError: a node count whose arrays cannot be allocated
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

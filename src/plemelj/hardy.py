@@ -257,8 +257,11 @@ def boundary_limit_test(
     singularity subtraction the discrete limit s -> 0 reproduces the
     Nystrom projection exactly, so the error sequence decays like s_k down
     to the inter-quadrature floor; without it the h/s quadrature blow-up
-    takes over once s_k drops below the node spacing.
+    takes over once s_k drops below the node spacing.  region is
+    "interior" or "exterior"; any other value raises ValueError.
     """
+    if region not in ("interior", "exterior"):
+        raise ValueError(f"region must be 'interior' or 'exterior', not {region!r}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, not {depth}")
     mesh = f.mesh

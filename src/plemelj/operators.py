@@ -7,15 +7,17 @@ cancelled Kerzman-Stein kernel) are even, so every such matrix is stored
 and applied as its irreducible spinor blocks (BlockOperator): two N x N
 matrices for n = 2, one (2N) x (2N) matrix for n = 3.
 
-Every weighted kernel sum over the nodes, sum_j G(p_m - z_j) n_j W_mj g_j,
-is formed here from the row blocks of one generator, _kernel_rows(mesh,
-points, skip, weighted, test), which validates the mesh first: the
-off-boundary transforms (W = 1) and the truncated sums at the nodes
-(_transform_blocks, _truncated_blocks), and the subtracted near-boundary
-transform (each point's pair with its node skipped, W the singular weights
-of that node's row).  For n = 2 the blocks are assembled directly.
-With the null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) =
--zeta eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
+Every kernel value between points and nodes, G(p_m - z_j) for the sums
+sum_j G(p_m - z_j) n_j W_mj g_j, is formed here in the row blocks of one
+generator, _kernel_rows(mesh, points, skip, weighted, test), which
+validates the mesh first; it is the module's one pass over row_blocks.
+It serves the off-boundary transforms (W = 1) and the truncated sums at
+the nodes (_transform_blocks, _truncated_blocks), the subtracted
+near-boundary transform (each point's pair with its node skipped, W the
+singular weights of that node's row) and the node pass that builds C and
+A (_operators).  For n = 2 the blocks are assembled directly.  With the
+null coordinates zeta = z1 + i z2 and eta = z1 - i z2, square(z) = -zeta
+eta, and block rho of G(w - z) n(z) is the planar Cauchy kernel
 -zeta_rho(n) / (2 pi zeta_rho(w - z)) of the zeta_rho plane (zeta_0 = zeta,
 zeta_1 = eta).  A block of rows takes its reciprocals R_rho = 1 /
 zeta_rho(p_m - z_j) once, from null coordinates of the points taken once
@@ -23,23 +25,30 @@ per pass, and the kernel follows by multiplications only: block rho is R_rho
 (-zeta_rho(n_j) W_mj / 2 pi).  With W = 1 that factor depends on the node
 alone, so the sums multiply the bare rows R into spinor columns that carry
 it (_weighted_columns), and at Interior points num(1) is one more column of
-the same product; the subtracted transform's W depends on the row's parity,
-so C's own arithmetic writes it over R (_cauchy_rows).  For n = 3 a block
-of G(u) = u / |u|^3 (_surface_rows) times a vector is a closed-form sum of
-the blocks B(e_l e_k) (_vector_blocks), whose vector normal no spinor
-column can carry.  The kernel's domain is algebra's: the reciprocals take
-its null test (is_null_planar), _surface_rows its real differences and
-origin test (_real_differences).  Transforms at points classified Interior
-take n = 2 rows without the null test (test=False).
+the same product.  For n = 3 the values are G(u) W / omega = u / |u|^3 W /
+omega (_surface_rows), and a block of G times a vector is a closed-form
+sum of the blocks B(e_l e_k) (_vector_blocks, _spinor_rows), whose vector
+normal no spinor column can carry.  The kernel's domain is algebra's: the
+reciprocals take its null test (is_null_planar), _surface_rows its real
+differences and origin test (_real_differences).  Transforms at points
+classified Interior take n = 2 rows without the null test (test=False).
 
-Between the nodes themselves C and A are built in one pass over row blocks
-on every mesh (_operators).  Each block evaluates its kernel once, R for
-n = 2 and G for n = 3, and writes C's rows and A's rows from it; for n = 2
-block rho of the cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho -
-zeta_rhobar(n_i) R_rhobar (rhobar = 1 - rho), since left multiplication by
-a vector swaps the null planes.  No (N, N) array of kernel values or
-weights is kept.  For n = 2 the pass stores A's blocks column-major, as
-the LU reads them, and takes the node pairs' null test from validation.
+C's rows have one home, _cauchy_rows, which both the node pass and the
+subtracted transform call on the values of _kernel_rows(..., weighted=True):
+on curves it writes the alternate-point rule's weights over R, which
+depend on the row's parity; on surfaces the punctured rule's sigma_j have
+entered G W / omega before the product with u (weighted), and it takes
+their blocks.
+
+Between the nodes themselves C and A are built in one pass (_operators).
+Each row block of node pairs, each node's own pair skipped, comes from
+_kernel_rows once, R for n = 2 and G sigma_j / omega for n = 3, and C's
+rows and A's rows are written from it; for n = 2 block rho of the
+cancelled kernel G n_j + n_i G is -zeta_rho(n_j) R_rho - zeta_rhobar(n_i)
+R_rhobar (rhobar = 1 - rho), since left multiplication by a vector swaps
+the null planes.  No (N, N) array of kernel values or weights is kept.
+For n = 2 the pass stores A's blocks column-major, as the LU reads them,
+and takes the node pairs' null test from validation.
 
 Kernel and sign conventions are fixed once by constant calibration: with
 K(w, z) = G(w - z) and the chosen orientation of normals and measure, the
@@ -67,7 +76,6 @@ from .algebra import (
     cauchy_kernel,
     is_null_planar,
     null_coordinates,
-    null_differences,
 )
 from .linsolve import matmul, qr
 from .mesh import BoundaryMesh, _validated, per_mesh, row_blocks
@@ -317,16 +325,6 @@ def _alternate_rule(mesh: BoundaryMesh) -> np.ndarray:
     return null_coordinates(mesh.normals).T[:, None, :] * (W / -omega(2))
 
 
-def _null_rows(mesh: BoundaryMesh, points: np.ndarray, skip, test: bool = True) -> np.ndarray:
-    """Reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N) at (M, 2) points (n = 2), 0 at the pairs (m, skip[m]).
-
-    The _reciprocals of algebra.null_differences.  At the nodes, each
-    skipping itself, the rows of all blocks make an antisymmetric R, bit for
-    bit.
-    """
-    return _reciprocals(null_differences(points, mesh.nodes), skip, test)
-
-
 def _reciprocals(dz: np.ndarray, skip, test: bool) -> np.ndarray:
     """1 / dz (2, M, N), written over the null differences dz, 0 at the pairs (m, skip[m]).
 
@@ -346,16 +344,6 @@ def _reciprocals(dz: np.ndarray, skip, test: bool) -> np.ndarray:
     if skip is not None:
         R[pairs] = 0.0
     return R
-
-
-def _cauchy_rows(R: np.ndarray, mesh: BoundaryMesh, rows: np.ndarray) -> np.ndarray:
-    """Rows of C's blocks, R_rho (-zeta_rho(n_j) W_ij / omega), written over the reciprocal rows R.
-
-    W holds the singular weights of the nodes `rows` (an index array),
-    gathered from _alternate_rule.
-    """
-    # the weighted normals first and R second, in this order at every size
-    return np.multiply(_alternate_rule(mesh)[:, rows % 2], R, out=R)
 
 
 def _node_factors(mesh: BoundaryMesh) -> np.ndarray:
@@ -402,28 +390,53 @@ def _vector_blocks(K: np.ndarray, vectors: np.ndarray, left: bool = False) -> np
     return out
 
 
-def _kernel_rows(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False, test: bool = True):
-    """Yield (rows, spinor blocks (blocks, M s, N s)) of the kernel sums' rows over the row blocks of (M, n) points.
+def _spinor_rows(K: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """Spinor blocks (blocks, M s, N s) of the kernel values K of _kernel_rows (n = 3: the blocks of K n_j).
 
-    The one generator of weighted kernel sums over the nodes: the blocks of
-    (1/omega) G(p_m - z_j) n_j W_mj, with the pairs (m, skip[m]) 0, that a
-    sum multiplies into its columns.  W_mj is 1, or with weighted the
-    singular weights of node skip[m]'s row: the alternate-point rule's on
-    curves (_alternate_rule), sigma_j off the skipped pair on surfaces.
-    For n = 2 block rho is the planar Cauchy kernel of the zeta_rho plane,
-    R_rho (-zeta_rho(n_j) W_mj / 2 pi) with zeta_0 = zeta and zeta_1 = eta
-    (algebra.null_coordinates), from the reciprocal null pairs R:
-    weighted, C's own arithmetic writes the factors over R (_cauchy_rows);
-    otherwise the rows are R itself, and the node factors -zeta_rho(n_j) /
-    2 pi (_node_factors) ride in the columns (_weighted_columns).  The
-    points' null coordinates are taken once per pass, and each block
-    subtracts them as algebra.null_differences does.  For n = 3 the blocks
-    come from _surface_rows and _vector_blocks.  Raises
-    ValidationFailedError on a mesh that fails validate_domain_manifold,
-    NullVectorError wherever cauchy_kernel(p_m - z_j) does on a pair that
-    is not skipped, unless test is False (the n = 2 null test only; the n
-    = 3 rows always take their origin test), and OddDimensionComplexError
-    where the n = 3 differences are complex.
+    For n = 2 they are the reciprocals R themselves, whose node factors ride
+    in the columns (_weighted_columns).
+    """
+    return K if mesh.n == 2 else _vector_blocks(K, mesh.normals).reshape(1, 2 * K.shape[1], -1)
+
+
+def _cauchy_rows(K: np.ndarray, mesh: BoundaryMesh, rows: np.ndarray) -> np.ndarray:
+    """Rows of C's blocks (blocks, M s, N s) at the nodes `rows` (an index array).
+
+    The one home of C's singular weights, written over the kernel values K
+    of _kernel_rows(..., weighted=True), each row's own node skipped.  On
+    curves block rho is R_rho (-zeta_rho(n_j) W_ij / omega): the
+    alternate-point rule's weighted normals (_alternate_rule), gathered by
+    the rows' parities, are written over the reciprocals R.  On surfaces
+    the punctured rule's sigma_j are in K already, since they enter G W /
+    omega before the product with the differences (_surface_rows), and the
+    rows are K's blocks (_spinor_rows).
+    """
+    if mesh.n == 3:
+        return _spinor_rows(K, mesh)
+    # the weighted normals first and R second, in this order at every size
+    return np.multiply(_alternate_rule(mesh)[:, rows % 2], K, out=K)
+
+
+def _kernel_rows(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bool = False, test: bool = True):
+    """Yield (rows, K), the kernel values of the row blocks of (M, n) points with the nodes, 0 at (m, skip[m]).
+
+    The module's one pass over row blocks, and the one place where kernel
+    values between points and nodes are formed; the sums take their spinor
+    blocks from K (_spinor_rows, or _cauchy_rows for C's rows).  For n = 2
+    K is the reciprocal null pairs R_rho = 1 / zeta_rho(p_m - z_j) (2, M, N)
+    with zeta_0 = zeta and zeta_1 = eta (algebra.null_coordinates): block
+    rho of the planar Cauchy kernel is R_rho (-zeta_rho(n_j) W_mj / 2 pi).
+    The points' null coordinates are taken once per pass, and each block
+    subtracts them as algebra.null_differences does.  For n = 3 K is (1 /
+    omega) G(p_m - z_j) W_mj, component first (3, M, N) (_surface_rows),
+    with W_mj the punctured rule's sigma_j when weighted and 1 otherwise;
+    on curves weighted changes nothing, since C's weights there are written
+    over R (_cauchy_rows).  Raises ValidationFailedError on a mesh that
+    fails validate_domain_manifold, NullVectorError wherever
+    cauchy_kernel(p_m - z_j) does on a pair that is not skipped, unless test
+    is False (the n = 2 null test only; the n = 3 rows always take their
+    origin test), and OddDimensionComplexError where the n = 3 differences
+    are complex.
     """
     _validated(mesh)
     if mesh.n == 2:
@@ -431,66 +444,57 @@ def _kernel_rows(mesh: BoundaryMesh, points: np.ndarray, skip=None, weighted: bo
     for rows in row_blocks(points.shape[0], mesh.size):
         i = None if skip is None else skip[rows]
         if mesh.n == 2:
-            K = _reciprocals(cp[:, rows, None] - cz[:, None, :], i, test)
-            if weighted:
-                K = _cauchy_rows(K, mesh, i)
+            yield rows, _reciprocals(cp[:, rows, None] - cz[:, None, :], i, test)
         else:
-            G = _surface_rows(mesh, points[rows], i, mesh.sigma if weighted else 1.0)
-            K = _vector_blocks(G, mesh.normals).reshape(1, 2 * G.shape[1], -1)
-        yield rows, K
+            yield rows, _surface_rows(mesh, points[rows], i, mesh.sigma if weighted else 1.0)
 
 
 @per_mesh
 def _operators(mesh: BoundaryMesh) -> tuple:
-    """C and A as BlockOperators, from one pass over row blocks of the node pairs.
+    """C and A as BlockOperators, from one pass of _kernel_rows over the node pairs.
 
-    Each row block evaluates its kernel once and drops it: for n = 2 the
-    reciprocal null pairs R (_null_rows), for n = 3 G(z_i - z_j) sigma_j /
-    omega (_surface_rows).  C's rows are the blocks of G n_j with the
-    singular weights (_alternate_rule on curves, sigma_j off the diagonal on
-    surfaces), A's rows those of the cancelled kernel
-    G n_j + n_i G with the trapezoid weights sigma_j; A's diagonal blocks
-    are its limit 0 (assemble_kerzman_stein).  C's diagonal blocks are then
-    written from the rows just built, I/2 - sum_{j != i} block_ij
-    (assemble_singular_cauchy).  Raises ValidationFailedError on a mesh that
-    fails validate_domain_manifold.
+    Each row block of kernel values, each node's own pair skipped, is taken
+    once and dropped: for n = 2 the reciprocal null pairs R, for n = 3
+    G(z_i - z_j) sigma_j / omega.  C's rows are _cauchy_rows of it, the
+    blocks of G n_j with the singular weights (the alternate-point rule on
+    curves, sigma_j off the diagonal on surfaces), A's rows those of the
+    cancelled kernel G n_j + n_i G with the trapezoid weights sigma_j; A's
+    diagonal blocks are its limit 0 (assemble_kerzman_stein).  C's diagonal
+    blocks are then written from the rows just built, I/2 - sum_{j != i}
+    block_ij (assemble_singular_cauchy).  Raises ValidationFailedError on a
+    mesh that fails validate_domain_manifold.
 
     For n = 2, A's blocks are stored column-major, the layout LAPACK reads
-    (hardy._kerzman_stein_lu).  A is skew-adjoint: K_rho[j, i] =
-    -K_rhobar[i, j] bit for bit, so column i of A_rho, K_rho[j, i] sigma_i /
-    -omega, is written as row i of its storage, K_rhobar[i, j] sigma_i /
-    omega.  Negation is exact, so only zeros may differ in sign from a
-    row-major build.  The node pairs' null test is validation's
-    (ValidationReport.null_pair).
+    (hardy._kerzman_stein_lu).  A is skew-adjoint: its kernel S has S_rho[j,
+    i] = -S_rhobar[i, j] bit for bit, so column i of A_rho, S_rho[j, i]
+    sigma_i / -omega, is written as row i of its storage, S_rhobar[i, j]
+    sigma_i / omega.  Negation is exact, so only zeros may differ in sign
+    from a row-major build.  The node pairs' null test is validation's
+    (ValidationReport.null_pair), so the pass leaves it out (test=False).
     """
-    report = _validated(mesh)
-    if mesh.n == 2 and report.null_pair:
-        raise NullVectorError("Cauchy kernel evaluated on the null cone")
+    if mesh.n == 2:
+        if _validated(mesh).null_pair:
+            raise NullVectorError("Cauchy kernel evaluated on the null cone")
+        zn = null_coordinates(mesh.normals).T
     sp, N = algebra(mesh.n).spinor, mesh.size
     C, A = np.empty((2, sp.blocks, N, sp.size, N, sp.size), dtype=complex)
     idx = np.arange(N)
-    for rows in row_blocks(N, N):
+    for rows, K in _kernel_rows(mesh, mesh.nodes, idx, weighted=True, test=False):
         i = idx[rows]
         if mesh.n == 2:
-            R = _null_rows(mesh, mesh.nodes[rows], i, test=False)
-            zn = null_coordinates(mesh.normals).T
             # block rho of G(u) n_j + n_i G(u), u = w_i - z_j: left multiplication
             # by the vector n_i swaps the null planes, so it is
             # -zeta_rho(n_j) / zeta_rho(u) - zeta_rhobar(n_i) / zeta_rhobar(u), rhobar = 1 - rho;
-            # R is antisymmetric with a zero diagonal, so K_1 = -K_0^T, bit for bit.
-            # K holds minus the kernel; the sign goes into the weights.
-            K = zn[:, None, :] * R
-            K += zn[::-1, rows, None] * R[::-1]
-            # A_rho's columns i, K_rhobar[i, j] sigma_i / omega, as rows of its storage
-            np.multiply(K[::-1], (mesh.sigma[rows] / omega(2))[:, None], out=A[:, rows, 0, :, 0])
-            # C's rows last: _cauchy_rows writes them over R
-            C[:, rows, 0, :, 0] = _cauchy_rows(R, mesh, i)
-        else:
-            # the punctured rule's weights are sigma_j wherever G is not 0
-            G = _surface_rows(mesh, mesh.nodes[rows], i, mesh.sigma)
-            C[:, rows] = _vector_blocks(G, mesh.normals)
-            A[:, rows] = _vector_blocks(G, mesh.normals[rows], left=True)
-            A[:, rows] += C[:, rows]
+            # R = K is antisymmetric with a zero diagonal, so S_1 = -S_0^T, bit for bit.
+            # S holds minus the kernel; the sign goes into the weights.
+            S = zn[:, None, :] * K
+            S += zn[::-1, rows, None] * K[::-1]
+            # A_rho's columns i, S_rhobar[i, j] sigma_i / omega, as rows of its storage
+            np.multiply(S[::-1], (mesh.sigma[rows] / omega(2))[:, None], out=A[:, rows, 0, :, 0])
+        # C's rows after A's: on curves _cauchy_rows writes them over R
+        C[:, rows] = _cauchy_rows(K, mesh, i).reshape(sp.blocks, -1, sp.size, N, sp.size)
+        if mesh.n == 3:
+            np.add(_vector_blocks(K, mesh.normals[rows], left=True), C[:, rows], out=A[:, rows])
             A[:, i, :, i, :] = 0.0
         C[:, i, :, i, :] = 0.0
         if mesh.n == 2:
@@ -632,7 +636,7 @@ def _transform_blocks(mesh: BoundaryMesh, points: np.ndarray, cols: np.ndarray, 
     if interior and mesh.n == 2:
         cols = np.concatenate([cols, (_node_factors(mesh) * mesh.sigma)[:, :, None]], axis=-1)
     for rows, K in _kernel_rows(mesh, points, test=not interior):
-        yield rows, K @ cols
+        yield rows, _spinor_rows(K, mesh) @ cols
 
 
 def _truncated_blocks(mesh: BoundaryMesh, cols: np.ndarray, dist: np.ndarray, radii):
@@ -645,20 +649,9 @@ def _truncated_blocks(mesh: BoundaryMesh, cols: np.ndarray, dist: np.ndarray, ra
     sp = algebra(mesh.n).spinor
     N = mesh.size
     for rows, K in _kernel_rows(mesh, mesh.nodes, np.arange(N)):
-        K = K.reshape(sp.blocks, -1, sp.size, N, sp.size)
+        K = _spinor_rows(K, mesh).reshape(sp.blocks, -1, sp.size, N, sp.size)
         for eps in radii:
             yield rows, (K * (dist[rows] > eps)[:, None, :, None]).reshape(sp.blocks, -1, N * sp.size) @ cols
-
-
-def _transform_points(mesh: BoundaryMesh, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(1/omega) sum_j G(u - z_j) n_j f_j sigma_j at each point, from the row blocks of _transform_blocks."""
-    points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    columns = _weighted_columns(mesh, [values])
-    s = algebra(mesh.n).spinor.size
-    out = np.empty((columns.shape[0], points.shape[0] * s, columns.shape[2]), dtype=complex)
-    for rows, vals in _transform_blocks(mesh, points, columns):
-        out[:, rows.start * s : rows.stop * s] = vals
-    return _from_spinor(out, mesh)
 
 
 def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> np.ndarray:
@@ -671,7 +664,7 @@ def cauchy_transform(mesh: BoundaryMesh, f: BoundaryFunction, w) -> np.ndarray:
     degrades like h/dist close to it; use cauchy_transform_points(...,
     subtract_node=...) for controlled near-boundary evaluation.
     """
-    return _transform_points(mesh, f.values, np.asarray(w, dtype=complex)[None, :])[0]
+    return cauchy_transform_points(mesh, f, np.asarray(w, dtype=complex)[None, :])[0]
 
 
 def cauchy_transform_points(
@@ -681,27 +674,39 @@ def cauchy_transform_points(
     subtract_node=None,
     interior: bool = True,
 ) -> np.ndarray:
-    """Batch transform; optional singularity subtraction for near evaluation.
+    """Batch transform (M, d) at (M, n) points; optional singularity subtraction for near evaluation.
 
-    With subtract_node[m] = i, the value at points[m] is computed from the
-    integrand G(u - z) n(z) (f(z) - f(z_i)) plus chi * f(z_i), where chi is
-    1 for interior targets and 0 for exterior ones.  The added term is
-    exactly zero in the continuum, the subtraction removes the h/dist
-    quadrature blow-up near z_i, and the quadrature weights are those of
-    node i's row in the singular operator, so the s -> 0 limit reproduces
-    the Nystrom boundary projection exactly.  The sum runs on the kernel
-    blocks of _kernel_rows with the pair (m, i) skipped; any other pair on
-    the null cone raises NullVectorError, as the plain transform does.
+    Without subtract_node it is (1/omega) sum_j G(u - z_j) n_j f_j sigma_j
+    at each point, from the row blocks of _transform_blocks.  With
+    subtract_node[m] = i, one node index in [0, N) per point (ValueError
+    otherwise), the value at points[m] is computed from the integrand
+    G(u - z) n(z) (f(z) - f(z_i)) plus chi * f(z_i), where chi is 1 for
+    interior targets and 0 for exterior ones.  The added term is exactly
+    zero in the continuum, the subtraction removes the h/dist quadrature
+    blow-up near z_i, and the quadrature weights are those of node i's row
+    in the singular operator, so the s -> 0 limit reproduces the Nystrom
+    boundary projection exactly: the sum runs on C's own rows (_cauchy_rows)
+    over the kernel values of _kernel_rows with the pair (m, i) skipped; any
+    other pair on the null cone raises NullVectorError, as the plain
+    transform does.
     """
     points = np.asarray(points, dtype=complex).reshape(-1, mesh.n)
-    if subtract_node is None:
-        return _transform_points(mesh, f.values, points)
-    subtract_node = np.asarray(subtract_node, dtype=int)
     sp = algebra(mesh.n).spinor
+    if subtract_node is None:
+        columns = _weighted_columns(mesh, [f.values])
+        out = np.empty((columns.shape[0], points.shape[0] * sp.size, columns.shape[2]), dtype=complex)
+        for rows, vals in _transform_blocks(mesh, points, columns):
+            out[:, rows.start * sp.size : rows.stop * sp.size] = vals
+        return _from_spinor(out, mesh)
+    subtract_node = np.asarray(subtract_node, dtype=int)
+    if subtract_node.shape != (points.shape[0],):
+        raise ValueError(f"subtract_node needs one node per point ({points.shape[0]}), got shape {subtract_node.shape}")
+    if np.any((subtract_node < 0) | (subtract_node >= mesh.size)):
+        raise ValueError(f"subtract_node holds indices outside [0, {mesh.size})")
     F = _to_spinor(f.values, mesh).reshape(sp.blocks, mesh.size, sp.size, sp.copies)
     out = np.empty((sp.blocks, points.shape[0], sp.size, sp.copies), dtype=complex)
     for rows, K in _kernel_rows(mesh, points, subtract_node, weighted=True):
-        K = K.reshape(sp.blocks, -1, sp.size, mesh.size, sp.size)
+        K = _cauchy_rows(K, mesh, subtract_node[rows]).reshape(sp.blocks, -1, sp.size, mesh.size, sp.size)
         # sum_j K_mj (f_j - f_i), the difference taken in the spinor frame
         out[:, rows] = np.einsum("bmpjq,bmjqc->bmpc", K, F[:, None] - F[:, subtract_node[rows], None])
     chi = 1.0 if interior else 0.0

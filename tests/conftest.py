@@ -3,7 +3,7 @@ import pytest
 
 from plemelj.algebra import algebra, cauchy_kernel
 from plemelj.mesh import _pushforward, make_circle, make_deformed_curve, make_sphere
-from plemelj.operators import BoundaryFunction, _kernel_rows, _node_factors
+from plemelj.operators import BoundaryFunction, _kernel_rows, _node_factors, _spinor_rows
 
 
 @pytest.fixture(scope="session")
@@ -72,10 +72,10 @@ def pair_kernel(mesh):
 def kernel_blocks(mesh, points, skip=None):
     """The spinor blocks (blocks, M s, N s) of (1/omega) G(p_m - z_j) n_j at (M, n) points, 0 at (m, skip[m]).
 
-    The row blocks of operators._kernel_rows joined; for n = 2 those are the
-    bare reciprocals R_rho, times the node factors the columns carry.
+    The spinor rows of operators._kernel_rows' blocks joined; for n = 2 those
+    are the bare reciprocals R_rho, times the node factors the columns carry.
     """
-    K = np.concatenate([K for _, K in _kernel_rows(mesh, points, skip)], axis=1)
+    K = np.concatenate([_spinor_rows(K, mesh) for _, K in _kernel_rows(mesh, points, skip)], axis=1)
     return K * _node_factors(mesh)[:, None, :] if mesh.n == 2 else K
 
 

@@ -23,11 +23,10 @@ from plemelj.mesh import (
     make_deformed_curve,
     make_sphere,
     region_membership_many,
-    row_blocks,
     validate_domain_manifold,
 )
 from plemelj.operators import (
-    _null_rows,
+    _kernel_rows,
     assemble_kerzman_stein,
     assemble_singular_cauchy,
     cauchy_transform_points,
@@ -54,9 +53,7 @@ def _outputs(mesh):
         "report": repr(validate_domain_manifold(mesh)),
         "regions": region_membership_many(points, mesh),
         "cone": cone_parameters(mesh),
-        "R": np.concatenate(
-            [_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(mesh.size, mesh.size)], axis=1
-        ),
+        "R": np.concatenate([R for _, R in _kernel_rows(mesh, mesh.nodes, idx)], axis=1),
         "C": assemble_singular_cauchy(mesh).matrix,
         "A": assemble_kerzman_stein(mesh).matrix,
         "nontangential": _family_nontangential(mesh, family),

@@ -234,6 +234,16 @@ def test_huge_radius_exit_code(tmp_path, geometry):
     assert "normals or edge length is not finite" in _invalid_input_message(tmp_path, args)
 
 
+@pytest.mark.parametrize("geometry", ["circle", "deformed"])
+def test_unallocatable_node_count_exit_code(tmp_path, geometry):
+    # numpy's MemoryError ended in a traceback (exit 1).  A curve's first
+    # array at N = 2**58 is 2 EiB, refused at allocation before any page is
+    # touched; the sphere is never tried with a huge N, since it subdivides
+    # step by step and would really fill the memory
+    args = ["--command", "maximal", "--geometry", geometry, "--N", str(2**58)]
+    assert "Unable to allocate" in _invalid_input_message(tmp_path, args)
+
+
 def test_large_finite_deformation_builds(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, "--command", "mesh", "--geometry", "deformed", "--N", "64", "--eps", "1e150")
     assert rc == 0

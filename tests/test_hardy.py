@@ -278,27 +278,30 @@ class TestVerifyIdentities:
         assert sizes == [128, 128, 256]
 
     def test_pair_kernel_built_once(self, monkeypatch):
-        # C and A share one array of reciprocal null pairs (2, N, N), and no
-        # Cartesian (N, N, 2) kernel is evaluated
+        # C and A share one pass of the kernel rows over the 128 x 128 node
+        # pairs, each row's reciprocal null pairs (2, rows, N) taken once, and
+        # no Cartesian (N, N, 2) kernel is evaluated
         import plemelj.operators as operators_mod
         from plemelj.mesh import make_deformed_curve
 
-        kernel_shapes, null_shapes = [], []
-        kernel, differences = operators_mod.cauchy_kernel, operators_mod.null_differences
+        kernel_shapes, passes = [], []
+        kernel, kernel_rows = operators_mod.cauchy_kernel, operators_mod._kernel_rows
 
         def counting_kernel(z):
             kernel_shapes.append(np.shape(z))
             return kernel(z)
 
-        def counting_differences(p, z):
-            out = differences(p, z)
-            null_shapes.append(out.shape)
-            return out
+        def counting_rows(mesh, points, *args, **kwargs):
+            passes.append([])
+            for rows, K in kernel_rows(mesh, points, *args, **kwargs):
+                passes[-1].append(K.shape)
+                yield rows, K
 
         monkeypatch.setattr(operators_mod, "cauchy_kernel", counting_kernel)
-        monkeypatch.setattr(operators_mod, "null_differences", counting_differences)
+        monkeypatch.setattr(operators_mod, "_kernel_rows", counting_rows)
         verify_identities(make_deformed_curve(128, 0.05, 2), refine=False)
-        assert null_shapes == [(2, 128, 128)]
+        (shapes,) = passes
+        assert sum(shape[1] for shape in shapes) == 128 and {shape[::2] for shape in shapes} == {(2, 128)}
         assert (128, 128, 2) not in kernel_shapes
 
     def test_sphere_kernel_evaluated_once_per_pair(self, monkeypatch, tmp_path):
@@ -434,3 +437,10 @@ class TestBoundaryLimits:
         one = BoundaryFunction.constant(deformed256, 1.0)
         rep = boundary_limit_test(one, "interior", depth=6, r=0.5)
         assert np.all(rep.errors < 1e-6)
+
+    @pytest.mark.parametrize("region", ["inside", "Interior", ""])
+    def test_unknown_region_refused(self, circle64, region):
+        # any region but the two ran the exterior path and was reported as given
+        one = BoundaryFunction.constant(circle64, 1.0)
+        with pytest.raises(ValueError, match="region must be 'interior' or 'exterior'"):
+            boundary_limit_test(one, region, depth=2, r=0.5)

@@ -162,7 +162,7 @@ class TestNontangentialMaximal:
         # factors and num(1) is their last column; on the sphere it is the
         # plain sum
         from plemelj.mesh import _cone_samples
-        from plemelj.operators import _node_factors, _null_rows
+        from plemelj.operators import _kernel_rows, _node_factors
 
         mesh = request.getfixturevalue(name)
         pts = _cone_samples(mesh, np.arange(mesh.size), *cone_parameters(mesh), 64)
@@ -171,7 +171,10 @@ class TestNontangentialMaximal:
         if mesh.n == 2:
             folded = np.concatenate([cols, (_node_factors(mesh) * mesh.sigma)[:, :, None]], axis=-1)
         for rows, vals in _transform_blocks(mesh, pts, cols, interior=True):
-            K = _null_rows(mesh, pts[rows], None) if mesh.n == 2 else kernel_blocks(mesh, pts[rows])
+            if mesh.n == 2:
+                K = np.concatenate([R for _, R in _kernel_rows(mesh, pts[rows])], axis=1)
+            else:
+                K = kernel_blocks(mesh, pts[rows])
             assert np.array_equal(vals, K @ folded)
 
     @pytest.mark.parametrize("name", ["circle64", "deformed128", "sphere42"])

@@ -172,11 +172,10 @@ class TestPlanarKernelBlocks:
     def test_null_pairs_raise_where_cauchy_kernel_does(self, name, request):
         # p - z_5 = t (1, i) + delta (1, -i) has square -4 t delta: planted on
         # the null cone (delta = 0), inside the tolerance, and just off it.
-        # The reciprocal rows see p as node k, across the curve from node 5.
-        import dataclasses
-
+        # The kernel rows of nodes k - 1 and k, each skipping its own pair,
+        # see p in node k's row, across the curve from node 5.
         from plemelj.algebra import null_tolerance
-        from plemelj.operators import _null_rows
+        from plemelj.operators import _kernel_rows
 
         def raises(fn):
             try:
@@ -196,10 +195,8 @@ class TestPlanarKernelBlocks:
         for p, on_cone in probes:
             kernel = raises(lambda: cauchy_kernel(p - mesh.nodes))
             blocks = raises(lambda: kernel_blocks(mesh, p[None, :]))
-            nodes = mesh.nodes.copy()
-            nodes[k] = p
-            planted = dataclasses.replace(mesh, nodes=nodes, cache={})
-            rows = raises(lambda: _null_rows(planted, nodes[k - 1 : k + 1], np.arange(k - 1, k + 1)))
+            points = np.stack([mesh.nodes[k - 1], p])
+            rows = raises(lambda: list(_kernel_rows(mesh, points, np.arange(k - 1, k + 1))))
             assert kernel == blocks == rows == on_cone, (p, kernel, blocks, rows)
 
     @pytest.mark.parametrize("N", [128, 512])
@@ -237,14 +234,11 @@ class TestPlanarKernelBlocks:
     @pytest.mark.parametrize("name", ["circle128", "deformed128"])
     def test_null_pairs_are_antisymmetric_reciprocals(self, name, request):
         from plemelj.algebra import null_differences
-        from plemelj.mesh import row_blocks
-        from plemelj.operators import _null_rows
+        from plemelj.operators import _kernel_rows
 
         mesh = request.getfixturevalue(name)
         idx = np.arange(mesh.size)
-        R = np.concatenate(
-            [_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(mesh.size, mesh.size)], axis=1
-        )
+        R = np.concatenate([R for _, R in _kernel_rows(mesh, mesh.nodes, idx)], axis=1)
         assert R.shape == (2, mesh.size, mesh.size) and R.flags.c_contiguous
         assert np.array_equal(R, -R.transpose(0, 2, 1))
         assert not np.any(np.diagonal(R, axis1=1, axis2=2))
@@ -429,19 +423,18 @@ class TestKerzmanStein:
 
 
 def _row_major_curve_operators(mesh):
-    """Oracle: a curve's C and A blocks (2, N, N), built row-major from _null_rows by the expressions of a row pass.
+    """Oracle: a curve's C and A blocks (2, N, N), built row-major from _kernel_rows by the expressions of a row pass.
 
     A_rho[i, j] = (zeta_rho(n_j) R_rho + zeta_rhobar(n_i) R_rhobar)[i, j] sigma_j / -omega, and C's
     rows are the weighted normals zeta_rho(n_j) W_ij / -omega times R, with the alternate-point
     weights W from the parity of i - j and the calibrated diagonal I/2 - sum_{j != i} C_ij.
     """
     from plemelj.algebra import null_coordinates
-    from plemelj.mesh import row_blocks
-    from plemelj.operators import _null_rows
+    from plemelj.operators import _kernel_rows
 
     N = mesh.size
     idx = np.arange(N)
-    R = np.concatenate([_null_rows(mesh, mesh.nodes[rows], idx[rows]) for rows in row_blocks(N, N)], axis=1)
+    R = np.concatenate([R for _, R in _kernel_rows(mesh, mesh.nodes, idx)], axis=1)
     zn = null_coordinates(mesh.normals).T
     A = zn[:, None, :] * R
     A += zn[::-1, :, None] * R[::-1]
@@ -648,6 +641,25 @@ class TestNearEvaluation:
         f = BoundaryFunction.constant(circle64, 1.0)
         with pytest.raises(NullVectorError):
             cauchy_transform_points(circle64, f, circle64.nodes[1][None, :], subtract_node=[0])
+
+    @pytest.mark.parametrize(
+        "subtract_node, message",
+        [([-1], "outside"), ([64], "outside"), ([0, 1], "one node per point"), ([[0]], "one node per point")],
+        ids=["negative", "past-the-end", "too-long", "two-dimensional"],
+    )
+    def test_subtract_node_refused_before_any_row(self, circle64, monkeypatch, subtract_node, message):
+        # numpy wraps -1 to node N - 1, and a length other than the point
+        # count ended in numpy's IndexError or broadcast errors; each is one
+        # ValueError naming the input, and no kernel row is formed
+        import plemelj.operators as operators_mod
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a kernel row was formed")
+
+        monkeypatch.setattr(operators_mod, "_kernel_rows", no_rows)
+        f = BoundaryFunction.constant(circle64, 1.0)
+        with pytest.raises(ValueError, match=f"subtract_node.*{message}"):
+            cauchy_transform_points(circle64, f, 0.97 * circle64.nodes[:1], subtract_node=subtract_node)
 
 
 def test_block_singular_values_match_dense_svd():

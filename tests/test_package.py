@@ -93,11 +93,27 @@ def test_kernel_sums_are_formed_only_in_operators():
     # operators calls back into no maximal function
     src = Path(plemelj.__file__).parent
     trees = {name: ast.parse((src / name).read_text()) for name in ("maximal.py", "operators.py")}
-    kernel = {"_kernel_rows", "_cauchy_rows", "_null_rows", "null_differences", "null_coordinates", "_to_spinor"}
+    kernel = {"_kernel_rows", "_cauchy_rows", "_spinor_rows", "null_differences", "null_coordinates", "_to_spinor"}
     imported = {name.rsplit(".", 1)[-1] for name in _imported_names(trees["maximal.py"])}
     assert not (set(_references(trees["maximal.py"])) | imported) & kernel
     maximal_functions = {node.name for node in trees["maximal.py"].body if isinstance(node, ast.FunctionDef)}
     assert maximal_functions and not set(_references(trees["operators.py"])) & maximal_functions
+
+
+def test_node_pass_reads_the_one_kernel_pass():
+    # operators walks row_blocks in one place, the kernel rows; the pass that
+    # builds C and A reads its rows from there and forms no kernel value of
+    # its own (it may still read validation's null-pair record)
+    tree = ast.parse((Path(plemelj.__file__).parent / "operators.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def walks(node):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call) and "row_blocks" in _references(sub.func)]
+
+    assert len(walks(tree)) == 1 and len(walks(functions["_kernel_rows"])) == 1
+    refs = set(_references(functions["_operators"]))
+    assert "_kernel_rows" in refs
+    assert not refs & {"_reciprocals", "_surface_rows", "_null_rows", "null_differences"}
 
 
 def test_kernel_tolerances_are_defined_only_in_algebra():
