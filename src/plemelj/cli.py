@@ -10,13 +10,13 @@ output files (runtimes go to stderr only).
 Exit codes: 0 all checks pass, 2 validation failure, 3 ill-conditioned
 solve (or a GMRES solve that misses its tolerance), 4 check failure, 5 no
 approach cone fits inside the mesh (maximal and limits need one), 6
-invalid input (a config file that cannot be read or is not one JSON object
-of DEFAULT_CONFIG's keys, each value of its default's kind and range, an
-unknown command, an --out that cannot be made a directory or written, a
-node count the geometry or command does not take, or one too large for
-the machine's memory to hold its arrays, an N sweep that does not strictly
-increase, a command the geometry does not support); every failure ends in
-one line on stderr.
+invalid input (a flag value the parser refuses, a config file that cannot
+be read or is not one JSON object of DEFAULT_CONFIG's keys, each value of
+its default's kind and range, an unknown command or geometry, an --out that
+cannot be made a directory or written, a node count the geometry or command
+does not take, or one too large for the machine's memory to hold its
+arrays, an N sweep whose meshes do not strictly grow, a command the
+geometry does not support); every failure ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -68,18 +68,19 @@ EXIT_NO_CONE = 5
 EXIT_INVALID_INPUT = 6
 
 
+# the builder of each geometry, from the config and a node count
+GEOMETRIES = {
+    "circle": lambda cfg, N: make_circle(N, cfg["radius"]),
+    "deformed": lambda cfg, N: make_deformed_curve(N, cfg["eps"], cfg["mode"]),
+    "sphere": lambda cfg, N: make_sphere(N, cfg["radius"]),
+}
+
+
 def build_mesh(cfg, N=None):
     N = cfg["N"] if N is None else N
     if isinstance(N, list):
         raise ValueError(f"the {cfg['command']} command takes one N, not a sweep")
-    geom = cfg["geometry"]
-    if geom == "circle":
-        return make_circle(N, cfg["radius"])
-    if geom == "sphere":
-        return make_sphere(N, cfg["radius"])
-    if geom == "deformed":
-        return make_deformed_curve(N, cfg["eps"], cfg["mode"])
-    raise ValueError(f"unknown geometry {geom!r}")
+    return GEOMETRIES[cfg["geometry"]](cfg, N)
 
 
 def _n_list(cfg):
@@ -87,13 +88,21 @@ def _n_list(cfg):
 
 
 def _sweep(cfg):
-    """Yield (N, mesh) over the N sweep, which must strictly increase; each N's wall time goes to stderr."""
+    """Yield (mesh.size, mesh) over the N sweep; each N's wall time after its build goes to stderr.
+
+    Every mesh is built before the first is yielded, and their sizes must
+    strictly increase: the sphere rounds N up to its next subdivision, so
+    two N can build one mesh.  Each mesh is dropped from the list as it is
+    yielded, so its cached operators go when the command is done with it.
+    """
     sweep = _n_list(cfg)
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ValueError(f"the N sweep must strictly increase, not {sweep}")
+    meshes = [build_mesh(cfg, N) for N in sweep]
+    sizes = [mesh.size for mesh in meshes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"the N sweep must strictly increase in mesh size, not {sweep} building {sizes}")
     for N in sweep:
         t0 = time.time()
-        yield N, build_mesh(cfg, N)
+        yield meshes[0].size, meshes.pop(0)
         print(f"{cfg['command']} N={N}: {time.time() - t0:.2f}s", file=sys.stderr)
 
 
@@ -126,14 +135,14 @@ def cmd_verify(cfg) -> int:
     sweep = _n_list(cfg)
     all_pass = True
     results = []
-    for N, mesh in _sweep(cfg):
-        refine = len(sweep) == 1 and mesh.builder is not None and N <= 256
+    for size, mesh in _sweep(cfg):
+        refine = len(sweep) == 1 and size <= 256
         reports = hardy.verify_identities(
             mesh, refine=refine, cap=cfg["identity_cap"], cond_limit=cfg["cond_limit"]
         )
         for rep in reports:
             all_pass &= rep.passed
-            results.append({"N": N, **rep.as_dict()})
+            results.append({"N": size, **rep.as_dict()})
     if len(sweep) > 1:
         # decreasing across the sweep, identity by identity
         by_name = {}
@@ -255,8 +264,9 @@ def cmd_converge(cfg) -> int:
     sweep = _n_list(cfg)
     if len(sweep) < 2:
         raise ValueError("convergence sweep needs at least 2 mesh sizes")
-    columns = {}
-    for N, mesh in _sweep(cfg):
+    sizes, columns = [], {}
+    for size, mesh in _sweep(cfg):
+        sizes.append(size)
         for rep in hardy.verify_identities(mesh, refine=False, cond_limit=cfg["cond_limit"]):
             columns.setdefault(rep.identity, []).append(rep.residual)
         if mesh.n == 2:
@@ -264,7 +274,7 @@ def cmd_converge(cfg) -> int:
             iso = mobius.isometry_check(_test_function(mesh, cfg["seed"]), km)
             columns.setdefault("isometry_gap", []).append(iso["relative_gap"])
     orders = {}
-    logN = np.log(np.asarray(sweep, dtype=float))
+    logN = np.log(np.asarray(sizes, dtype=float))
     for name, vals in columns.items():
         v = np.asarray(vals)
         if np.max(v) <= hardy.RESIDUAL_FLOOR:
@@ -272,9 +282,9 @@ def cmd_converge(cfg) -> int:
         else:
             slope = np.polyfit(logN, np.log(np.maximum(v, 1e-300)), 1)[0]
             orders[name] = float(-slope)
-    rows = [tuple([N] + [float(columns[k][i]) for k in sorted(columns)]) for i, N in enumerate(sweep)]
+    rows = [tuple([N] + [float(columns[k][i]) for k in sorted(columns)]) for i, N in enumerate(sizes)]
     _write_csv(cfg, "converge.csv", ["N"] + sorted(columns), rows)
-    _write_json(cfg, "converge.json", {"sweep": sweep, "fitted_order": orders})
+    _write_json(cfg, "converge.json", {"sweep": sizes, "fitted_order": orders})
     return EXIT_OK
 
 
@@ -290,14 +300,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)  # main's exit 6, not argparse's exit 2
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process (parsing leaves it unchanged)."""
-    p = argparse.ArgumentParser(prog="plemelj", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="plemelj", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--command", choices=sorted(COMMANDS))
-    p.add_argument("--geometry", choices=["circle", "sphere", "deformed"])
+    p.add_argument("--geometry", choices=sorted(GEOMETRIES))
     p.add_argument("--N", help="node count, or comma-separated sweep list")
     p.add_argument("--eps", type=float, help="deformation amplitude")
     p.add_argument("--mode", type=int, help="deformation mode number")
@@ -322,7 +336,7 @@ def load_config(args) -> dict:
 
     Raises ValueError unless every key of the file is DEFAULT_CONFIG's with
     a value of its default's kind (N may be a sweep, a list of integers)
-    and the command is one of COMMANDS.
+    and the command and geometry are names of COMMANDS and GEOMETRIES.
     """
     cfg = dict(DEFAULT_CONFIG)
     if args.config:
@@ -345,13 +359,14 @@ def load_config(args) -> dict:
         cfg["N"] = [int(x) for x in args.N.split(",")] if "," in args.N else int(args.N)
     if cfg["command"] not in COMMANDS:
         raise ValueError(f"unknown command {cfg['command']!r}")
+    if cfg["geometry"] not in GEOMETRIES:
+        raise ValueError(f"unknown geometry {cfg['geometry']!r}")
     return cfg
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     try:
-        cfg = load_config(args)
+        cfg = load_config(parse_args(argv))
         os.makedirs(cfg["out"], exist_ok=True)
         return COMMANDS[cfg["command"]](cfg)
     except ValidationFailedError as exc:

@@ -126,7 +126,6 @@ class BoundaryMesh:
     sigma: np.ndarray        # (N,) complex quadrature weights
     sigma_abs: np.ndarray    # (N,) positive weights |sigma|
     interior_seed: np.ndarray
-    exterior_seed: np.ndarray
     h: float
     theta: np.ndarray | None = None   # curve parameter per node: the nodes are in curve order
     edges: np.ndarray | None = None   # (E, 2) adjacency for tangent probes
@@ -166,10 +165,12 @@ class BoundaryMesh:
 # Every mesh is a reference mesh pushed forward by a map F: the circle at
 # theta_j = 2 pi j / N for curves, the unit icosahedral sphere for surfaces.
 # A builder gives the image nodes F(x_j), the area vectors a_j = cof(DF_j) nu_j
-# and the reference weights |sigma_ref|; _pushforward derives the rest.
+# and the reference weights |sigma_ref|; _pushforward derives the rest.  Every
+# closed curve, the Kelvin pullback of mobius included, goes through
+# _closed_curve, which turns its tangents dF/dtheta into area vectors.
 
 
-def _pushforward(nodes, area, weights, edges, interior_seed, exterior_seed, builder, theta=None) -> BoundaryMesh:
+def _pushforward(nodes, area, weights, edges, interior_seed, builder, theta=None) -> BoundaryMesh:
     """The mesh on the image nodes, with sigma and normals by Nanson's formula.
 
     sigma = sqrt(a.a) |sigma_ref| and the normal is a / sqrt(a.a), with the
@@ -183,7 +184,7 @@ def _pushforward(nodes, area, weights, edges, interior_seed, exterior_seed, buil
         mu = np.sqrt(np.sum(area * area, axis=1))
         sigma = mu * weights
         mesh = BoundaryMesh(
-            nodes.shape[1], nodes, area / mu[:, None], sigma, np.abs(sigma), interior_seed, exterior_seed,
+            nodes.shape[1], nodes, area / mu[:, None], sigma, np.abs(sigma), interior_seed,
             h=0.0, theta=theta, edges=edges, builder=builder,
         )
         e = mesh.edge_list()
@@ -191,6 +192,21 @@ def _pushforward(nodes, area, weights, edges, interior_seed, exterior_seed, buil
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(mesh.normals)) and np.isfinite(mesh.h)):
         raise ValueError("the mesh's measure, normals or edge length is not finite: the geometry is too large or degenerate")
     return mesh
+
+
+def _closed_curve(nodes, tangents, theta, interior_seed, builder) -> BoundaryMesh:
+    """The closed curve through its N nodes in turn, at parameters theta with the trapezoid weights 2 pi / N.
+
+    The area vectors are the tangents dF/dtheta turned by -90 degrees.
+    Raises ValueError unless N is even and at least 8.
+    """
+    N = nodes.shape[0]
+    if N < 8:
+        raise ValueError("need at least 8 nodes on the curve")
+    if N % 2:
+        raise ValueError("closed-curve meshes require even N")
+    area = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    return _pushforward(nodes, area, 2 * np.pi / N, None, interior_seed, builder, theta)
 
 
 def _check_radius(radius) -> None:
@@ -201,14 +217,11 @@ def _check_radius(radius) -> None:
 def _curve(N: int, eps: float, k: int, radius: float = 1.0) -> BoundaryMesh:
     """The curve F(theta) = radius (1 + i eps cos k theta)(cos theta, sin theta), unvalidated; eps = 0 is the circle.
 
-    Its area vectors are the exact tangents dF/dtheta turned by -90 degrees.
+    Its tangents are the exact dF/dtheta (_closed_curve).
     """
     _check_radius(radius)
-    if N < 8:
-        raise ValueError("need at least 8 nodes on the curve")
-    if N % 2:
-        raise ValueError("closed-curve meshes require even N")
-    theta = 2 * np.pi * np.arange(N) / N
+    j = np.arange(N)
+    theta = 2 * np.pi * j / j.size  # a fractional N would leave the curve open
     with np.errstate(over="ignore", invalid="ignore"):  # _pushforward refuses what overflows
         q = 1.0 + 1j * eps * np.cos(k * theta)
         dq = -1j * eps * k * np.sin(k * theta)
@@ -216,11 +229,7 @@ def _curve(N: int, eps: float, k: int, radius: float = 1.0) -> BoundaryMesh:
         du = radius * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
         tang = dq[:, None] * u + q[:, None] * du
         nodes = q[:, None] * u
-    return _pushforward(
-        nodes, np.stack([tang[:, 1], -tang[:, 0]], axis=1), 2 * np.pi / N, None,
-        np.zeros(2, dtype=complex), np.array([3.0 * radius, 0.0], dtype=complex),
-        lambda m: _curve(m, eps, k, radius), theta,
-    )
+    return _closed_curve(nodes, tang, theta, np.zeros(2, dtype=complex), lambda m: _curve(m, eps, k, radius))
 
 
 def make_circle(N: int, radius: float = 1.0) -> BoundaryMesh:
@@ -341,8 +350,7 @@ def make_sphere(N_target: int, radius: float = 1.0) -> BoundaryMesh:
     return _pushforward(
         nodes, area, _voronoi_areas(verts, faces),
         pairs[np.unique(pairs @ [len(verts), 1], return_index=True)[1]],
-        np.zeros(3, dtype=complex), np.array([3.0 * radius, 0.0, 0.0], dtype=complex),
-        lambda m: make_sphere(m, radius),
+        np.zeros(3, dtype=complex), lambda m: make_sphere(m, radius),
     )
 
 
@@ -665,7 +673,6 @@ def save_mesh(mesh: BoundaryMesh, path: str):
         "sigma": _pack(mesh.sigma),
         "sigma_abs": mesh.sigma_abs.tolist(),
         "interior_seed": _pack(mesh.interior_seed),
-        "exterior_seed": _pack(mesh.exterior_seed),
         "h": mesh.h,
     }
     if mesh.edges is not None:

@@ -2,12 +2,11 @@
 
 The map is psi(z) = (z + a)^{-1} for a constant vector a; a boundary
 function g on dM transplants to G(z + a) g(psi(z)) on the pulled-back
-boundary.  The pulled-back mesh is pushed forward like every other mesh
-(mesh._pushforward), but its area vectors are central differences of the
-transported nodes turned by -90 degrees, not the map's exact Jacobian, so
-isometry and covariance gaps measure honest two-sided quadrature
-convergence (O(h^2) from the differencing) rather than an algebraic
-identity.
+boundary.  The pulled-back mesh is built like every other closed curve
+(mesh._closed_curve), but its tangents are central differences of the
+transported nodes, not the map's exact Jacobian, so isometry and covariance
+gaps measure honest two-sided quadrature convergence (O(h^2) from the
+differencing) rather than an algebraic identity.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import algebra, cauchy_kernel, vector_inverse
-from .mesh import BoundaryMesh, _pushforward
+from .mesh import BoundaryMesh, _closed_curve
 from .operators import BoundaryFunction, l2_norm
 
 __all__ = [
@@ -37,16 +36,6 @@ class KelvinMap:
     domain_mesh: BoundaryMesh   # d psi^{-1}(M) (z-space)
 
 
-def _curve_mesh_from_nodes(nodes: np.ndarray, theta: np.ndarray, builder=None) -> BoundaryMesh:
-    """Closed-curve mesh whose area vectors are central-difference tangents of the nodes, turned by -90 degrees."""
-    dtheta = 2 * np.pi / nodes.shape[0]
-    tang = (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)) / (2 * dtheta)
-    center = np.mean(nodes.real, axis=0).astype(complex)
-    mesh = _pushforward(nodes, np.stack([tang[:, 1], -tang[:, 0]], axis=1), dtheta, None, center, center.copy(), builder, theta)
-    mesh.exterior_seed[0] += 3.0 * mesh.half_diameter()
-    return mesh
-
-
 def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
     """Build the map data for psi(z) = (z + a)^{-1} with image boundary dM.
 
@@ -59,7 +48,9 @@ def kelvin_map(mesh: BoundaryMesh, a) -> KelvinMap:
     if a.shape != (mesh.n,):
         raise ValueError(f"translation must have {mesh.n} components, not {a.size}")
     builder = (lambda m: kelvin_map(mesh.builder(m), a).domain_mesh) if mesh.builder else None
-    domain = _curve_mesh_from_nodes(vector_inverse(mesh.nodes) - a, mesh.theta, builder)
+    z = vector_inverse(mesh.nodes) - a
+    tang = (np.roll(z, -1, axis=0) - np.roll(z, 1, axis=0)) / (2 * (2 * np.pi / mesh.size))  # central differences
+    domain = _closed_curve(z, tang, mesh.theta, np.mean(z.real, axis=0).astype(complex), builder)
     return KelvinMap(a=a, image_mesh=mesh, domain_mesh=domain)
 
 

@@ -107,5 +107,5 @@ def make_flat_patch(N):
     return _pushforward(
         np.stack([theta, np.zeros(N)], axis=1).astype(complex), np.tile(np.array([0.0, 1.0], dtype=complex), (N, 1)),
         2 * np.pi / N, np.stack([np.arange(N - 1), np.arange(1, N)], axis=1),
-        np.array([np.pi, -1.0], dtype=complex), np.array([np.pi, 1.0], dtype=complex), make_flat_patch, theta,
+        np.array([np.pi, -1.0], dtype=complex), make_flat_patch, theta,
     )

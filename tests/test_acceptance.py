@@ -299,8 +299,7 @@ def test_criterion_10_domain_manifold_checker(circle128, sphere162, deformed128)
     bad_nodes[10] = bad_nodes[9] + 0.5 * np.array([1.0, 1j])
     bad = BoundaryMesh(
         n=2, nodes=bad_nodes, normals=circle128.normals, sigma=circle128.sigma,
-        sigma_abs=circle128.sigma_abs, interior_seed=circle128.interior_seed,
-        exterior_seed=circle128.exterior_seed, h=circle128.h,
+        sigma_abs=circle128.sigma_abs, interior_seed=circle128.interior_seed, h=circle128.h,
     )
     rep = validate_domain_manifold(bad)
     ok_reject = not rep.passed and rep.witness is not None

@@ -68,6 +68,13 @@ def test_verify_sweep(tmp_path):
     assert Ns == {64, 128}
 
 
+def test_verify_reports_the_size_it_built(tmp_path):
+    # the sphere rounds N = 20 up to its 42-node subdivision; verify wrote "N": 20
+    run_cli(tmp_path, "--command", "verify", "--geometry", "sphere", "--N", "20")
+    doc = json.load(open(tmp_path / "out" / "verify.json"))
+    assert {row["N"] for row in doc["results"]} == {42}
+
+
 def test_verify_honours_config_cond_limit(tmp_path):
     # the circle's Kerzman-Stein system is I, condition estimate 1 > 0.5
     cfg_path = tmp_path / "cfg.json"
@@ -103,10 +110,23 @@ def test_no_valid_cone_exit_code(tmp_path, capsys):
         ["--command", "converge", "--N", "64"],
         ["--N", "63"],
         ["--command", "mesh", "--N", "64,128"],
+        # flag values the parser refuses exited 2, the code of a failed validation
+        ["--command", "bogus"],
+        ["--geometry", "ellipse"],
+        ["--eps", "abc"],
+        ["--mode", "1.5"],
+        ["--seed", "x"],
     ],
 )
 def test_invalid_input_exit_code(tmp_path, args):
     _invalid_input_message(tmp_path, args)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--geometry" in capsys.readouterr().out
 
 
 def _invalid_input_message(tmp_path, args, out=None):
@@ -133,9 +153,10 @@ def _invalid_input_message(tmp_path, args, out=None):
         ('{"family_size": "3", "command": "maximal"}', "config 'family_size' must be"),
         ('{"seed": "x"}', "config 'seed' must be"),
         ('{"command": "nope"}', "unknown command 'nope'"),
+        ('{"geometry": "ellipse"}', "unknown geometry 'ellipse'"),
         ('{"bogus": 1}', "unknown config key 'bogus'"),
     ],
-    ids=["array", "N-null", "cap-string", "cond-null", "family-string", "seed-string", "command", "key"],
+    ids=["array", "N-null", "cap-string", "cond-null", "family-string", "seed-string", "command", "geometry", "key"],
 )
 def test_invalid_config_exit_code(tmp_path, config, message):
     # each of these ended in a traceback (exit 1), or, for the seed, wrote
@@ -157,13 +178,17 @@ def test_invalid_config_exit_code(tmp_path, config, message):
         ('{"family_size": -3}', ["--command", "maximal"], "family_size must be at least 1, not -3"),
         ("{}", ["--command", "converge", "--N", "64,64"], "the N sweep must strictly increase"),
         ("{}", ["--command", "verify", "--N", "128,64"], "the N sweep must strictly increase"),
+        ("{}", ["--command", "converge", "--geometry", "sphere", "--N", "42,100,162"],
+         "the N sweep must strictly increase"),
     ],
     ids=["translation-1", "translation-3", "converge-translation", "depth-negative", "depth-0",
-         "family-0", "family-negative", "converge-repeated", "verify-decreasing"],
+         "family-0", "family-negative", "converge-repeated", "verify-decreasing", "sphere-mesh-repeated"],
 )
 def test_out_of_range_value_exit_code(tmp_path, config, args, message):
     # each of these ran with a broadcast translation, an empty depth sweep or
-    # a fit over one mesh size (exit 0), or ended in a numpy message naming no input
+    # a fit over one mesh size (exit 0), or ended in a numpy message naming no
+    # input; on the sphere N = 100 and N = 162 both build the 162-node mesh,
+    # and the sweep wrote two rows of it and fitted the orders against 100 and 162
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config)
     assert message in _invalid_input_message(tmp_path, ["--config", str(cfg_path), "--N", "64", *args])

@@ -152,7 +152,7 @@ class TestValidation:
 
         mesh = BoundaryMesh(
             n=2, nodes=bad, normals=m.normals, sigma=m.sigma, sigma_abs=m.sigma_abs,
-            interior_seed=m.interior_seed, exterior_seed=m.exterior_seed, h=m.h,
+            interior_seed=m.interior_seed, h=m.h,
         )
         rep = validate_domain_manifold(mesh)
         assert not rep.passed
@@ -279,7 +279,7 @@ class TestValidation:
         bad[5] = bad[4] + 0.7 * np.array([1.0, 1j])
         mesh = BoundaryMesh(
             n=2, nodes=bad, normals=m.normals, sigma=m.sigma, sigma_abs=m.sigma_abs,
-            interior_seed=m.interior_seed, exterior_seed=m.exterior_seed, h=m.h,
+            interior_seed=m.interior_seed, h=m.h,
         )
         for assemble in (assemble_singular_cauchy, assemble_kerzman_stein, assemble_singular_cauchy):
             with pytest.raises(ValidationFailedError):
@@ -709,7 +709,7 @@ def _read_mesh_json(mesh, tmp_path):
     save_mesh(mesh, path)
     with open(path) as fh:
         doc = json.load(fh)
-    for key in ("nodes", "normals", "sigma", "interior_seed", "exterior_seed"):
+    for key in ("nodes", "normals", "sigma", "interior_seed"):
         pairs = np.asarray(doc[key])
         doc[key] = pairs[..., 0] + 1j * pairs[..., 1]
     return doc
@@ -719,7 +719,7 @@ class TestSerialization:
     def test_round_trip(self, deformed128, tmp_path):
         doc = _read_mesh_json(deformed128, tmp_path)
         assert doc["n"] == deformed128.n
-        for key in ("nodes", "normals", "sigma", "sigma_abs", "interior_seed", "exterior_seed"):
+        for key in ("nodes", "normals", "sigma", "sigma_abs", "interior_seed"):
             assert np.array_equal(doc[key], getattr(deformed128, key)), key
         assert doc["h"] == deformed128.h
 
@@ -730,7 +730,7 @@ class TestSerialization:
             doc = json.load(fh)
         assert list(doc.keys()) == [
             "n", "nodes", "normals", "sigma", "sigma_abs",
-            "interior_seed", "exterior_seed", "h",
+            "interior_seed", "h",
         ]
 
     def test_sphere_round_trip_keeps_edges(self, sphere42, tmp_path):

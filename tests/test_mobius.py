@@ -32,7 +32,7 @@ class TestKelvinMap:
         bad_nodes[3] = np.array([1.0, 1j])  # on the null cone
         bad = BoundaryMesh(
             n=2, nodes=bad_nodes, normals=m.normals, sigma=m.sigma, sigma_abs=m.sigma_abs,
-            interior_seed=m.interior_seed, exterior_seed=m.exterior_seed, h=m.h, theta=m.theta,
+            interior_seed=m.interior_seed, h=m.h, theta=m.theta,
         )
         with pytest.raises(NullVectorError):
             kelvin_map(bad, A_DEFAULT)

@@ -149,6 +149,23 @@ def test_meshes_are_built_by_the_pushforward_step():
     assert callers == [("mesh.py", "_pushforward")]
 
 
+def test_one_closed_curve_builder_and_one_geometry_table():
+    # every closed curve goes through mesh._closed_curve, so only mesh calls
+    # _pushforward, and the --geometry flag offers exactly the table's builders
+    from plemelj import cli
+
+    src = Path(plemelj.__file__).parent
+    callers = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "_pushforward" in _references(node.func)
+    }
+    assert callers == {"mesh.py"}
+    (geometry,) = (a for a in cli._parser()._actions if a.dest == "geometry")
+    assert sorted(geometry.choices) == sorted(cli.GEOMETRIES)
+
+
 def test_every_private_function_is_referenced():
     # every module-level function, public or private, has a caller: another
     # module of the package (not __init__), the acceptance suite or a python
